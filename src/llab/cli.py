@@ -25,7 +25,7 @@ from .locality import (
     theta_quotient,
 )
 from .partial import check_axioms
-from .permgroup import group_from_generators, sylow_p
+from .permgroup import group_from_generators, is_prime, sylow_p
 
 DELTA_SPECS = ("cr-closure", "c", "q", "s", "all-nontrivial", "all")
 
@@ -55,7 +55,7 @@ def load_group(path: str):
 
 
 def _check_prime(p: int) -> int:
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if not is_prime(p):
         raise InputError(f"p must be a prime, got {p}")
     return p
 

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import InputError, PropertyViolation
-from .fusion import FHom, FusionSystem
+from .fusion import conjugation_fusion
 from .locality import (
     Locality,
     ObjectSet,
@@ -97,16 +97,6 @@ def _subgroup_in_locality(L: Locality, members) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def _group_fusion_on(M: Subgroup, P0: Subgroup) -> FusionSystem:
-    """Fusion on P0 induced by conjugation inside the finite group M."""
-    G = M.group
-    gens = []
-    for m in M.members():
-        dom = [x for x in mask_members(P0.mask) if P0.mask >> G.conj(x, m) & 1]
-        gens.append(FHom(G, mask_of(dom), tuple(G.conj(x, m) for x in dom)))
-    return FusionSystem(P0, gens)
-
-
 def check_seed(L: Locality, R: Subgroup) -> SeedReport:
     """Admissibility of R for growing L's object family.
 
@@ -148,7 +138,7 @@ def check_seed(L: Locality, R: Subgroup) -> SeedReport:
         details["normalizer_characteristic_p"] = is_characteristic_p(
             M.as_group(), L.p
         )
-        fusion_ok = _group_fusion_on(M, R.normalizer(L.S)).same_homs(
+        fusion_ok = conjugation_fusion(R.normalizer(L.S), M.members()).same_homs(
             F.normalizer_system(R)
         )
         if not fusion_ok:

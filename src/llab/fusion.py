@@ -14,6 +14,7 @@ as in permgroup.
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -31,6 +32,7 @@ __all__ = [
     "FHom",
     "ClassFlags",
     "FusionSystem",
+    "conjugation_fusion",
     "fusion_from_group",
     "FusionMap",
     "QuotientFusionReport",
@@ -100,43 +102,116 @@ class ClassFlags:
     subcentric: bool
     fully_normalized: bool
     fully_centralized: bool
-    # Inn-core automizer variant, kept for comparison only; nothing in the
-    # library keys off it and class_sets never consults it.
-    automizer_radical_diagnostic: bool = False
 
 
 def _conj_map(group: FiniteGroup, s_mask: int, g: int) -> FHom:
     """Largest restriction of conjugation by g carrying members of S into S.
 
-    The defined set {x in S : x**g in S} is a subgroup of S.
+    The defined set {x in S : x**g in S} = S ∩ S^(g^-1) is a subgroup of S,
+    and conjugation is an injective homomorphism on it.
     """
-    dom = [x for x in mask_members(s_mask) if (1 << group.conj(x, g)) & s_mask]
-    return FHom(group, sum(1 << x for x in dom), tuple(group.conj(x, g) for x in dom))
+    pairs = [(x, y) for x in mask_members(s_mask)
+             if s_mask >> (y := group.conj(x, g)) & 1]
+    return FHom(group, sum(1 << x for x, _ in pairs), tuple(y for _, y in pairs))
+
+
+class _Derived(tuple):
+    """Maps llab built itself, which FusionSystem takes without _validate.
+
+    Only conjugation maps (_conj_map) and restrictions of maps already in a
+    closed table belong here: both are injective homomorphisms between
+    subgroups of S by construction.
+    """
+
+
+def conjugation_fusion(S: Subgroup, conjugators) -> "FusionSystem":
+    """The fusion system on S generated by conjugation by the given ordinals."""
+    return FusionSystem(S, _Derived(_conj_map(S.group, S.mask, g) for g in conjugators))
+
+
+def _inner_seeds(S: Subgroup) -> tuple:
+    """Conjugation by members of S as distinct (dom_mask, images) keys.
+
+    Keys, not FHoms: an FHom points back at the group, and a cycle through
+    the group's memo would keep the group alive past its last user.
+    """
+    memo = S.group._memo.setdefault("inner_seeds", {})
+    got = memo.get(S.mask)
+    if got is None:
+        got = tuple(dict.fromkeys(
+            (h.dom_mask, h.images)
+            for h in (_conj_map(S.group, S.mask, s) for s in S.members())
+        ))
+        memo[S.mask] = got
+    return got
+
+
+class _Closed:
+    """A closed hom table and every cache computed from it.
+
+    Systems on the same S with equal tables (twins) share one instance, so a
+    conjugate list, class flag or subsystem found through one is there for
+    all of them.
+    """
+
+    __slots__ = ("table", "by_image", "size", "conj", "flags", "nsys", "csys",
+                 "__weakref__")
+
+    def __init__(self, table: dict, by_image: dict, size: int):
+        self.table = table
+        self.by_image = by_image
+        self.size = size
+        self.conj: dict[int, tuple] = {}
+        self.flags: dict[int, tuple] = {}
+        self.nsys: dict[int, FusionSystem] = {}
+        self.csys: dict[int, FusionSystem] = {}
+
+    def key(self) -> frozenset:
+        return frozenset((dom, images) for dom, row in self.table.items()
+                         for images in row)
 
 
 class FusionSystem:
-    """Hom-closed category of injective maps between subgroups of S."""
+    """Hom-closed category of injective maps between subgroups of S.
+
+    Caller-supplied generators are validated; _Derived ones are trusted.
+    A weak-valued registry in the group's memo maps seed sets and exact
+    closed tables to the live _Closed: a seed set seen before skips the
+    closure, and a closure equal to a live table adopts that table.
+    """
 
     def __init__(self, S: Subgroup, generators=()):
-        if S.order > _caps.current().sylow_order:
-            raise CapExceeded("fusion carrier order", _caps.current().sylow_order)
+        cap = _caps.current()
+        if S.order > cap.sylow_order:
+            raise CapExceeded("fusion carrier order", cap.sylow_order)
         self.group = S.group
         self.S = S
         self.subs = subgroups_below(S)
         self._masks = [h.mask for h in self.subs]
         self._mask_set = set(self._masks)
-        self._table: dict[int, dict[tuple, int]] = {m: {} for m in self._masks}
-        self._by_image: dict[int, set] = {m: set() for m in self._masks}
-        seeds = [
-            _conj_map(self.group, S.mask, s) for s in S.members()
-        ] + list(generators)
-        for h in seeds:
-            self._validate(h)
-        self._close(seeds)
-        self._conj_cache: dict[int, tuple] = {}
-        self._flag_cache: dict[int, tuple] = {}
-        self._nsys_cache: dict[int, FusionSystem] = {}
-        self._csys_cache: dict[int, FusionSystem] = {}
+        if not isinstance(generators, _Derived):
+            generators = list(generators)
+            for h in generators:
+                self._validate(h)
+        seeds = tuple(dict.fromkeys(itertools.chain(
+            _inner_seeds(S), ((h.dom_mask, h.images) for h in generators))))
+        registry = self.group._memo.setdefault(
+            "fusion_tables", weakref.WeakValueDictionary())
+        seed_key = ("seeds", S.mask, frozenset(seeds))
+        closed = registry.get(seed_key)
+        if closed is None:
+            closed = self._close(seeds, cap.fusion_maps)
+            closed = registry.setdefault(("table", S.mask, closed.key()), closed)
+            registry[seed_key] = closed
+        elif closed.size > cap.fusion_maps:
+            raise CapExceeded("fusion homtable", cap.fusion_maps)
+        self._closed = closed
+        self._table: dict[int, dict[tuple, int]] = closed.table
+        self._by_image: dict[int, set] = closed.by_image
+        self._conj_cache = closed.conj
+        self._flag_cache = closed.flags
+        self._nsys_cache = closed.nsys
+        self._csys_cache = closed.csys
 
     # -- construction ------------------------------------------------------
 
@@ -154,26 +229,27 @@ class FusionSystem:
             if m[self.group.mult(a, b)] != self.group.mult(m[a], m[b]):
                 raise InputError("generator map is not a homomorphism")
 
-    def _close(self, seeds):
-        cap = _caps.current().fusion_maps
+    def _close(self, seeds, cap: int) -> _Closed:
+        table: dict[int, dict[tuple, int]] = {m: {} for m in self._masks}
+        by_image: dict[int, set] = {m: set() for m in self._masks}
         count = 0
         queue = deque()
 
         def push(h: FHom):
             nonlocal count
-            row = self._table[h.dom_mask]
+            row = table[h.dom_mask]
             if h.images in row:
                 return
             img = h.image_mask
             row[h.images] = img
-            self._by_image[img].add((h.dom_mask, h.images))
+            by_image[img].add((h.dom_mask, h.images))
             count += 1
             if count > cap:
                 raise CapExceeded("fusion homtable", cap)
             queue.append(h)
 
-        for h in seeds:
-            push(h)
+        for dom, images in seeds:
+            push(FHom(self.group, dom, images))
         while queue:
             h = queue.popleft()
             img = h.image_mask
@@ -181,10 +257,11 @@ class FusionSystem:
             for m in self._masks:
                 if m != h.dom_mask and (m & h.dom_mask) == m:
                     push(h.restrict(m))
-            for images, _ in list(self._table[img].items()):
+            for images in list(table[img]):
                 push(h.then(FHom(self.group, img, images)))
-            for dom2, images2 in list(self._by_image[h.dom_mask]):
+            for dom2, images2 in list(by_image[h.dom_mask]):
                 push(FHom(self.group, dom2, images2).then(h))
+        return _Closed(table, by_image, count)
 
     # -- queries -----------------------------------------------------------
 
@@ -243,47 +320,55 @@ class FusionSystem:
     def same_homs(self, other: "FusionSystem") -> bool:
         if self.S.mask != other.S.mask or self.group is not other.group:
             return False
+        if self._table is other._table:
+            return True
         return all(
             set(self._table[m]) == set(other._table[m]) for m in self._masks
         )
 
     # -- subsystems ----------------------------------------------------------
 
-    def _harvest(self, carrier: Subgroup, keep) -> "FusionSystem":
-        """Subsystem on `carrier` from restrictions of maps passing `keep`."""
-        cm = carrier.mask
-        gens = []
-        for dom in self._masks:
-            for images in self._table[dom]:
-                h = FHom(self.group, dom, images)
-                if not keep(h):
-                    continue
-                m = h.mapping()
-                sub = [x for x in mask_members(dom & cm) if (1 << m[x]) & cm]
-                sub_mask = sum(1 << x for x in sub)
-                if sub_mask:
-                    gens.append(h.restrict(sub_mask))
-        return FusionSystem(carrier, gens)
+    def _harvest(self, cache: dict, um: int, carrier: Subgroup, keep) -> "FusionSystem":
+        """Subsystem on `carrier` from restrictions of maps passing `keep`.
+
+        Cached under `um`. A subsystem equal to this system is cached as None
+        and answered with self: a twin in the shared cache would tie the
+        table to itself in a reference cycle, keeping the whole group alive
+        until the cyclic garbage collector runs.
+        """
+        if um not in cache:
+            cm = carrier.mask
+            gens = []
+            for dom in self._masks:
+                for images in self._table[dom]:
+                    h = FHom(self.group, dom, images)
+                    if not keep(h):
+                        continue
+                    m = h.mapping()
+                    sub = [x for x in mask_members(dom & cm) if (1 << m[x]) & cm]
+                    sub_mask = sum(1 << x for x in sub)
+                    if sub_mask:
+                        gens.append(h.restrict(sub_mask))
+            system = FusionSystem(carrier, _Derived(gens))
+            cache[um] = None if system._closed is self._closed else system
+        got = cache[um]
+        return self if got is None else got
 
     def normalizer_system(self, U: Subgroup) -> "FusionSystem":
         """Fusion on N_S(U) from maps defined past U that fix U setwise."""
-        if U.mask not in self._nsys_cache:
-            um = U.mask
-            self._nsys_cache[um] = self._harvest(
-                U.normalizer(self.S),
-                lambda h: (h.dom_mask & um) == um and h.fixes_setwise(um),
-            )
-        return self._nsys_cache[U.mask]
+        um = U.mask
+        return self._harvest(
+            self._nsys_cache, um, U.normalizer(self.S),
+            lambda h: (h.dom_mask & um) == um and h.fixes_setwise(um),
+        )
 
     def centralizer_system(self, U: Subgroup) -> "FusionSystem":
         """Fusion on C_S(U) from maps defined past U that fix U pointwise."""
-        if U.mask not in self._csys_cache:
-            um = U.mask
-            self._csys_cache[um] = self._harvest(
-                U.centralizer(self.S),
-                lambda h: (h.dom_mask & um) == um and h.fixes_pointwise(um),
-            )
-        return self._csys_cache[U.mask]
+        um = U.mask
+        return self._harvest(
+            self._csys_cache, um, U.centralizer(self.S),
+            lambda h: (h.dom_mask & um) == um and h.fixes_pointwise(um),
+        )
 
     def is_normal_in_system(self, T: Subgroup) -> bool:
         """T normal: the U-fixing subsystem on N_S(T) is all of the system."""
@@ -345,28 +430,6 @@ class FusionSystem:
         self._flag_cache[key] = flags
         return flags
 
-    def _automizer_radical(self, P: Subgroup) -> bool:
-        # diagnostic only: inner automorphisms exhaust the p-core of Aut(P)
-        auts = self.auts(P)
-        inner = {
-            tuple(self.group.conj(x, g) for x in P.members())
-            for g in P.members()
-        }
-        aut_group, to_ord, _ = _aut_group(self.group, P, auts)
-        core = _p_core_of(aut_group, self._p_hint())
-        core_images = {h.images for h in auts if to_ord[h.images] in core}
-        return core_images <= inner
-
-    def _p_hint(self) -> int:
-        # S is a p-group; recover p from any prime factor of its order
-        n = self.S.order
-        if n == 1:
-            return 2
-        for q in (2, 3, 5, 7, 11, 13):
-            if n % q == 0:
-                return q
-        return n
-
     def classify(self, P: Subgroup) -> ClassFlags:
         centric, radical, quasicentric, subcentric = self._class_flags(P)
         return ClassFlags(
@@ -376,7 +439,6 @@ class FusionSystem:
             subcentric=subcentric,
             fully_normalized=self.is_fully_normalized(P),
             fully_centralized=self.is_fully_centralized(P),
-            automizer_radical_diagnostic=self._automizer_radical(P),
         )
 
     def class_sets(self) -> dict:
@@ -433,7 +495,7 @@ class FusionSystem:
         gens = []
         for R in self.class_sets()["cr"]:
             gens.extend(self.auts(R))
-        return self.same_homs(FusionSystem(self.S, gens))
+        return self.same_homs(FusionSystem(self.S, _Derived(gens)))
 
     def good_conjugate(self, U: Subgroup) -> Subgroup:
         """A conjugate V with V and the core of its normalizer system both
@@ -453,36 +515,11 @@ class FusionSystem:
         return f"FusionSystem(|S|={self.S.order}, subgroups={len(self.subs)})"
 
 
-def _aut_group(group: FiniteGroup, P: Subgroup, auts):
-    """Automorphism list as an abstract group via its action on P."""
-    from .permgroup import regular_group
-
-    items = [h.images for h in auts]
-    ident = tuple(P.members())
-
-    def mul(a, b):
-        bm = dict(zip(P.members(), b))
-        return tuple(bm[y] for y in a)
-
-    def invert(a):
-        pairs = sorted(zip(a, P.members()))
-        return tuple(x for _, x in pairs)
-
-    return regular_group(items, mul, invert, ident)
-
-
-def _p_core_of(group: FiniteGroup, p: int):
-    from .permgroup import p_core
-
-    return set(p_core(group, p).members())
-
-
 def fusion_from_group(G: FiniteGroup, p: int, S: Subgroup | None = None) -> FusionSystem:
     """The fusion system on a Sylow p-subgroup induced by conjugation in G."""
     if S is None:
         S = sylow_p(G, p)
-    gens = [_conj_map(G, S.mask, g) for g in range(G.order)]
-    return FusionSystem(S, gens)
+    return conjugation_fusion(S, range(G.order))
 
 
 # -- quotient compatibility ---------------------------------------------------

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InputError, PropertyViolation
-from .fusion import FHom, FusionMap, FusionSystem, fusion_from_group, quotient_fusion_check
+from .fusion import (
+    FusionMap,
+    FusionSystem,
+    conjugation_fusion,
+    fusion_from_group,
+    quotient_fusion_check,
+)
 from .partial import (
     PartialGroup,
     PartialSubgroup,
@@ -241,12 +247,7 @@ class Locality(PartialGroup):
     def fusion(self) -> FusionSystem:
         """The fusion system on S generated by conjugation by carrier elements."""
         if self._fusion_cache is None:
-            gens = []
-            for g in self.elements:
-                dm = self.s_g_mask(g)
-                gens.append(FHom(self.group, dm,
-                                 tuple(self.group.conj(x, g) for x in mask_members(dm))))
-            self._fusion_cache = FusionSystem(self.S, gens)
+            self._fusion_cache = conjugation_fusion(self.S, self.elements)
         return self._fusion_cache
 
     def sub(self, xs) -> PartialSubgroup:

@@ -180,9 +180,6 @@ class FiniteGroup:
         except KeyError:
             raise InputError(f"{perm!r} is not an element of this group")
 
-    def contains_perm(self, perm: Perm) -> bool:
-        return perm in self._index
-
     # subgroup plumbing
 
     def subgroup(self, mask: int) -> "Subgroup":
@@ -346,7 +343,8 @@ class Subgroup:
         return Subgroup(G, mask_of(G.conj(x, g) for x in self.members()))
 
     def join(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup(self.group, self.group.close_mask(self.mask | other.mask))
+        gens = mask_of(self.generators()) | mask_of(other.generators())
+        return Subgroup(self.group, self.group.close_mask(gens))
 
     def meet(self, other: "Subgroup") -> "Subgroup":
         return Subgroup(self.group, self.mask & other.mask)
@@ -398,10 +396,6 @@ class Subgroup:
         while n % p == 0:
             n //= p
         return n == 1
-
-    def is_elementwise_le(self, perms: set) -> bool:
-        G = self.group
-        return all(G.elements[i] in perms for i in self.members())
 
     def as_group(self) -> FiniteGroup:
         """This subgroup as a standalone FiniteGroup on the same points."""
@@ -465,11 +459,44 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return out
 
 
+# primes -------------------------------------------------------------------
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the bases above decides primality exactly below this bound
+_MR_LIMIT = 318_665_857_834_031_151_167_461
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; InputError where it would not be exact."""
+    if n >= _MR_LIMIT:
+        raise InputError(f"{n} is too large for the exact prime test (limit {_MR_LIMIT})")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 # named constructions ------------------------------------------------------
 
 def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
     """The canonical-first Sylow p-subgroup, grown through normalizers."""
-    if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
+    if not is_prime(p):
         raise InputError(f"p = {p} is not prime")
     target = 1
     n = G.order

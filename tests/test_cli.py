@@ -1,6 +1,7 @@
 """Command line behavior: output shape, JSON determinism, exit codes."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,29 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "locality", "--group", group_arg("s4"), "--p", "4")
         assert code == 1
         assert "must be a prime" in err
+
+    def test_huge_mersenne_prime_is_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "classify", "--group", group_arg("s3"), "--p", str(2**61 - 1)
+        )
+        assert code == 0
+        assert time.perf_counter() - start < 1.0
+        assert "S of order 1" in out
+
+    def test_huge_composite_p(self, capsys):
+        code, _, err = run_cli(
+            capsys, "classify", "--group", group_arg("s3"), "--p", str(2**61 + 1)
+        )
+        assert code == 1
+        assert "must be a prime" in err
+
+    def test_p_beyond_exact_prime_test(self, capsys):
+        code, _, err = run_cli(
+            capsys, "classify", "--group", group_arg("s3"), "--p", str(2**89 - 1)
+        )
+        assert code == 1
+        assert "too large" in err
 
     def test_unknown_delta_spec(self, capsys):
         code, _, err = run_cli(

@@ -1,5 +1,6 @@
 """Fusion systems: homtable closure, classification, subsystems, quotients."""
 
+import gc
 import json
 from pathlib import Path
 
@@ -7,8 +8,21 @@ import pytest
 
 from llab import caps
 from llab.errors import CapExceeded, InputError
-from llab.fusion import FHom, FusionMap, FusionSystem, fusion_from_group, quotient_fusion_check
+from llab.fusion import (
+    FHom,
+    FusionMap,
+    FusionSystem,
+    _conj_map,
+    fusion_from_group,
+    quotient_fusion_check,
+)
 from llab.permgroup import Subgroup, group_from_generators, subgroups_below, sylow_p
+
+BUILTIN_PAIRS = [
+    ("a4", 2), ("a4", 3), ("a5", 2), ("a5", 3), ("a5", 5), ("c6", 2), ("c6", 3),
+    ("d8", 2), ("s3", 2), ("s3", 3), ("s4", 2), ("s4", 3), ("s5", 2), ("s5", 3),
+    ("s5", 5),
+]
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
 
@@ -58,6 +72,26 @@ class TestClosure:
         with pytest.raises(InputError):
             FusionSystem(S, [FHom(group, S.mask, scrambled)])
 
+    def test_non_injective_generator_rejected(self):
+        group = builtin("s4")
+        S = sylow_p(group, 2)
+        with pytest.raises(InputError, match="injective"):
+            FusionSystem(S, [FHom(group, S.mask, (0,) * S.order)])
+
+    def test_generator_from_another_group_rejected(self):
+        group, twin_group = builtin("s4"), builtin("s4")
+        S = sylow_p(group, 2)
+        with pytest.raises(InputError, match="different carrier group"):
+            FusionSystem(S, [FHom(twin_group, S.mask, tuple(S.members()))])
+
+    def test_generator_domain_not_a_subgroup_rejected(self):
+        group = builtin("s4")
+        S = sylow_p(group, 2)
+        a, b = S.members()[1:3]
+        dom = 1 | 1 << a | 1 << b  # three elements: never a subgroup of a 2-group
+        with pytest.raises(InputError, match="not a subgroup"):
+            FusionSystem(S, [FHom(group, dom, (0, a, b))])
+
     def test_carrier_cap(self):
         group = builtin("s4")
         caps.override(caps.Caps(sylow_order=4))
@@ -66,6 +100,40 @@ class TestClosure:
                 fusion_from_group(group, 2)
         finally:
             caps.override(None)
+
+
+class TestInterning:
+    @pytest.mark.parametrize("name,p", BUILTIN_PAIRS)
+    def test_derived_build_matches_validated_build(self, name, p):
+        group = builtin(name)
+        S = sylow_p(group, p)
+        # a plain list is caller input, so every map goes through _validate
+        validated = FusionSystem(S, [_conj_map(group, S.mask, g) for g in range(group.order)])
+        group._memo.pop("fusion_tables")  # forget it: the derived build closes afresh
+        derived = fusion_from_group(group, p, S)
+        assert derived._table is not validated._table
+        assert derived.same_homs(validated)
+
+    def test_twins_share_normalizer_cache(self, f_s4):
+        S = f_s4.S
+        every_map = [h for P in f_s4.subs for h in f_s4.homs(P, S)]
+        twin = FusionSystem(S, every_map)  # other seeds, the same closed table
+        Z = _center(f_s4)
+        assert twin._nsys_cache is f_s4._nsys_cache
+        assert twin.normalizer_system(Z) is f_s4.normalizer_system(Z)
+        inner = FusionSystem(S)
+        assert not inner.same_homs(f_s4)
+        assert inner._nsys_cache is not f_s4._nsys_cache
+
+    def test_registry_empties_when_systems_are_dropped(self):
+        group = builtin("s4")
+        F = fusion_from_group(group, 2)
+        F.class_sets()
+        registry = group._memo["fusion_tables"]
+        assert len(registry) > 0
+        del F
+        gc.collect()
+        assert len(registry) == 0
 
 
 class TestConjugatesAndClosureProperties:
@@ -160,8 +228,6 @@ class TestClassification:
         assert not flags.radical
         assert flags.quasicentric
         assert flags.subcentric
-        # the nonstandard and automizer definitions genuinely differ here
-        assert flags.automizer_radical_diagnostic
 
     def test_chain_on_group_systems(self):
         for name, p in [("s4", 2), ("s5", 2), ("s3", 2), ("s3", 3), ("a4", 2), ("c6", 2), ("d8", 2)]:
