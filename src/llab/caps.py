@@ -1,8 +1,16 @@
-"""Enumeration caps.
+"""Enumeration caps: the one home of every limit an input can drive.
 
 Defaults are sized for desk-scale inputs. LLAB_CAPS overrides them, e.g.
 
     LLAB_CAPS="group_order=20000,partial_normal=10000" llab verify ...
+
+group_order       elements of a group closed from generators
+subgroup_count    subgroups found below one subgroup
+partial_normal    carrier size and lattice size of the partial-normal search
+fusion_maps       morphisms in one closed fusion-system hom table
+sylow_order       order of the p-subgroup a fusion system is built on
+axiom_table       n**3 products in the full-domain axiom check
+axiom_words       words of length <= max_len in the bounded axiom check
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ class Caps:
     partial_normal: int = 5_000
     fusion_maps: int = 1_000_000
     sylow_order: int = 64
+    axiom_table: int = 2_000_000
+    axiom_words: int = 2_000_000
 
 
 _current: Caps | None = None

@@ -19,7 +19,6 @@ subgroups across the two levels.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import InputError, PropertyViolation
@@ -32,6 +31,7 @@ from .locality import (
     object_set,
     quotient_locality,
     restrict,
+    subgroup_in_locality,
 )
 from .partial import (
     PGHom,
@@ -81,22 +81,6 @@ class SeedReport:
     details: dict
 
 
-def _subgroup_in_locality(L: Locality, members) -> tuple[bool, tuple | None]:
-    """Is the member set a subgroup with every product formed inside L?"""
-    ms = set(members)
-    if L.identity not in ms:
-        return False, (L.identity,)
-    for g in ms:
-        if L.inv(g) not in ms:
-            return False, (g,)
-    for g, h in itertools.product(sorted(ms), repeat=2):
-        if not L.in_domain((g, h)):
-            return False, (g, h)
-        if L.product((g, h)) not in ms:
-            return False, (g, h)
-    return True, None
-
-
 def check_seed(L: Locality, R: Subgroup) -> SeedReport:
     """Admissibility of R for growing L's object family.
 
@@ -130,7 +114,7 @@ def check_seed(L: Locality, R: Subgroup) -> SeedReport:
         details["not_fully_normalized"] = R.mask
 
     part = normalizer_in(L, R)
-    sub_ok, witness = _subgroup_in_locality(L, part.members)
+    sub_ok, witness = subgroup_in_locality(L, part.members)
     fusion_ok = False
     if sub_ok:
         M = L.perm_subgroup(part)

@@ -155,7 +155,7 @@ class _Closed:
     """
 
     __slots__ = ("table", "by_image", "size", "conj", "flags", "nsys", "csys",
-                 "__weakref__")
+                 "o_p", "__weakref__")
 
     def __init__(self, table: dict, by_image: dict, size: int):
         self.table = table
@@ -165,6 +165,7 @@ class _Closed:
         self.flags: dict[int, tuple] = {}
         self.nsys: dict[int, FusionSystem] = {}
         self.csys: dict[int, FusionSystem] = {}
+        self.o_p: int | None = None  # mask of O_p of the system
 
     def key(self) -> frozenset:
         return frozenset((dom, images) for dom, row in self.table.items()
@@ -377,7 +378,15 @@ class FusionSystem:
         return self.same_homs(self.normalizer_system(T))
 
     def o_p(self) -> Subgroup:
-        """Largest subgroup normal in the whole system; uniqueness asserted."""
+        """Largest subgroup normal in the whole system; uniqueness asserted.
+
+        Computed once per closed table; twins reuse the answer.
+        """
+        if self._closed.o_p is None:
+            self._closed.o_p = self._find_o_p().mask
+        return Subgroup(self.group, self._closed.o_p)
+
+    def _find_o_p(self) -> Subgroup:
         normals = [
             T
             for T in self.subs

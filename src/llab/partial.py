@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import caps as _caps
-from .errors import DomainError, InputError, PropertyViolation
+from .errors import CapExceeded, DomainError, InputError, PropertyViolation
 
 __all__ = [
     "PartialGroup",
@@ -51,7 +51,8 @@ class PartialGroup:
 
     def __init__(self):
         self._index = {x: i for i, x in enumerate(self.elements)}
-        self._dom_cache: dict = {}
+        # member sets of all_partial_normal_subgroups, filled on first use
+        self._normal_lattice: tuple | None = None
 
     def _init_index(self):
         # for subclasses that assign elements after super().__init__()
@@ -218,6 +219,7 @@ class QuotientPartial(PartialGroup):
         self.full_domain = parent.full_domain
         super().__init__()
         self._inv_cache = {}
+        self._dom_cache: dict = {}
 
     def inv(self, b):
         if b not in self._inv_cache:
@@ -295,10 +297,6 @@ class AxiomReport:
         return f"axioms: {status}, {self.checked_words} words checked"
 
 
-_TABLE_LIMIT = 2_000_000  # n**3 bound for the full-domain path
-_WORD_LIMIT = 2_000_000  # sum n**k bound for the bounded path
-
-
 def check_axioms(pg: PartialGroup, max_len: int = 4) -> AxiomReport:
     """Exhaustively verify axioms (1)-(4) on all words of length <= max_len.
 
@@ -317,10 +315,9 @@ def check_axioms(pg: PartialGroup, max_len: int = 4) -> AxiomReport:
 def _check_axioms_table(pg: PartialGroup) -> AxiomReport:
     els = pg.elements
     n = len(els)
-    if n**3 > _TABLE_LIMIT:
-        from .errors import CapExceeded
-
-        raise CapExceeded("axiom table check", _TABLE_LIMIT)
+    limit = _caps.current().axiom_table
+    if n**3 > limit:
+        raise CapExceeded("axiom table check", limit)
     bad = []
     e = pg.identity
     if e not in pg._index:
@@ -356,10 +353,9 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
     els = pg.elements
     n = len(els)
     total = sum(n**k for k in range(1, max_len + 1))
-    if total > _WORD_LIMIT:
-        from .errors import CapExceeded
-
-        raise CapExceeded("axiom word enumeration", _WORD_LIMIT)
+    limit = _caps.current().axiom_words
+    if total > limit:
+        raise CapExceeded("axiom word enumeration", limit)
     bad = []
 
     def record(axiom, word, detail):
@@ -528,12 +524,20 @@ def normal_closure(pg: PartialGroup, xs) -> PartialSubgroup:
 def all_partial_normal_subgroups(pg: PartialGroup) -> list:
     """All partial normal subgroups, largest first, deterministic order.
 
-    Join-lattice search over normal closures of single elements; capped.
+    A partial group's elements and domain are fixed at construction, so the
+    lattice is enumerated once per carrier and kept there as member
+    frozensets (a PartialSubgroup points back at the carrier and would make
+    a reference cycle); each call returns a fresh list.
     """
+    if pg._normal_lattice is None:
+        pg._normal_lattice = _enumerate_partial_normals(pg)
+    return [PartialSubgroup(pg, m) for m in pg._normal_lattice]
+
+
+def _enumerate_partial_normals(pg: PartialGroup) -> tuple:
+    """Join-lattice search over normal closures of single elements; capped."""
     cap = _caps.current().partial_normal
     if len(pg.elements) > cap:
-        from .errors import CapExceeded
-
         raise CapExceeded("partial-normal enumeration", cap)
     atoms = {}
     for x in pg.elements:
@@ -555,13 +559,9 @@ def all_partial_normal_subgroups(pg: PartialGroup) -> list:
                     found.add(joined)
                     nxt.append(joined)
                     if len(found) > cap:
-                        from .errors import CapExceeded
-
                         raise CapExceeded("partial-normal enumeration", cap)
         frontier = nxt
-    subs = [PartialSubgroup(pg, m) for m in found]
-    subs.sort(key=PartialSubgroup.key)
-    return subs
+    return tuple(sorted(found, key=lambda m: (-len(m), pg.member_mask(m))))
 
 
 # -- cosets and quotients ----------------------------------------------------

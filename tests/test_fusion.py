@@ -125,6 +125,17 @@ class TestInterning:
         assert not inner.same_homs(f_s4)
         assert inner._nsys_cache is not f_s4._nsys_cache
 
+    def test_twins_share_o_p(self, monkeypatch):
+        group = builtin("s4")
+        F = fusion_from_group(group, 2)
+        every_map = [h for P in F.subs for h in F.homs(P, F.S)]
+        twin = FusionSystem(F.S, every_map)
+        core = F.o_p()
+        assert core.order == 4
+        monkeypatch.setattr(FusionSystem, "_find_o_p",
+                            lambda self: pytest.fail("o_p recomputed for a twin"))
+        assert twin.o_p() == core
+
     def test_registry_empties_when_systems_are_dropped(self):
         group = builtin("s4")
         F = fusion_from_group(group, 2)

@@ -1,12 +1,15 @@
 """Localities: construction, restriction, quotients, section operators."""
 
+import gc
+import itertools
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
 import oracles
-from llab.errors import InputError, PropertyViolation
+from llab.errors import DomainError, InputError, PropertyViolation
 from llab.fusion import fusion_from_group
 from llab.locality import (
     Locality,
@@ -29,6 +32,7 @@ from llab.locality import (
     theta_quotient,
 )
 from llab.partial import (
+    PartialGroup,
     PartialSubgroup,
     check_axioms,
     is_partial_normal,
@@ -172,6 +176,100 @@ class TestDomainAndAxioms:
         assert c6_top.full_domain
 
 
+def reference_s_words(G, S, max_len, letters=None):
+    """Word -> mask of S_w for every word of length <= max_len over the letters.
+
+    The letters default to every ordinal of G.  Computed on the permutation
+    tuples with local arithmetic, not through llab's masks: a depth-first
+    walk keeps, for each prefix u, the pairs (x, x**u) with x in S whose
+    conjugates by every prefix stayed in S.
+    """
+    perms = G.elements
+    pos = {perm: i for i, perm in enumerate(perms)}
+    s_perms = {perms[i] for i in range(G.order) if S.mask >> i & 1}
+
+    def conj(x, g):  # x**g = g**-1 x g, applying the left factor first
+        ginv = [0] * len(g)
+        for i, j in enumerate(g):
+            ginv[j] = i
+        return tuple(g[x[ginv[i]]] for i in range(len(g)))
+
+    out = {}
+
+    def walk(word, pairs):
+        out[word] = sum(1 << pos[x] for x, _ in pairs)
+        if len(word) == max_len:
+            return
+        for g in range(G.order) if letters is None else letters:
+            step = [(x, y) for x, y in ((x, conj(y, perms[g])) for x, y in pairs)
+                    if y in s_perms]
+            walk(word + (g,), step)
+
+    walk((), [(x, x) for x in s_perms])
+    return out
+
+
+class TestDomainKernel:
+    """S_w stepping, carrier membership and whole-word products."""
+
+    # in s4, d8 and a5 every S_w is normalized by the word's product, so
+    # s5 (shorter words, for time) is the case that sees the pull-back
+    @pytest.mark.parametrize("name,max_len", [("s4", 3), ("d8", 3), ("a5", 3), ("s5", 2)])
+    def test_s_word_mask_matches_reference(self, name, max_len):
+        G = builtin(name)
+        locs = [locality_from_group(G, 2, delta_of(G, 2, spec))
+                for spec in ("q", "c", "cr-closure")]
+        if name in ("a5", "s5"):  # letters outside the carrier are among the words
+            assert all(len(L.elements) < G.order for L in locs)
+        want = reference_s_words(G, locs[0].S, max_len)
+        for L in locs:
+            bad = [w for w, m in want.items() if L.s_word_mask(w) != m]
+            assert not bad, (L, bad[:5])
+
+    def test_in_domain_matches_reference_on_partial_domain(self):
+        G = builtin("s5")
+        L = locality_from_group(G, 2, delta_of(G, 2, "q"))
+        assert not L.full_domain
+        want = reference_s_words(G, L.S, 2, L.elements)
+        want.update(reference_s_words(G, L.S, 3, L.elements[::7]))
+        for w, m in want.items():
+            assert L.in_domain(w) == (m in L.delta.mask_set), w
+            # a one-shot iterable gives the same answers
+            assert L.in_domain(iter(w)) == L.in_domain(w), w
+            assert L.s_word_mask(iter(w)) == m, w
+        assert not all(L.in_domain(w) for w in want)
+
+    def test_non_carrier_letters_and_negative_ordinals(self):
+        G = builtin("a5")
+        L = locality_from_group(G, 2, delta_of(G, 2, "q"))
+        outside = next(g for g in range(G.order) if g not in L._index)
+        inside = L.elements[1]
+        for w in [(outside,), (inside, outside), (outside, inside, inside),
+                  (-1,), (inside, -1), (-G.order,)]:
+            assert not L.in_domain(w), w
+        for bad in (-1, G.order):
+            with pytest.raises(InputError):
+                L.s_word_mask((inside, bad))
+
+    def test_product_names_the_same_failing_prefix(self):
+        G = builtin("s5")
+        L = locality_from_group(G, 2, delta_of(G, 2, "q"))
+        outside = next(g for g in range(G.order) if g not in L._index)
+        words = [w for w in itertools.product(L.elements[::5], repeat=3)
+                 if not L.in_domain(w)]
+        words += [(outside,), (L.elements[3], outside), (1, 2, -1)]
+        assert len(words) > 10
+        for w in words:
+            with pytest.raises(DomainError) as whole:
+                L.product(w)
+            with pytest.raises(DomainError) as prefixes:
+                PartialGroup.product(L, w)
+            assert whole.value.prefix_len == prefixes.value.prefix_len, w
+        for w in itertools.product(L.elements[::9], repeat=3):
+            if L.in_domain(w):
+                assert L.product(w) == PartialGroup.product(L, w)
+
+
 class TestNormalizersInside:
     def test_n_of_core_is_whole_s4(self, s4_all):
         V4 = p_core(s4_all.group, 2)
@@ -195,6 +293,26 @@ class TestNormalizersInside:
         A4 = next(P for P in subgroups_below(s4_all.group.top) if P.order == 12)
         with pytest.raises(InputError):
             normalizer_in(s4_all, A4)
+
+    def test_guards_fire_on_a_carrier_missing_an_inverse(self):
+        # unchecked carriers S + {g} with g of order 3: g normalizes V4 in S4
+        # and centralizes S in C6, but g**-1 is not in the carrier
+        G = builtin("s4")
+        S = sylow_p(G, 2)
+        V4 = p_core(G, 2)
+        g = next(x for x in range(G.order) if G.element_order(x) == 3)
+        delta = object_set(S, [Q for Q in subgroups_below(S) if V4.le(Q)])
+        L = Locality(G, list(S.members()) + [g], S, delta, 2, check=False)
+        with pytest.raises(PropertyViolation, match=r"^N_L\(P\) for an object P") as exc:
+            normalizer_in(L, V4)
+        assert exc.value.witness == (g,)
+        C = builtin("c6")
+        T = sylow_p(C, 2)
+        h = next(x for x in range(C.order) if C.element_order(x) == 3)
+        L = Locality(C, list(T.members()) + [h], T, object_set(T, [T]), 2, check=False)
+        with pytest.raises(PropertyViolation, match=r"^C_L\(P\) for an object P") as exc:
+            centralizer_in(L, T)
+        assert exc.value.witness == (h,)
 
 
 class TestProperness:
@@ -391,6 +509,39 @@ class TestCores:
         if not is_partial_normal(s5_c, sub):
             with pytest.raises(InputError):
                 o_p_of(s5_c, sub)
+
+
+class TestPartialNormalLattice:
+    def test_repeated_calls_return_equal_fresh_lists(self, s5_c):
+        first = all_partial_normal_subgroups(s5_c)
+        first.pop()
+        second = all_partial_normal_subgroups(s5_c)
+        assert len(second) == len(first) + 1
+        assert second == all_partial_normal_subgroups(s5_c)
+        assert all(N.pg is s5_c for N in second)
+
+    def test_memo_matches_a_fresh_enumeration(self):
+        G = builtin("s5")
+        spec = delta_of(G, 2, "c")
+        L = locality_from_group(G, 2, spec)
+        all_partial_normal_subgroups(L)
+        fresh = locality_from_group(G, 2, spec)
+        assert ([N.members for N in all_partial_normal_subgroups(L)]
+                == [N.members for N in all_partial_normal_subgroups(fresh)])
+
+    def test_memo_adds_no_reference_cycle(self):
+        G = builtin("s4")
+        L = locality_from_group(G, 2, delta_of(G, 2, "q"))
+        gc.collect()
+        gc.disable()
+        try:
+            normals = all_partial_normal_subgroups(L)
+            assert normals and all_partial_normal_subgroups(L) == normals
+            ref = weakref.ref(L)
+            del L, normals
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestProducts:

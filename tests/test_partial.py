@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llab.errors import DomainError, InputError
+from llab import caps
+from llab.errors import CapExceeded, DomainError, InputError
 from llab.partial import (
     GroupPartial,
     PartialSubgroup,
@@ -108,6 +109,17 @@ class TestCheckAxioms:
     def test_max_len_below_two_rejected(self, s4p):
         with pytest.raises(InputError):
             check_axioms(s4p, max_len=1)
+
+    def test_word_cap_comes_from_llab_caps(self, monkeypatch):
+        # 4 + 16 + 64 = 84 words of length <= 3 over Z/4
+        monkeypatch.setenv("LLAB_CAPS", "axiom_words=83")
+        monkeypatch.setattr(caps, "_current", None)  # drop the cached parse
+        with pytest.raises(CapExceeded) as exc:
+            check_axioms(z4_table(), max_len=3)
+        assert exc.value.limit == 83
+        monkeypatch.setenv("LLAB_CAPS", "axiom_words=84")
+        monkeypatch.setattr(caps, "_current", None)
+        assert check_axioms(z4_table(), max_len=3).ok
 
 
 class TestGeneratedSubgroup:
