@@ -35,7 +35,6 @@ from .locality import (
     o_p_of,
     o_pprime_of,
     product_partial_normal,
-    quotient_locality,
     resolve_delta_spec,
     restrict,
     theta_quotient,
@@ -354,13 +353,10 @@ def _normal_correspondence(ctx):
 
 def _quotient_fusion_maps(ctx):
     count = 0
-    for N, _ in ctx.towers:
+    for N, tower in ctx.towers:
         if N.order == len(ctx.base.elements):
             continue
-        lq = quotient_locality(ctx.base, N)
-        rep = quotient_fusion_check(
-            lq.sigma, ctx.base.fusion(), lq.locality.fusion()
-        )
+        rep = quotient_fusion_check(tower.sigma, ctx.base.fusion(), tower.lbar.fusion())
         if not rep.ok:
             return False, rep.summary()
         count += 1

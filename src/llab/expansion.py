@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InputError, PropertyViolation
-from .fusion import conjugation_fusion
+from .fusion import FusionMap, conjugation_fusion
 from .locality import (
     Locality,
     ObjectSet,
@@ -728,9 +728,9 @@ def lift_normal(L: Locality, Lplus: Locality, N: PartialSubgroup) -> PartialSubg
     seeds = set(N.members)
     for f in N.members:
         for g in Lplus.elements:
-            w = (Lplus.inv(g), f, g)
-            if Lplus.in_domain(w):
-                seeds.add(Lplus.product(w))
+            z = Lplus.conj(f, g)
+            if z is not None:
+                seeds.add(z)
     lifted = generated_subgroup(Lplus, seeds)
     if not is_partial_normal(Lplus, lifted):
         raise PropertyViolation(
@@ -800,6 +800,7 @@ class QuotientExpansionReport:
     lplus: Locality
     nplus: PartialSubgroup
     lbar: Locality
+    sigma: FusionMap
     lbarplus: Locality
     rho_plus: PGHom
 
@@ -879,6 +880,7 @@ def expand_quotient(L: Locality, N: PartialSubgroup, deltaplus) -> QuotientExpan
         lplus=lplus,
         nplus=nplus,
         lbar=lbar,
+        sigma=lq.sigma,
         lbarplus=lbarplus,
         rho_plus=rho_plus,
     )

@@ -453,8 +453,7 @@ def quotient_locality(L: Locality, N: PartialSubgroup) -> LocalityQuotient:
     """
     if not L.full_domain:
         raise InputError("quotient realization needs a full-domain locality")
-    part = coset_partition(L, N)
-    blocks = part.blocks
+    blocks = coset_partition(L, N)
     pos = {x: i for i, c in enumerate(blocks) for x in c}
     G = L.group
     perms = []

@@ -11,9 +11,11 @@ a product defined on a set D of words over L satisfying:
   (4) for w in D, the word w**-1 * w lies in D and multiplies to the
       identity.
 
-Element keys are opaque hashables (group ordinals, coset blocks, or class
-keys from expansions); all ordering goes through the carrier's canonical
-element tuple, never through raw keys.
+Element keys are opaque hashables (group ordinals, or class keys from
+expansions); all ordering goes through the carrier's canonical element
+tuple, never through raw keys.  Quotients are built only for full-domain
+localities, by `locality.quotient_locality` from the maximal cosets that
+`coset_partition` returns.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import CapExceeded, DomainError, InputError, PropertyViolation
 __all__ = [
     "PartialGroup",
     "GroupPartial",
-    "TablePartial",
     "PartialSubgroup",
     "PGHom",
     "AxiomViolation",
@@ -37,7 +38,6 @@ __all__ = [
     "normal_closure",
     "is_partial_normal",
     "all_partial_normal_subgroups",
-    "CosetPartition",
     "coset_partition",
 ]
 
@@ -53,10 +53,6 @@ class PartialGroup:
         self._index = {x: i for i, x in enumerate(self.elements)}
         # member sets of all_partial_normal_subgroups, filled on first use
         self._normal_lattice: tuple | None = None
-
-    def _init_index(self):
-        # for subclasses that assign elements after super().__init__()
-        self._index = {x: i for i, x in enumerate(self.elements)}
 
     def inv(self, x):
         raise NotImplementedError
@@ -104,12 +100,16 @@ class PartialGroup:
             acc = self.binary(acc, x)
         return acc
 
-    def conj_defined(self, x, g) -> bool:
-        return self.in_domain((self.inv(g), x, g))
-
     def conj(self, x, g):
-        """x**g = g**-1 * x * g; requires the word to be in D."""
-        return self.product((self.inv(g), x, g))
+        """x**g = g**-1 * x * g, or None when that word is not in D.
+
+        One domain test on the whole word; axiom (3) then lets the word be
+        folded pair by pair.
+        """
+        gi = self.inv(g)
+        if not self.in_domain((gi, x, g)):
+            return None
+        return self.binary(self.binary(gi, x), g)
 
     def domain_words(self, max_len: int):
         """Yield all domain words of length 1..max_len, shortest first."""
@@ -128,10 +128,6 @@ class PartialGroup:
                         nxt.append(u)
                         yield u
             frontier = nxt
-
-    def _quotient(self, normal, blocks, block_of):
-        # hook: locality-backed carriers build a structured quotient
-        return QuotientPartial(self, blocks, block_of)
 
 
 class GroupPartial(PartialGroup):
@@ -156,124 +152,6 @@ class GroupPartial(PartialGroup):
 
     def __repr__(self):
         return f"GroupPartial(order={self.group.order})"
-
-
-class TablePartial(PartialGroup):
-    """Explicit finite product table; mainly a negative-control harness.
-
-    `products` maps length-2 word tuples to results; D is the closure of
-    those pairs plus whatever longer words fold through defined pairs, with
-    membership decided by `domain` when given explicitly.
-    """
-
-    def __init__(self, elements, identity, inverses, products, domain=None):
-        self.elements = tuple(elements)
-        self.identity = identity
-        self._inv = dict(inverses)
-        self._products = dict(products)
-        self._domain = None if domain is None else {tuple(w) for w in domain}
-        super().__init__()
-
-    def inv(self, x):
-        return self._inv[x]
-
-    def in_domain(self, word) -> bool:
-        word = tuple(word)
-        if any(x not in self._index for x in word):
-            return False
-        if len(word) <= 1:
-            return True
-        if self._domain is not None:
-            return word in self._domain or len(word) > 2 and self._fold_ok(word)
-        return self._fold_ok(word)
-
-    def _fold_ok(self, word) -> bool:
-        acc = word[0]
-        for x in word[1:]:
-            if (acc, x) not in self._products:
-                return False
-            acc = self._products[(acc, x)]
-        return True
-
-    def binary(self, x, y):
-        try:
-            return self._products[(x, y)]
-        except KeyError:
-            raise DomainError((x, y), 2)
-
-
-class QuotientPartial(PartialGroup):
-    """Generic quotient by a partial normal subgroup.
-
-    Elements are block indices of the maximal-coset partition.  A block
-    word is in D exactly when some entrywise lift is in the parent's D;
-    the product is computed on a lift and checked to be lift-independent.
-    """
-
-    def __init__(self, parent, blocks, block_of):
-        self.parent = parent
-        self.blocks = tuple(blocks)
-        self.block_of = dict(block_of)
-        self.elements = tuple(range(len(self.blocks)))
-        self.identity = self.block_of[parent.identity]
-        self.full_domain = parent.full_domain
-        super().__init__()
-        self._inv_cache = {}
-        self._dom_cache: dict = {}
-
-    def inv(self, b):
-        if b not in self._inv_cache:
-            images = {self.block_of[self.parent.inv(x)] for x in self.blocks[b]}
-            if len(images) != 1:
-                raise PropertyViolation(
-                    "coset inversion is not block-independent", witness=b
-                )
-            self._inv_cache[b] = images.pop()
-        return self._inv_cache[b]
-
-    def _lift_exists(self, word) -> bool:
-        parent = self.parent
-
-        def extend(prefix, rest):
-            if not rest:
-                return True
-            for x in self.blocks[rest[0]]:
-                u = prefix + (x,)
-                if parent.in_domain(u) and extend(u, rest[1:]):
-                    return True
-            return False
-
-        return extend((), tuple(word))
-
-    def in_domain(self, word) -> bool:
-        word = tuple(word)
-        if any(b not in self._index for b in word):
-            return False
-        if len(word) <= 1:
-            return True
-        if self.full_domain:
-            return True
-        if word not in self._dom_cache:
-            self._dom_cache[word] = self._lift_exists(word)
-        return self._dom_cache[word]
-
-    def binary(self, a, b):
-        parent = self.parent
-        result = None
-        for x, y in itertools.product(self.blocks[a], self.blocks[b]):
-            if not parent.in_domain((x, y)):
-                continue
-            blk = self.block_of[parent.binary(x, y)]
-            if result is None:
-                result = blk
-            elif result != blk:
-                raise PropertyViolation(
-                    "coset product is not representative-independent",
-                    witness=((a, b), (x, y)),
-                )
-        if result is None:
-            raise DomainError((a, b), 2)
-        return result
 
 
 # -- axiom checking ----------------------------------------------------------
@@ -482,24 +360,31 @@ def generated_subgroup(pg: PartialGroup, xs) -> PartialSubgroup:
     for x in cur:
         if x not in pg._index:
             raise InputError(f"{x!r} is not an element of this partial group")
-    while True:
-        new = {pg.inv(x) for x in cur} - cur
-        for x, y in itertools.product(cur, repeat=2):
-            if pg.in_domain((x, y)):
-                z = pg.binary(x, y)
-                if z not in cur:
-                    new.add(z)
-        if not new:
-            return PartialSubgroup(pg, frozenset(cur))
-        cur |= new
+    # semi-naive rounds: a pair of old elements was tried in an earlier round
+    old, fresh = set(), cur
+    while fresh:
+        new = {pg.inv(x) for x in fresh} - cur
+        for x in fresh:
+            for y in cur:
+                if pg.in_domain((x, y)):
+                    z = pg.binary(x, y)
+                    if z not in cur:
+                        new.add(z)
+            for y in old:
+                if pg.in_domain((y, x)):
+                    z = pg.binary(y, x)
+                    if z not in cur:
+                        new.add(z)
+        old, fresh, cur = cur, new, cur | new
+    return PartialSubgroup(pg, frozenset(cur))
 
 
 def is_partial_normal(pg: PartialGroup, sub: PartialSubgroup) -> bool:
     """True iff every defined conjugate of a member lands back in it."""
     for g in pg.elements:
-        gi = pg.inv(g)
         for x in sub.members:
-            if pg.in_domain((gi, x, g)) and pg.product((gi, x, g)) not in sub.members:
+            z = pg.conj(x, g)
+            if z is not None and z not in sub.members:
                 return False
     return True
 
@@ -510,12 +395,10 @@ def normal_closure(pg: PartialGroup, xs) -> PartialSubgroup:
     while True:
         extra = set()
         for g in pg.elements:
-            gi = pg.inv(g)
             for x in cur:
-                if pg.in_domain((gi, x, g)):
-                    z = pg.product((gi, x, g))
-                    if z not in cur:
-                        extra.add(z)
+                z = pg.conj(x, g)
+                if z is not None and z not in cur:
+                    extra.add(z)
         if not extra:
             return PartialSubgroup(pg, frozenset(cur))
         cur = generated_subgroup(pg, cur | extra).members
@@ -564,14 +447,7 @@ def _enumerate_partial_normals(pg: PartialGroup) -> tuple:
     return tuple(sorted(found, key=lambda m: (-len(m), pg.member_mask(m))))
 
 
-# -- cosets and quotients ----------------------------------------------------
-
-
-@dataclass
-class CosetPartition:
-    blocks: tuple
-    quotient: PartialGroup
-    rho: "PGHom"
+# -- cosets -------------------------------------------------------------------
 
 
 def right_coset(pg: PartialGroup, sub: PartialSubgroup, g) -> frozenset:
@@ -582,12 +458,11 @@ def right_coset(pg: PartialGroup, sub: PartialSubgroup, g) -> frozenset:
     return frozenset(out)
 
 
-def coset_partition(pg: PartialGroup, sub: PartialSubgroup) -> CosetPartition:
-    """Maximal-coset partition by a partial normal subgroup, with quotient.
+def coset_partition(pg: PartialGroup, sub: PartialSubgroup) -> tuple:
+    """Maximal right cosets of a partial normal subgroup, by least member.
 
-    The inclusion-maximal right cosets are checked to partition the
-    carrier; the quotient product is built representative-wise and every
-    representative-dependence aborts with a witness.
+    The inclusion-maximal right cosets are checked to partition and to
+    cover the carrier; a failure aborts with a witness element.
     """
     if not is_partial_normal(pg, sub):
         raise InputError("quotient requires a partial normal subgroup")
@@ -607,13 +482,7 @@ def coset_partition(pg: PartialGroup, sub: PartialSubgroup) -> CosetPartition:
             "maximal cosets fail to cover the carrier", witness=missing[0]
         )
     maximal.sort(key=lambda c: min(pg.sort_key(x) for x in c))
-    block_of = {}
-    for i, c in enumerate(maximal):
-        for x in c:
-            block_of[x] = i
-    quotient = pg._quotient(sub, maximal, block_of)
-    rho = PGHom(pg, quotient, {x: block_of[x] for x in pg.elements})
-    return CosetPartition(tuple(maximal), quotient, rho)
+    return tuple(maximal)
 
 
 # -- homomorphisms -----------------------------------------------------------

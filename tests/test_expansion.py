@@ -27,7 +27,6 @@ from llab.locality import (
 )
 from llab.partial import (
     PartialSubgroup,
-    TablePartial,
     all_partial_normal_subgroups,
     generated_subgroup,
     is_partial_normal,
@@ -50,6 +49,7 @@ from llab.expansion import (
     pi_plus,
     sim_related,
 )
+from table_partial import TablePartial
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
 
@@ -641,6 +641,7 @@ class TestQuotientTower:
         assert rep.nplus.order == 12
         assert rep.rho_plus.kernel().members == rep.nplus.members
         assert len(rep.lbarplus.elements) == 2
+        assert rep.sigma.mapping == quotient_locality(L, N).sigma.mapping
 
     def test_trivial_kernel_tower(self):
         L = loc("s5", "c")
@@ -650,6 +651,7 @@ class TestQuotientTower:
         assert rep.ok
         assert rep.rho_plus.kernel().order == 1
         assert len(rep.lbar.elements) == 24
+        assert rep.sigma.mapping == quotient_locality(L, triv).sigma.mapping
 
     def test_s4_modulo_klein(self):
         L = loc("s4", "cr-closure")
@@ -660,6 +662,7 @@ class TestQuotientTower:
         assert len(rep.lbar.elements) == 6
         assert rep.nplus.order == 4
         assert len(all_partial_normal_subgroups(rep.lbar)) == 3
+        assert rep.sigma.mapping == quotient_locality(L, N).sigma.mapping
 
 
 class TestRadicalBasePath:

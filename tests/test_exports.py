@@ -1,0 +1,26 @@
+"""Every public export of every llab module resolves."""
+
+import importlib
+import pkgutil
+
+import llab
+
+
+def test_every_listed_name_resolves():
+    listed = {}
+    for info in pkgutil.iter_modules(llab.__path__):
+        mod = importlib.import_module(f"llab.{info.name}")
+        if hasattr(mod, "__all__"):
+            listed[info.name] = mod
+    assert {"partial", "locality", "expansion", "fusion", "checks"} <= set(listed)
+    missing = [f"llab.{name}.{attr}" for name, mod in listed.items()
+               for attr in mod.__all__ if not hasattr(mod, attr)]
+    assert not missing
+
+
+def test_partial_no_longer_exports_the_generic_quotient():
+    from llab import partial
+
+    for name in ("TablePartial", "CosetPartition", "QuotientPartial"):
+        assert name not in partial.__all__
+        assert not hasattr(partial, name)

@@ -34,7 +34,9 @@ from llab.locality import (
 from llab.partial import (
     PartialGroup,
     PartialSubgroup,
+    PGHom,
     check_axioms,
+    generated_subgroup,
     is_partial_normal,
     all_partial_normal_subgroups,
     normal_closure,
@@ -423,6 +425,49 @@ class TestQuotientLocality:
         assert set(lq.sigma.mapping) == set(s4_all.S.members())
         assert set(lq.sigma.mapping.values()) == set(lq.locality.S.members())
 
+    @pytest.mark.parametrize("name, n_order, q_order",
+                             [("c6", 3, 2), ("s4", 1, 24), ("s4", 4, 6)])
+    def test_quotient_is_a_locality_with_kernel_n(self, name, n_order, q_order):
+        G = builtin(name)
+        L = locality_from_group(G, 2, delta_of(G, 2, "all"))
+        assert L.full_domain
+        N = next(n for n in all_partial_normal_subgroups(L) if n.order == n_order)
+        lq = quotient_locality(L, N)
+        assert len(lq.locality.elements) == len(lq.blocks) == q_order
+        assert check_axioms(lq.locality).ok
+        assert lq.rho.kernel().members == N.members
+        assert lq.rho.is_projection()
+
+    def test_non_normal_subgroup_rejected(self, s4_all):
+        G = s4_all.group
+        N = PartialSubgroup(s4_all, frozenset({0, G.index_of((1, 0, 2, 3))}))
+        with pytest.raises(InputError):
+            quotient_locality(s4_all, N)
+
+    def test_partial_domain_rejected(self):
+        G = builtin("s5")
+        L = locality_from_group(G, 2, delta_of(G, 2, "q"))
+        assert not L.full_domain
+        with pytest.raises(InputError):
+            quotient_locality(L, PartialSubgroup(L, frozenset({L.identity})))
+
+    def test_projection_guard_fires(self, s4_all, monkeypatch):
+        monkeypatch.setattr(PGHom, "verify",
+                            lambda self, max_len=3: (False, ("product", ())))
+        V4 = p_core(s4_all.group, 2)
+        with pytest.raises(PropertyViolation, match="not a homomorphism"):
+            quotient_locality(s4_all, PartialSubgroup(s4_all, frozenset(V4.members())))
+
+    def test_representative_dependence_detected(self, s4_all, monkeypatch):
+        # right cosets of a non-normal subgroup, passed off as the partition
+        G = s4_all.group
+        H = frozenset({0, G.index_of((1, 0, 2, 3))})
+        cosets = sorted({frozenset(G.mult(h, g) for h in H) for g in s4_all.elements},
+                        key=min)
+        monkeypatch.setattr("llab.locality.coset_partition", lambda L, N: tuple(cosets))
+        with pytest.raises(PropertyViolation, match="representative-independent"):
+            quotient_locality(s4_all, PartialSubgroup(s4_all, H))
+
 
 class TestNormalizerLocalities:
     def test_v4_gives_whole_system(self, s4_all):
@@ -542,6 +587,43 @@ class TestPartialNormalLattice:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestClosuresOnPartialDomain:
+    @pytest.fixture(scope="class")
+    def s5_q(self):
+        G = builtin("s5")
+        L = locality_from_group(G, 2, delta_of(G, 2, "q"))
+        assert not L.full_domain
+        return L
+
+    def test_conj_matches_the_product_fold(self, s5_q):
+        undefined = 0
+        for g, x in itertools.product(s5_q.elements, repeat=2):
+            w = (s5_q.inv(g), x, g)
+            if s5_q.in_domain(w):
+                assert s5_q.conj(x, g) == PartialGroup.product(s5_q, w)
+            else:
+                assert s5_q.conj(x, g) is None
+                undefined += 1
+        assert undefined
+
+    def test_generated_subgroup_matches_naive_fixpoint(self, s5_q):
+        def naive(xs):  # re-tests every pair in every round
+            cur = set(xs) | {s5_q.identity}
+            while True:
+                new = {s5_q.inv(x) for x in cur}
+                new |= {s5_q.binary(x, y) for x, y in itertools.product(cur, repeat=2)
+                        if s5_q.in_domain((x, y))}
+                if new <= cur:
+                    return frozenset(cur)
+                cur |= new
+
+        els = s5_q.elements
+        seeds = [els[1:2], els[5:7], els[-3:], list(s5_q.S.members()) + [els[-1]],
+                 els[::9]]
+        for xs in seeds:
+            assert generated_subgroup(s5_q, xs).members == naive(xs), xs
 
 
 class TestProducts:

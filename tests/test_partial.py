@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llab import caps
-from llab.errors import CapExceeded, DomainError, InputError
+from llab.errors import CapExceeded, DomainError, InputError, PropertyViolation
 from llab.partial import (
     GroupPartial,
     PartialSubgroup,
     PGHom,
-    TablePartial,
     all_partial_normal_subgroups,
     check_axioms,
     coset_partition,
@@ -23,6 +22,7 @@ from llab.partial import (
     normal_closure,
 )
 from llab.permgroup import FiniteGroup, group_from_generators, normal_subgroups
+from table_partial import TablePartial
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
 
@@ -197,38 +197,62 @@ class TestPartialNormal:
         assert subs == sorted(subs, key=PartialSubgroup.key)
 
 
+def assert_coset_partition(pg, blocks, sub):
+    """Blocks are disjoint, cover the carrier, hold |sub| elements each
+    (a group carrier), and come sorted by least member."""
+    assert all(isinstance(b, frozenset) and len(b) == sub.order for b in blocks)
+    assert sum(len(b) for b in blocks) == len(pg.elements)
+    assert frozenset().union(*blocks) == frozenset(pg.elements)
+    least = [min(b, key=pg.sort_key) for b in blocks]
+    assert least == sorted(least, key=pg.sort_key)
+    assert least[0] == pg.identity and blocks[0] == sub.members
+
+
 class TestCosetsAndQuotients:
+    """Coset partitions only; quotients are built by
+    `locality.quotient_locality` and tested with it."""
+
     def test_trivial_quotient_is_isomorphic_copy(self, s4p):
         triv = PartialSubgroup(s4p, frozenset({s4p.identity}))
-        part = coset_partition(s4p, triv)
-        assert len(part.blocks) == len(s4p.elements)
-        assert part.rho.is_projection()
-        assert part.rho.kernel().members == triv.members
+        blocks = coset_partition(s4p, triv)
+        assert blocks == tuple(frozenset({x}) for x in s4p.elements)
 
     def test_c6_mod_c3(self):
         group = builtin("c6")
         pg = GroupPartial(group)
         c3 = generated_subgroup(pg, [group.index_of((2, 3, 4, 5, 0, 1))])
         assert c3.order == 3
-        part = coset_partition(pg, c3)
-        assert len(part.blocks) == 2
-        assert check_axioms(part.quotient).ok
-        assert part.rho.kernel().members == c3.members
-        assert part.rho.is_projection()
+        blocks = coset_partition(pg, c3)
+        assert len(blocks) == 2
+        assert_coset_partition(pg, blocks, c3)
 
     def test_s4_mod_v4_has_order_six(self, s4, s4p):
         v4 = generated_subgroup(
             s4p, [s4.index_of((1, 0, 3, 2)), s4.index_of((2, 3, 0, 1))]
         )
-        part = coset_partition(s4p, v4)
-        assert len(part.blocks) == 6
-        assert check_axioms(part.quotient).ok
-        assert part.rho.kernel().members == v4.members
+        blocks = coset_partition(s4p, v4)
+        assert len(blocks) == 6
+        assert_coset_partition(s4p, blocks, v4)
 
     def test_non_normal_subgroup_rejected(self, s4, s4p):
         sub = generated_subgroup(s4p, [s4.index_of((1, 0, 2, 3))])
         with pytest.raises(InputError):
             coset_partition(s4p, sub)
+
+    def test_overlapping_maximal_cosets_rejected(self):
+        # negative control: N = {e, n} passes the normality test (no
+        # conjugate of n by another letter is defined), but n*a = n*c = x
+        # makes the maximal cosets {a, x} and {c, x} overlap
+        els = ("e", "n", "a", "c", "x")
+        products = {(y, "e"): y for y in els}
+        products.update({("e", y): y for y in els})
+        products.update({("n", "n"): "e", ("n", "a"): "x", ("n", "c"): "x"})
+        pg = TablePartial(els, "e", {y: y for y in els}, products)
+        sub = PartialSubgroup(pg, frozenset({"e", "n"}))
+        assert is_partial_normal(pg, sub)
+        with pytest.raises(PropertyViolation) as err:
+            coset_partition(pg, sub)
+        assert err.value.witness == "x"
 
 
 class TestPGHom:
