@@ -11,6 +11,7 @@ fusion_maps       morphisms in one closed fusion-system hom table
 sylow_order       order of the p-subgroup a fusion system is built on
 axiom_table       n**3 products in the full-domain axiom check
 axiom_words       words of length <= max_len in the bounded axiom check
+                  and in the PGHom.verify / PGHom.is_projection sweeps
 """
 
 from __future__ import annotations

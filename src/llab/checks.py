@@ -45,27 +45,14 @@ from .partial import (
     generated_subgroup,
     is_partial_normal,
 )
-from .permgroup import mask_of, sylow_p
+from .permgroup import _p_part, mask_of, p_core
 
 __all__ = ["ExampleContext", "TAGS", "run_tags"]
 
 
-def _p_part(n: int, p: int) -> int:
-    out = 1
-    while n % p == 0:
-        n //= p
-        out *= p
-    return out
-
-
 def _ambient_p_core(L, part) -> set:
     """O_p of a subgroup of L given as a PartialSubgroup, in ambient ordinals."""
-    from .permgroup import p_core
-
-    M = L.perm_subgroup(part)
-    sub = M.as_group()
-    core = p_core(sub, L.p)
-    return {L.group.index_of(sub.elements[i]) for i in core.members()}
+    return set(p_core(L.perm_subgroup(part), L.p).members())
 
 
 class ExampleContext:
@@ -80,21 +67,17 @@ class ExampleContext:
         return fusion_from_group(self.group, self.p)
 
     @cached_property
-    def S(self):
-        return sylow_p(self.group, self.p)
-
-    @cached_property
     def proper_localities(self):
         """Proper localities over the standard family specs, plus the
         quotient fallback when none of them is proper directly."""
         out = []
         seen = set()
         for spec in ("cr-closure", "c", "q"):
-            try:
-                delta = resolve_delta_spec(self.F, spec)
-            except InputError:
-                continue
-            L = locality_from_group(self.group, self.p, delta)
+            if spec == "cr-closure":
+                L = self.cr_locality
+            else:
+                L = locality_from_group(self.group, self.p,
+                                        resolve_delta_spec(self.F, spec))
             if L.delta.mask_set in seen:
                 continue
             seen.add(L.delta.mask_set)

@@ -25,7 +25,7 @@ from .locality import (
     theta_quotient,
 )
 from .partial import check_axioms
-from .permgroup import group_from_generators, is_prime, sylow_p
+from .permgroup import group_from_generators, is_prime
 
 DELTA_SPECS = ("cr-closure", "c", "q", "s", "all-nontrivial", "all")
 
@@ -74,10 +74,23 @@ def _mark(flag: bool) -> str:
     return "x" if flag else "."
 
 
+def _group_json(args, G) -> dict:
+    return {"file": args.group, "order": G.order, "degree": G.degree}
+
+
+def _axioms(args, L, lines: list, payload: dict) -> int:
+    """The optional --axiom-len sweep over L; returns the exit code."""
+    if not args.axiom_len:
+        return 0
+    rep = check_axioms(L, max_len=args.axiom_len)
+    lines.append(f"axioms (length {args.axiom_len}): {rep.summary()}")
+    payload["axioms"] = {"ok": rep.ok, "checked_words": rep.checked_words}
+    return 0 if rep.ok else 3
+
+
 def cmd_classify(args) -> tuple[list, dict, int]:
     G = load_group(args.group)
     F = fusion_from_group(G, args.p)
-    S = sylow_p(G, args.p)
     cs = F.class_sets()
     rows = []
     for P in F.subs:
@@ -86,7 +99,7 @@ def cmd_classify(args) -> tuple[list, dict, int]:
 
     lines = [
         f"group {args.group}: order {G.order}, degree {G.degree}, "
-        f"p={args.p}, S of order {S.order}",
+        f"p={args.p}, S of order {F.S.order}",
         f"classification of the {len(F.subs)} subgroups of S:",
         f"  {'order':>5}  {'c':>1} {'r':>1} {'q':>1} {'s':>1} {'fn':>2} {'fc':>2}  generators",
     ]
@@ -106,9 +119,9 @@ def cmd_classify(args) -> tuple[list, dict, int]:
 
     payload = {
         "command": "classify",
-        "group": {"file": args.group, "order": G.order, "degree": G.degree},
+        "group": _group_json(args, G),
         "p": args.p,
-        "sylow_order": S.order,
+        "sylow_order": F.S.order,
         "subgroups": [
             {
                 **_sub_json(P),
@@ -140,7 +153,7 @@ def cmd_locality(args) -> tuple[list, dict, int]:
     ]
     payload = {
         "command": "locality",
-        "group": {"file": args.group, "order": G.order, "degree": G.degree},
+        "group": _group_json(args, G),
         "p": args.p,
         "delta": args.delta,
         "elements": len(L.elements),
@@ -164,14 +177,7 @@ def cmd_locality(args) -> tuple[list, dict, int]:
             "quotient_elements": len(quotient.elements),
             "quotient_proper": qprop.ok,
         }
-
-    code = 0
-    if args.axiom_len:
-        rep = check_axioms(L, max_len=args.axiom_len)
-        lines.append(f"axioms (length {args.axiom_len}): {rep.summary()}")
-        payload["axioms"] = {"ok": rep.ok, "checked_words": rep.checked_words}
-        if not rep.ok:
-            code = 3
+    code = _axioms(args, L, lines, payload)
     return lines, payload, code
 
 
@@ -211,7 +217,7 @@ def cmd_expand(args) -> tuple[list, dict, int]:
     )
     payload = {
         "command": "expand",
-        "group": {"file": args.group, "order": G.order, "degree": G.degree},
+        "group": _group_json(args, G),
         "p": args.p,
         "delta": args.delta,
         "delta_plus": args.delta_plus,
@@ -224,14 +230,7 @@ def cmd_expand(args) -> tuple[list, dict, int]:
         "oracle_elements": len(oracle.elements),
         "iso_to_oracle": iso is not None,
     }
-
-    code = 0
-    if args.axiom_len:
-        rep = check_axioms(Lp, max_len=args.axiom_len)
-        lines.append(f"axioms (length {args.axiom_len}): {rep.summary()}")
-        payload["axioms"] = {"ok": rep.ok, "checked_words": rep.checked_words}
-        if not rep.ok:
-            code = 3
+    code = _axioms(args, Lp, lines, payload)
     return lines, payload, code
 
 
@@ -246,7 +245,7 @@ def cmd_verify(args) -> tuple[list, dict, int]:
     lines.append(f"{passed} passed, {failed} failed")
     payload = {
         "command": "verify",
-        "group": {"file": args.group, "order": G.order, "degree": G.degree},
+        "group": _group_json(args, G),
         "p": args.p,
         "tags": results,
         "ok": failed == 0,

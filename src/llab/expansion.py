@@ -119,9 +119,7 @@ def check_seed(L: Locality, R: Subgroup) -> SeedReport:
     if sub_ok:
         M = L.perm_subgroup(part)
         details["normalizer_order"] = M.order
-        details["normalizer_characteristic_p"] = is_characteristic_p(
-            M.as_group(), L.p
-        )
+        details["normalizer_characteristic_p"] = is_characteristic_p(M, L.p)
         fusion_ok = conjugation_fusion(R.normalizer(L.S), M.members()).same_homs(
             F.normalizer_system(R)
         )
@@ -130,18 +128,17 @@ def check_seed(L: Locality, R: Subgroup) -> SeedReport:
     else:
         details["normalizer_not_subgroup"] = witness
 
-    ok = overs_ok and fn_ok and fusion_ok
-    if overs_ok and fn_ok and not ok:
-        if F.classify(R).subcentric and is_proper(L).ok:
+    if overs_ok and fn_ok and F.classify(R).subcentric and is_proper(L).ok:
+        if not fusion_ok:
             raise PropertyViolation(
                 "forced normalizer condition failed on a proper carrier",
                 witness=R.mask,
             )
-    if ok and F.classify(R).subcentric and is_proper(L).ok:
         if not details["normalizer_characteristic_p"]:
             raise PropertyViolation(
                 "seed normalizer lost p-characteristic", witness=R.mask
             )
+    ok = overs_ok and fn_ok and fusion_ok
     return SeedReport(ok, overs_ok, fn_ok, fusion_ok, details)
 
 
@@ -230,9 +227,8 @@ class ExpansionSeed:
         return G.mult(G.mult(G.inv(phi.x), phi.h), phi.y)
 
 
-def make_seed(L: Locality, R: Subgroup, report: SeedReport | None = None) -> ExpansionSeed:
-    if report is None:
-        report = check_seed(L, R)
+def make_seed(L: Locality, R: Subgroup) -> ExpansionSeed:
+    report = check_seed(L, R)
     if not report.ok:
         raise InputError(f"growth seed rejected: {report}")
     F = L.fusion()
@@ -346,10 +342,7 @@ def elementary_expand(L: Locality, R: Subgroup) -> ElementaryExpansion:
         }
         return ElementaryExpansion(L, None, {}, {}, eclass, trace)
 
-    report = check_seed(L, R)
-    if not report.ok:
-        raise InputError(f"growth seed rejected: {report}")
-    seed = make_seed(L, R, report)
+    seed = make_seed(L, R)
     G = L.group
     F = L.fusion()
 

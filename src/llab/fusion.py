@@ -527,7 +527,7 @@ class FusionSystem:
 def fusion_from_group(G: FiniteGroup, p: int, S: Subgroup | None = None) -> FusionSystem:
     """The fusion system on a Sylow p-subgroup induced by conjugation in G."""
     if S is None:
-        S = sylow_p(G, p)
+        S = sylow_p(G.top, p)
     return conjugation_fusion(S, range(G.order))
 
 

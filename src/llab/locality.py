@@ -308,7 +308,7 @@ class Locality(PartialGroup):
 
 def locality_from_group(G: FiniteGroup, p: int, delta) -> Locality:
     """Restriction G|_Delta: elements with S_g in Delta, domain by (O1)."""
-    S = sylow_p(G, p)
+    S = sylow_p(G.top, p)
     F = fusion_from_group(G, p, S)
     if not isinstance(delta, ObjectSet):
         delta = object_set(S, delta, fusion=F)
@@ -408,7 +408,7 @@ def is_proper(L: Locality) -> ProperReport:
             report.missing_cr.append(P)
     for P in L.delta.members:
         N = L.perm_subgroup(normalizer_in(L, P))
-        if not is_characteristic_p(N.as_group(), L.p):
+        if not is_characteristic_p(N, L.p):
             report.bad_normalizers.append((P, N))
     report.ok = not report.missing_cr and not report.bad_normalizers
     return report
@@ -509,9 +509,7 @@ def theta_quotient(L: Locality):
     members = {L.identity}
     for P in L.delta.members:
         C = L.perm_subgroup(centralizer_in(L, P))
-        sub = C.as_group()
-        core = p_prime_core(sub, L.p)
-        members.update(L.group.index_of(sub.elements[i]) for i in core.members())
+        members.update(p_prime_core(C, L.p).members())
     theta = PartialSubgroup(L, frozenset(members))
     if not is_partial_normal(L, theta):
         raise PropertyViolation("Theta is not partial normal", witness=theta)

@@ -227,13 +227,16 @@ def _check_axioms_table(pg: PartialGroup) -> AxiomReport:
     return AxiomReport(ok=not bad, checked_words=n + n * n + n**3, violations=bad)
 
 
+def _cap_words(n: int, max_len: int, what: str) -> None:
+    """Refuse a sweep over all n + n**2 + ... + n**max_len words past axiom_words."""
+    limit = _caps.current().axiom_words
+    if sum(n**k for k in range(1, max_len + 1)) > limit:
+        raise CapExceeded(what, limit)
+
+
 def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
     els = pg.elements
-    n = len(els)
-    total = sum(n**k for k in range(1, max_len + 1))
-    limit = _caps.current().axiom_words
-    if total > limit:
-        raise CapExceeded("axiom word enumeration", limit)
+    _cap_words(len(els), max_len, "axiom word enumeration")
     bad = []
 
     def record(axiom, word, detail):
@@ -512,6 +515,7 @@ class PGHom:
         """Check domain words map into domain words with matching products."""
         if self._verified is not None:
             return self._verified
+        _cap_words(len(self.source.elements), max_len, "homomorphism word sweep")
         bad = None
         if self.mapping[self.source.identity] != self.target.identity:
             bad = ("identity", ())
@@ -545,6 +549,7 @@ class PGHom:
 
     def is_projection(self, max_len: int = 3) -> bool:
         """True iff the induced map on word domains is surjective."""
+        _cap_words(len(self.target.elements), max_len, "projection word sweep")
         self._require_hom()
         if set(self.mapping.values()) != set(self.target.elements):
             return False

@@ -121,7 +121,7 @@ _MUL_CACHE_MAX_ORDER = 1024
 class FiniteGroup:
     """A concrete finite permutation group with canonically ordered elements."""
 
-    def __init__(self, perms, degree: int, generators=None):
+    def __init__(self, perms, degree: int):
         elements = tuple(sorted(set(perms)))
         if not elements:
             raise InputError("a group needs at least the identity")
@@ -133,11 +133,6 @@ class FiniteGroup:
         self._index = {p: i for i, p in enumerate(elements)}
         self._inv = tuple(self._index[pinv(p)] for p in elements)
         self._mul_rows: dict[int, tuple[int, ...]] = {}
-        if generators is None:
-            self.generators = self._greedy_generators()
-        else:
-            self.generators = tuple(sorted(self._index[g] if isinstance(g, tuple) else g
-                                           for g in generators))
         self._memo: dict = {}
 
     # low-level arithmetic
@@ -224,22 +219,11 @@ class FiniteGroup:
                     return False
         return True
 
-    def _greedy_generators(self) -> tuple[int, ...]:
-        gens: list[int] = []
-        mask = 1
-        for i in range(self.order):
-            if not mask >> i & 1:
-                gens.append(i)
-                mask = self.close_mask(mask_of(gens))
-                if mask == (1 << self.order) - 1:
-                    break
-        return tuple(gens)
-
     def __repr__(self):
         return f"FiniteGroup(order={self.order}, degree={self.degree})"
 
 
-def group_from_generators(degree: int, generators, name: str = "") -> FiniteGroup:
+def group_from_generators(degree: int, generators) -> FiniteGroup:
     """BFS closure of a generating set of permutations."""
     cap = current_caps().group_order
     gens = [_check_perm(degree, g) for g in generators]
@@ -257,9 +241,7 @@ def group_from_generators(degree: int, generators, name: str = "") -> FiniteGrou
                     seen.add(b)
                     nxt.append(b)
         frontier = nxt
-    grp = FiniteGroup(seen, degree)
-    grp.generators = tuple(sorted(grp.index_of(g) for g in gens)) or (0,)
-    return grp
+    return FiniteGroup(seen, degree)
 
 
 def regular_group(items, mult, inv, identity) -> tuple[FiniteGroup, dict, dict]:
@@ -349,38 +331,30 @@ class Subgroup:
     def meet(self, other: "Subgroup") -> "Subgroup":
         return Subgroup(self.group, self.mask & other.mask)
 
-    def normalizer(self, within: "Subgroup | None" = None) -> "Subgroup":
-        """N(self) inside `within` (default: the whole group)."""
+    def _stabilizer(self, name: str, within: "Subgroup | None", fixes) -> "Subgroup":
+        """The g in `within` (default: the whole group) with fixes(x, x^g) for
+        every generator x of self, memoized per (mask, scope)."""
         G = self.group
         scope = within.mask if within is not None else (1 << G.order) - 1
-        memo = G._memo.setdefault("normalizer", {})
+        memo = G._memo.setdefault(name, {})
         key = (self.mask, scope)
         got = memo.get(key)
         if got is None:
             gens = self.generators()
-            out = 0
+            got = 0
             for g in mask_members(scope):
-                if all(self.mask >> G.conj(x, g) & 1 for x in gens):
-                    out |= 1 << g
-            got = out
+                if all(fixes(x, G.conj(x, g)) for x in gens):
+                    got |= 1 << g
             memo[key] = got
         return Subgroup(G, got)
 
+    def normalizer(self, within: "Subgroup | None" = None) -> "Subgroup":
+        """N(self) inside `within` (default: the whole group)."""
+        return self._stabilizer("normalizer", within, lambda x, y: self.mask >> y & 1)
+
     def centralizer(self, within: "Subgroup | None" = None) -> "Subgroup":
-        G = self.group
-        scope = within.mask if within is not None else (1 << G.order) - 1
-        memo = G._memo.setdefault("centralizer", {})
-        key = (self.mask, scope)
-        got = memo.get(key)
-        if got is None:
-            gens = self.generators()
-            out = 0
-            for g in mask_members(scope):
-                if all(G.conj(x, g) == x for x in gens):
-                    out |= 1 << g
-            got = out
-            memo[key] = got
-        return Subgroup(G, got)
+        """C(self) inside `within` (default: the whole group)."""
+        return self._stabilizer("centralizer", within, lambda x, y: x == y)
 
     def center(self) -> "Subgroup":
         return self.centralizer(within=self)
@@ -392,15 +366,7 @@ class Subgroup:
                    for g in other.generators() for x in self.generators())
 
     def is_p_group(self, p: int) -> bool:
-        n = self.order
-        while n % p == 0:
-            n //= p
-        return n == 1
-
-    def as_group(self) -> FiniteGroup:
-        """This subgroup as a standalone FiniteGroup on the same points."""
-        G = self.group
-        return FiniteGroup((G.elements[i] for i in self.members()), G.degree)
+        return _p_part(self.order, p) == self.order
 
     def gens_str(self) -> str:
         return ", ".join(cycles_str(self.group.elements[i]) for i in self.generators())
@@ -450,13 +416,9 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return subgroups_below(G.top)
 
 
-def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    gens = G.generators
-    out = []
-    for H in all_subgroups(G):
-        if all(H.conjugate(g).mask == H.mask for g in gens):
-            out.append(H)
-    return out
+def normal_subgroups(H: Subgroup) -> list[Subgroup]:
+    """Every normal subgroup of H, canonically ordered."""
+    return [K for K in subgroups_below(H) if K.is_normal_in(H)]
 
 
 # primes -------------------------------------------------------------------
@@ -494,18 +456,23 @@ def is_prime(n: int) -> bool:
 
 # named constructions ------------------------------------------------------
 
-def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
-    """The canonical-first Sylow p-subgroup, grown through normalizers."""
-    if not is_prime(p):
-        raise InputError(f"p = {p} is not prime")
-    target = 1
-    n = G.order
+def _p_part(n: int, p: int) -> int:
+    out = 1
     while n % p == 0:
         n //= p
-        target *= p
+        out *= p
+    return out
+
+
+def sylow_p(H: Subgroup, p: int) -> Subgroup:
+    """The canonical-first Sylow p-subgroup of H, grown through normalizers."""
+    if not is_prime(p):
+        raise InputError(f"p = {p} is not prime")
+    G = H.group
+    target = _p_part(H.order, p)
     P = G.trivial
     while P.order < target:
-        N = P.normalizer()
+        N = P.normalizer(H)
         grown = False
         for g in N.members():
             if not P.contains(g) and G.is_p_element(g, p):
@@ -519,46 +486,46 @@ def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
     return P
 
 
-def p_core(G: FiniteGroup, p: int) -> Subgroup:
-    """O_p(G): the largest normal p-subgroup (intersection of Sylow conjugates)."""
-    S = sylow_p(G, p)
+def p_core(H: Subgroup, p: int) -> Subgroup:
+    """O_p(H): the largest normal p-subgroup (intersection of Sylow conjugates)."""
+    S = sylow_p(H, p)
     mask = S.mask
-    for g in range(G.order):
+    for g in H.members():
         if mask == 1:
             break
-        mask &= mask_of(G.conj(x, g) for x in mask_members(S.mask))
-    return Subgroup(G, mask)
+        mask &= S.conjugate(g).mask
+    return Subgroup(H.group, mask)
 
 
-def p_prime_core(G: FiniteGroup, p: int) -> Subgroup:
-    """O_{p'}(G): the largest normal subgroup of order prime to p."""
-    best = G.trivial
-    for H in normal_subgroups(G):
-        if math.gcd(H.order, p) == 1 and H.order > best.order:
-            best = H
+def p_prime_core(H: Subgroup, p: int) -> Subgroup:
+    """O_{p'}(H): the largest normal subgroup of order prime to p."""
+    # largest first, and the trivial subgroup is always among them
+    coprime = [K for K in normal_subgroups(H) if math.gcd(K.order, p) == 1]
+    best = coprime[0]
     # the p'-core is unique: every other normal p'-subgroup sits inside it
-    for H in normal_subgroups(G):
-        if math.gcd(H.order, p) == 1 and not H.le(best):
+    for K in coprime[1:]:
+        if not K.le(best):
             raise PropertyViolation("two incomparable maximal normal p'-subgroups",
-                                    (best, H))
+                                    (best, K))
     return best
 
 
-def is_characteristic_p(G: FiniteGroup, p: int) -> bool:
-    """True when the centralizer of O_p(G) sits inside O_p(G)."""
-    core = p_core(G, p)
-    return core.centralizer().le(core)
+def is_characteristic_p(H: Subgroup, p: int) -> bool:
+    """True when the centralizer of O_p(H) in H sits inside O_p(H)."""
+    core = p_core(H, p)
+    return core.centralizer(H).le(core)
 
 
-def core_commutator_slice(G: FiniteGroup, p: int, V: Subgroup) -> Subgroup:
-    """{x centralizing V with [O_p(G), x] <= V}, as a subgroup.
+def core_commutator_slice(H: Subgroup, p: int, V: Subgroup) -> Subgroup:
+    """{x in H centralizing V with [O_p(H), x] <= V}, as a subgroup.
 
     For groups of characteristic p this is a normal p-subgroup; callers that
     rely on that assert it themselves.
     """
-    core = p_core(G, p)
+    G = H.group
+    core = p_core(H, p)
     members = []
-    for x in V.centralizer().members():
+    for x in V.centralizer(H).members():
         xi = G.inv(x)
         ok = True
         for u in core.members():

@@ -74,7 +74,7 @@ def test_criterion_1_subgroup_classification(capsys):
     t0 = time.perf_counter()
     G = builtin("s4")
     F = fusion_from_group(G, 2)
-    S = sylow_p(G, 2)
+    S = sylow_p(G.top, 2)
     cs = F.class_sets()
 
     assert [P.order for P in cs["cr"]] == [8, 4]

@@ -167,7 +167,7 @@ class TestSeedChecks:
 
     def test_seed_outside_sylow_rejected(self):
         L = loc("s5", "c")
-        five = sylow_p(L.group, 5)
+        five = sylow_p(L.group.top, 5)
         with pytest.raises(InputError):
             check_seed(L, five)
 

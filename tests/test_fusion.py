@@ -53,7 +53,7 @@ def _center(F):
 class TestClosure:
     def test_trivial_system_is_inner_only(self):
         group = builtin("d8")
-        F = FusionSystem(sylow_p(group, 2))
+        F = FusionSystem(sylow_p(group.top, 2))
         assert all(len(F.auts(P)) <= P.order for P in F.subs)
         assert F.o_p().mask == F.S.mask
 
@@ -66,7 +66,7 @@ class TestClosure:
 
     def test_bad_generator_rejected(self):
         group = builtin("s4")
-        S = sylow_p(group, 2)
+        S = sylow_p(group.top, 2)
         members = tuple(Subgroup(group, S.mask).members())
         scrambled = members[:-2] + (members[-1], members[-2])
         with pytest.raises(InputError):
@@ -74,19 +74,19 @@ class TestClosure:
 
     def test_non_injective_generator_rejected(self):
         group = builtin("s4")
-        S = sylow_p(group, 2)
+        S = sylow_p(group.top, 2)
         with pytest.raises(InputError, match="injective"):
             FusionSystem(S, [FHom(group, S.mask, (0,) * S.order)])
 
     def test_generator_from_another_group_rejected(self):
         group, twin_group = builtin("s4"), builtin("s4")
-        S = sylow_p(group, 2)
+        S = sylow_p(group.top, 2)
         with pytest.raises(InputError, match="different carrier group"):
             FusionSystem(S, [FHom(twin_group, S.mask, tuple(S.members()))])
 
     def test_generator_domain_not_a_subgroup_rejected(self):
         group = builtin("s4")
-        S = sylow_p(group, 2)
+        S = sylow_p(group.top, 2)
         a, b = S.members()[1:3]
         dom = 1 | 1 << a | 1 << b  # three elements: never a subgroup of a 2-group
         with pytest.raises(InputError, match="not a subgroup"):
@@ -106,7 +106,7 @@ class TestInterning:
     @pytest.mark.parametrize("name,p", BUILTIN_PAIRS)
     def test_derived_build_matches_validated_build(self, name, p):
         group = builtin(name)
-        S = sylow_p(group, p)
+        S = sylow_p(group.top, p)
         # a plain list is caller input, so every map goes through _validate
         validated = FusionSystem(S, [_conj_map(group, S.mask, g) for g in range(group.order)])
         group._memo.pop("fusion_tables")  # forget it: the derived build closes afresh

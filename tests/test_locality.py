@@ -71,21 +71,15 @@ def s5_c():
 @pytest.fixture(scope="module")
 def c6_top():
     G = builtin("c6")
-    S = sylow_p(G, 2)
+    S = sylow_p(G.top, 2)
     return locality_from_group(G, 2, [S])
-
-
-def to_ambient(ambient, sub_of_subgroup):
-    """Translate a Subgroup of an as_group() carrier back to ambient ordinals."""
-    inner = sub_of_subgroup.group
-    return {ambient.index_of(inner.elements[i]) for i in sub_of_subgroup.members()}
 
 
 class TestFromGroup:
     def test_s4_overgroups_of_core_is_everything(self):
         G = builtin("s4")
-        S = sylow_p(G, 2)
-        V4 = p_core(G, 2)
+        S = sylow_p(G.top, 2)
+        V4 = p_core(G.top, 2)
         assert V4.order == 4
         delta = [Q for Q in subgroups_below(S) if V4.le(Q)]
         L = locality_from_group(G, 2, delta)
@@ -117,10 +111,10 @@ class TestFromGroup:
 
     def test_delta_not_fusion_invariant_rejected(self):
         G = builtin("s4")
-        S = sylow_p(G, 2)
+        S = sylow_p(G.top, 2)
         z = next(P for P in subgroups_below(S)
                  if P.order == 2 and P.normalizer(S).mask == S.mask)
-        V4 = p_core(G, 2)
+        V4 = p_core(G.top, 2)
         bad = [Q for Q in subgroups_below(S) if V4.le(Q)] + [z]
         with pytest.raises(InputError):
             locality_from_group(G, 2, bad)
@@ -128,7 +122,7 @@ class TestFromGroup:
     def test_delta_not_overgroup_closed_rejected(self):
         G = builtin("s4")
         with pytest.raises(InputError):
-            object_set(sylow_p(G, 2), [p_core(G, 2)])
+            object_set(sylow_p(G.top, 2), [p_core(G.top, 2)])
 
 
 class TestSgTable:
@@ -274,7 +268,7 @@ class TestDomainKernel:
 
 class TestNormalizersInside:
     def test_n_of_core_is_whole_s4(self, s4_all):
-        V4 = p_core(s4_all.group, 2)
+        V4 = p_core(s4_all.group.top, 2)
         assert normalizer_in(s4_all, V4).order == 24
         assert set(centralizer_in(s4_all, V4).members) == set(V4.members())
 
@@ -300,8 +294,8 @@ class TestNormalizersInside:
         # unchecked carriers S + {g} with g of order 3: g normalizes V4 in S4
         # and centralizes S in C6, but g**-1 is not in the carrier
         G = builtin("s4")
-        S = sylow_p(G, 2)
-        V4 = p_core(G, 2)
+        S = sylow_p(G.top, 2)
+        V4 = p_core(G.top, 2)
         g = next(x for x in range(G.order) if G.element_order(x) == 3)
         delta = object_set(S, [Q for Q in subgroups_below(S) if V4.le(Q)])
         L = Locality(G, list(S.members()) + [g], S, delta, 2, check=False)
@@ -309,7 +303,7 @@ class TestNormalizersInside:
             normalizer_in(L, V4)
         assert exc.value.witness == (g,)
         C = builtin("c6")
-        T = sylow_p(C, 2)
+        T = sylow_p(C.top, 2)
         h = next(x for x in range(C.order) if C.element_order(x) == 3)
         L = Locality(C, list(T.members()) + [h], T, object_set(T, [T]), 2, check=False)
         with pytest.raises(PropertyViolation, match=r"^C_L\(P\) for an object P") as exc:
@@ -365,7 +359,7 @@ class TestRestrict:
         assert len(Lc.elements) == 24
 
     def test_s4_all_to_core_overgroups_keeps_elements(self, s4_all):
-        V4 = p_core(s4_all.group, 2)
+        V4 = p_core(s4_all.group.top, 2)
         delta0 = [Q for Q in subgroups_below(s4_all.S) if V4.le(Q)]
         L0 = restrict(s4_all, delta0)
         assert L0.elements == s4_all.elements
@@ -388,7 +382,7 @@ class TestThetaQuotient:
 
     def test_s3_at_three_is_already_clean(self):
         G = builtin("s3")
-        S = sylow_p(G, 3)
+        S = sylow_p(G.top, 3)
         L = locality_from_group(G, 3, [S])
         assert len(L.elements) == 6
         theta, quo = theta_quotient(L)
@@ -408,7 +402,7 @@ class TestThetaQuotient:
 
 class TestQuotientLocality:
     def test_s4_mod_core(self, s4_all):
-        V4 = p_core(s4_all.group, 2)
+        V4 = p_core(s4_all.group.top, 2)
         N = PartialSubgroup(s4_all, frozenset(V4.members()))
         assert is_partial_normal(s4_all, N)
         lq = quotient_locality(s4_all, N)
@@ -420,7 +414,7 @@ class TestQuotientLocality:
         assert ok, witness
 
     def test_sigma_maps_s_onto_quotient_s(self, s4_all):
-        V4 = p_core(s4_all.group, 2)
+        V4 = p_core(s4_all.group.top, 2)
         lq = quotient_locality(s4_all, PartialSubgroup(s4_all, frozenset(V4.members())))
         assert set(lq.sigma.mapping) == set(s4_all.S.members())
         assert set(lq.sigma.mapping.values()) == set(lq.locality.S.members())
@@ -454,7 +448,7 @@ class TestQuotientLocality:
     def test_projection_guard_fires(self, s4_all, monkeypatch):
         monkeypatch.setattr(PGHom, "verify",
                             lambda self, max_len=3: (False, ("product", ())))
-        V4 = p_core(s4_all.group, 2)
+        V4 = p_core(s4_all.group.top, 2)
         with pytest.raises(PropertyViolation, match="not a homomorphism"):
             quotient_locality(s4_all, PartialSubgroup(s4_all, frozenset(V4.members())))
 
@@ -471,7 +465,7 @@ class TestQuotientLocality:
 
 class TestNormalizerLocalities:
     def test_v4_gives_whole_system(self, s4_all):
-        V4 = p_core(s4_all.group, 2)
+        V4 = p_core(s4_all.group.top, 2)
         LV = normalizer_locality(s4_all, V4)
         assert len(LV.elements) == 24
         assert LV.S.mask == s4_all.S.mask
@@ -513,7 +507,7 @@ class TestCores:
 
     def test_s4_core_is_v4(self, s4_all):
         core = o_p_locality(s4_all)
-        assert core.mask == p_core(s4_all.group, 2).mask
+        assert core.mask == p_core(s4_all.group.top, 2).mask
         assert core.mask == fusion_of(s4_all).o_p().mask
 
     def test_s5_centric_core_matches_fusion_core(self, s5_c):
@@ -683,8 +677,7 @@ class TestObjectFamilyShapes:
         for P in L.delta.members:
             N = L.perm_subgroup(normalizer_in(L, P))
             C = L.perm_subgroup(centralizer_in(L, P))
-            inner = N.as_group()
-            core_amb = to_ambient(L.group, p_core(inner, 2))
+            core_amb = set(p_core(N, 2).members())
             assert (P.mask in cr) == (core_amb == set(P.members()))
             assert (P.mask in c) == (C.mask == P.center().mask)
             assert (P.mask in q) == (set(C.members()) <= core_amb)

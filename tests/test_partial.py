@@ -168,7 +168,7 @@ class TestPartialNormal:
     def test_group_case_matches_normal_subgroups(self):
         group = builtin("d8")
         pg = GroupPartial(group)
-        expected = {frozenset(h.members()) for h in normal_subgroups(group)}
+        expected = {frozenset(h.members()) for h in normal_subgroups(group.top)}
         got = {sub.members for sub in all_partial_normal_subgroups(pg)}
         assert got == expected
 
@@ -275,6 +275,27 @@ class TestPGHom:
         if not h.verify()[0]:
             with pytest.raises(InputError):
                 h.kernel()
+
+    def test_word_sweeps_are_capped(self):
+        # 6 + 36 + 216 = 258 words of length <= 3 over C6
+        c6 = GroupPartial(builtin("c6"))
+        h = PGHom(c6, c6, {x: x for x in c6.elements})
+        caps.override(caps.Caps(axiom_words=257))
+        try:
+            with pytest.raises(CapExceeded) as exc:
+                h.verify()
+            assert exc.value.limit == 257
+        finally:
+            caps.override(None)
+        assert h.verify()[0]
+        # verified now, so only the projection sweep itself can refuse
+        caps.override(caps.Caps(axiom_words=257))
+        try:
+            with pytest.raises(CapExceeded):
+                h.is_projection()
+        finally:
+            caps.override(None)
+        assert h.is_projection()
 
     def test_missing_element_rejected(self, s4p):
         with pytest.raises(InputError):

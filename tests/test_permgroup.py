@@ -125,7 +125,7 @@ def test_lattice_is_canonically_sorted(s4):
 
 
 def test_subgroups_below_filters(s4):
-    S = sylow_p(s4, 2)
+    S = sylow_p(s4.top, 2)
     below = subgroups_below(S)
     assert len(below) == 10
     assert all(H.le(S) for H in below)
@@ -158,7 +158,7 @@ def test_normalizer_centralizer_of_v4(s4):
 
 def test_normalizer_within(s4):
     V4 = v4_of(s4)
-    S = sylow_p(s4, 2)
+    S = sylow_p(s4.top, 2)
     assert V4.normalizer(within=S).mask == S.mask
     E = s4.subgroup_of([s4.index_of((1, 0, 2, 3))])
     assert E.centralizer(within=S).order == 4
@@ -175,67 +175,90 @@ def test_center():
 # --- sylow and cores --------------------------------------------------------
 
 def test_sylow_orders(s4, s5):
-    assert sylow_p(s4, 2).order == 8
-    assert sylow_p(s4, 3).order == 3
-    assert sylow_p(s5, 2).order == 8
-    assert sylow_p(s5, 5).order == 5
-    assert sylow_p(load("c6"), 2).order == 2
+    assert sylow_p(s4.top, 2).order == 8
+    assert sylow_p(s4.top, 3).order == 3
+    assert sylow_p(s5.top, 2).order == 8
+    assert sylow_p(s5.top, 5).order == 5
+    assert sylow_p(load("c6").top, 2).order == 2
 
 
 def test_sylow_is_deterministic_and_canonical(s4, s5):
     # frozen from the oracle's replay of the growth rule
-    S = sylow_p(s4, 2)
+    S = sylow_p(s4.top, 2)
     assert sorted(s4.elements[i] for i in S.members()) == [
         (0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 2, 3), (1, 0, 3, 2),
         (2, 3, 0, 1), (2, 3, 1, 0), (3, 2, 0, 1), (3, 2, 1, 0)]
-    S5 = sylow_p(s5, 2)
+    S5 = sylow_p(s5.top, 2)
     assert sorted(s5.elements[i] for i in S5.members()) == [
         (0, 1, 2, 3, 4), (0, 1, 2, 4, 3), (0, 2, 1, 3, 4), (0, 2, 1, 4, 3),
         (0, 3, 4, 1, 2), (0, 3, 4, 2, 1), (0, 4, 3, 1, 2), (0, 4, 3, 2, 1)]
 
 
 def test_p_core(s4, s5):
-    assert p_core(s4, 2).mask == v4_of(s4).mask   # O_2(S4) = V4
-    assert p_core(s4, 3).order == 1
-    assert p_core(s5, 2).order == 1               # O_2(S5) = 1
-    assert p_core(load("a4"), 2).order == 4
-    assert p_core(load("d8"), 2).order == 8
+    assert p_core(s4.top, 2).mask == v4_of(s4).mask   # O_2(S4) = V4
+    assert p_core(s4.top, 3).order == 1
+    assert p_core(s5.top, 2).order == 1               # O_2(S5) = 1
+    assert p_core(load("a4").top, 2).order == 4
+    assert p_core(load("d8").top, 2).order == 8
 
 
 def test_p_prime_core():
     c6 = load("c6")
-    C3 = p_prime_core(c6, 2)
+    C3 = p_prime_core(c6.top, 2)
     assert C3.order == 3                          # O_2'(C6) = C3
-    assert p_prime_core(c6, 3).order == 2
-    assert p_prime_core(load("s4"), 2).order == 1
-    assert p_prime_core(load("s3"), 3).order == 1
+    assert p_prime_core(c6.top, 3).order == 2
+    assert p_prime_core(load("s4").top, 2).order == 1
+    assert p_prime_core(load("s3").top, 3).order == 1
+
+
+@pytest.mark.parametrize("name", ["s4", "a5", "s5"])
+def test_p_local_helpers_match_a_standalone_copy(name):
+    # inside the ambient group, every p-local helper on a subgroup H agrees
+    # with the same helper on H rebuilt as its own group, mapped back
+    G = load(name)
+    for H in all_subgroups(G):
+        copy = FiniteGroup([G.elements[i] for i in H.members()], G.degree)
+
+        def back(K):
+            return mask_of(G.index_of(copy.elements[i]) for i in K.members())
+
+        for p in (q for q in (2, 3, 5) if H.order % q == 0):
+            p_part = p
+            while H.order % (p_part * p) == 0:
+                p_part *= p
+            P = sylow_p(H, p)
+            assert P.le(H) and P.order == p_part
+            assert P.mask == back(sylow_p(copy.top, p))
+            assert p_core(H, p).mask == back(p_core(copy.top, p))
+            assert p_prime_core(H, p).mask == back(p_prime_core(copy.top, p))
+            assert is_characteristic_p(H, p) == is_characteristic_p(copy.top, p)
 
 
 def test_is_characteristic_p(s4):
-    assert is_characteristic_p(s4, 2)             # C_S4(V4) = V4
-    assert is_characteristic_p(load("a4"), 2)
-    assert is_characteristic_p(load("d8"), 2)
-    assert not is_characteristic_p(load("c6"), 2)
-    assert not is_characteristic_p(load("s5"), 2)
+    assert is_characteristic_p(s4.top, 2)             # C_S4(V4) = V4
+    assert is_characteristic_p(load("a4").top, 2)
+    assert is_characteristic_p(load("d8").top, 2)
+    assert not is_characteristic_p(load("c6").top, 2)
+    assert not is_characteristic_p(load("s5").top, 2)
 
 
 def test_core_commutator_slice(s4):
     # the slice hypothesis wants a characteristic-p group and V normal in G
     for V in (s4.trivial, v4_of(s4)):
-        X = core_commutator_slice(s4, 2, V)
+        X = core_commutator_slice(s4.top, 2, V)
         assert X.is_p_group(2)
         assert X.is_normal_in(s4.top)
         assert X.mask == v4_of(s4).mask   # both slices come out as V4
     d8 = load("d8")
-    X = core_commutator_slice(d8, 2, d8.top.center())
+    X = core_commutator_slice(d8.top, 2, d8.top.center())
     assert X.order == 8                   # [D8,x] <= Z for every x
     assert X.is_p_group(2) and X.is_normal_in(d8.top)
 
 
 def test_normal_subgroups(s4):
-    masks = {H.order for H in normal_subgroups(s4)}
+    masks = {H.order for H in normal_subgroups(s4.top)}
     assert masks == {1, 4, 12, 24}
-    assert {H.order for H in normal_subgroups(load("a5"))} == {1, 60}
+    assert {H.order for H in normal_subgroups(load("a5").top)} == {1, 60}
 
 
 # --- regular representation -------------------------------------------------
