@@ -4,6 +4,8 @@ Defaults are sized for desk-scale inputs. LLAB_CAPS overrides them, e.g.
 
     LLAB_CAPS="group_order=20000,partial_normal=10000" llab verify ...
 
+degree            points of a group file's permutations, checked before
+                  the group is built (group_order x degree entries)
 group_order       elements of a group closed from generators
 subgroup_count    subgroups found below one subgroup
 partial_normal    carrier size and lattice size of the partial-normal search
@@ -24,6 +26,7 @@ from .errors import InputError
 
 @dataclass(frozen=True)
 class Caps:
+    degree: int = 1_000
     group_order: int = 10_000
     subgroup_count: int = 50_000
     partial_normal: int = 5_000

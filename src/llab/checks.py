@@ -36,7 +36,7 @@ from .locality import (
     o_pprime_of,
     product_partial_normal,
     resolve_delta_spec,
-    restrict,
+    restriction_cut,
     theta_quotient,
 )
 from .partial import (
@@ -115,9 +115,7 @@ class ExampleContext:
 
     @cached_property
     def towers(self):
-        F = self.base.fusion()
-        target = resolve_delta_spec(F, "s")
-        return [(N, expand_quotient(self.base, N, target)) for N in self.base_normals]
+        return [(N, expand_quotient(self.base, N, self.growth)) for N in self.base_normals]
 
 
 # -- individual checkers ----------------------------------------------------------
@@ -291,7 +289,7 @@ def _growth_postconditions(ctx):
     Lp, L = fe.locality, fe.base
     if not is_proper(Lp).ok:
         return False, "grown locality is not proper"
-    if restrict(Lp, L.delta).elements != L.elements:
+    if restriction_cut(Lp, L.delta) != L.elements:
         return False, "restriction does not recover the base"
     if not Lp.fusion().same_homs(L.fusion()):
         return False, "fusion changed"

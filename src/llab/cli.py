@@ -14,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import caps
 from .checks import run_tags
 from .errors import CapExceeded, InputError, PropertyViolation
 from .expansion import check_unique_iso, full_expand
@@ -49,6 +50,10 @@ def load_group(path: str):
     gens = raw.get("generators")
     if not isinstance(degree, int) or degree < 1:
         raise InputError("group file needs a positive integer 'degree'")
+    # refused before group_from_generators allocates its identity permutation
+    limit = caps.current().degree
+    if degree > limit:
+        raise CapExceeded("permutation degree", limit)
     if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
         raise InputError("group file needs 'generators' as a list of image lists")
     return group_from_generators(degree, gens)
@@ -295,6 +300,8 @@ def main(argv=None) -> int:
         return 2
     except PropertyViolation as exc:
         print(f"property violation (library bug signal): {exc}", file=sys.stderr)
+        if exc.witness is not None:
+            print(f"witness: {exc.witness!r}", file=sys.stderr)
         return 3
     print("\n".join(lines))
     if args.json:

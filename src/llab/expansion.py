@@ -30,7 +30,7 @@ from .locality import (
     normalizer_in,
     object_set,
     quotient_locality,
-    restrict,
+    restriction_cut,
     subgroup_in_locality,
 )
 from .partial import (
@@ -404,10 +404,7 @@ def elementary_expand(L: Locality, R: Subgroup) -> ElementaryExpansion:
         provenance="expansion",
     )
 
-    if restrict(grown, L.delta).elements != L.elements:
-        raise PropertyViolation(
-            "restriction does not recover the base", witness=R.mask
-        )
+    _check_restricts_to_base(grown, L, witness=R.mask)
     if set(normalizer_in(grown, R).members) != set(normalizer_in(L, R).members):
         raise PropertyViolation("normalizer of the seed changed", witness=R.mask)
     if not grown.fusion().same_homs(F):
@@ -606,6 +603,22 @@ def pi_plus(exp: ElementaryExpansion, word) -> TildeClass:
     return exp.element_class[value]
 
 
+def _check_restricts_to_base(grown: Locality, L: Locality, witness=None) -> None:
+    """grown restricted to L's objects is L itself; no Locality is rebuilt.
+
+    The cut is the carrier `restrict(grown, L.delta)` would build, with
+    grown's group and S and L's Delta.  When it equals L's carrier, all
+    four things that fix a Locality's domain and product agree with L's,
+    so the restriction is L, which was validated when it was built.
+    `restrict`'s own guard stays, on the two memoized properness reports.
+    """
+    if restriction_cut(grown, L.delta) != L.elements:
+        raise PropertyViolation("restriction does not recover the base", witness=witness)
+    cr_masks = {P.mask for P in grown.fusion().class_sets()["cr"]}
+    if cr_masks <= L.delta.mask_set and is_proper(grown).ok and not is_proper(L).ok:
+        raise PropertyViolation("restriction broke properness", witness=L.delta)
+
+
 # -- full growth ----------------------------------------------------------------
 
 
@@ -681,8 +694,7 @@ def full_expand(L: Locality, deltaplus) -> FullExpansion:
                 "grown locality is not generated by the base",
                 witness=sorted(gen.members),
             )
-        if restrict(cur, L.delta).elements != L.elements:
-            raise PropertyViolation("restriction does not recover the base")
+        _check_restricts_to_base(cur, L)
         if not cur.fusion().same_homs(L.fusion()):
             raise PropertyViolation("fusion drifted across the growth chain")
     return FullExpansion(locality=cur, base=L, steps=steps)
@@ -699,10 +711,7 @@ def _check_extension_pair(L: Locality, Lplus: Locality) -> None:
         or not L.delta.mask_set <= Lplus.delta.mask_set
     ):
         raise InputError("the two localities are not an extension pair")
-    cut = tuple(
-        g for g in Lplus.elements if Lplus.s_g_mask(g) in L.delta.mask_set
-    )
-    if cut != L.elements:
+    if restriction_cut(Lplus, L.delta) != L.elements:
         raise InputError("the larger locality does not restrict to the smaller")
 
 
@@ -749,7 +758,8 @@ def check_unique_iso(Lplus: Locality, Ltilde, base: Locality | None = None):
     Carriers here are realized inside one ambient group, so an
     isomorphism fixing a shared base exists exactly when element sets
     and object families coincide; the map is then the identity on
-    ordinals, verified as a homomorphism in both directions.  With
+    ordinals.  A Locality target needs no word sweep (see below); any
+    other target is verified as a homomorphism in both directions.  With
     `base` given, the base must generate both carriers, which pins the
     isomorphism down as the only one restricting to the identity.
     """
@@ -772,6 +782,13 @@ def check_unique_iso(Lplus: Locality, Ltilde, base: Locality | None = None):
             return None
     mapping = {g: g for g in Lplus.elements}
     forward = PGHom(Lplus, Ltilde, mapping)
+    if isinstance(Ltilde, Locality):
+        # A Locality's in_domain is a function of its group, S.mask,
+        # Delta and carrier (S_w from the group and S, tested against
+        # Delta), and its product folds the group's multiplication.  All
+        # four were compared above, so the two are one partial group and
+        # the identity map is an isomorphism both ways.
+        return forward
     ok, _ = forward.verify()
     if not ok:
         return None
@@ -798,17 +815,21 @@ class QuotientExpansionReport:
     rho_plus: PGHom
 
 
-def expand_quotient(L: Locality, N: PartialSubgroup, deltaplus) -> QuotientExpansionReport:
+def expand_quotient(L: Locality, N: PartialSubgroup,
+                    growth: FullExpansion) -> QuotientExpansionReport:
     """Grow L and L/N together and reconcile the two towers.
 
-    The quotient projection must extend to the grown carriers with the
+    `growth` is the full expansion of L itself (`full_expand(L, target)`),
+    so the towers over every N of one base share a single growth.  The
+    quotient projection must extend to the grown carriers with the
     lifted subgroup as kernel, and partial normal subgroups of the
     quotient must correspond to partial normal subgroups above N across
     the growth.  Every leg is checked and reported.
     """
+    if growth.base is not L:
+        raise InputError("the growth must be a full expansion of this locality")
     lq = quotient_locality(L, N)
-    fe = full_expand(L, deltaplus)
-    lplus = fe.locality
+    lplus = growth.locality
     nplus = lift_normal(L, lplus, N)
     lbar = lq.locality
     send = dict(lq.rho.mapping)
@@ -832,7 +853,7 @@ def expand_quotient(L: Locality, N: PartialSubgroup, deltaplus) -> QuotientExpan
         lbarplus, _ = _absorb(lbar, bar_target)
 
     send_plus = dict(send)
-    for step in fe.steps:
+    for step in growth.steps:
         for fresh, can in step.created.items():
             send_plus[fresh] = Gq.mult(
                 Gq.mult(Gq.inv(send_plus[can.x]), send_plus[can.h]),

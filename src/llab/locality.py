@@ -61,6 +61,7 @@ __all__ = [
     "subgroup_in_locality",
     "is_proper",
     "restrict",
+    "restriction_cut",
     "theta_quotient",
     "quotient_locality",
     "normalizer_locality",
@@ -145,6 +146,9 @@ class Locality(PartialGroup):
         # (g, mask of a subgroup of S) -> its conjugate by g; see s_word_mask
         self._conj_memo: dict[tuple, int] = {}
         self._fusion_cache: FusionSystem | None = None
+        # is_proper's report; declared here so every instance keeps one
+        # attribute layout (a slot added later made unrelated jobs slower)
+        self._proper_report: ProperReport | None = None
         self.full_domain = self._invariant_core_mask() in delta.mask_set
         if check:
             self._validate()
@@ -268,12 +272,25 @@ class Locality(PartialGroup):
         self._check_s_maximal()
 
     def _check_s_maximal(self):
+        """(L2): S is maximal among the p-subgroups of L, read off N_L(S).
+
+        S is maximal iff no p-element x outside S has S_x = S, that is,
+        iff no such x lies in N_L(S).
+        - If such an x exists, every word over S and x has S_w = S, an
+          object, so S<x> lies in L with G's products; x normalizes S, so
+          S<x> is a p-subgroup of L strictly above S.
+        - If Q > S is a p-subgroup of L, every word over Q is in the
+          domain, so Q is an honest finite p-group under G's products.  A
+          proper subgroup of a p-group is properly contained in its
+          normalizer, so some y in N_Q(S) outside S is a p-element with
+          S_y = S.
+        The witness is the first such x in carrier order.
+        """
         G = self.group
         for x in self.elements:
             if x in self.S or not G.is_p_element(x, self.p):
                 continue
-            grown = generated_subgroup(self, list(self.S.members()) + [x])
-            if all(G.is_p_element(y, self.p) for y in grown.members):
+            if self.s_g_mask(x) == self.S.mask:
                 raise PropertyViolation(
                     "S is not a maximal p-subgroup of the carrier", witness=x
                 )
@@ -400,7 +417,14 @@ class ProperReport:
 
 
 def is_proper(L: Locality) -> ProperReport:
-    """(PL1) F^cr inside Delta; (PL2) every object normalizer characteristic p."""
+    """(PL1) F^cr inside Delta; (PL2) every object normalizer characteristic p.
+
+    The report is computed once per locality and kept on it: the carrier,
+    S and Delta are fixed at construction, so it cannot change.  Every
+    caller receives the same report object.
+    """
+    if L._proper_report is not None:
+        return L._proper_report
     report = ProperReport(ok=True)
     F = L.fusion()
     for P in F.class_sets()["cr"]:
@@ -411,10 +435,16 @@ def is_proper(L: Locality) -> ProperReport:
         if not is_characteristic_p(N, L.p):
             report.bad_normalizers.append((P, N))
     report.ok = not report.missing_cr and not report.bad_normalizers
+    L._proper_report = report
     return report
 
 
 # -- restriction -----------------------------------------------------------------
+
+
+def restriction_cut(L: Locality, delta0: ObjectSet) -> tuple:
+    """Carrier of L|_{Delta0}: the members g with S_g in Delta0, in L's order."""
+    return tuple(g for g in L.elements if L.s_g_mask(g) in delta0.mask_set)
 
 
 def restrict(L: Locality, delta0) -> Locality:
@@ -426,8 +456,8 @@ def restrict(L: Locality, delta0) -> Locality:
         raise InputError("restriction object set is not F-closed")
     if not delta0.mask_set <= L.delta.mask_set:
         raise InputError("restriction object set must be a subset of Delta")
-    members = [g for g in L.elements if L.s_g_mask(g) in delta0.mask_set]
-    out = Locality(L.group, members, L.S, delta0, L.p, provenance="restriction")
+    out = Locality(L.group, restriction_cut(L, delta0), L.S, delta0, L.p,
+                   provenance="restriction")
     cr_masks = {P.mask for P in F.class_sets()["cr"]}
     if cr_masks <= delta0.mask_set and is_proper(L).ok and not is_proper(out).ok:
         raise PropertyViolation("restriction broke properness", witness=delta0)

@@ -512,13 +512,28 @@ class PGHom:
         return tuple(self.mapping[x] for x in word)
 
     def verify(self, max_len: int = 3):
-        """Check domain words map into domain words with matching products."""
+        """Check domain words map into domain words with matching products.
+
+        Returns (True, None) or (False, (reason, word)) for the first bad
+        word in sweep order: shortest first, then lexicographic in carrier
+        order.
+        """
         if self._verified is not None:
             return self._verified
         _cap_words(len(self.source.elements), max_len, "homomorphism word sweep")
         bad = None
-        if self.mapping[self.source.identity] != self.target.identity:
+        src, tgt, m = self.source, self.target, self.mapping
+        if m[src.identity] != tgt.identity:
             bad = ("identity", ())
+        elif src.full_domain and tgt.full_domain:
+            # Both carriers are groups: every word is in the domain and
+            # multiplies by folding pairs.  A map then respects every word
+            # iff it respects every pair (induct on the length), and a
+            # length-1 word can never fail, so the first bad word of the
+            # sweep is the first bad pair in lexicographic order.
+            bad = next((("product", (x, y))
+                        for x in src.elements for y in src.elements
+                        if m[src.binary(x, y)] != tgt.binary(m[x], m[y])), None)
         else:
             for w in self.source.domain_words(max_len):
                 fw = self.apply_word(w)
@@ -553,6 +568,10 @@ class PGHom:
         self._require_hom()
         if set(self.mapping.values()) != set(self.target.elements):
             return False
+        if self.source.full_domain:
+            # every word over the source is in its domain, so a target word
+            # lifts letter by letter through any preimages
+            return True
         fibers = {}
         for x, fx in self.mapping.items():
             fibers.setdefault(fx, []).append(x)

@@ -224,7 +224,7 @@ def test_criterion_6_quotient_compatibility(capsys):
     twelve = next(
         N for N in all_partial_normal_subgroups(L) if N.order == 12
     )
-    rep = expand_quotient(L, twelve, resolve_delta_spec(F, "s"))
+    rep = expand_quotient(L, twelve, full_expand(L, resolve_delta_spec(F, "s")))
     assert rep.ok, rep.checks
     assert rep.checks == {
         "projection_verified": True,

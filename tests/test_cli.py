@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from llab import checks, cli
+from llab import caps, checks, cli
+from llab.errors import PropertyViolation
+from llab.locality import Locality
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
 
@@ -222,10 +224,52 @@ class TestExitCodes:
         assert "generators" in err
 
     def test_cap_exceeded(self, capsys, monkeypatch):
-        from llab import caps
-
         monkeypatch.setenv("LLAB_CAPS", "group_order=10")
         monkeypatch.setattr(caps, "_current", None)  # drop the cached parse
         code, _, err = run_cli(capsys, "classify", "--group", group_arg("s4"), "--p", "2")
         assert code == 2
         assert "cap exceeded" in err
+
+    def test_degree_refused_before_the_group_is_built(self, capsys, monkeypatch,
+                                                       tmp_path):
+        def build(degree, generators):
+            raise AssertionError("group built past the degree cap")
+
+        monkeypatch.setattr(cli, "group_from_generators", build)
+        monkeypatch.setattr(caps, "_current", caps.Caps(degree=5))
+        gf = tmp_path / "wide.json"
+        gf.write_text(json.dumps({"degree": 6, "generators": []}))
+        code, _, err = run_cli(capsys, "classify", "--group", str(gf), "--p", "2")
+        assert code == 2
+        assert "permutation degree exceeded cap of 5" in err
+
+    def test_degree_at_the_cap_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(caps, "_current", caps.Caps(degree=4))
+        code, _, _ = run_cli(capsys, "classify", "--group", group_arg("s4"), "--p", "2")
+        assert code == 0
+
+    def test_property_violation_prints_its_witness(self, capsys, monkeypatch):
+        def refuse(self):
+            raise PropertyViolation("S is not a maximal p-subgroup of the carrier",
+                                    witness=(3, 5))
+
+        monkeypatch.setattr(Locality, "_check_s_maximal", refuse)
+        code, out, err = run_cli(capsys, "locality", "--group", group_arg("s4"),
+                                 "--p", "2")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "property violation (library bug signal): "
+            "S is not a maximal p-subgroup of the carrier",
+            "witness: (3, 5)",
+        ]
+
+    def test_no_witness_line_without_a_witness(self, capsys, monkeypatch):
+        def refuse(self):
+            raise PropertyViolation("forced")
+
+        monkeypatch.setattr(Locality, "_check_s_maximal", refuse)
+        code, _, err = run_cli(capsys, "locality", "--group", group_arg("s4"),
+                               "--p", "2")
+        assert code == 3
+        assert "witness" not in err

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from llab.errors import InputError, PropertyViolation
 from llab.fusion import fusion_from_group
 from llab.locality import (
+    Locality,
+    ProperReport,
     is_proper,
     locality_from_group,
     normalizer_in,
@@ -32,6 +34,7 @@ from llab.partial import (
     is_partial_normal,
 )
 from llab.permgroup import Subgroup, group_from_generators, subgroups_below, sylow_p
+from llab import expansion
 from llab.expansion import (
     PhiTriple,
     approx_class,
@@ -620,6 +623,19 @@ class TestUniqueIso:
         )
         assert check_unique_iso(Lp, scrambled) is None
 
+    def test_locality_target_needs_no_sweep(self, monkeypatch):
+        # group, S, Delta and carrier agree, so no homomorphism sweep runs
+        fe = s4_full()
+        _, F = setup("s4")
+        direct = locality_from_group(fe.base.group, 2, resolve_delta_spec(F, "s"))
+
+        def sweep(self, max_len=3):
+            raise AssertionError("swept a Locality target")
+
+        monkeypatch.setattr(expansion.PGHom, "verify", sweep)
+        iso = check_unique_iso(fe.locality, direct, base=fe.base)
+        assert iso is not None and iso.target is direct
+
     def test_positive_case_is_the_identity(self):
         fe = s4_full()
         _, F = setup("s4")
@@ -634,7 +650,7 @@ class TestQuotientTower:
         L = loc("s5", "c")
         _, F = setup("s5")
         N = next(n for n in all_partial_normal_subgroups(L) if n.order == 12)
-        rep = expand_quotient(L, N, resolve_delta_spec(F, "s"))
+        rep = expand_quotient(L, N, full_expand(L, resolve_delta_spec(F, "s")))
         assert rep.ok
         assert all(rep.checks.values())
         assert len(rep.lbar.elements) == 2
@@ -647,7 +663,7 @@ class TestQuotientTower:
         L = loc("s5", "c")
         _, F = setup("s5")
         triv = next(n for n in all_partial_normal_subgroups(L) if n.order == 1)
-        rep = expand_quotient(L, triv, resolve_delta_spec(F, "s"))
+        rep = expand_quotient(L, triv, full_expand(L, resolve_delta_spec(F, "s")))
         assert rep.ok
         assert rep.rho_plus.kernel().order == 1
         assert len(rep.lbar.elements) == 24
@@ -657,12 +673,45 @@ class TestQuotientTower:
         L = loc("s4", "cr-closure")
         _, F = setup("s4")
         N = next(n for n in all_partial_normal_subgroups(L) if n.order == 4)
-        rep = expand_quotient(L, N, resolve_delta_spec(F, "s"))
+        rep = expand_quotient(L, N, full_expand(L, resolve_delta_spec(F, "s")))
         assert rep.ok
         assert len(rep.lbar.elements) == 6
         assert rep.nplus.order == 4
         assert len(all_partial_normal_subgroups(rep.lbar)) == 3
         assert rep.sigma.mapping == quotient_locality(L, N).sigma.mapping
+
+    def test_growth_of_another_base_rejected(self):
+        L = loc("s5", "c")
+        _, F = setup("s5")
+        N = next(n for n in all_partial_normal_subgroups(L) if n.order == 12)
+        other = full_expand(loc("s5", "cr-closure"), resolve_delta_spec(F, "s"))
+        with pytest.raises(InputError, match="full expansion of this locality"):
+            expand_quotient(L, N, other)
+
+
+class TestRestrictionCut:
+    def test_base_recovered_as_a_cut(self):
+        fe = s4_full()
+        assert restrict(fe.locality, fe.base.delta).elements == fe.base.elements
+        expansion._check_restricts_to_base(fe.locality, fe.base)
+
+    def test_cut_larger_than_the_base_fires(self):
+        # S with every subgroup of S as an object is a locality on its own;
+        # the whole of S4 over the same family cuts back to all 24 elements
+        big = loc("s4", "all")
+        S = big.S
+        small = Locality(big.group, S.members(), S, big.delta, 2)
+        assert restrict(big, small.delta).elements != small.elements
+        with pytest.raises(PropertyViolation, match="does not recover the base"):
+            expansion._check_restricts_to_base(big, small)
+
+    def test_properness_guard_fires(self, monkeypatch):
+        fe = s4_full()
+        grown, base = fe.locality, fe.base
+        monkeypatch.setattr(expansion, "is_proper",
+                            lambda L: ProperReport(ok=L is grown))
+        with pytest.raises(PropertyViolation, match="restriction broke properness"):
+            expansion._check_restricts_to_base(grown, base)
 
 
 class TestRadicalBasePath:

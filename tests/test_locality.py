@@ -13,6 +13,7 @@ from llab.errors import DomainError, InputError, PropertyViolation
 from llab.fusion import fusion_from_group
 from llab.locality import (
     Locality,
+    ObjectSet,
     centralizer_in,
     centralizer_locality,
     fusion_of,
@@ -41,7 +42,14 @@ from llab.partial import (
     all_partial_normal_subgroups,
     normal_closure,
 )
-from llab.permgroup import Subgroup, group_from_generators, p_core, subgroups_below, sylow_p
+from llab.permgroup import (
+    Subgroup,
+    all_subgroups,
+    group_from_generators,
+    p_core,
+    subgroups_below,
+    sylow_p,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
 
@@ -697,3 +705,189 @@ class TestDeltaSpecs:
         F = fusion_from_group(G, 2)
         with pytest.raises(InputError):
             resolve_delta_spec(F, "everything")
+
+
+def _is_p_power(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def reference_s_maximal(L):
+    """The generated-subgroup test: no p-element x outside S such that S
+    and x generate a partial subgroup of p-elements."""
+    G = L.group
+    for x in L.elements:
+        if x in L.S or not G.is_p_element(x, L.p):
+            continue
+        grown = generated_subgroup(L, list(L.S.members()) + [x])
+        if all(G.is_p_element(y, L.p) for y in grown.members):
+            return False
+    return True
+
+
+def _up_sets(S):
+    """Every overgroup-closed family of subgroups of S that contains S."""
+    below = subgroups_below(S)
+    overs = {Q.mask: [R.mask for R in below if Q.le(R) and R.mask != Q.mask]
+             for Q in below}
+    found = {frozenset([S.mask])}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for Q in below:
+                if Q.mask not in u and all(m in u for m in overs[Q.mask]):
+                    v = u | {Q.mask}
+                    if v not in found:
+                        found.add(v)
+                        nxt.append(v)
+        frontier = nxt
+    return [tuple(sorted((Q for Q in below if Q.mask in u), key=Subgroup.key))
+            for u in sorted(found, key=lambda u: (len(u), sorted(u)))]
+
+
+def _conjugacy_representatives(G, subs):
+    seen, out = set(), []
+    for S in subs:
+        if S.mask not in seen:
+            out.append(S)
+            seen.update(S.conjugate(g).mask for g in range(G.order))
+    return out
+
+
+def candidate_carriers():
+    """(S, Delta, carrier) for every p-subgroup S up to conjugacy and every
+    up-set Delta of its subgroups, carrier {g : S_g in Delta}, kept when it
+    passes the other construction checks."""
+    for name, primes in (("s4", (2, 3)), ("d8", (2,)), ("a4", (2, 3)),
+                         ("a5", (2, 3, 5)), ("s5", (2, 3, 5))):
+        G = builtin(name)
+        subs = all_subgroups(G)
+        for p in primes:
+            psubs = [S for S in subs if S.order > 1 and _is_p_power(S.order, p)]
+            for S in _conjugacy_representatives(G, psubs):
+                for members in _up_sets(S):
+                    delta = ObjectSet(S, members)
+                    probe = Locality(G, range(G.order), S, delta, p, check=False)
+                    carrier = [g for g in range(G.order)
+                               if probe.s_g_mask(g) in delta.mask_set]
+                    L = Locality(G, carrier, S, delta, p, check=False)
+                    closed = all(G.inv(g) in L._index for g in L.elements) and all(
+                        G.mult(g, h) in L._index
+                        for g, h in itertools.product(L.elements, repeat=2)
+                        if L.in_domain((g, h))
+                    )
+                    if closed:
+                        yield L
+
+
+class TestSMaximality:
+    @pytest.mark.parametrize("name", ["c4", "d8"])
+    def test_normal_c2_below_a_2_group_is_refused(self, name):
+        # S is a normal C2 of a 2-group, Delta = {S}, the whole group as
+        # carrier: every other construction check passes
+        G = (group_from_generators(4, [[1, 2, 3, 0]]) if name == "c4"
+             else builtin("d8"))
+        S = next(P for P in subgroups_below(G.top)
+                 if P.order == 2 and P.is_normal_in(G.top))
+        delta = object_set(S, [S])
+        with pytest.raises(PropertyViolation,
+                           match="S is not a maximal p-subgroup") as exc:
+            Locality(G, range(G.order), S, delta, 2)
+        x = exc.value.witness
+        assert x not in S and G.is_p_element(x, 2)
+        assert S.conjugate(x).mask == S.mask
+
+    def test_matches_the_generated_subgroup_test(self):
+        counts = {True: 0, False: 0}
+        for L in candidate_carriers():
+            want = reference_s_maximal(L)
+            try:
+                L._check_s_maximal()
+                got = True
+            except PropertyViolation:
+                got = False
+            assert got == want, L
+            counts[want] += 1
+        assert counts == {True: 203, False: 77}
+
+
+def reference_verify(h, max_len=3):
+    """The general word sweep of PGHom.verify, written out."""
+    src, tgt, m = h.source, h.target, h.mapping
+    if m[src.identity] != tgt.identity:
+        return False, ("identity", ())
+    for w in src.domain_words(max_len):
+        fw = tuple(m[x] for x in w)
+        if not tgt.in_domain(fw):
+            return False, ("domain", w)
+        if m[src.product(w)] != tgt.product(fw):
+            return False, ("product", w)
+    return True, None
+
+
+def reference_is_projection(h, max_len=3):
+    """Every target domain word lifts to a source domain word, letter by letter."""
+    src = h.source
+    fibers = {}
+    for x, fx in h.mapping.items():
+        fibers.setdefault(fx, []).append(x)
+
+    def lifts(prefix, rest):
+        if not rest:
+            return True
+        return any(src.in_domain(prefix + (x,)) and lifts(prefix + (x,), rest[1:])
+                   for x in fibers.get(rest[0], ()))
+
+    return all(lifts((), w) for w in h.target.domain_words(max_len))
+
+
+class TestFullDomainHoms:
+    def _maps(self, L):
+        G = L.group
+        ident = {g: g for g in L.elements}
+        swapped = dict(ident)
+        a, b = L.elements[5], L.elements[9]
+        swapped[a], swapped[b] = b, a
+        t = L.elements[1]
+        return {
+            "identity": ident,
+            "inner": {g: G.conj(g, t) for g in L.elements},
+            "inverse": {g: G.inv(g) for g in L.elements},
+            "swapped": swapped,
+            "bad_identity": {g: t for g in L.elements},
+        }
+
+    def test_pair_test_reports_the_sweep_witness(self, s4_all):
+        assert s4_all.full_domain
+        verdicts = {}
+        for what, mapping in self._maps(s4_all).items():
+            got = PGHom(s4_all, s4_all, mapping).verify()
+            assert got == reference_verify(PGHom(s4_all, s4_all, mapping)), what
+            verdicts[what] = got[0]
+        assert verdicts == {"identity": True, "inner": True, "inverse": False,
+                            "swapped": False, "bad_identity": False}
+
+    def test_pair_test_on_a_quotient_projection(self, s4_all):
+        V4 = p_core(s4_all.group.top, 2)
+        rho = quotient_locality(
+            s4_all, PartialSubgroup(s4_all, frozenset(V4.members()))).rho
+        assert PGHom(rho.source, rho.target, rho.mapping).verify() == (True, None)
+        bent = dict(rho.mapping)
+        x = next(g for g in s4_all.elements if bent[g] != rho.target.identity)
+        bent[x] = rho.target.identity
+        h = PGHom(rho.source, rho.target, bent)
+        assert h.verify() == reference_verify(h)
+        assert not h.verify()[0]
+
+    def test_projection_matches_the_lifting_reference(self, s4_all):
+        V4 = p_core(s4_all.group.top, 2)
+        rho = quotient_locality(
+            s4_all, PartialSubgroup(s4_all, frozenset(V4.members()))).rho
+        assert rho.is_projection() and reference_is_projection(rho)
+        lbar = rho.target
+        trivial = PGHom(s4_all, lbar, {g: lbar.identity for g in s4_all.elements})
+        assert trivial.verify()[0]
+        assert not trivial.is_projection()
+        assert not reference_is_projection(trivial)
