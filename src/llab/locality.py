@@ -143,8 +143,8 @@ class Locality(PartialGroup):
         super().__init__()
         self._carrier = frozenset(self.elements)
         self._sg_cache: dict[int, int] = {}
-        # (g, mask of a subgroup of S) -> its conjugate by g; see s_word_mask
-        self._conj_memo: dict[tuple, int] = {}
+        # (g, mask of a subgroup of S) -> (mask & S_g)**g; see walk_step
+        self._step_memo: dict[tuple, int] = {}
         self._fusion_cache: FusionSystem | None = None
         # is_proper's report; declared here so every instance keeps one
         # attribute layout (a slot added later made unrelated jobs slower)
@@ -168,33 +168,62 @@ class Locality(PartialGroup):
             self._sg_cache[g] = got
         return got
 
-    def _conj_subgroup(self, g: int, mask: int) -> int:
-        """Mask of P**g for a subgroup P of S (given by mask), memoized."""
-        key = (g, mask)
-        got = self._conj_memo.get(key)
+    def _step_mask(self, g: int, cur: int) -> int:
+        """Mask of (cur & S_g)**g for a subgroup cur of S, memoized."""
+        key = (g, cur)
+        got = self._step_memo.get(key)
         if got is None:
-            got = Subgroup(self.group, mask).conjugate(g).mask
-            self._conj_memo[key] = got
+            got = Subgroup(self.group, cur & self.s_g_mask(g)).conjugate(g).mask
+            self._step_memo[key] = got
         return got
+
+    # -- word walker -----------------------------------------------------------
+    #
+    # The state of a word w = g1...gk is (S_w**p, p) with p = g1*...*gk, the
+    # ambient product.  S_{wg} keeps the x in S_w whose conjugate by p*g
+    # stays in S, so its image under p*g is (S_w**p & S_g)**g: a letter
+    # costs one memo lookup and one multiplication.  Every conjugated set is
+    # a subgroup of S, so the memo holds at most one entry per (ambient
+    # element, subgroup of S).  Letters are ambient ordinals; the sweeps and
+    # `in_domain` walk carrier elements only.
+
+    def walk_start(self):
+        return (self.S.mask, self.identity)
+
+    def walk_step(self, state, g):
+        cur, prod = state
+        return (self._step_mask(g, cur), self.group.mult(prod, g))
+
+    def _pull_back(self, state) -> int:
+        """S_w from its image: conjugate by the inverse of the product.
+
+        A step by p**-1 is that conjugation, because the image conjugates
+        back into S_w, inside S, so it lies in S_{p**-1} already.  S_w and
+        its image are conjugate by p, so an F-closed Delta decides them
+        alike; the domain test pulls back because Delta need not be
+        F-closed (quotient localities build theirs without that check).
+        """
+        cur, prod = state
+        return self._step_mask(self.group.inv(prod), cur)
+
+    def walk_in_domain(self, state) -> bool:
+        return self.full_domain or self._pull_back(state) in self.delta.mask_set
+
+    def walk_product(self, state):
+        return state[1]
 
     def s_word_mask(self, word) -> int:
         """Mask of S_w = {x in S : x**(g1...gi) in S for every prefix}.
 
-        Steps the image of S_w through the word: after the letters g1..gi,
-        cur = (S_{g1..gi})**(g1...gi), and the next letter g keeps exactly
-        the members of cur in S_g, giving (cur & S_g)**g.  One pull-back by
-        the inverse of the word's ambient product returns S_w itself.  Every
-        conjugated set is a subgroup of S, so the memo of conjugates holds
-        at most one entry per (ambient element, subgroup of S).
+        The word's letters are ambient ordinals and need not lie in the
+        carrier.
         """
-        G = self.group
         word = tuple(word)
-        cur = self.S.mask
+        order = self.group.order
         for g in word:
-            if not 0 <= g < G.order:
+            if not 0 <= g < order:
                 raise InputError(f"{g!r} is not an ambient group ordinal")
-            cur = self._conj_subgroup(g, cur & self.s_g_mask(g))
-        return self._conj_subgroup(G.inv(G.word(word)), cur)
+        return self._pull_back(self.walk(word))
 
     # -- partial group interface ---------------------------------------------
 
@@ -210,26 +239,26 @@ class Locality(PartialGroup):
         # was a third of verify's run time, at millions of calls per run
         if not self._carrier.issuperset(word):
             return False
-        if self.full_domain or len(word) <= 1:
-            return True
-        return self.s_word_mask(word) in self.delta.mask_set
+        # a full-domain carrier answers before any walk
+        return self.full_domain or self.walk_in_domain(self.walk(word))
 
     def product(self, word):
-        """Left fold of a domain word, testing only the whole word.
+        """Product of a domain word, read off its one walk.
 
         S_u contains S_w for every prefix u of w, and Delta is closed under
         overgroups, so w in D puts every prefix in D.  A word outside D
         falls back to the prefix-by-prefix fold, whose DomainError names
-        the first failing prefix.
+        the first failing prefix.  On a full-domain carrier no image of S_w
+        is read, so the product is the ambient fold alone.
         """
         word = tuple(word)
-        if not word or not self.in_domain(word):
-            return PartialGroup.product(self, word)
-        mult = self.group.mult
-        acc = word[0]
-        for x in word[1:]:
-            acc = mult(acc, x)
-        return acc
+        if self._carrier.issuperset(word):
+            if self.full_domain:
+                return self.group.word(word)
+            state = self.walk(word)
+            if self.walk_in_domain(state):
+                return state[1]
+        return PartialGroup.product(self, word)
 
     def _invariant_core_mask(self) -> int:
         """Largest subgroup of S stable under conjugation by every element.

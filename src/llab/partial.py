@@ -20,7 +20,6 @@ localities, by `locality.quotient_locality` from the maximal cosets that
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from . import caps as _caps
@@ -43,7 +42,11 @@ __all__ = [
 
 
 class PartialGroup:
-    """Base carrier. Subclasses fill elements/identity/inv/in_domain/binary."""
+    """Base carrier. Subclasses fill elements/identity/inv/in_domain/binary.
+
+    A subclass with a cheaper summary of a word than the word itself
+    replaces the four `walk_*` hooks.
+    """
 
     elements: tuple = ()
     identity = None
@@ -64,6 +67,60 @@ class PartialGroup:
     def binary(self, x, y):
         """Product of the domain word (x, y)."""
         raise NotImplementedError
+
+    # -- word walker ---------------------------------------------------------
+    #
+    # Every bounded word sweep extends words one letter at a time and keeps a
+    # state per prefix.  Letters are carrier elements; `walk_product` is
+    # asked only of states that `walk_in_domain` accepts.  Here the state is
+    # the word itself, answered by `in_domain` and `product`.
+
+    def walk_start(self):
+        """State of the empty word."""
+        return ()
+
+    def walk_step(self, state, x):
+        """State of the word extended by the letter x."""
+        return state + (x,)
+
+    def walk_in_domain(self, state) -> bool:
+        """Is the walked word in D?"""
+        return self.in_domain(state)
+
+    def walk_product(self, state):
+        """Product of a walked domain word."""
+        return self.product(state)
+
+    def walk(self, word):
+        """State of a word, walked from the start state."""
+        state = self.walk_start()
+        for x in word:
+            state = self.walk_step(state, x)
+        return state
+
+    def walk_domain(self, max_len: int):
+        """Yield (word, state) for every domain word of length 1..max_len.
+
+        Shortest first, then lexicographic in carrier order.  Only domain
+        words are extended: by axiom (1) every prefix of a domain word is
+        in D.
+        """
+        frontier = [((), self.walk_start())]
+        for _ in range(max_len):
+            nxt = []
+            for w, state in frontier:
+                for x in self.elements:
+                    st = self.walk_step(state, x)
+                    if self.walk_in_domain(st):
+                        u = w + (x,)
+                        nxt.append((u, st))
+                        yield u, st
+            frontier = nxt
+
+    def domain_words(self, max_len: int):
+        """Yield all domain words of length 1..max_len, in `walk_domain` order."""
+        for w, _ in self.walk_domain(max_len):
+            yield w
 
     # -- derived operations ------------------------------------------------
 
@@ -110,24 +167,6 @@ class PartialGroup:
         if not self.in_domain((gi, x, g)):
             return None
         return self.binary(self.binary(gi, x), g)
-
-    def domain_words(self, max_len: int):
-        """Yield all domain words of length 1..max_len, shortest first."""
-        frontier = []
-        for x in self.elements:
-            w = (x,)
-            if self.in_domain(w):
-                frontier.append(w)
-                yield w
-        for _ in range(max_len - 1):
-            nxt = []
-            for w in frontier:
-                for x in self.elements:
-                    u = w + (x,)
-                    if self.in_domain(u):
-                        nxt.append(u)
-                        yield u
-            frontier = nxt
 
 
 class GroupPartial(PartialGroup):
@@ -182,6 +221,13 @@ def check_axioms(pg: PartialGroup, max_len: int = 4) -> AxiomReport:
     domain are checked through the equivalent finite-group conditions
     (closure, identity, inverses, associativity), which cover words of
     every length at once.
+
+    Other carriers are swept with their word walker, level by level in
+    `itertools.product` order: each word extends its prefix's state by one
+    letter, and every one of the n + ... + n**max_len words is decided, none
+    skipped under a prefix outside D.  The prefix, suffix and contraction
+    tests read the kept flags of shorter words, and w**-1 * w is one walk
+    from the kept state of w**-1.
     """
     if max_len < 2:
         raise InputError("axiom check needs max_len >= 2")
@@ -243,36 +289,58 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
         if len(bad) < 200:
             bad.append(AxiomViolation(axiom, word, detail))
 
-    if not pg.in_domain(()):
+    start, empty_ok = pg.walk_start(), pg.in_domain(())
+    if not empty_ok:
         record("1", (), "empty word not in domain")
+
+    # word -> (walk state, in D) for every word shorter than max_len and every
+    # pair over the carrier: the prefix, suffix and contraction tests read
+    # these flags.  Words of the top length are decided as they are walked
+    # and not kept.  A word missing here has a letter outside the carrier (a
+    # product or inverse escaped it), so it is not in D.
+    seen = {(): (start, empty_ok)}
+
+    def in_d(word):
+        got = seen.get(word)
+        return got is not None and got[1]
 
     prod = {(): pg.identity}
     checked = 0
+    level = [((), start)]
     for k in range(1, max_len + 1):
-        for word in itertools.product(els, repeat=k):
-            checked += 1
-            here = pg.in_domain(word)
-            if k == 1:
-                if not here:
-                    record("1", word, "length-1 word not in domain")
-                else:
-                    prod[word] = word[0]
-                continue
-            pre, suf = word[:-1], word[1:]
-            if here and not pg.in_domain(pre):
-                record("1", word, "prefix missing from domain")
-            if here and not pg.in_domain(suf):
-                record("1", word, "suffix missing from domain")
-            if here and pre in prod:
-                # axiom (3) with the prefix contracted to its product
-                step = (prod[pre], word[-1])
-                if not pg.in_domain(step):
-                    record("3", word, "contracted prefix pair leaves domain")
-                else:
-                    try:
-                        prod[word] = pg.binary(*step)
-                    except Exception as exc:  # corrupted tables
-                        record("3", word, f"binary product failed: {exc}")
+        keep = k < max_len or k == 2
+        nxt = []
+        # prefixes in itertools.product order, each extended by every letter
+        for pre, state in level:
+            for x in els:
+                word = pre + (x,)
+                st = pg.walk_step(state, x)
+                here = pg.walk_in_domain(st)
+                checked += 1
+                if keep:
+                    seen[word] = (st, here)
+                    nxt.append((word, st))
+                if k == 1:
+                    if not here:
+                        record("1", word, "length-1 word not in domain")
+                    else:
+                        prod[word] = x
+                    continue
+                if here and not seen[pre][1]:
+                    record("1", word, "prefix missing from domain")
+                if here and not seen[word[1:]][1]:
+                    record("1", word, "suffix missing from domain")
+                if here and pre in prod:
+                    # axiom (3) with the prefix contracted to its product
+                    step = (prod[pre], x)
+                    if not in_d(step):
+                        record("3", word, "contracted prefix pair leaves domain")
+                    else:
+                        try:
+                            prod[word] = pg.binary(*step)
+                        except Exception as exc:  # corrupted tables
+                            record("3", word, f"binary product failed: {exc}")
+        level = nxt
 
     for word in prod:
         if not word:
@@ -282,30 +350,38 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
             record("1", word, "product escapes the carrier")
             continue
         k = len(word)
-        # axiom (3): contract every contiguous segment
+        # axiom (3): contract every contiguous segment; the contracted word
+        # is shorter than the word, so its flag is kept
         for i in range(k):
             for j in range(i + 2, k + 1):
                 seg = word[i:j]
                 if seg not in prod:
                     continue
                 contracted = word[:i] + (prod[seg],) + word[j:]
-                if not pg.in_domain(contracted):
+                if not in_d(contracted):
                     record("3", word, f"contraction of [{i}:{j}] leaves domain")
-                elif len(contracted) <= max_len:
-                    if contracted in prod and prod[contracted] != value:
-                        record("3", word, f"contraction of [{i}:{j}] changes product")
+                elif contracted in prod and prod[contracted] != value:
+                    record("3", word, f"contraction of [{i}:{j}] changes product")
         # axiom (4): w**-1 * w multiplies to the identity
         try:
             wi = tuple(pg.inv(x) for x in reversed(word))
         except Exception as exc:
             record("4", word, f"inversion failed: {exc}")
             continue
-        cat = wi + word
-        if not pg.in_domain(cat):
+        # one walk of w**-1 * w: the kept state of w**-1 minus its last
+        # letter, then that letter and the letters of w
+        got = seen.get(wi[:-1])
+        inside = got is not None and wi[-1] in pg._index
+        if inside:
+            st = pg.walk_step(got[0], wi[-1])
+            for x in word:
+                st = pg.walk_step(st, x)
+            inside = pg.walk_in_domain(st)
+        if not inside:
             record("4", word, "w**-1 * w not in domain")
         else:
             try:
-                if pg.product(cat) != pg.identity:
+                if pg.walk_product(st) != pg.identity:
                     record("4", word, "w**-1 * w is not the identity")
             except DomainError:
                 record("4", word, "w**-1 * w fold left the domain")
@@ -498,7 +574,8 @@ class PGHom:
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
-        self._verified = None
+        # verify's answers by max_len; None keys the length-free pair test
+        self._verified: dict = {}
         for x in source.elements:
             if x not in self.mapping:
                 raise InputError("homomorphism map misses an element")
@@ -518,11 +595,13 @@ class PGHom:
         word in sweep order: shortest first, then lexicographic in carrier
         order.
         """
-        if self._verified is not None:
-            return self._verified
-        _cap_words(len(self.source.elements), max_len, "homomorphism word sweep")
-        bad = None
         src, tgt, m = self.source, self.target, self.mapping
+        # the pair test below answers for every length at once
+        key = None if src.full_domain and tgt.full_domain else max_len
+        if key in self._verified:
+            return self._verified[key]
+        _cap_words(len(src.elements), max_len, "homomorphism word sweep")
+        bad = None
         if m[src.identity] != tgt.identity:
             bad = ("identity", ())
         elif src.full_domain and tgt.full_domain:
@@ -535,16 +614,16 @@ class PGHom:
                         for x in src.elements for y in src.elements
                         if m[src.binary(x, y)] != tgt.binary(m[x], m[y])), None)
         else:
-            for w in self.source.domain_words(max_len):
-                fw = self.apply_word(w)
-                if not self.target.in_domain(fw):
+            for w, state in src.walk_domain(max_len):
+                image = tgt.walk(self.apply_word(w))
+                if not tgt.walk_in_domain(image):
                     bad = ("domain", w)
                     break
-                if self.mapping[self.source.product(w)] != self.target.product(fw):
+                if m[src.walk_product(state)] != tgt.walk_product(image):
                     bad = ("product", w)
                     break
-        self._verified = (bad is None, bad)
-        return self._verified
+        self._verified[key] = (bad is None, bad)
+        return self._verified[key]
 
     def _require_hom(self):
         ok, witness = self.verify()
@@ -579,16 +658,16 @@ class PGHom:
         src, tgt = self.source, self.target
 
         def liftable(word) -> bool:
-            def extend(prefix, rest):
+            def extend(state, rest):
                 if not rest:
                     return True
                 for x in fibers[rest[0]]:
-                    u = prefix + (x,)
-                    if src.in_domain(u) and extend(u, rest[1:]):
+                    st = src.walk_step(state, x)
+                    if src.walk_in_domain(st) and extend(st, rest[1:]):
                         return True
                 return False
 
-            return extend((), tuple(word))
+            return extend(src.walk_start(), tuple(word))
 
         return all(liftable(w) for w in tgt.domain_words(max_len))
 

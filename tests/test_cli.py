@@ -95,6 +95,16 @@ class TestLocality:
         assert "axioms (length 4)" in out
         assert "pass" in out
 
+    def test_axiom_sweep_report_on_a_partial_domain(self, capsys, tmp_path):
+        target = tmp_path / "s5.json"
+        code, _, _ = run_cli(
+            capsys, "locality", "--group", group_arg("s5"), "--p", "2",
+            "--delta", "q", "--axiom-len", "2", "--json", str(target),
+        )
+        assert code == 0
+        axioms = json.loads(target.read_text())["axioms"]
+        assert axioms == {"ok": True, "checked_words": 56 + 56**2}
+
     def test_json_payload_carries_theta(self, capsys, tmp_path):
         target = tmp_path / "c6.json"
         code, _, _ = run_cli(

@@ -213,6 +213,22 @@ def reference_s_words(G, S, max_len, letters=None):
     return out
 
 
+def not_f_closed_locality():
+    """Unchecked s5/2 carrier whose Delta is not F-closed.
+
+    Delta is the q family minus one of two F-conjugate involutions of S,
+    and the carrier is the cut {g : S_g in Delta}.
+    """
+    G = builtin("s5")
+    F = fusion_from_group(G, 2)
+    q = resolve_delta_spec(F, "q")
+    drop = next(P for P in q if P.order == 2)
+    delta = object_set(F.S, [P for P in q if P.mask != drop.mask])
+    probe = Locality(G, range(G.order), F.S, delta, 2, check=False)
+    carrier = [g for g in range(G.order) if probe.s_g_mask(g) in delta.mask_set]
+    return Locality(G, carrier, F.S, delta, 2, check=False)
+
+
 class TestDomainKernel:
     """S_w stepping, carrier membership and whole-word products."""
 
@@ -229,6 +245,17 @@ class TestDomainKernel:
         for L in locs:
             bad = [w for w, m in want.items() if L.s_word_mask(w) != m]
             assert not bad, (L, bad[:5])
+            # the walker, one step from the state of each word's prefix; the
+            # reference lists every prefix before its extensions
+            states = {(): L.walk_start()}
+            for w, m in want.items():
+                if not w:
+                    continue
+                st = L.walk_step(states[w[:-1]], w[-1])
+                if len(w) < max_len:
+                    states[w] = st
+                assert L._pull_back(st) == m, (L, w)
+                assert L.walk_product(st) == G.word(w), (L, w)
 
     def test_in_domain_matches_reference_on_partial_domain(self):
         G = builtin("s5")
@@ -242,6 +269,31 @@ class TestDomainKernel:
             assert L.in_domain(iter(w)) == L.in_domain(w), w
             assert L.s_word_mask(iter(w)) == m, w
         assert not all(L.in_domain(w) for w in want)
+
+    def test_in_domain_pulls_back_when_delta_is_not_f_closed(self):
+        # S_w and its image under the word's product are F-conjugate, so on
+        # an F-closed Delta the pull-back changes no answer; here Delta drops
+        # one of two F-conjugate involutions, and it does
+        L = not_f_closed_locality()
+        G, delta = L.group, L.delta
+        assert not L.fusion().is_f_closed(delta.members)
+        want = reference_s_words(G, L.S, 2, L.elements)
+        image_decides = 0
+        for w, m in want.items():
+            assert L.in_domain(w) == (m in delta.mask_set), w
+            if L.in_domain(w):
+                assert L.product(w) == G.word(w), w
+            image_decides += (L.walk(w)[0] in delta.mask_set) != (m in delta.mask_set)
+        assert image_decides > 0
+
+    def test_domain_words_are_the_filtered_product(self):
+        G = builtin("s5")
+        L = locality_from_group(G, 2, delta_of(G, 2, "q"))
+        want = reference_s_words(G, L.S, 3, L.elements)
+        expected = [w for k in (1, 2, 3) for w in itertools.product(L.elements, repeat=k)
+                    if want[w] in L.delta.mask_set]
+        assert len(expected) < len(want) - 1
+        assert list(L.domain_words(3)) == expected
 
     def test_non_carrier_letters_and_negative_ordinals(self):
         G = builtin("a5")
@@ -841,6 +893,36 @@ def reference_is_projection(h, max_len=3):
                    for x in fibers.get(rest[0], ()))
 
     return all(lifts((), w) for w in h.target.domain_words(max_len))
+
+
+class TestPartialDomainHoms:
+    def test_verify_answers_each_max_len(self):
+        # two swapped elements respect every length-1 word but not (1, 1)
+        G = builtin("s5")
+        L = locality_from_group(G, 2, delta_of(G, 2, "q"))
+        assert not L.full_domain
+        swapped = {g: g for g in L.elements}
+        swapped[1], swapped[4] = 4, 1
+        h = PGHom(L, L, swapped)
+        assert h.verify(max_len=1) == (True, None)
+        assert h.verify(max_len=2) == (False, ("product", (1, 1)))
+        assert h.verify(max_len=1) == (True, None)
+        assert PGHom(L, L, swapped).verify(max_len=2) == h.verify(max_len=2)
+        assert reference_verify(h, max_len=2) == h.verify(max_len=2)
+
+    def test_projection_lifts_through_the_source_domain(self):
+        G = builtin("s5")
+        L = locality_from_group(G, 2, delta_of(G, 2, "q"))
+        ident = PGHom(L, L, {g: g for g in L.elements})
+        assert ident.is_projection(max_len=2) and reference_is_projection(ident, 2)
+        # the same carrier with every subgroup of S an object: a pair whose
+        # S_w is not in q is a target word that no source word lifts
+        wide = Locality(G, L.elements, L.S, object_set(L.S, subgroups_below(L.S)), 2,
+                        check=False)
+        onto = PGHom(L, wide, {g: g for g in L.elements})
+        assert onto.verify()[0]
+        assert not onto.is_projection(max_len=2)
+        assert not reference_is_projection(onto, 2)
 
 
 class TestFullDomainHoms:
