@@ -591,15 +591,14 @@ class QuotientFusionReport:
 
 
 def quotient_fusion_check(
-    lam: FusionMap, F: FusionSystem, Fbar: FusionSystem, delta=None, delta_bar=None
+    lam: FusionMap, F: FusionSystem, Fbar: FusionSystem
 ) -> QuotientFusionReport:
     """Verify the fusion-side facts a quotient map must satisfy.
 
     Instance-wise over all subgroups of S containing the kernel: the map is
     fusion-preserving with surjective hom-maps, fully-normalized status
     corresponds, normalizer cores map into normalizer cores, and centric /
-    centric-radical membership pulls back.  When object sets are supplied,
-    image-closure of the centric-radical objects is checked too.
+    centric-radical membership pulls back.
     """
     if lam.source is not F or lam.target is not Fbar:
         raise InputError("map endpoints do not match the given systems")
@@ -648,13 +647,6 @@ def quotient_fusion_check(
         if bar_flags[0] and bar_flags[1]:
             note("centric_radical_preimage", here_flags[0] and here_flags[1], P.mask)
 
-    if delta is not None and delta_bar is not None:
-        cr = F.class_sets()["cr"]
-        delta_masks = {P.mask for P in delta}
-        if all(P.mask in delta_masks for P in cr):
-            bar_masks = {P.mask for P in delta_bar}
-            good = all(P.mask in bar_masks for P in Fbar.class_sets()["cr"])
-            note("object_image_closure", good)
     for name in (
         "fusion_preserving",
         "hom_surjectivity",

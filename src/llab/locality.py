@@ -200,8 +200,9 @@ class Locality(PartialGroup):
         A step by p**-1 is that conjugation, because the image conjugates
         back into S_w, inside S, so it lies in S_{p**-1} already.  S_w and
         its image are conjugate by p, so an F-closed Delta decides them
-        alike; the domain test pulls back because Delta need not be
-        F-closed (quotient localities build theirs without that check).
+        alike; the domain test pulls back because `Locality.__init__` does
+        not check that Delta is F-closed, so a hand-built Delta may not be.
+        Quotient localities are full-domain and never get here.
         """
         cur, prod = state
         return self._step_mask(self.group.inv(prod), cur)
@@ -241,6 +242,20 @@ class Locality(PartialGroup):
             return False
         # a full-domain carrier answers before any walk
         return self.full_domain or self.walk_in_domain(self.walk(word))
+
+    def conj(self, x, g):
+        """x**g from one walk of (g**-1, x, g): its domain test and product.
+
+        None when a letter is outside the carrier or the word is outside D;
+        a full-domain carrier conjugates in the ambient group.
+        """
+        gi = self.group.inv(g)
+        if not self._carrier.issuperset((gi, x, g)):
+            return None
+        if self.full_domain:
+            return self.group.conj(x, g)
+        state = self.walk((gi, x, g))
+        return state[1] if self.walk_in_domain(state) else None
 
     def product(self, word):
         """Product of a domain word, read off its one walk.
@@ -670,17 +685,17 @@ def centralizer_locality(L: Locality, V: Subgroup) -> Locality:
 
 
 def o_p_locality(L: Locality) -> Subgroup:
-    """Largest subgroup of S normal in L; descending scan, uniqueness asserted."""
+    """Largest subgroup of S normal in L; descending scan, uniqueness asserted.
+
+    Partial normality alone gives P**g = P whenever P <= S_g: for x in P the
+    word (g**-1, x, g) has S_w >= S_{g**-1}, because x in S_g normalizes
+    S_g, and S_{g**-1} is an object by (O1).  So x**g is defined and lies
+    in P, and P**g = P by counting.  One conjugation sweep per candidate.
+    """
     winners = []
     for P in subgroups_below(L.S):
-        if not P.is_normal_in(L.S):
-            continue
-        part = PartialSubgroup(L, frozenset(P.members()))
-        if not is_partial_normal(L, part):
-            continue
-        pm = P.mask
-        if all(L.s_g_mask(g) & pm != pm or P.conjugate(g).mask == pm
-               for g in L.elements):
+        if P.is_normal_in(L.S) and is_partial_normal(
+                L, PartialSubgroup(L, frozenset(P.members()))):
             winners.append(P)
     top = winners[0]
     for P in winners:

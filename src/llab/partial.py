@@ -458,13 +458,23 @@ def generated_subgroup(pg: PartialGroup, xs) -> PartialSubgroup:
     return PartialSubgroup(pg, frozenset(cur))
 
 
+def _conjugates_outside(pg: PartialGroup, members):
+    """Yield every defined conjugate x**g of a member x that is not a member.
+
+    The one conjugation sweep of the partial-normal layer: g runs over the
+    carrier, x over the members.
+    """
+    for g in pg.elements:
+        for x in members:
+            z = pg.conj(x, g)
+            if z is not None and z not in members:
+                yield z
+
+
 def is_partial_normal(pg: PartialGroup, sub: PartialSubgroup) -> bool:
     """True iff every defined conjugate of a member lands back in it."""
-    for g in pg.elements:
-        for x in sub.members:
-            z = pg.conj(x, g)
-            if z is not None and z not in sub.members:
-                return False
+    for _ in _conjugates_outside(pg, sub.members):
+        return False
     return True
 
 
@@ -472,12 +482,7 @@ def normal_closure(pg: PartialGroup, xs) -> PartialSubgroup:
     """Least partial normal subgroup containing xs."""
     cur = generated_subgroup(pg, xs).members
     while True:
-        extra = set()
-        for g in pg.elements:
-            for x in cur:
-                z = pg.conj(x, g)
-                if z is not None and z not in cur:
-                    extra.add(z)
+        extra = set(_conjugates_outside(pg, cur))
         if not extra:
             return PartialSubgroup(pg, frozenset(cur))
         cur = generated_subgroup(pg, cur | extra).members
@@ -625,8 +630,8 @@ class PGHom:
         self._verified[key] = (bad is None, bad)
         return self._verified[key]
 
-    def _require_hom(self):
-        ok, witness = self.verify()
+    def _require_hom(self, max_len: int = 3):
+        ok, witness = self.verify(max_len)
         if not ok:
             raise InputError(f"not a partial group homomorphism: {witness}")
 
@@ -642,9 +647,13 @@ class PGHom:
         return ker
 
     def is_projection(self, max_len: int = 3) -> bool:
-        """True iff the induced map on word domains is surjective."""
+        """True iff the induced map on word domains is surjective.
+
+        The homomorphism check and the lifting test cover the same words,
+        those of length <= max_len.
+        """
         _cap_words(len(self.target.elements), max_len, "projection word sweep")
-        self._require_hom()
+        self._require_hom(max_len)
         if set(self.mapping.values()) != set(self.target.elements):
             return False
         if self.source.full_domain:

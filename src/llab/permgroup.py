@@ -177,9 +177,6 @@ class FiniteGroup:
 
     # subgroup plumbing
 
-    def subgroup(self, mask: int) -> "Subgroup":
-        return Subgroup(self, mask)
-
     def subgroup_of(self, ordinals) -> "Subgroup":
         """Closure of the given ordinals."""
         return Subgroup(self, self.close_mask(mask_of(ordinals)))
@@ -244,32 +241,6 @@ def group_from_generators(degree: int, generators) -> FiniteGroup:
     return FiniteGroup(seen, degree)
 
 
-def regular_group(items, mult, inv, identity) -> tuple[FiniteGroup, dict, dict]:
-    """Realize an abstract group through its right-regular representation.
-
-    items must be deterministically ordered. Returns (group, to_ordinal,
-    from_ordinal) where to_ordinal maps an item to its ordinal.
-    """
-    items = list(items)
-    pos = {x: i for i, x in enumerate(items)}
-    if len(pos) != len(items):
-        raise InputError("duplicate items")
-    perms = {}
-    for x in items:
-        perms[x] = tuple(pos[mult(a, x)] for a in items)
-    if len(set(perms.values())) != len(items):
-        raise InputError("multiplication table is not a group table")
-    grp = FiniteGroup(perms.values(), len(items))
-    to_ordinal = {x: grp.index_of(perms[x]) for x in items}
-    from_ordinal = {i: x for x, i in to_ordinal.items()}
-    if to_ordinal[identity] != 0:
-        raise PropertyViolation("identity did not land at ordinal 0")
-    for x in items:
-        if grp.inv(to_ordinal[x]) != to_ordinal[inv(x)]:
-            raise PropertyViolation("inversion mismatch in regular representation", x)
-    return grp, to_ordinal, from_ordinal
-
-
 # subgroups ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -327,9 +298,6 @@ class Subgroup:
     def join(self, other: "Subgroup") -> "Subgroup":
         gens = mask_of(self.generators()) | mask_of(other.generators())
         return Subgroup(self.group, self.group.close_mask(gens))
-
-    def meet(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup(self.group, self.mask & other.mask)
 
     def _stabilizer(self, name: str, within: "Subgroup | None", fixes) -> "Subgroup":
         """The g in `within` (default: the whole group) with fixes(x, x^g) for
@@ -514,28 +482,3 @@ def is_characteristic_p(H: Subgroup, p: int) -> bool:
     """True when the centralizer of O_p(H) in H sits inside O_p(H)."""
     core = p_core(H, p)
     return core.centralizer(H).le(core)
-
-
-def core_commutator_slice(H: Subgroup, p: int, V: Subgroup) -> Subgroup:
-    """{x in H centralizing V with [O_p(H), x] <= V}, as a subgroup.
-
-    For groups of characteristic p this is a normal p-subgroup; callers that
-    rely on that assert it themselves.
-    """
-    G = H.group
-    core = p_core(H, p)
-    members = []
-    for x in V.centralizer(H).members():
-        xi = G.inv(x)
-        ok = True
-        for u in core.members():
-            comm = G.mult(G.mult(G.inv(u), xi), G.mult(u, x))
-            if not V.contains(comm):
-                ok = False
-                break
-        if ok:
-            members.append(x)
-    mask = mask_of(members)
-    if not G.is_closed_mask(mask):
-        raise PropertyViolation("commutator slice is not a subgroup", mask)
-    return Subgroup(G, mask)

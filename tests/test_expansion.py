@@ -33,9 +33,17 @@ from llab.partial import (
     generated_subgroup,
     is_partial_normal,
 )
-from llab.permgroup import Subgroup, group_from_generators, subgroups_below, sylow_p
+from llab.permgroup import (
+    Subgroup,
+    group_from_generators,
+    mask_members,
+    subgroups_below,
+    sylow_p,
+)
 from llab import expansion
+from llab.checks import ExampleContext
 from llab.expansion import (
+    _check_extension_pair,
     PhiTriple,
     approx_class,
     build_y_sets,
@@ -53,6 +61,7 @@ from llab.expansion import (
     sim_related,
 )
 from table_partial import TablePartial
+from test_fusion import BUILTIN_PAIRS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
 
@@ -600,6 +609,82 @@ class TestNormalLifts:
             lift_normal(Lp, L, lift_normal(L, Lp, N))
         with pytest.raises(InputError):
             lift_normal(L, Lp, PartialSubgroup(Lp, N.members))
+
+
+def reference_lift_normal(L, Lplus, N):
+    """`lift_normal` as it was before it became a normal closure.
+
+    The lift is generated by all conjugates of N's members formed in the
+    grown locality, and then swept for partial normality.
+    """
+    _check_extension_pair(L, Lplus)
+    if N.pg is not L:
+        raise InputError("the subgroup must live in the base locality")
+    if not is_partial_normal(L, N):
+        raise InputError("lift needs a partial normal subgroup")
+    seeds = set(N.members)
+    for f in N.members:
+        for g in Lplus.elements:
+            z = Lplus.conj(f, g)
+            if z is not None:
+                seeds.add(z)
+    lifted = generated_subgroup(Lplus, seeds)
+    if not is_partial_normal(Lplus, lifted):
+        raise PropertyViolation(
+            "lifted subgroup is not partial normal", witness=sorted(lifted.members)
+        )
+    if lifted.members & set(L.elements) != N.members:
+        raise PropertyViolation(
+            "lift does not cut back to the base subgroup",
+            witness=sorted(lifted.members & set(L.elements)),
+        )
+    s_ords = set(mask_members(L.S.mask))
+    if lifted.members & s_ords != N.members & s_ords:
+        raise PropertyViolation(
+            "lift changed the S-part of the subgroup",
+            witness=sorted(lifted.members & s_ords),
+        )
+    return lifted
+
+
+@lru_cache(maxsize=None)
+def example(name, p):
+    return ExampleContext(builtin(name), p)
+
+
+class TestLiftIsTheNormalClosure:
+    @pytest.mark.parametrize("name,p", BUILTIN_PAIRS)
+    def test_matches_the_conjugate_generated_lift(self, name, p):
+        ctx = example(name, p)
+        L, Lp = ctx.base, ctx.growth.locality
+        pairs = [(L, Lp, N) for N in ctx.base_normals]
+        for _, rep in ctx.towers:
+            pairs.extend((rep.lbar, rep.lbarplus, K)
+                         for K in all_partial_normal_subgroups(rep.lbar))
+        assert len(pairs) > len(ctx.base_normals)
+        for base, grown, N in pairs:
+            assert (lift_normal(base, grown, N).members
+                    == reference_lift_normal(base, grown, N).members)
+
+    @pytest.mark.parametrize("name", ["s5", "a5"])
+    def test_matches_into_the_one_shot_construction(self, name):
+        # lifts here grow (order 12 -> 60) or fail to cut back (order 4)
+        L = loc(name, "c")
+        _, F = setup(name)
+        direct = locality_from_group(L.group, 2, resolve_delta_spec(F, "s"))
+
+        def outcome(lift, N):
+            try:
+                return lift(L, direct, N).members
+            except PropertyViolation as exc:
+                return str(exc)
+
+        got = [outcome(lift_normal, N) for N in all_partial_normal_subgroups(L)]
+        assert got == [outcome(reference_lift_normal, N)
+                       for N in all_partial_normal_subgroups(L)]
+        assert "lift does not cut back to the base subgroup" in got
+        assert any(isinstance(m, frozenset) and m > N.members
+                   for m, N in zip(got, all_partial_normal_subgroups(L)))
 
 
 class TestUniqueIso:

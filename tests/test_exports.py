@@ -24,3 +24,16 @@ def test_partial_no_longer_exports_the_generic_quotient():
     for name in ("TablePartial", "CosetPartition", "QuotientPartial"):
         assert name not in partial.__all__
         assert not hasattr(partial, name)
+
+
+def test_dead_helpers_are_gone():
+    import inspect
+
+    from llab import fusion, permgroup
+
+    for name in ("regular_group", "core_commutator_slice"):
+        assert not hasattr(permgroup, name)
+    assert not hasattr(permgroup.FiniteGroup, "subgroup")
+    assert not hasattr(permgroup.Subgroup, "meet")
+    params = inspect.signature(fusion.quotient_fusion_check).parameters
+    assert "delta" not in params and "delta_bar" not in params

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from llab.checks import ExampleContext
 from llab.errors import DomainError, InputError, PropertyViolation
 from llab.fusion import fusion_from_group
 from llab.locality import (
@@ -50,6 +51,7 @@ from llab.permgroup import (
     subgroups_below,
     sylow_p,
 )
+from test_fusion import BUILTIN_PAIRS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
 
@@ -559,6 +561,22 @@ class TestNormalizerLocalities:
             normalizer_locality(s4_all, other)
 
 
+def reference_is_normal_in_locality(L, P):
+    """P normal in S, partial normal in L, and P**g = P whenever P <= S_g."""
+    if not P.is_normal_in(L.S) or not is_partial_normal(L, L.sub(P.members())):
+        return False
+    pm = P.mask
+    return all(L.s_g_mask(g) & pm != pm or P.conjugate(g).mask == pm
+               for g in L.elements)
+
+
+def reference_o_p_locality(L):
+    """O_p(L) by the descending scan with the subgroup-level conjugate test."""
+    winners = [P for P in subgroups_below(L.S) if reference_is_normal_in_locality(L, P)]
+    assert all(P.le(winners[0]) for P in winners)
+    return winners[0]
+
+
 class TestCores:
     def test_p_group_core_is_s(self):
         G = builtin("d8")
@@ -600,6 +618,19 @@ class TestCores:
         for N in all_partial_normal_subgroups(s5_c):
             assert o_p_of(s5_c, N).members <= N.members
             assert o_pprime_of(s5_c, N).members <= N.members
+
+    def test_one_sweep_matches_the_subgroup_scan(self):
+        decided = 0
+        for name, p in BUILTIN_PAIRS:
+            ctx = ExampleContext(builtin(name), p)
+            for L in [ctx.cr_locality, *ctx.proper_localities]:
+                for P in subgroups_below(L.S):
+                    assert reference_is_normal_in_locality(L, P) == (
+                        P.is_normal_in(L.S)
+                        and is_partial_normal(L, L.sub(P.members()))), (name, p, P)
+                    decided += 1
+                assert o_p_locality(L).mask == reference_o_p_locality(L).mask
+        assert decided == 180
 
     def test_rejects_non_normal(self, s5_c):
         t = next(g for g in s5_c.elements
@@ -652,15 +683,28 @@ class TestClosuresOnPartialDomain:
         return L
 
     def test_conj_matches_the_product_fold(self, s5_q):
-        undefined = 0
-        for g, x in itertools.product(s5_q.elements, repeat=2):
-            w = (s5_q.inv(g), x, g)
-            if s5_q.in_domain(w):
-                assert s5_q.conj(x, g) == PartialGroup.product(s5_q, w)
-            else:
-                assert s5_q.conj(x, g) is None
-                undefined += 1
-        assert undefined
+        # D8 over the single object S: full domain on 8 of S4's 24 elements
+        G = builtin("s4")
+        d8_top = locality_from_group(G, 2, [sylow_p(G.top, 2)])
+        assert d8_top.full_domain and len(d8_top.elements) < G.order
+        for L in (s5_q, d8_top):
+            carrier = set(L.elements)
+            counts = {"outside": 0, "defined": 0, "undefined": 0}
+            for g, x in itertools.product(range(L.group.order), repeat=2):
+                got = L.conj(x, g)
+                if not {x, g} <= carrier:
+                    assert got is None
+                    counts["outside"] += 1
+                    continue
+                w = (L.inv(g), x, g)
+                if L.in_domain(w):
+                    assert got == PartialGroup.product(L, w)
+                    counts["defined"] += 1
+                else:
+                    assert got is None
+                    counts["undefined"] += 1
+            assert counts["outside"] and counts["defined"]
+            assert bool(counts["undefined"]) == (not L.full_domain)
 
     def test_generated_subgroup_matches_naive_fixpoint(self, s5_q):
         def naive(xs):  # re-tests every pair in every round
@@ -909,6 +953,13 @@ class TestPartialDomainHoms:
         assert h.verify(max_len=1) == (True, None)
         assert PGHom(L, L, swapped).verify(max_len=2) == h.verify(max_len=2)
         assert reference_verify(h, max_len=2) == h.verify(max_len=2)
+
+    def test_projection_checks_the_hom_on_its_own_words(self):
+        G = builtin("s5")
+        L = locality_from_group(G, 2, delta_of(G, 2, "q"))
+        h = PGHom(L, L, {g: g for g in L.elements})
+        assert h.is_projection(max_len=2)
+        assert set(h._verified) == {2}
 
     def test_projection_lifts_through_the_source_domain(self):
         G = builtin("s5")

@@ -13,8 +13,7 @@ from hypothesis import given, strategies as st
 from llab.permgroup import (
     FiniteGroup, Subgroup,
     group_from_generators, all_subgroups, subgroups_below, normal_subgroups,
-    sylow_p, p_core, p_prime_core, is_characteristic_p, core_commutator_slice,
-    regular_group,
+    sylow_p, p_core, p_prime_core, is_characteristic_p,
     identity_perm, pmul, pinv, pconj, perm_order, perm_from_cycles, cycles_str,
     mask_of, mask_members,
 )
@@ -242,36 +241,10 @@ def test_is_characteristic_p(s4):
     assert not is_characteristic_p(load("s5").top, 2)
 
 
-def test_core_commutator_slice(s4):
-    # the slice hypothesis wants a characteristic-p group and V normal in G
-    for V in (s4.trivial, v4_of(s4)):
-        X = core_commutator_slice(s4.top, 2, V)
-        assert X.is_p_group(2)
-        assert X.is_normal_in(s4.top)
-        assert X.mask == v4_of(s4).mask   # both slices come out as V4
-    d8 = load("d8")
-    X = core_commutator_slice(d8.top, 2, d8.top.center())
-    assert X.order == 8                   # [D8,x] <= Z for every x
-    assert X.is_p_group(2) and X.is_normal_in(d8.top)
-
-
 def test_normal_subgroups(s4):
     masks = {H.order for H in normal_subgroups(s4.top)}
     assert masks == {1, 4, 12, 24}
     assert {H.order for H in normal_subgroups(load("a5").top)} == {1, 60}
-
-
-# --- regular representation -------------------------------------------------
-
-def test_regular_group_rebuilds_d8():
-    d8 = load("d8")
-    items = list(range(d8.order))
-    grp, to_ord, from_ord = regular_group(items, d8.mult, d8.inv, 0)
-    assert grp.order == 8
-    assert to_ord[0] == 0
-    for a in items:
-        for b in items:
-            assert grp.mult(to_ord[a], to_ord[b]) == to_ord[d8.mult(a, b)]
 
 
 def test_mask_helpers():
