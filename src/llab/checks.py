@@ -43,7 +43,6 @@ from .partial import (
     PartialSubgroup,
     all_partial_normal_subgroups,
     generated_subgroup,
-    is_partial_normal,
 )
 from .permgroup import _p_part, mask_of, p_core
 
@@ -275,12 +274,12 @@ def _single_step_lifts(ctx):
     if step is None:
         return True, "vacuous: no growth step"
     base = step.base
+    # The lift is a normal closure, which `normal_closure` returns only once
+    # no defined conjugate leaves it, so it is partial normal by
+    # construction; `lift_normal` raises when it does not cut back to N.
+    # What the tag checks is that every partial normal subgroup lifts.
     for N in all_partial_normal_subgroups(base):
-        lifted = lift_normal(base, step.locality, N)
-        if not is_partial_normal(step.locality, lifted):
-            return False, "lift is not partial normal"
-        if lifted.members & set(base.elements) != N.members:
-            return False, "lift does not cut back"
+        lift_normal(base, step.locality, N)
     return True, "all partial normals of the step base"
 
 

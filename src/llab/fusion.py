@@ -107,12 +107,13 @@ class ClassFlags:
 def _conj_map(group: FiniteGroup, s_mask: int, g: int) -> FHom:
     """Largest restriction of conjugation by g carrying members of S into S.
 
-    The defined set {x in S : x**g in S} = S ∩ S^(g^-1) is a subgroup of S,
-    and conjugation is an injective homomorphism on it.
+    The defined set S_g = {x in S : x**g in S} = S ∩ S^(g^-1) is a subgroup
+    of S, and conjugation is an injective homomorphism on it.  Both are read
+    off S's conjugation table.
     """
-    pairs = [(x, y) for x in mask_members(s_mask)
-             if s_mask >> (y := group.conj(x, g)) & 1]
-    return FHom(group, sum(1 << x for x, _ in pairs), tuple(y for _, y in pairs))
+    table = group.s_conjugation(s_mask)
+    return FHom(group, table.s_g(g),
+                tuple(y for y in table.images(g) if s_mask >> y & 1))
 
 
 class _Derived(tuple):

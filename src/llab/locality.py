@@ -40,7 +40,6 @@ from .permgroup import (
     Subgroup,
     group_from_generators,
     is_characteristic_p,
-    mask_members,
     mask_of,
     p_prime_core,
     subgroups_below,
@@ -142,7 +141,8 @@ class Locality(PartialGroup):
         self.identity = 0
         super().__init__()
         self._carrier = frozenset(self.elements)
-        self._sg_cache: dict[int, int] = {}
+        # S's conjugation table, shared by every locality on (group, S)
+        self._s_conj = group.s_conjugation(S.mask)
         # (g, mask of a subgroup of S) -> (mask & S_g)**g; see walk_step
         self._step_memo: dict[tuple, int] = {}
         self._fusion_cache: FusionSystem | None = None
@@ -157,16 +157,7 @@ class Locality(PartialGroup):
 
     def s_g_mask(self, g: int) -> int:
         """Mask of S_g = {x in S : x**g back in S}; g is an ambient ordinal."""
-        got = self._sg_cache.get(g)
-        if got is None:
-            G = self.group
-            sm = self.S.mask
-            got = 0
-            for x in self.S.members():
-                if sm >> G.conj(x, g) & 1:
-                    got |= 1 << x
-            self._sg_cache[g] = got
-        return got
+        return self._s_conj.s_g(g)
 
     def _step_mask(self, g: int, cur: int) -> int:
         """Mask of (cur & S_g)**g for a subgroup cur of S, memoized."""
@@ -282,12 +273,13 @@ class Locality(PartialGroup):
         object: S_w shrinks to the core along long mixing words and never
         below it, and Delta is closed under overgroups.
         """
-        G = self.group
+        table = self._s_conj
+        rows = [table.images(g) for g in self.elements]
         cur = self.S.mask
         while True:
             nxt = 0
-            for x in mask_members(cur):
-                if all(cur >> G.conj(x, g) & 1 for g in self.elements):
+            for i, x in enumerate(table.members):
+                if cur >> x & 1 and all(cur >> row[i] & 1 for row in rows):
                     nxt |= 1 << x
             if nxt == cur:
                 return cur

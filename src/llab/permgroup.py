@@ -31,7 +31,8 @@ def identity_perm(degree: int) -> Perm:
 
 def pmul(a: Perm, b: Perm) -> Perm:
     """Apply a, then b."""
-    return tuple(b[i] for i in a)
+    # a C-level loop; itemgetter(*a) would return a scalar on degree 1
+    return tuple(map(b.__getitem__, a))
 
 
 def pinv(a: Perm) -> Perm:
@@ -115,6 +116,13 @@ def mask_of(ordinals) -> int:
 
 # the group ----------------------------------------------------------------
 
+def _conj_images(elements, inv, index, xs, g: int) -> tuple[int, ...]:
+    gp, gi = elements[g], elements[inv[g]]
+    # (g^-1 x g)[i] = g[x[g^-1[i]]]
+    return tuple(index[tuple(map(gp.__getitem__, map(elements[x].__getitem__, gi)))]
+                 for x in xs)
+
+
 _MUL_CACHE_MAX_ORDER = 1024
 
 
@@ -151,8 +159,24 @@ class FiniteGroup:
         return self._inv[i]
 
     def conj(self, x: int, g: int) -> int:
-        """x^g = g^-1 x g."""
+        """x^g = g^-1 x g, through the Cayley rows: for random access."""
         return self.mult(self.mult(self._inv[g], x), g)
+
+    def conj_images(self, xs, g: int) -> tuple[int, ...]:
+        """x^g for each ordinal x in xs, from permutation images.
+
+        Builds no Cayley row, so a sweep over every g costs |xs| compositions
+        per g instead of whole rows of the multiplication table.
+        """
+        return _conj_images(self.elements, self._inv, self._index, xs, g)
+
+    def s_conjugation(self, s_mask: int) -> "SConjugation":
+        """The one conjugation table of the subgroup with this mask."""
+        memo = self._memo.setdefault("s_conj", {})
+        got = memo.get(s_mask)
+        if got is None:
+            got = memo[s_mask] = SConjugation(self, s_mask)
+        return got
 
     def word(self, ordinals) -> int:
         out = 0
@@ -239,6 +263,44 @@ def group_from_generators(degree: int, generators) -> FiniteGroup:
                     nxt.append(b)
         frontier = nxt
     return FiniteGroup(seen, degree)
+
+
+class SConjugation:
+    """Conjugation of the members of one subgroup S by the group's elements.
+
+    `images(g)` is the tuple of x^g for the members x of S in ascending
+    order, and `s_g(g)` the mask of S_g = {x in S : x^g in S}.  A row is
+    built from permutation images the first time its g is asked for and
+    kept, so a sweep over the whole group costs |G|·|S| compositions once
+    per (G, S) and reads no Cayley row.  The table keeps the group's element
+    tuples, not the group, so the group's memo holds no cycle through it.
+    """
+
+    __slots__ = ("mask", "members", "_arith", "_images", "_s_g")
+
+    def __init__(self, group: FiniteGroup, mask: int):
+        self.mask = mask
+        self.members = tuple(mask_members(mask))
+        self._arith = (group.elements, group._inv, group._index)
+        self._images: dict[int, tuple[int, ...]] = {}
+        self._s_g: dict[int, int] = {}
+
+    def images(self, g: int) -> tuple[int, ...]:
+        got = self._images.get(g)
+        if got is None:
+            got = self._images[g] = _conj_images(*self._arith, self.members, g)
+        return got
+
+    def s_g(self, g: int) -> int:
+        got = self._s_g.get(g)
+        if got is None:
+            mask = self.mask
+            got = 0
+            for x, y in zip(self.members, self.images(g)):
+                if mask >> y & 1:
+                    got |= 1 << x
+            self._s_g[g] = got
+        return got
 
 
 # subgroups ----------------------------------------------------------------
@@ -439,15 +501,24 @@ def sylow_p(H: Subgroup, p: int) -> Subgroup:
     G = H.group
     target = _p_part(H.order, p)
     P = G.trivial
+    members = H.members()
     while P.order < target:
-        N = P.normalizer(H)
-        grown = False
-        for g in N.members():
-            if not P.contains(g) and G.is_p_element(g, p):
+        # The first member of H, in ordinal order, that lies outside P, is a
+        # p-element and normalizes P: the first eligible member of
+        # P.normalizer(H), found without sweeping the rest of H.  Both guards
+        # stay because H is caller input; neither fires on a true subgroup H:
+        # - a p-subgroup P that is not Sylow in H has p | [N_H(P) : P], so a
+        #   Sylow p-subgroup of N_H(P) containing P holds a p-element
+        #   outside P, and the scan finds one;
+        # - P is normal in P<g> and P<g>/P is a cyclic p-group, so P<g> is a
+        #   p-group.
+        gens = P.generators()
+        for g in members:
+            if (not P.mask >> g & 1 and G.is_p_element(g, p)
+                    and all(P.mask >> y & 1 for y in G.conj_images(gens, g))):
                 P = Subgroup(G, G.close_mask(P.mask | 1 << g))
-                grown = True
                 break
-        if not grown:
+        else:
             raise PropertyViolation("Sylow growth stalled below the p-part", P)
         if not P.is_p_group(p):
             raise PropertyViolation("Sylow growth left the p-world", P)

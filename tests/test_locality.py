@@ -51,6 +51,7 @@ from llab.permgroup import (
     subgroups_below,
     sylow_p,
 )
+from bench.workloads import generated_groups
 from test_fusion import BUILTIN_PAIRS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
@@ -128,6 +129,19 @@ class TestFromGroup:
         bad = [Q for Q in subgroups_below(S) if V4.le(Q)] + [z]
         with pytest.raises(InputError):
             locality_from_group(G, 2, bad)
+
+    def test_s6_builds_only_the_rows_of_carrier_products(self):
+        # S6 (order 720) is under the 1024-order row cache, where a sweep
+        # through `mult` builds whole Cayley rows, all 720 of them for a
+        # sweep over the group.  The conjugation sweeps (Sylow search,
+        # fusion, S_g, the invariant core) read S's conjugation table, so
+        # the only rows are those of the 72 carrier elements, from the
+        # product checks.
+        spec = generated_groups()["s6"]
+        G = group_from_generators(spec["degree"], spec["generators"])
+        L = locality_from_group(G, 3, delta_of(G, 3, "cr-closure"))
+        assert len(L.elements) == 72
+        assert len(G._mul_rows) <= 72
 
     def test_delta_not_overgroup_closed_rejected(self):
         G = builtin("s4")

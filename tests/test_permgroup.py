@@ -15,9 +15,11 @@ from llab.permgroup import (
     group_from_generators, all_subgroups, subgroups_below, normal_subgroups,
     sylow_p, p_core, p_prime_core, is_characteristic_p,
     identity_perm, pmul, pinv, pconj, perm_order, perm_from_cycles, cycles_str,
-    mask_of, mask_members,
+    mask_of, mask_members, is_prime, _p_part,
 )
-from llab.errors import InputError, CapExceeded
+from llab.errors import InputError, CapExceeded, PropertyViolation
+from bench.workloads import generated_groups
+from test_fusion import BUILTIN_PAIRS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
 
@@ -56,6 +58,16 @@ def test_inverse(a):
 @given(perms5, perms5, perms5)
 def test_conjugation_is_a_right_action(x, g, h):
     assert pconj(pconj(x, g), h) == pconj(x, pmul(g, h))
+
+
+def test_product_on_degrees_one_and_two():
+    # quotient realizations produce degree-1 groups
+    assert pmul((0,), (0,)) == (0,)
+    assert pmul((1, 0), (1, 0)) == (0, 1)
+    assert pmul((0, 1), (1, 0)) == (1, 0)
+    assert pmul((1, 0), (0, 1)) == (1, 0)
+    assert group_from_generators(1, [[0]]).elements == ((0,),)
+    assert group_from_generators(2, [[1, 0]]).elements == ((0, 1), (1, 0))
 
 
 def test_cycle_round_trip():
@@ -250,3 +262,61 @@ def test_normal_subgroups(s4):
 def test_mask_helpers():
     assert mask_members(0b10110) == [1, 2, 4]
     assert mask_of([1, 2, 4]) == 0b10110
+
+
+# --- S-conjugation table and the first-hit Sylow scan -----------------------
+
+def reference_sylow_p(H, p):
+    """`sylow_p` as it was before the first-hit scan: each round takes the
+    first eligible member of the whole normalizer N_H(P)."""
+    if not is_prime(p):
+        raise InputError(f"p = {p} is not prime")
+    G = H.group
+    target = _p_part(H.order, p)
+    P = G.trivial
+    while P.order < target:
+        N = P.normalizer(H)
+        grown = False
+        for g in N.members():
+            if not P.contains(g) and G.is_p_element(g, p):
+                P = Subgroup(G, G.close_mask(P.mask | 1 << g))
+                grown = True
+                break
+        if not grown:
+            raise PropertyViolation("Sylow growth stalled below the p-part", P)
+        if not P.is_p_group(p):
+            raise PropertyViolation("Sylow growth left the p-world", P)
+    return P
+
+
+def bench_group(name):
+    spec = generated_groups()[name]
+    return group_from_generators(spec["degree"], spec["generators"])
+
+
+@pytest.mark.parametrize("name", ["a4", "a5", "c6", "d8", "s3", "s4", "s5",
+                                  "d16", "c5xc5", "s6", "s7"])
+def test_sylow_scan_matches_the_normalizer_sweep(name):
+    builtin = (DATA / f"{name}.json").exists()
+    G = load(name) if builtin else bench_group(name)
+    # a prime dividing the order of a group of degree n is at most n
+    primes = [q for q in range(2, G.degree + 1) if is_prime(q) and G.order % q == 0]
+    assert primes
+    # on the built-ins, every subgroup H as well as the whole group
+    for H in all_subgroups(G) if builtin else [G.top]:
+        for p in primes:
+            assert sylow_p(H, p).mask == reference_sylow_p(H, p).mask
+
+
+@pytest.mark.parametrize("name,p", BUILTIN_PAIRS)
+def test_s_conjugation_table_matches_conj(name, p):
+    G = load(name)
+    S = sylow_p(G.top, p)
+    table = G.s_conjugation(S.mask)
+    assert G.s_conjugation(S.mask) is table
+    assert table.members == tuple(S.members())
+    for g in range(G.order):
+        images = tuple(G.conj(x, g) for x in S.members())
+        assert table.images(g) == images
+        assert table.s_g(g) == mask_of(x for x, y in zip(S.members(), images)
+                                       if S.contains(y))
