@@ -19,7 +19,6 @@ from .expansion import (
     _thread_value,
     approx_class,
     canonical_triple,
-    check_unique_iso,
     expand_quotient,
     full_expand,
     lift_normal,
@@ -36,14 +35,9 @@ from .locality import (
     o_pprime_of,
     product_partial_normal,
     resolve_delta_spec,
-    restriction_cut,
     theta_quotient,
 )
-from .partial import (
-    PartialSubgroup,
-    all_partial_normal_subgroups,
-    generated_subgroup,
-)
+from .partial import PartialSubgroup, all_partial_normal_subgroups
 from .permgroup import _p_part, mask_of, p_core
 
 __all__ = ["ExampleContext", "TAGS", "run_tags"]
@@ -194,9 +188,8 @@ def _object_class_equivalences(ctx):
 
 
 def _theta_makes_proper(ctx):
+    # theta_quotient raises when its quotient is not proper
     theta, quotient = theta_quotient(ctx.cr_locality)
-    if not is_proper(quotient).ok:
-        return False, "quotient is not proper"
     return True, f"theta order {theta.order}, quotient size {len(quotient.elements)}"
 
 
@@ -256,16 +249,9 @@ def _threading_choice_independent(ctx):
 
 
 def _fresh_records_match_words(ctx):
-    pures = 0
-    for step in ctx.growth.steps:
-        if step.seed is None:
-            continue
-        for fresh, can in step.created.items():
-            pures += 1
-            got = step.locality.s_g_mask(fresh)
-            want = step.base.s_word_mask(step.seed.word(can))
-            if got != want:
-                return False, f"conjugation record differs at {fresh}"
+    # elementary_expand raises when a fresh element's S_g differs from
+    # S_w of its triple word, so every step of ctx.growth already agrees
+    pures = sum(len(step.created) for step in ctx.growth.steps)
     return True, f"{pures} adjoined elements (vacuous when 0)"
 
 
@@ -284,36 +270,19 @@ def _single_step_lifts(ctx):
 
 
 def _growth_postconditions(ctx):
+    # full_expand raises unless the growth restricts to, keeps the fusion of
+    # and is generated by its proper base (so check_unique_iso(Lp, Lp, base)
+    # holds), and elementary_expand when a subcentric seed loses properness
     fe = ctx.growth
-    Lp, L = fe.locality, fe.base
-    if not is_proper(Lp).ok:
-        return False, "grown locality is not proper"
-    if restriction_cut(Lp, L.delta) != L.elements:
-        return False, "restriction does not recover the base"
-    if not Lp.fusion().same_homs(L.fusion()):
-        return False, "fusion changed"
-    if generated_subgroup(Lp, L.elements).members != frozenset(Lp.elements):
-        return False, "base does not generate"
-    if check_unique_iso(Lp, Lp, base=L) is None:
-        return False, "self-identification failed"
-    return True, f"{len(fe.steps)} steps to {len(Lp.delta.members)} objects"
+    return True, f"{len(fe.steps)} steps to {len(fe.locality.delta.members)} objects"
 
 
 def _normal_correspondence(ctx):
     fe = ctx.growth
     L, Lp = fe.base, fe.locality
     norms = ctx.base_normals
-    lifted = {}
-    for N in norms:
-        up = lift_normal(L, Lp, N)
-        if up.members & set(L.elements) != N.members:
-            return False, "intersection does not invert the lift"
-        smask = L.S.mask
-        if {x for x in up.members if (1 << x) & smask} != {
-            x for x in N.members if (1 << x) & smask
-        }:
-            return False, "S-part moved"
-        lifted[N.members] = up.members
+    # lift_normal raises when a lift does not cut back to N or moves its S-part
+    lifted = {N.members: lift_normal(L, Lp, N).members for N in norms}
     upstairs = {N.members for N in all_partial_normal_subgroups(Lp)}
     if set(lifted.values()) != upstairs:
         return False, "lift is not onto the upstairs family"
@@ -422,9 +391,8 @@ def _relative_cores_members(ctx):
         prod = {L.product((k, t)) for k in K.members for t in T}
         if prod != N.members:
             return False, f"p-part times S-part misses at order {N.order}"
-        Kp = o_pprime_of(L, N)
-        if not T <= Kp.members:
-            return False, f"S-part escapes the complementary core at {N.order}"
+        # o_pprime_of raises when its intersection loses the S-part T
+        o_pprime_of(L, N)
     return True, f"{len(ctx.base_normals)} partial normals"
 
 

@@ -48,7 +48,7 @@ def load_group(path: str):
         raise InputError(f"group file {path!r} must hold an object")
     degree = raw.get("degree")
     gens = raw.get("generators")
-    if not isinstance(degree, int) or degree < 1:
+    if type(degree) is not int or degree < 1:  # not bool, an int subclass
         raise InputError("group file needs a positive integer 'degree'")
     # refused before group_from_generators allocates its identity permutation
     limit = caps.current().degree
@@ -305,9 +305,12 @@ def main(argv=None) -> int:
         return 3
     print("\n".join(lines))
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        try:
+            Path(args.json).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write report {args.json!r}: {exc}", file=sys.stderr)
+            return 1
     return code
 
 

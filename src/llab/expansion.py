@@ -196,9 +196,7 @@ class ExpansionSeed:
     conjugates: tuple
     M: Subgroup
     ysets: dict
-    xsets: dict
     chosen_y: dict
-    report: SeedReport = field(repr=False, default=None)
 
     def __post_init__(self):
         self._m_set = frozenset(self.M.members())
@@ -235,14 +233,13 @@ def make_seed(L: Locality, R: Subgroup) -> ExpansionSeed:
     F = L.fusion()
     conjugates = F.conjugates(R)
     ysets = build_y_sets(L, R, conjugates)
-    xsets = {m: tuple(L.inv(y) for y in ys) for m, ys in ysets.items()}
     chosen = {m: min(ys) for m, ys in ysets.items()}
     if chosen[R.mask] != L.identity:
         raise PropertyViolation(
             "identity missing from the witness set at R", witness=R.mask
         )
     M = L.perm_subgroup(normalizer_in(L, R))
-    return ExpansionSeed(L, R, conjugates, M, ysets, xsets, chosen, report)
+    return ExpansionSeed(L, R, conjugates, M, ysets, chosen)
 
 
 def sim_related(seed: ExpansionSeed, a: PhiTriple, b: PhiTriple) -> bool:
@@ -289,7 +286,6 @@ class TildeClass:
     kind: str
     element: int
     rep: PhiTriple | None = field(default=None, compare=False)
-    endpoints: tuple | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -363,7 +359,7 @@ def elementary_expand(L: Locality, R: Subgroup) -> ElementaryExpansion:
                     g = L.product(seed.word(member))
                     cls = embedded.get(g)
                     if cls is None:
-                        cls = TildeClass("embedded", g, rep=can, endpoints=None)
+                        cls = TildeClass("embedded", g, rep=can)
                         embedded[g] = cls
                 else:
                     fresh = seed.fold(can)
@@ -372,7 +368,7 @@ def elementary_expand(L: Locality, R: Subgroup) -> ElementaryExpansion:
                             "ambient group cannot realize the growth", witness=fresh
                         )
                     created[fresh] = can
-                    cls = TildeClass("pure", fresh, rep=can, endpoints=(U.mask, V.mask))
+                    cls = TildeClass("pure", fresh, rep=can)
                 class_index[(U.mask, h, V.mask)] = cls
 
     element_class = {}
@@ -396,14 +392,7 @@ def elementary_expand(L: Locality, R: Subgroup) -> ElementaryExpansion:
             "object family grew past the conjugacy class", witness=sorted(extra)
         )
 
-    grown = Locality(
-        G,
-        list(L.elements) + sorted(created),
-        L.S,
-        deltaplus,
-        L.p,
-        provenance="expansion",
-    )
+    grown = Locality(G, list(L.elements) + sorted(created), L.S, deltaplus, L.p)
 
     _check_restricts_to_base(grown, L, witness=R.mask)
     if set(normalizer_in(grown, R).members) != set(normalizer_in(L, R).members):

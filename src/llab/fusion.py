@@ -59,14 +59,6 @@ class FHom:
             m |= 1 << i
         return m
 
-    @property
-    def source(self) -> Subgroup:
-        return Subgroup(self.group, self.dom_mask)
-
-    @property
-    def image(self) -> Subgroup:
-        return Subgroup(self.group, self.image_mask)
-
     def mapping(self) -> dict:
         return dict(zip(mask_members(self.dom_mask), self.images))
 
@@ -104,34 +96,35 @@ class ClassFlags:
     fully_centralized: bool
 
 
-def _conj_map(group: FiniteGroup, s_mask: int, g: int) -> FHom:
-    """Largest restriction of conjugation by g carrying members of S into S.
-
-    The defined set S_g = {x in S : x**g in S} = S ∩ S^(g^-1) is a subgroup
-    of S, and conjugation is an injective homomorphism on it.  Both are read
-    off S's conjugation table.
+def _conj_keys(S: Subgroup, conjugators) -> tuple:
+    """Conjugation by each g on S_g = S ∩ S^(g^-1), as distinct (S_g mask,
+    images) keys read off S's conjugation table.  S_g is a subgroup of S,
+    and conjugation is an injective homomorphism on it.
     """
-    table = group.s_conjugation(s_mask)
-    return FHom(group, table.s_g(g),
-                tuple(y for y in table.images(g) if s_mask >> y & 1))
+    table = S.group.s_conjugation(S.mask)
+    s_mask = S.mask
+    return tuple(dict.fromkeys(
+        (table.s_g(g), tuple(y for y in table.images(g) if s_mask >> y & 1))
+        for g in conjugators
+    ))
 
 
 class _Derived(tuple):
-    """Maps llab built itself, which FusionSystem takes without _validate.
+    """Seed keys (dom_mask, images) llab derived itself, taken without _validate.
 
-    Only conjugation maps (_conj_map) and restrictions of maps already in a
-    closed table belong here: both are injective homomorphisms between
+    Only conjugation keys (_conj_keys) and restrictions of maps already in
+    a closed table belong here: both are injective homomorphisms between
     subgroups of S by construction.
     """
 
 
 def conjugation_fusion(S: Subgroup, conjugators) -> "FusionSystem":
     """The fusion system on S generated by conjugation by the given ordinals."""
-    return FusionSystem(S, _Derived(_conj_map(S.group, S.mask, g) for g in conjugators))
+    return FusionSystem(S, _Derived(_conj_keys(S, conjugators)))
 
 
 def _inner_seeds(S: Subgroup) -> tuple:
-    """Conjugation by members of S as distinct (dom_mask, images) keys.
+    """Conjugation by members of S as keys, once per group and S.
 
     Keys, not FHoms: an FHom points back at the group, and a cycle through
     the group's memo would keep the group alive past its last user.
@@ -139,11 +132,7 @@ def _inner_seeds(S: Subgroup) -> tuple:
     memo = S.group._memo.setdefault("inner_seeds", {})
     got = memo.get(S.mask)
     if got is None:
-        got = tuple(dict.fromkeys(
-            (h.dom_mask, h.images)
-            for h in (_conj_map(S.group, S.mask, s) for s in S.members())
-        ))
-        memo[S.mask] = got
+        got = memo[S.mask] = _conj_keys(S, S.members())
     return got
 
 
@@ -191,12 +180,14 @@ class FusionSystem:
         self.subs = subgroups_below(S)
         self._masks = [h.mask for h in self.subs]
         self._mask_set = set(self._masks)
-        if not isinstance(generators, _Derived):
+        if isinstance(generators, _Derived):
+            keys = generators
+        else:
             generators = list(generators)
             for h in generators:
                 self._validate(h)
-        seeds = tuple(dict.fromkeys(itertools.chain(
-            _inner_seeds(S), ((h.dom_mask, h.images) for h in generators))))
+            keys = ((h.dom_mask, h.images) for h in generators)
+        seeds = tuple(dict.fromkeys(itertools.chain(_inner_seeds(S), keys)))
         registry = self.group._memo.setdefault(
             "fusion_tables", weakref.WeakValueDictionary())
         seed_key = ("seeds", S.mask, frozenset(seeds))
@@ -348,9 +339,8 @@ class FusionSystem:
                         continue
                     m = h.mapping()
                     sub = [x for x in mask_members(dom & cm) if (1 << m[x]) & cm]
-                    sub_mask = sum(1 << x for x in sub)
-                    if sub_mask:
-                        gens.append(h.restrict(sub_mask))
+                    if sub:
+                        gens.append((sum(1 << x for x in sub), tuple(m[x] for x in sub)))
             system = FusionSystem(carrier, _Derived(gens))
             cache[um] = None if system._closed is self._closed else system
         got = cache[um]
@@ -504,7 +494,7 @@ class FusionSystem:
         """The centric-radical automorphisms already generate everything."""
         gens = []
         for R in self.class_sets()["cr"]:
-            gens.extend(self.auts(R))
+            gens.extend((h.dom_mask, h.images) for h in self.auts(R))
         return self.same_homs(FusionSystem(self.S, _Derived(gens)))
 
     def good_conjugate(self, U: Subgroup) -> Subgroup:

@@ -84,9 +84,6 @@ class ObjectSet:
     def mask_set(self) -> frozenset:
         return frozenset(P.mask for P in self.members)
 
-    def contains_mask(self, mask: int) -> bool:
-        return mask in self.mask_set
-
     def __contains__(self, P: Subgroup) -> bool:
         return P.mask in self.mask_set
 
@@ -129,14 +126,13 @@ class Locality(PartialGroup):
     """Perm-backed locality (L, Delta, S) inside an ambient finite group."""
 
     def __init__(self, group: FiniteGroup, members, S: Subgroup, delta: ObjectSet,
-                 p: int, provenance: str = "", check: bool = True):
+                 p: int):
         if S.group is not group or delta.S.mask != S.mask:
             raise InputError("S and Delta must live in the ambient group")
         self.group = group
         self.S = S
         self.delta = delta
         self.p = p
-        self.provenance = provenance
         self.elements = tuple(sorted(set(members)))
         self.identity = 0
         super().__init__()
@@ -150,8 +146,7 @@ class Locality(PartialGroup):
         # attribute layout (a slot added later made unrelated jobs slower)
         self._proper_report: ProperReport | None = None
         self.full_domain = self._invariant_core_mask() in delta.mask_set
-        if check:
-            self._validate()
+        self._validate()
 
     # -- S_g / S_w ----------------------------------------------------------
 
@@ -351,9 +346,8 @@ class Locality(PartialGroup):
         return Subgroup(self.group, mask)
 
     def __repr__(self):
-        tag = f", {self.provenance}" if self.provenance else ""
         return (f"Locality(|L|={len(self.elements)}, |S|={self.S.order}, "
-                f"|Delta|={len(self.delta)}, p={self.p}{tag})")
+                f"|Delta|={len(self.delta)}, p={self.p})")
 
 
 # -- constructors --------------------------------------------------------------
@@ -367,9 +361,9 @@ def locality_from_group(G: FiniteGroup, p: int, delta) -> Locality:
         delta = object_set(S, delta, fusion=F)
     elif not F.is_f_closed(delta.members):
         raise InputError("object set is not invariant under the fusion system")
-    probe = Locality(G, range(G.order), S, delta, p, check=False)
-    members = [g for g in range(G.order) if probe.s_g_mask(g) in delta.mask_set]
-    return Locality(G, members, S, delta, p, provenance="from-group")
+    table = G.s_conjugation(S.mask)
+    members = [g for g in range(G.order) if table.s_g(g) in delta.mask_set]
+    return Locality(G, members, S, delta, p)
 
 
 def s_of_word(L: Locality, word) -> Subgroup:
@@ -492,8 +486,7 @@ def restrict(L: Locality, delta0) -> Locality:
         raise InputError("restriction object set is not F-closed")
     if not delta0.mask_set <= L.delta.mask_set:
         raise InputError("restriction object set must be a subset of Delta")
-    out = Locality(L.group, restriction_cut(L, delta0), L.S, delta0, L.p,
-                   provenance="restriction")
+    out = Locality(L.group, restriction_cut(L, delta0), L.S, delta0, L.p)
     cr_masks = {P.mask for P in F.class_sets()["cr"]}
     if cr_masks <= delta0.mask_set and is_proper(L).ok and not is_proper(out).ok:
         raise PropertyViolation("restriction broke properness", witness=delta0)
@@ -545,7 +538,7 @@ def quotient_locality(L: Locality, N: PartialSubgroup) -> LocalityQuotient:
         s_bar,
         {Subgroup(Q, mask_of(send[x] for x in P.members())) for P in L.delta.members},
     )
-    lbar = Locality(Q, range(Q.order), s_bar, delta_bar, L.p, provenance="quotient")
+    lbar = Locality(Q, range(Q.order), s_bar, delta_bar, L.p)
     rho = PGHom(L, lbar, send)
     ok, witness = rho.verify()
     if not ok:
@@ -561,7 +554,7 @@ def theta_quotient(L: Locality):
 
     Requires F^cr <= Delta <= F^q.  Returns (Theta, quotient locality); the
     quotient keeps the same fusion system, which is asserted through the
-    induced map on S.
+    induced map on S.  When Theta is trivial the quotient is L itself.
     """
     F = L.fusion()
     cs = F.class_sets()
@@ -581,8 +574,7 @@ def theta_quotient(L: Locality):
         raise PropertyViolation("Theta is not partial normal", witness=theta)
 
     if theta.order == 1:
-        quotient = Locality(L.group, L.elements, L.S, L.delta, L.p,
-                            provenance="theta-quotient")
+        quotient = L  # L/1 = L
     else:
         lq = quotient_locality(L, theta)
         quotient = lq.locality
@@ -590,7 +582,6 @@ def theta_quotient(L: Locality):
         if not report.ok:
             raise PropertyViolation("theta quotient changed the fusion system",
                                     witness=report.checks)
-        quotient.provenance = "theta-quotient"
     prop = is_proper(quotient)
     if not prop.ok:
         raise PropertyViolation("theta quotient is not proper", witness=prop.summary())
@@ -636,8 +627,7 @@ def normalizer_locality(L: Locality, V: Subgroup) -> Locality:
         and V.conjugate(g).mask == vm
         and (base.s_g_mask(g) & ns.mask) in delta_v.mask_set
     ]
-    out = Locality(base.group, members, ns, delta_v, L.p,
-                   provenance="normalizer")
+    out = Locality(base.group, members, ns, delta_v, L.p)
     prop = is_proper(out)
     if not prop.ok:
         raise PropertyViolation("normalizer locality is not proper",
@@ -662,7 +652,7 @@ def centralizer_locality(L: Locality, V: Subgroup) -> Locality:
         if all(G.conj(x, g) == x for x in V.members())
         and (LV.s_g_mask(g) & cs.mask) in sigma.mask_set
     ]
-    out = Locality(G, members, cs, sigma, L.p, provenance="centralizer")
+    out = Locality(G, members, cs, sigma, L.p)
     prop = is_proper(out)
     if not prop.ok:
         raise PropertyViolation("centralizer locality is not proper",

@@ -27,7 +27,6 @@ from .errors import CapExceeded, DomainError, InputError, PropertyViolation
 
 __all__ = [
     "PartialGroup",
-    "GroupPartial",
     "PartialSubgroup",
     "PGHom",
     "AxiomViolation",
@@ -167,30 +166,6 @@ class PartialGroup:
         if not self.in_domain((gi, x, g)):
             return None
         return self.binary(self.binary(gi, x), g)
-
-
-class GroupPartial(PartialGroup):
-    """A finite group viewed as a partial group with D = all words."""
-
-    full_domain = True
-
-    def __init__(self, group):
-        self.group = group
-        self.elements = tuple(range(group.order))
-        self.identity = 0
-        super().__init__()
-
-    def inv(self, x):
-        return self.group.inv(x)
-
-    def in_domain(self, word) -> bool:
-        return all(x in self._index for x in word)
-
-    def binary(self, x, y):
-        return self.group.mult(x, y)
-
-    def __repr__(self):
-        return f"GroupPartial(order={self.group.order})"
 
 
 # -- axiom checking ----------------------------------------------------------
@@ -586,9 +561,6 @@ class PGHom:
                 raise InputError("homomorphism map misses an element")
             if self.mapping[x] not in target._index:
                 raise InputError("homomorphism image escapes the target")
-
-    def apply(self, x):
-        return self.mapping[x]
 
     def apply_word(self, word) -> tuple:
         return tuple(self.mapping[x] for x in word)

@@ -91,7 +91,9 @@ def perm_from_cycles(degree: int, cycles: list[list[int]]) -> Perm:
 
 def _check_perm(degree: int, images) -> Perm:
     p = tuple(images)
-    if len(p) != degree or sorted(p) != list(range(degree)):
+    # bool is an int subclass, and 1.0 sorts like 1: only plain ints pass
+    if (len(p) != degree or not all(type(x) is int for x in p)
+            or sorted(p) != list(range(degree))):
         raise InputError(f"not a permutation of {degree} points: {images!r}")
     return p
 

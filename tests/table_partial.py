@@ -1,11 +1,45 @@
-"""Explicit finite product tables as partial groups: a negative-control harness.
+"""Test-only carriers: product tables, whole groups, unchecked localities.
 
-Tests build these to feed deliberately corrupted or scrambled products to
-the axiom checker and to isomorphism tests.
+Tests build tables to feed deliberately corrupted or scrambled products to
+the axiom checker and to isomorphism tests, view a finite group as a
+partial group with every word in its domain, and build localities that
+skip the construction checks, to show what those checks catch.
 """
 
 from llab.errors import DomainError
+from llab.locality import Locality
 from llab.partial import PartialGroup
+
+
+class GroupPartial(PartialGroup):
+    """A finite group viewed as a partial group with D = all words."""
+
+    full_domain = True
+
+    def __init__(self, group):
+        self.group = group
+        self.elements = tuple(range(group.order))
+        self.identity = 0
+        super().__init__()
+
+    def inv(self, x):
+        return self.group.inv(x)
+
+    def in_domain(self, word) -> bool:
+        return all(x in self._index for x in word)
+
+    def binary(self, x, y):
+        return self.group.mult(x, y)
+
+    def __repr__(self):
+        return f"GroupPartial(order={self.group.order})"
+
+
+class UncheckedLocality(Locality):
+    """A Locality built without its construction checks."""
+
+    def _validate(self):
+        pass
 
 
 class TablePartial(PartialGroup):

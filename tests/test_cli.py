@@ -233,6 +233,30 @@ class TestExitCodes:
         assert code == 1
         assert "generators" in err
 
+    @pytest.mark.parametrize("spec", [
+        {"degree": 2, "generators": [[0, "a"]]},
+        {"degree": 2, "generators": [[1.0, 0.0]]},
+        {"degree": 2, "generators": [[True, False]]},
+        {"degree": True, "generators": [[0]]},
+    ], ids=["string-image", "float-images", "bool-images", "bool-degree"])
+    def test_group_file_entries_must_be_integers(self, capsys, tmp_path, spec):
+        gf = tmp_path / "typed.json"
+        gf.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "classify", "--group", str(gf), "--p", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_unwritable_json_path(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "report.json"
+        code, out, err = run_cli(capsys, "classify", "--group", group_arg("s3"),
+                                 "--p", "3", "--json", str(target))
+        assert code == 1
+        assert "S of order 3" in out
+        assert err.startswith("error: cannot write report ")
+        assert "Traceback" not in err
+        assert not target.exists()
+
     def test_cap_exceeded(self, capsys, monkeypatch):
         monkeypatch.setenv("LLAB_CAPS", "group_order=10")
         monkeypatch.setattr(caps, "_current", None)  # drop the cached parse

@@ -12,11 +12,18 @@ from llab.fusion import (
     FHom,
     FusionMap,
     FusionSystem,
-    _conj_map,
+    _conj_keys,
+    _inner_seeds,
     fusion_from_group,
     quotient_fusion_check,
 )
-from llab.permgroup import Subgroup, group_from_generators, subgroups_below, sylow_p
+from llab.permgroup import (
+    Subgroup,
+    group_from_generators,
+    mask_of,
+    subgroups_below,
+    sylow_p,
+)
 
 BUILTIN_PAIRS = [
     ("a4", 2), ("a4", 3), ("a5", 2), ("a5", 3), ("a5", 5), ("c6", 2), ("c6", 3),
@@ -30,6 +37,16 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
 def builtin(name):
     spec = json.loads((DATA / f"{name}.json").read_text())
     return group_from_generators(spec["degree"], spec["generators"])
+
+
+def conj_fhom(group, S, g):
+    """Conjugation by g on S_g as an FHom, from the group's own conjugation."""
+    dom = [x for x in S.members() if S.contains(group.conj(x, g))]
+    return FHom(group, mask_of(dom), tuple(group.conj(x, g) for x in dom))
+
+
+def distinct_keys(maps):
+    return tuple(dict.fromkeys((h.dom_mask, h.images) for h in maps))
 
 
 @pytest.fixture(scope="module")
@@ -108,11 +125,21 @@ class TestInterning:
         group = builtin(name)
         S = sylow_p(group.top, p)
         # a plain list is caller input, so every map goes through _validate
-        validated = FusionSystem(S, [_conj_map(group, S.mask, g) for g in range(group.order)])
+        validated = FusionSystem(S, [conj_fhom(group, S, g) for g in range(group.order)])
         group._memo.pop("fusion_tables")  # forget it: the derived build closes afresh
         derived = fusion_from_group(group, p, S)
         assert derived._table is not validated._table
         assert derived.same_homs(validated)
+
+    @pytest.mark.parametrize("name,p", BUILTIN_PAIRS)
+    def test_conjugation_keys_match_per_conjugator_maps(self, name, p):
+        # the seed keys read off S's conjugation table are the distinct
+        # (domain, images) of one FHom per conjugator, in first-seen order
+        group = builtin(name)
+        S = sylow_p(group.top, p)
+        every = range(group.order)
+        assert _conj_keys(S, every) == distinct_keys(conj_fhom(group, S, g) for g in every)
+        assert _inner_seeds(S) == distinct_keys(conj_fhom(group, S, s) for s in S.members())
 
     def test_twins_share_normalizer_cache(self, f_s4):
         S = f_s4.S

@@ -52,6 +52,7 @@ from llab.permgroup import (
     sylow_p,
 )
 from bench.workloads import generated_groups
+from table_partial import UncheckedLocality
 from test_fusion import BUILTIN_PAIRS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
@@ -240,9 +241,9 @@ def not_f_closed_locality():
     q = resolve_delta_spec(F, "q")
     drop = next(P for P in q if P.order == 2)
     delta = object_set(F.S, [P for P in q if P.mask != drop.mask])
-    probe = Locality(G, range(G.order), F.S, delta, 2, check=False)
-    carrier = [g for g in range(G.order) if probe.s_g_mask(g) in delta.mask_set]
-    return Locality(G, carrier, F.S, delta, 2, check=False)
+    table = G.s_conjugation(F.S.mask)
+    carrier = [g for g in range(G.order) if table.s_g(g) in delta.mask_set]
+    return UncheckedLocality(G, carrier, F.S, delta, 2)
 
 
 class TestDomainKernel:
@@ -374,14 +375,14 @@ class TestNormalizersInside:
         V4 = p_core(G.top, 2)
         g = next(x for x in range(G.order) if G.element_order(x) == 3)
         delta = object_set(S, [Q for Q in subgroups_below(S) if V4.le(Q)])
-        L = Locality(G, list(S.members()) + [g], S, delta, 2, check=False)
+        L = UncheckedLocality(G, list(S.members()) + [g], S, delta, 2)
         with pytest.raises(PropertyViolation, match=r"^N_L\(P\) for an object P") as exc:
             normalizer_in(L, V4)
         assert exc.value.witness == (g,)
         C = builtin("c6")
         T = sylow_p(C.top, 2)
         h = next(x for x in range(C.order) if C.element_order(x) == 3)
-        L = Locality(C, list(T.members()) + [h], T, object_set(T, [T]), 2, check=False)
+        L = UncheckedLocality(C, list(T.members()) + [h], T, object_set(T, [T]), 2)
         with pytest.raises(PropertyViolation, match=r"^C_L\(P\) for an object P") as exc:
             centralizer_in(L, T)
         assert exc.value.witness == (h,)
@@ -454,7 +455,6 @@ class TestThetaQuotient:
         assert sorted(c6_top.group.element_order(x) for x in theta.members) == [1, 3, 3]
         assert len(quo.elements) == 2
         assert is_proper(quo).ok
-        assert quo.provenance == "theta-quotient"
 
     def test_s3_at_three_is_already_clean(self):
         G = builtin("s3")
@@ -467,9 +467,10 @@ class TestThetaQuotient:
         assert is_proper(quo).ok
 
     def test_proper_input_has_trivial_theta(self, s5_c):
+        assert is_proper(s5_c).ok
         theta, quo = theta_quotient(s5_c)
         assert theta.order == 1
-        assert quo.elements == s5_c.elements
+        assert quo is s5_c  # L/1 = L, not a re-validated copy
 
     def test_delta_outside_quasicentric_rejected(self, s4_all):
         with pytest.raises(InputError):
@@ -879,10 +880,10 @@ def candidate_carriers():
             for S in _conjugacy_representatives(G, psubs):
                 for members in _up_sets(S):
                     delta = ObjectSet(S, members)
-                    probe = Locality(G, range(G.order), S, delta, p, check=False)
+                    table = G.s_conjugation(S.mask)
                     carrier = [g for g in range(G.order)
-                               if probe.s_g_mask(g) in delta.mask_set]
-                    L = Locality(G, carrier, S, delta, p, check=False)
+                               if table.s_g(g) in delta.mask_set]
+                    L = UncheckedLocality(G, carrier, S, delta, p)
                     closed = all(G.inv(g) in L._index for g in L.elements) and all(
                         G.mult(g, h) in L._index
                         for g, h in itertools.product(L.elements, repeat=2)
@@ -982,8 +983,8 @@ class TestPartialDomainHoms:
         assert ident.is_projection(max_len=2) and reference_is_projection(ident, 2)
         # the same carrier with every subgroup of S an object: a pair whose
         # S_w is not in q is a target word that no source word lifts
-        wide = Locality(G, L.elements, L.S, object_set(L.S, subgroups_below(L.S)), 2,
-                        check=False)
+        wide = UncheckedLocality(G, L.elements, L.S,
+                                 object_set(L.S, subgroups_below(L.S)), 2)
         onto = PGHom(L, wide, {g: g for g in L.elements})
         assert onto.verify()[0]
         assert not onto.is_projection(max_len=2)

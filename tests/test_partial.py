@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from llab import caps
 from llab.errors import CapExceeded, DomainError, InputError, PropertyViolation
 from llab.partial import (
-    GroupPartial,
     PartialSubgroup,
     PGHom,
     all_partial_normal_subgroups,
@@ -22,7 +21,7 @@ from llab.partial import (
     normal_closure,
 )
 from llab.permgroup import FiniteGroup, group_from_generators, normal_subgroups
-from table_partial import TablePartial
+from table_partial import GroupPartial, TablePartial
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
 
