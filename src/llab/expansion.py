@@ -56,10 +56,7 @@ __all__ = [
     "make_seed",
     "sim_related",
     "canonical_triple",
-    "inverse_triple",
     "approx_class",
-    "gamma_form",
-    "pi_plus",
     "elementary_expand",
     "full_expand",
     "lift_normal",
@@ -264,11 +261,6 @@ def _translate(seed: ExpansionSeed, phi: PhiTriple, x: int, y: int) -> PhiTriple
 def canonical_triple(seed: ExpansionSeed, phi: PhiTriple) -> PhiTriple:
     """The unique equivalent triple whose outer slots come from the transversal."""
     return _translate(seed, phi, seed.chosen_y[phi.u_mask], seed.chosen_y[phi.v_mask])
-
-
-def inverse_triple(seed: ExpansionSeed, phi: PhiTriple) -> PhiTriple:
-    G = seed.group
-    return PhiTriple(phi.y, G.inv(phi.h), phi.x, phi.v_mask, phi.u_mask)
 
 
 # -- classes and the grown locality ---------------------------------------------
@@ -518,16 +510,6 @@ def _gamma_forms(exp: ElementaryExpansion, word, limit: int) -> list:
     return out
 
 
-def gamma_form(exp: ElementaryExpansion, word):
-    """A representative threading of a word of classes, or None.
-
-    None means the word is not expressible through the triple machinery;
-    words of embedded classes may still multiply inside the base.
-    """
-    forms = _gamma_forms(exp, word, 1)
-    return forms[0] if forms else None
-
-
 def _thread_value(exp: ElementaryExpansion, form) -> int:
     """Collapse a threading to its value: outer slots survive, middles fold."""
     seed = exp.seed
@@ -547,50 +529,6 @@ def _thread_value(exp: ElementaryExpansion, form) -> int:
     return seed.fold(
         PhiTriple(form[0].x, acc, form[-1].y, form[0].u_mask, form[-1].v_mask)
     )
-
-
-def pi_plus(exp: ElementaryExpansion, word) -> TildeClass:
-    """Product of a word of classes in the grown locality.
-
-    Words of embedded classes whose underlying elements already multiply
-    in the base are evaluated there; other words need a representative
-    threading.  The routes are cross-checked whenever both apply, distinct
-    threadings must agree, and the result must match the carrier product.
-    """
-    Lp = exp.locality
-    if not word:
-        return exp.element_class[Lp.identity]
-    interned = []
-    for c in word:
-        if not isinstance(c, TildeClass):
-            raise InputError("entries must be classes of this growth step")
-        if c.element not in exp.element_class:
-            raise InputError(f"{c.element!r} is not an element of the grown locality")
-        interned.append(exp.element_class[c.element])
-    word = tuple(interned)
-    base = exp.base
-    ew = tuple(c.element for c in word)
-    base_ok = all(c.kind == "embedded" for c in word) and base.in_domain(ew)
-    meets_phi = exp.seed is not None and all(c.rep is not None for c in word)
-    forms = _gamma_forms(exp, word, 2) if meets_phi else []
-    if Lp.in_domain(ew) != (base_ok or bool(forms)):
-        raise PropertyViolation("domain routes disagree", witness=ew)
-    if not (base_ok or forms):
-        Lp.product(ew)
-        raise PropertyViolation("carrier accepted a word both routes reject", witness=ew)
-    values = set()
-    if base_ok:
-        values.add(base.product(ew))
-    for form in forms:
-        values.add(_thread_value(exp, form))
-    if len(values) != 1:
-        raise PropertyViolation("routes produced different values", witness=ew)
-    value = values.pop()
-    if value != Lp.product(ew):
-        raise PropertyViolation(
-            "threaded value disagrees with the carrier", witness=ew
-        )
-    return exp.element_class[value]
 
 
 def _check_restricts_to_base(grown: Locality, L: Locality, witness=None) -> None:
@@ -856,12 +794,14 @@ def expand_quotient(L: Locality, N: PartialSubgroup,
 
     correspondence = True
     for Kbar in all_partial_normal_subgroups(lbar):
-        pre = frozenset(x for x in L.elements if send[x] in Kbar.members)
-        K = PartialSubgroup(L, pre)
-        if not is_partial_normal(L, K):
-            raise PropertyViolation(
-                "projection preimage is not partial normal", witness=sorted(pre)
-            )
+        # The preimage K is partial normal in L, so it needs no guard.
+        # quotient_locality takes only a full-domain L and has verified rho
+        # as a homomorphism, and Kbar is from lbar's lattice.  For x in K
+        # and g in L the word (g**-1, x, g) is in D, so it maps into lbar's
+        # domain with rho(x**g) = rho(x)**rho(g), a defined conjugate of a
+        # member of Kbar, hence in Kbar.
+        K = PartialSubgroup(
+            L, frozenset(x for x in L.elements if send[x] in Kbar.members))
         kplus = lift_normal(L, lplus, K)
         kbarplus = lift_normal(lbar, lbarplus, Kbar)
         image = frozenset(send_plus[x] for x in kplus.members)

@@ -672,7 +672,8 @@ def o_p_locality(L: Locality) -> Subgroup:
     Partial normality alone gives P**g = P whenever P <= S_g: for x in P the
     word (g**-1, x, g) has S_w >= S_{g**-1}, because x in S_g normalizes
     S_g, and S_{g**-1} is an object by (O1).  So x**g is defined and lies
-    in P, and P**g = P by counting.  One conjugation sweep per candidate.
+    in P, and P**g = P by counting.  Each candidate is a subset test against
+    the carrier's memoized conjugate rows.
     """
     winners = []
     for P in subgroups_below(L.S):

@@ -55,6 +55,8 @@ class PartialGroup:
         self._index = {x: i for i, x in enumerate(self.elements)}
         # member sets of all_partial_normal_subgroups, filled on first use
         self._normal_lattice: tuple | None = None
+        # x -> the defined conjugates x**g over the carrier (_conjugate_row)
+        self._conjugate_rows: dict = {}
 
     def inv(self, x):
         raise NotImplementedError
@@ -433,34 +435,37 @@ def generated_subgroup(pg: PartialGroup, xs) -> PartialSubgroup:
     return PartialSubgroup(pg, frozenset(cur))
 
 
-def _conjugates_outside(pg: PartialGroup, members):
-    """Yield every defined conjugate x**g of a member x that is not a member.
+def _conjugate_row(pg: PartialGroup, x) -> frozenset:
+    """The defined conjugates x**g, g over the carrier, memoized on pg.
 
-    The one conjugation sweep of the partial-normal layer: g runs over the
-    carrier, x over the members.
+    Every normality test, closure, lift and lattice on a carrier reads
+    these rows, so each pair (x, g) is conjugated at most once per carrier.
     """
-    for g in pg.elements:
-        for x in members:
-            z = pg.conj(x, g)
-            if z is not None and z not in members:
-                yield z
+    row = pg._conjugate_rows.get(x)
+    if row is None:
+        row = frozenset(z for g in pg.elements if (z := pg.conj(x, g)) is not None)
+        pg._conjugate_rows[x] = row
+    return row
 
 
 def is_partial_normal(pg: PartialGroup, sub: PartialSubgroup) -> bool:
     """True iff every defined conjugate of a member lands back in it."""
-    for _ in _conjugates_outside(pg, sub.members):
-        return False
-    return True
+    members = sub.members
+    return all(_conjugate_row(pg, x) <= members for x in members)
 
 
 def normal_closure(pg: PartialGroup, xs) -> PartialSubgroup:
-    """Least partial normal subgroup containing xs."""
+    """Least partial normal subgroup containing xs.
+
+    Closure under products alternates with the union of the members'
+    conjugate rows until neither adds an element.
+    """
     cur = generated_subgroup(pg, xs).members
     while True:
-        extra = set(_conjugates_outside(pg, cur))
-        if not extra:
-            return PartialSubgroup(pg, frozenset(cur))
-        cur = generated_subgroup(pg, cur | extra).members
+        grown = cur.union(*(_conjugate_row(pg, x) for x in cur))
+        if grown == cur:
+            return PartialSubgroup(pg, cur)
+        cur = generated_subgroup(pg, grown).members
 
 
 def all_partial_normal_subgroups(pg: PartialGroup) -> list:
@@ -481,10 +486,15 @@ def _enumerate_partial_normals(pg: PartialGroup) -> tuple:
     cap = _caps.current().partial_normal
     if len(pg.elements) > cap:
         raise CapExceeded("partial-normal enumeration", cap)
-    atoms = {}
+    # One atom per conjugacy class.  y = x**g gives x = y**(g**-1) in a
+    # partial group, so x and y lie in each other's normal closure and the
+    # two have one normal closure: an element in the row of an earlier
+    # atom's seed adds no atom.
+    atoms, seen = {}, set()
     for x in pg.elements:
-        if x == pg.identity:
+        if x == pg.identity or x in seen:
             continue
+        seen |= _conjugate_row(pg, x)
         atoms.setdefault(normal_closure(pg, [x]).members, None)
     atom_sets = sorted(atoms, key=lambda m: (len(m), pg.member_mask(m)))
 

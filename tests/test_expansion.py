@@ -44,7 +44,10 @@ from llab import expansion
 from llab.checks import ExampleContext
 from llab.expansion import (
     _check_extension_pair,
+    _gamma_forms,
+    _thread_value,
     PhiTriple,
+    TildeClass,
     approx_class,
     build_y_sets,
     canonical_triple,
@@ -53,11 +56,8 @@ from llab.expansion import (
     elementary_expand,
     expand_quotient,
     full_expand,
-    gamma_form,
-    inverse_triple,
     lift_normal,
     make_seed,
-    pi_plus,
     sim_related,
 )
 from table_partial import TablePartial
@@ -82,6 +82,73 @@ def setup(name):
 def loc(name, spec):
     G, F = setup(name)
     return locality_from_group(G, 2, resolve_delta_spec(F, spec))
+
+
+# -- class arithmetic, kept here as references --------------------------------
+#
+# No library code multiplies classes of a growth step: the grown carrier
+# multiplies in its ambient group.  These references pin down the triple
+# arithmetic against that product; tag 3.12c checks threading independence
+# through `_gamma_forms` and `_thread_value` themselves.
+
+
+def inverse_triple(seed, phi):
+    G = seed.group
+    return PhiTriple(phi.y, G.inv(phi.h), phi.x, phi.v_mask, phi.u_mask)
+
+
+def gamma_form(exp, word):
+    """A representative threading of a word of classes, or None.
+
+    None means the word is not expressible through the triple machinery;
+    words of embedded classes may still multiply inside the base.
+    """
+    forms = _gamma_forms(exp, word, 1)
+    return forms[0] if forms else None
+
+
+def pi_plus(exp, word):
+    """Product of a word of classes in the grown locality.
+
+    Words of embedded classes whose underlying elements already multiply
+    in the base are evaluated there; other words need a representative
+    threading.  The routes are cross-checked whenever both apply, distinct
+    threadings must agree, and the result must match the carrier product.
+    """
+    Lp = exp.locality
+    if not word:
+        return exp.element_class[Lp.identity]
+    interned = []
+    for c in word:
+        if not isinstance(c, TildeClass):
+            raise InputError("entries must be classes of this growth step")
+        if c.element not in exp.element_class:
+            raise InputError(f"{c.element!r} is not an element of the grown locality")
+        interned.append(exp.element_class[c.element])
+    word = tuple(interned)
+    base = exp.base
+    ew = tuple(c.element for c in word)
+    base_ok = all(c.kind == "embedded" for c in word) and base.in_domain(ew)
+    meets_phi = exp.seed is not None and all(c.rep is not None for c in word)
+    forms = _gamma_forms(exp, word, 2) if meets_phi else []
+    if Lp.in_domain(ew) != (base_ok or bool(forms)):
+        raise PropertyViolation("domain routes disagree", witness=ew)
+    if not (base_ok or forms):
+        Lp.product(ew)
+        raise PropertyViolation("carrier accepted a word both routes reject", witness=ew)
+    values = set()
+    if base_ok:
+        values.add(base.product(ew))
+    for form in forms:
+        values.add(_thread_value(exp, form))
+    if len(values) != 1:
+        raise PropertyViolation("routes produced different values", witness=ew)
+    value = values.pop()
+    if value != Lp.product(ew):
+        raise PropertyViolation(
+            "threaded value disagrees with the carrier", witness=ew
+        )
+    return exp.element_class[value]
 
 
 def central_involution(S):

@@ -44,6 +44,11 @@ def test_dead_helpers_are_gone():
     assert not hasattr(partial.PGHom, "apply")
     assert "GroupPartial" not in partial.__all__
     assert not hasattr(partial, "GroupPartial")
+    assert not hasattr(partial, "_conjugates_outside")
+    # class arithmetic that only tests used lives in tests/test_expansion.py
+    for name in ("pi_plus", "gamma_form", "inverse_triple"):
+        assert name not in expansion.__all__
+        assert not hasattr(expansion, name)
     fields = {cls: {f.name for f in dataclasses.fields(cls)}
               for cls in (expansion.TildeClass, expansion.ExpansionSeed)}
     assert "endpoints" not in fields[expansion.TildeClass]

@@ -38,10 +38,6 @@ LEDGER = {
         "chained threading lost its start point": UNLEDGERED,
         "chain link escaped the normalizer": UNLEDGERED,
         "folded middle escaped the normalizer": UNLEDGERED,
-        "domain routes disagree": UNLEDGERED,
-        "carrier accepted a word both routes reject": UNLEDGERED,
-        "routes produced different values": UNLEDGERED,
-        "threaded value disagrees with the carrier": UNLEDGERED,
         "restriction does not recover the base":
             "tests/test_expansion.py::TestRestrictionCut"
             "::test_cut_larger_than_the_base_fires",
@@ -56,7 +52,6 @@ LEDGER = {
             "::test_matches_into_the_one_shot_construction",
         "lift changed the S-part of the subgroup": UNLEDGERED,
         "pushed object family is not closed: {}": UNLEDGERED,
-        "projection preimage is not partial normal": UNLEDGERED,
     },
     "fusion": {
         "normal subgroups of the system are not join-closed": UNLEDGERED,

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llab import caps
+from llab.checks import ExampleContext
 from llab.errors import CapExceeded, DomainError, InputError, PropertyViolation
+from llab.expansion import lift_normal
+from llab.locality import Locality
 from llab.partial import (
     PartialSubgroup,
     PGHom,
@@ -20,8 +24,17 @@ from llab.partial import (
     is_partial_normal,
     normal_closure,
 )
-from llab.permgroup import FiniteGroup, group_from_generators, normal_subgroups
+from llab.permgroup import (
+    FiniteGroup,
+    group_from_generators,
+    normal_subgroups,
+    subgroups_below,
+)
 from table_partial import GroupPartial, TablePartial
+from test_axiom_sweep import c2_table
+from test_axiom_sweep import z4_table as axiom_z4_table
+from test_expansion import example
+from test_fusion import BUILTIN_PAIRS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
 
@@ -196,6 +209,14 @@ class TestPartialNormal:
         assert subs == sorted(subs, key=PartialSubgroup.key)
 
 
+def overlapping_cosets_table():
+    els = ("e", "n", "a", "c", "x")
+    products = {(y, "e"): y for y in els}
+    products.update({("e", y): y for y in els})
+    products.update({("n", "n"): "e", ("n", "a"): "x", ("n", "c"): "x"})
+    return TablePartial(els, "e", {y: y for y in els}, products)
+
+
 def assert_coset_partition(pg, blocks, sub):
     """Blocks are disjoint, cover the carrier, hold |sub| elements each
     (a group carrier), and come sorted by least member."""
@@ -242,11 +263,7 @@ class TestCosetsAndQuotients:
         # negative control: N = {e, n} passes the normality test (no
         # conjugate of n by another letter is defined), but n*a = n*c = x
         # makes the maximal cosets {a, x} and {c, x} overlap
-        els = ("e", "n", "a", "c", "x")
-        products = {(y, "e"): y for y in els}
-        products.update({("e", y): y for y in els})
-        products.update({("n", "n"): "e", ("n", "a"): "x", ("n", "c"): "x"})
-        pg = TablePartial(els, "e", {y: y for y in els}, products)
+        pg = overlapping_cosets_table()
         sub = PartialSubgroup(pg, frozenset({"e", "n"}))
         assert is_partial_normal(pg, sub)
         with pytest.raises(PropertyViolation) as err:
@@ -299,3 +316,169 @@ class TestPGHom:
     def test_missing_element_rejected(self, s4p):
         with pytest.raises(InputError):
             PGHom(s4p, s4p, {0: 0})
+
+
+# -- the conjugation sweep the conjugate rows replaced, kept as a reference ----
+
+
+def reference_conjugates_outside(pg, members):
+    """Yield every defined conjugate x**g of a member x that is not a member.
+
+    The one conjugation sweep of the partial-normal layer: g runs over the
+    carrier, x over the members.
+    """
+    for g in pg.elements:
+        for x in members:
+            z = pg.conj(x, g)
+            if z is not None and z not in members:
+                yield z
+
+
+def reference_is_partial_normal(pg, sub):
+    """True iff every defined conjugate of a member lands back in it."""
+    for _ in reference_conjugates_outside(pg, sub.members):
+        return False
+    return True
+
+
+def reference_normal_closure(pg, xs):
+    """Least partial normal subgroup containing xs."""
+    cur = generated_subgroup(pg, xs).members
+    while True:
+        extra = set(reference_conjugates_outside(pg, cur))
+        if not extra:
+            return PartialSubgroup(pg, frozenset(cur))
+        cur = generated_subgroup(pg, cur | extra).members
+
+
+def reference_enumerate_partial_normals(pg):
+    """Join-lattice search over normal closures of single elements; capped."""
+    cap = caps.current().partial_normal
+    if len(pg.elements) > cap:
+        raise CapExceeded("partial-normal enumeration", cap)
+    atoms = {}
+    for x in pg.elements:
+        if x == pg.identity:
+            continue
+        atoms.setdefault(reference_normal_closure(pg, [x]).members, None)
+    atom_sets = sorted(atoms, key=lambda m: (len(m), pg.member_mask(m)))
+
+    found = {frozenset({pg.identity})}
+    frontier = [frozenset({pg.identity})]
+    while frontier:
+        nxt = []
+        for base in frontier:
+            for a in atom_sets:
+                if a <= base:
+                    continue
+                joined = reference_normal_closure(pg, base | a).members
+                if joined not in found:
+                    found.add(joined)
+                    nxt.append(joined)
+                    if len(found) > cap:
+                        raise CapExceeded("partial-normal enumeration", cap)
+        frontier = nxt
+    return tuple(sorted(found, key=lambda m: (-len(m), pg.member_mask(m))))
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        got = f(*args)
+    # a broken table raises on both sides: a word outside D, or a product
+    # that escapes the carrier and has no inverse
+    except (DomainError, InputError, KeyError) as exc:
+        return type(exc), str(exc)
+    return got.members if isinstance(got, PartialSubgroup) else got
+
+
+def lattice(pg):
+    return tuple(sub.members for sub in all_partial_normal_subgroups(pg))
+
+
+def example_carriers(name, p):
+    """Every carrier verify builds for one built-in pair: the base, each
+    growth step, and each tower's quotient and grown quotient."""
+    ctx = example(name, p)
+    carriers = [ctx.base] + [step.locality for step in ctx.growth.steps]
+    for _, rep in ctx.towers:
+        carriers += [rep.lbar, rep.lbarplus]
+    return ctx, list({id(L): L for L in carriers}.values())
+
+
+TABLE_CARRIERS = {
+    "z4": lambda: z4_table(),
+    "z4-corrupt": lambda: z4_table(corrupt=True),
+    "z4-escaping": lambda: axiom_z4_table(one_plus_one=4),
+    "z4-self-inverse": lambda: axiom_z4_table(inverses={x: x for x in range(4)}),
+    "c2-no-square": lambda: c2_table([]),
+    "c2-prefix": lambda: c2_table([("a", "a", "e")]),
+    "c2-suffix": lambda: c2_table([("e", "a", "a")]),
+    "c2-contracted": lambda: c2_table([("a", "e", "a")]),
+    "overlapping-cosets": overlapping_cosets_table,
+}
+
+
+class TestAgainstTheConjugationSweep:
+    """The memoized conjugate rows answer as the per-call sweep did."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_CARRIERS))
+    def test_table_carriers(self, name):
+        pg = TABLE_CARRIERS[name]()
+        assert (outcome(lattice, pg)
+                == outcome(reference_enumerate_partial_normals, pg))
+        els = pg.elements
+        for r in range(len(els) + 1):
+            for xs in itertools.combinations(els, r):
+                sub = PartialSubgroup(pg, frozenset(xs))
+                assert (outcome(is_partial_normal, pg, sub)
+                        == outcome(reference_is_partial_normal, pg, sub))
+                assert (outcome(normal_closure, pg, xs)
+                        == outcome(reference_normal_closure, pg, xs))
+
+    @pytest.mark.parametrize("name,p", BUILTIN_PAIRS)
+    def test_every_example_carrier(self, name, p):
+        ctx, carriers = example_carriers(name, p)
+        for L in carriers:
+            assert lattice(L) == reference_enumerate_partial_normals(L)
+            for x in L.elements:
+                assert (normal_closure(L, [x]).members
+                        == reference_normal_closure(L, [x]).members)
+        L = ctx.base
+        for P in subgroups_below(L.S):
+            sub = PartialSubgroup(L, frozenset(P.members()))
+            assert is_partial_normal(L, sub) == reference_is_partial_normal(L, sub)
+
+
+class TestConjugateRowsAreMemoized:
+    """Each (element, conjugator) pair of a carrier is conjugated once."""
+
+    def count_conj(self, monkeypatch):
+        calls = Counter()
+        conj = Locality.conj
+
+        def counted(L, x, g):
+            calls[L, x, g] += 1
+            return conj(L, x, g)
+
+        monkeypatch.setattr(Locality, "conj", counted)
+        return calls
+
+    def test_lattice_and_lifts_conjugate_each_pair_once(self, monkeypatch):
+        ctx = ExampleContext(builtin("s5"), 2)
+        L, Lp = ctx.base, ctx.growth.locality
+        calls = self.count_conj(monkeypatch)
+        normals = all_partial_normal_subgroups(L)
+        for _ in range(2):  # every tower lifts the same subgroups again
+            for N in normals:
+                lift_normal(L, Lp, N)
+        assert calls and max(calls.values()) == 1
+        assert {carrier for carrier, _, _ in calls} <= {L, Lp}
+
+    def test_repeated_normality_test_makes_no_conj_call(self, monkeypatch):
+        L = ExampleContext(builtin("s5"), 2).base
+        subs = [PartialSubgroup(L, frozenset(P.members())) for P in subgroups_below(L.S)]
+        first = [is_partial_normal(L, sub) for sub in subs]
+        calls = self.count_conj(monkeypatch)
+        assert [is_partial_normal(L, sub) for sub in subs] == first
+        assert not calls
