@@ -270,9 +270,9 @@ def _single_step_lifts(ctx):
 
 
 def _growth_postconditions(ctx):
-    # full_expand raises unless the growth restricts to, keeps the fusion of
-    # and is generated by its proper base (so check_unique_iso(Lp, Lp, base)
-    # holds), and elementary_expand when a subcentric seed loses properness
+    # Growth keeps its base's fusion system object, the cut to the base and
+    # generation by it by construction (argued in full_expand); elementary_expand
+    # raises when a fresh record, the cut or a subcentric seed's properness fails
     fe = ctx.growth
     return True, f"{len(fe.steps)} steps to {len(fe.locality.delta.members)} objects"
 
@@ -281,7 +281,7 @@ def _normal_correspondence(ctx):
     fe = ctx.growth
     L, Lp = fe.base, fe.locality
     norms = ctx.base_normals
-    # lift_normal raises when a lift does not cut back to N or moves its S-part
+    # lift_normal raises unless a lift cuts back to N, and so to N's S-part
     lifted = {N.members: lift_normal(L, Lp, N).members for N in norms}
     upstairs = {N.members for N in all_partial_normal_subgroups(Lp)}
     if set(lifted.values()) != upstairs:

@@ -259,6 +259,14 @@ def classification_table(name: str, p: int = 2):
     """Flags for every subgroup of the canonical Sylow p-subgroup of G."""
     assert p == 2, "oracle is only exercised at p = 2"
     G = load_elements(name)
+    S, rows = classify_elements(G)
+    return G, S, rows
+
+
+@lru_cache(maxsize=None)
+def classify_elements(G: frozenset):
+    """The canonical Sylow 2-subgroup S of a group given by its elements,
+    and the flags of every subgroup of S."""
     S = sylow2_like_llab(G)
     rows = {}
     for P in sorted(subgroups(S), key=lambda u: (-len(u), sorted(u))):
@@ -271,7 +279,7 @@ def classification_table(name: str, p: int = 2):
             "fully_normalized": is_fully_normalized(G, S, P),
             "fully_centralized": is_fully_centralized(G, S, P),
         }
-    return G, S, rows
+    return S, rows
 
 
 def describe(P):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llab.errors import InputError, PropertyViolation
-from llab.fusion import fusion_from_group
+from llab.fusion import conjugation_fusion, fusion_from_group
 from llab.locality import (
     Locality,
     ProperReport,
@@ -278,6 +278,21 @@ class TestWitnessSets:
         assert sorted(len(v) for v in seed.ysets.values()) == [4, 4]
         assert seed.M.order == 4
 
+    def test_empty_witness_set_fires(self):
+        # an order-2 seed whose strict overgroups are objects but which is
+        # not fully normalized: check_seed rejects it, and one of its
+        # conjugates has no witness
+        L = loc("s5", "cr-closure")
+        _, F = setup("s5")
+        R = next(
+            P for P in subgroups_below(L.S)
+            if P.order == 2 and not F.is_fully_normalized(P)
+            and check_seed(L, P).strict_overgroups_in_delta
+        )
+        assert not check_seed(L, R).ok
+        with pytest.raises(PropertyViolation, match="empty witness set"):
+            build_y_sets(L, R)
+
 
 class TestTriplesAndSim:
     def test_triple_validation(self):
@@ -291,6 +306,15 @@ class TestTriplesAndSim:
         h0 = min(seed._m_set)
         with pytest.raises(InputError):
             seed.triple(no_witness, h0, y0)
+
+    def test_canonical_form_refuses_a_middle_outside_the_normalizer(self):
+        # a caller's triple that skipped seed.triple's validation
+        seed = t_expansion().seed
+        outside_m = next(g for g in seed.locality.elements if g not in seed._m_set)
+        m = seed.R.mask
+        y0 = seed.chosen_y[m]
+        with pytest.raises(PropertyViolation, match="translated middle escaped"):
+            canonical_triple(seed, PhiTriple(y0, outside_m, y0, m, m))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -877,3 +901,179 @@ class TestRadicalBasePath:
         big = normalizer_locality(L_big, core)
         assert small.elements == big.elements
         assert small.delta.mask_set == big.delta.mask_set
+
+
+# -- facts a growth keeps by construction, kept here as references ------------
+#
+# `make_seed`, `elementary_expand`, `full_expand` and the threading helpers
+# no longer re-check these, and a class is tested for D on its canonical
+# word alone: each follows from how a step is built, with its argument
+# beside the code.  The dropped guards and the representative search are
+# kept here verbatim and run over every growth the verify contexts build.
+
+
+def reference_domain_member(seed, can):
+    """A triple equivalent to `can` whose word lies in the base domain.
+
+    `elementary_expand` tests the word of `can` alone: a class meets D
+    exactly when its canonical word does.
+    """
+    L0 = seed.locality
+    if L0.full_domain:
+        return can
+    for xb in seed.ysets[can.u_mask]:
+        for yb in seed.ysets[can.v_mask]:
+            cand = expansion._translate(seed, can, xb, yb)
+            if L0.in_domain(seed.word(cand)):
+                return cand
+    return None
+
+
+def reference_step_checks(step):
+    """The per-step guards and the representative search a growth step
+    dropped; returns the number of witness pairs."""
+    seed, L, grown = step.seed, step.base, step.locality
+    R, G, F = seed.R, seed.group, L.fusion()
+    if seed.chosen_y[R.mask] != L.identity:
+        raise PropertyViolation(
+            "identity missing from the witness set at R", witness=R.mask
+        )
+    for (u, h, v), cls in step.class_index.items():
+        member = reference_domain_member(
+            seed, PhiTriple(seed.chosen_y[u], h, seed.chosen_y[v], u, v))
+        if (member is None) != (cls.kind == "pure"):
+            raise AssertionError(f"class {(u, h, v)} meets D off its canonical word")
+        if member is not None and L.product(seed.word(member)) != cls.element:
+            raise AssertionError(f"class {(u, h, v)} lands off its product")
+    pure = {id(c) for c in step.class_index.values() if c.kind == "pure"}
+    for fresh in step.created:
+        if fresh in L._index:
+            raise PropertyViolation(
+                "ambient group cannot realize the growth", witness=fresh
+            )
+    if len(pure) != len(step.created):
+        raise PropertyViolation("ambient group cannot realize the growth")
+    if set(normalizer_in(grown, R).members) != set(normalizer_in(L, R).members):
+        raise PropertyViolation("normalizer of the seed changed", witness=R.mask)
+    if not conjugation_fusion(L.S, grown.elements).same_homs(F):
+        raise PropertyViolation("fusion drifted during growth", witness=R.mask)
+    if grown.fusion() is not F:
+        raise PropertyViolation("grown carrier rebuilt its fusion system")
+    pairs = 0
+    for ys in seed.ysets.values():
+        for a, b in itertools.product(ys, repeat=2):
+            link = G.mult(b, G.inv(a))
+            if link not in seed._m_set:
+                raise PropertyViolation("chain link escaped the normalizer", witness=link)
+            pairs += 1
+    for g in L.elements:
+        sg = L.s_g_mask(g)
+        for U in seed.conjugates:
+            u_mask = U.mask
+            if u_mask & sg != u_mask:
+                continue
+            v_mask = Subgroup(G, u_mask).conjugate(g).mask
+            if v_mask not in seed.ysets:
+                raise PropertyViolation(
+                    "endpoint left the conjugacy class", witness=v_mask
+                )
+            for xb in seed.ysets[u_mask]:
+                for yb in seed.ysets[v_mask]:
+                    h = G.mult(G.mult(xb, g), G.inv(yb))
+                    if h not in seed._m_set:
+                        raise PropertyViolation(
+                            "embedded representative escaped the normalizer", witness=h
+                        )
+    return pairs
+
+
+def reference_chain_checks(L, cur):
+    """The guards `full_expand` dropped, on a chain grown from L to cur."""
+    gen = generated_subgroup(cur, L.elements)
+    if gen.members != frozenset(cur.elements):
+        raise PropertyViolation(
+            "grown locality is not generated by the base",
+            witness=sorted(gen.members),
+        )
+    expansion._check_restricts_to_base(cur, L)
+    if not conjugation_fusion(cur.S, cur.elements).same_homs(L.fusion()):
+        raise PropertyViolation("fusion drifted across the growth chain")
+
+
+def reference_threading_checks(step, words):
+    """The start-point guard `_gamma_forms` dropped, on the given words."""
+    seed, L0 = step.seed, step.base
+    for word in words:
+        for form in _gamma_forms(step, word, 4):
+            u0 = form[0].u_mask
+            wg = sum((seed.word(p) for p in form), ())
+            if u0 & L0.s_word_mask(wg) != u0:
+                raise PropertyViolation(
+                    "chained threading lost its start point", witness=wg
+                )
+
+
+def growths(ctx):
+    """(base, steps, grown) for the context's growth and each tower's."""
+    fe = ctx.growth
+    out = [(fe.base, fe.steps, fe.locality)]
+    for _, rep in ctx.towers:
+        if rep.lbarplus is rep.lbar:
+            continue
+        cur, steps = expansion._absorb(rep.lbar, rep.lbarplus.delta)
+        assert cur.elements == rep.lbarplus.elements
+        out.append((rep.lbar, steps, cur))
+    return out
+
+
+class TestGrowthKeepsByConstruction:
+    @pytest.mark.parametrize("name,p", BUILTIN_PAIRS)
+    def test_dropped_guards_hold(self, name, p):
+        ctx = example(name, p)
+        for base, steps, grown in growths(ctx):
+            for step in steps:
+                assert step.locality.fusion() is step.base.fusion()
+                reference_step_checks(step)
+                classes = [approx_class(step, g) for g in step.base.elements[:12]]
+                words = [(c,) for c in classes]
+                words += list(itertools.product(classes[:4], repeat=2))
+                reference_threading_checks(step, words)
+            assert grown.fusion() is base.fusion()
+            reference_chain_checks(base, grown)
+
+    def test_partial_domain_growth_with_fresh_elements(self):
+        # every growth above has a full-domain base; A6 = <(0 1 2), (1 2 3 4 5)>
+        # at p = 2 grows its 40-element cr-closure locality to 104 elements
+        # on partial-domain bases, adjoining fresh elements
+        G = group_from_generators(6, [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]])
+        F = fusion_from_group(G, 2)
+        L = locality_from_group(G, 2, resolve_delta_spec(F, "cr-closure"))
+        fe = full_expand(L, resolve_delta_spec(F, "s"))
+        assert (len(L.elements), len(fe.locality.elements)) == (40, 104)
+        assert not any(step.base.full_domain for step in fe.steps)
+        assert sum(len(step.created) for step in fe.steps) == 64
+        for step in fe.steps:
+            assert step.locality.fusion() is step.base.fusion()
+            reference_step_checks(step)
+            classes = [approx_class(step, g) for g in step.base.elements[:12]]
+            reference_threading_checks(
+                step, list(itertools.product(classes[:4], repeat=2)))
+        reference_chain_checks(L, fe.locality)
+
+    def test_witness_lemma_pairs_are_counted(self):
+        # ordered pairs (x, y) of one witness set, over every step above:
+        # 2270 on the contexts' growths and 2346 on the towers'
+        total = sum(reference_step_checks(step)
+                    for name, p in BUILTIN_PAIRS
+                    for _, steps, _ in growths(example(name, p))
+                    for step in steps)
+        assert total == 4616
+
+    def test_chain_reference_fires_on_the_direct_build(self):
+        # the 120-element direct build over F^s is a locality on S5's Sylow
+        # 2-subgroup, but the 24-element base does not generate it
+        fe = s5_full()
+        _, F = setup("s5")
+        direct = locality_from_group(fe.base.group, 2, resolve_delta_spec(F, "s"))
+        with pytest.raises(PropertyViolation, match="not generated by the base"):
+            reference_chain_checks(fe.base, direct)

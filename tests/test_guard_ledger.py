@@ -22,36 +22,54 @@ ARGUED = "argued: "
 
 LEDGER = {
     "expansion": {
-        "forced normalizer condition failed on a proper carrier": UNLEDGERED,
-        "seed normalizer lost p-characteristic": UNLEDGERED,
-        "empty witness set for a conjugate of the seed": UNLEDGERED,
-        "identity missing from the witness set at R": UNLEDGERED,
-        "translated middle escaped the normalizer": UNLEDGERED,
-        "ambient group cannot realize the growth": UNLEDGERED,
-        "object family grew past the conjugacy class": UNLEDGERED,
-        "normalizer of the seed changed": UNLEDGERED,
-        "fusion drifted during growth": UNLEDGERED,
-        "properness lost during growth": UNLEDGERED,
-        "conjugation record mismatch on a fresh element": UNLEDGERED,
-        "endpoint left the conjugacy class": UNLEDGERED,
-        "embedded representative escaped the normalizer": UNLEDGERED,
-        "chained threading lost its start point": UNLEDGERED,
-        "chain link escaped the normalizer": UNLEDGERED,
-        "folded middle escaped the normalizer": UNLEDGERED,
+        "forced normalizer condition failed on a proper carrier":
+            ARGUED + "on a proper locality, a subcentric R that passes the"
+            " overgroup and full-normalization legs has N_L(R) a subgroup"
+            " whose fusion on N_S(R) is N_F(R), by the theory of elementary"
+            " expansions (Chermak, Acta Math. 211 (2013); Henke, Trans. AMS"
+            " 371 (2019)); kept because check_seed takes a caller's locality",
+        "seed normalizer lost p-characteristic":
+            ARGUED + "in the same setting N_L(R) is of characteristic p"
+            " (Chermak 2013; Henke 2019); kept because check_seed takes a"
+            " caller's locality",
+        "empty witness set for a conjugate of the seed":
+            "tests/test_expansion.py::TestWitnessSets::test_empty_witness_set_fires",
+        "translated middle escaped the normalizer":
+            "tests/test_expansion.py::TestTriplesAndSim"
+            "::test_canonical_form_refuses_a_middle_outside_the_normalizer",
+        "object family grew past the conjugacy class":
+            ARGUED + "a strict overgroup P of a conjugate V has N_P(V) > V,"
+            " which c_(y**-1) for a witness y of V carries onto a strict"
+            " overgroup of R, an object, so an F-closed Delta holds N_P(V)"
+            " and P; kept because Locality does not check that a hand-built"
+            " Delta is F-closed",
+        "properness lost during growth":
+            ARGUED + "an elementary expansion of a proper locality by a"
+            " subcentric class is proper (Chermak 2013; Henke 2019); kept"
+            " because elementary_expand takes a caller's locality and seed",
+        "conjugation record mismatch on a fresh element":
+            ARGUED + "for a fresh f with word w, U <= S_w <= S_f, and"
+            " N_{S_f}(U) lies in S_w, so S_f > U would put an object in S_w"
+            " and w in D; kept as the record that the grown fusion system"
+            " and the dropped growth checks rest on",
         "restriction does not recover the base":
             "tests/test_expansion.py::TestRestrictionCut"
             "::test_cut_larger_than_the_base_fires",
         "restriction broke properness":
             "tests/test_expansion.py::TestRestrictionCut::test_properness_guard_fires",
-        "missing class produced a no-op": UNLEDGERED,
-        "growth failed to terminate": UNLEDGERED,
-        "grown locality is not generated by the base": UNLEDGERED,
-        "fusion drifted across the growth chain": UNLEDGERED,
+        "missing class produced a no-op":
+            ARGUED + "the seed is an F-conjugate of a missing subgroup, so it"
+            " is already an object only when the current Delta is not"
+            " F-closed, which Locality does not check for a hand-built Delta",
         "lift does not cut back to the base subgroup":
             "tests/test_expansion.py::TestLiftIsTheNormalClosure"
             "::test_matches_into_the_one_shot_construction",
-        "lift changed the S-part of the subgroup": UNLEDGERED,
-        "pushed object family is not closed: {}": UNLEDGERED,
+        "pushed object family is not closed: {}":
+            ARGUED + "the pushed family is the object family of the quotient"
+            " of the grown locality by the lifted subgroup (Chermak, Finite"
+            " localities I, 2015), overgroup-closed and closed under the"
+            " quotient's fusion system; kept because expand_quotient takes a"
+            " caller's growth",
     },
     "fusion": {
         "normal subgroups of the system are not join-closed": UNLEDGERED,
@@ -157,3 +175,8 @@ def test_ledgered_tests_exist():
                 node = next((n for n in body if getattr(n, "name", None) == name), None)
                 assert node is not None, (mod, msg, where)
                 body = getattr(node, "body", [])
+
+
+def test_expansion_guards_are_all_ledgered():
+    assert [msg for msg, where in LEDGER["expansion"].items()
+            if where == UNLEDGERED] == []
