@@ -391,8 +391,8 @@ def _relative_cores_members(ctx):
         prod = {L.product((k, t)) for k in K.members for t in T}
         if prod != N.members:
             return False, f"p-part times S-part misses at order {N.order}"
-        # o_pprime_of raises when its intersection loses the S-part T
-        o_pprime_of(L, N)
+        # The complementary core holds the S-part T by construction: T lies
+        # in every member of its family, so in their intersection.
     return True, f"{len(ctx.base_normals)} partial normals"
 
 

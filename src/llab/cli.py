@@ -168,8 +168,8 @@ def cmd_locality(args) -> tuple[list, dict, int]:
 
     try:
         theta, quotient = theta_quotient(L)
-    except InputError:
-        lines.append("theta quotient: not applicable for this object family")
+    except InputError as exc:
+        lines.append(f"theta quotient: not applicable: {exc}")
         payload["theta"] = None
     else:
         qprop = is_proper(quotient)

@@ -25,6 +25,7 @@ from .fusion import FusionMap, conjugation_fusion
 from .locality import (
     Locality,
     ObjectSet,
+    _check_restriction_proper,
     is_proper,
     normalizer_in,
     object_set,
@@ -76,6 +77,8 @@ class SeedReport:
     rep_and_core_fully_normalized: bool
     normalizer_witnesses_fusion: bool
     details: dict
+    # N_L(R) as an ambient subgroup when it is one; make_seed reuses it
+    normalizer: Subgroup | None = field(default=None, repr=False)
 
 
 def check_seed(L: Locality, R: Subgroup) -> SeedReport:
@@ -113,6 +116,7 @@ def check_seed(L: Locality, R: Subgroup) -> SeedReport:
     part = normalizer_in(L, R)
     sub_ok, witness = subgroup_in_locality(L, part.members)
     fusion_ok = False
+    M = None
     if sub_ok:
         M = L.perm_subgroup(part)
         details["normalizer_order"] = M.order
@@ -136,7 +140,7 @@ def check_seed(L: Locality, R: Subgroup) -> SeedReport:
                 "seed normalizer lost p-characteristic", witness=R.mask
             )
     ok = overs_ok and fn_ok and fusion_ok
-    return SeedReport(ok, overs_ok, fn_ok, fusion_ok, details)
+    return SeedReport(ok, overs_ok, fn_ok, fusion_ok, details, M)
 
 
 # -- witness sets and triples ---------------------------------------------------
@@ -229,8 +233,8 @@ def make_seed(L: Locality, R: Subgroup) -> ExpansionSeed:
     # The identity is in Y_R (R**1 = R, S_1 = S) and is the least ordinal,
     # so it is chosen at R.
     chosen = {m: min(ys) for m, ys in ysets.items()}
-    M = L.perm_subgroup(normalizer_in(L, R))
-    return ExpansionSeed(L, R, conjugates, M, ysets, chosen)
+    # a passing report has the normalizer's fusion leg, so it built N_L(R)
+    return ExpansionSeed(L, R, conjugates, report.normalizer, ysets, chosen)
 
 
 def sim_related(seed: ExpansionSeed, a: PhiTriple, b: PhiTriple) -> bool:
@@ -522,13 +526,11 @@ def _check_restricts_to_base(grown: Locality, L: Locality, witness=None) -> None
     grown's group and S and L's Delta.  When it equals L's carrier, all
     four things that fix a Locality's domain and product agree with L's,
     so the restriction is L, which was validated when it was built.
-    `restrict`'s own guard stays, on the two memoized properness reports.
+    `restrict`'s properness guard stays, on the two memoized reports.
     """
     if restriction_cut(grown, L.delta) != L.elements:
         raise PropertyViolation("restriction does not recover the base", witness=witness)
-    cr_masks = {P.mask for P in grown.fusion().class_sets()["cr"]}
-    if cr_masks <= L.delta.mask_set and is_proper(grown).ok and not is_proper(L).ok:
-        raise PropertyViolation("restriction broke properness", witness=L.delta)
+    _check_restriction_proper(grown, L)
 
 
 # -- full growth ----------------------------------------------------------------

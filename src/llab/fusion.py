@@ -369,7 +369,7 @@ class FusionSystem:
         return self.same_homs(self.normalizer_system(T))
 
     def o_p(self) -> Subgroup:
-        """Largest subgroup normal in the whole system; uniqueness asserted.
+        """Largest subgroup normal in the whole system.
 
         Computed once per closed table; twins reuse the answer.
         """
@@ -378,25 +378,18 @@ class FusionSystem:
         return Subgroup(self.group, self._closed.o_p)
 
     def _find_o_p(self) -> Subgroup:
-        normals = [
-            T
-            for T in self.subs
-            if T.is_normal_in(self.S) and self.is_normal_in_system(T)
-        ]
-        top = normals[0]
-        for U, V in itertools.combinations(normals, 2):
-            if U.join(V) not in normals:
-                raise PropertyViolation(
-                    "normal subgroups of the system are not join-closed",
-                    witness=(U.mask, V.mask),
-                )
-        for U in normals:
-            if not U.le(top):
-                raise PropertyViolation(
-                    "largest system-normal subgroup is not unique",
-                    witness=(top.mask, U.mask),
-                )
-        return top
+        # The normal subgroups of any system, saturated or not, are
+        # join-closed.  Let T1, T2 be normal.  F is generated by the maps
+        # phi: P -> Q with T1 <= P and T1**phi = T1, and each such phi is a
+        # chain of restrictions of maps that are defined on T2 and fix it
+        # (S's inner maps among them).  T2 is normal in S, so each link
+        # extends over T2, and the chain extends phi to P*T2, fixing T2 and,
+        # as phi does, T1.  So the maps fixing T1*T2 generate F.  subs runs
+        # largest first, so the first normal subgroup contains every other:
+        # its join with one is normal and no larger.  The trivial subgroup
+        # is always normal.
+        return next(T for T in self.subs
+                    if T.is_normal_in(self.S) and self.is_normal_in_system(T))
 
     def trivial_on(self, T: Subgroup) -> "FusionSystem":
         return FusionSystem(T)

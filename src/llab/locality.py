@@ -31,7 +31,6 @@ from .partial import (
     PartialSubgroup,
     PGHom,
     coset_partition,
-    generated_subgroup,
     is_partial_normal,
     all_partial_normal_subgroups,
 )
@@ -487,10 +486,15 @@ def restrict(L: Locality, delta0) -> Locality:
     if not delta0.mask_set <= L.delta.mask_set:
         raise InputError("restriction object set must be a subset of Delta")
     out = Locality(L.group, restriction_cut(L, delta0), L.S, delta0, L.p)
-    cr_masks = {P.mask for P in F.class_sets()["cr"]}
-    if cr_masks <= delta0.mask_set and is_proper(L).ok and not is_proper(out).ok:
-        raise PropertyViolation("restriction broke properness", witness=delta0)
+    _check_restriction_proper(L, out)
     return out
+
+
+def _check_restriction_proper(L: Locality, cut: Locality) -> None:
+    """The properness guard of `restrict` and of a growth's cut to its base."""
+    cr_masks = {P.mask for P in L.fusion().class_sets()["cr"]}
+    if cr_masks <= cut.delta.mask_set and is_proper(L).ok and not is_proper(cut).ok:
+        raise PropertyViolation("restriction broke properness", witness=cut.delta)
 
 
 # -- quotients --------------------------------------------------------------------
@@ -527,9 +531,11 @@ def quotient_locality(L: Locality, N: PartialSubgroup) -> LocalityQuotient:
                 )
             images.append(hits.pop())
         perms.append(tuple(images))
+    # The guard above makes the product of blocks well defined, and it is
+    # associative as G's is.  The block of 1 is an identity and the block of
+    # x**-1 inverts the block of x, so the blocks form a group and perms is
+    # its right regular representation: Q has one element per block.
     Q = group_from_generators(len(blocks), perms)
-    if Q.order != len(blocks):
-        raise PropertyViolation("block action is not regular", witness=Q.order)
     to_ord = {i: Q.index_of(p) for i, p in enumerate(perms)}
     send = {x: to_ord[pos[x]] for x in L.elements}
 
@@ -708,14 +714,13 @@ def _relative_core(L: Locality, N: PartialSubgroup, kind: str) -> PartialSubgrou
         else:
             if T <= K.members:
                 fam.append(K)
-    if not fam:
-        raise PropertyViolation("relative core family is empty", witness=kind)
+    # N is in both families, so neither is empty: N is a partial subgroup
+    # holding T, so NT = N, and the lattice holds every partial normal.
+    # T lies in every member of the O^{p'} family, so in its intersection.
     inter = frozenset.intersection(*[K.members for K in fam])
     out = PartialSubgroup(L, inter)
     if kind == "p" and _product_set(L, inter, T) != N.members:
         raise PropertyViolation("intersection left the O^p family", witness=out)
-    if kind == "p'" and not T <= inter:
-        raise PropertyViolation("intersection left the O^{p'} family", witness=out)
     return out
 
 
@@ -731,14 +736,11 @@ def o_pprime_of(L: Locality, N: PartialSubgroup) -> PartialSubgroup:
 
 def product_partial_normal(L: Locality, M: PartialSubgroup,
                            N: PartialSubgroup) -> PartialSubgroup:
-    """MN through defined pairwise products; partial normality asserted."""
+    """MN through defined pairwise products; asserted to be partial normal,
+    which includes being closed under products."""
     if not is_partial_normal(L, M) or not is_partial_normal(L, N):
         raise InputError("product needs partial normal inputs")
     out = PartialSubgroup(L, _product_set(L, M.members, N.members))
-    closed = generated_subgroup(L, out.members)
-    if closed.members != out.members:
-        raise PropertyViolation("product of partial normals is not closed",
-                                witness=closed.members - out.members)
     if not is_partial_normal(L, out):
         raise PropertyViolation("product of partial normals is not partial normal",
                                 witness=out)

@@ -540,15 +540,10 @@ def p_core(H: Subgroup, p: int) -> Subgroup:
 
 def p_prime_core(H: Subgroup, p: int) -> Subgroup:
     """O_{p'}(H): the largest normal subgroup of order prime to p."""
-    # largest first, and the trivial subgroup is always among them
-    coprime = [K for K in normal_subgroups(H) if math.gcd(K.order, p) == 1]
-    best = coprime[0]
-    # the p'-core is unique: every other normal p'-subgroup sits inside it
-    for K in coprime[1:]:
-        if not K.le(best):
-            raise PropertyViolation("two incomparable maximal normal p'-subgroups",
-                                    (best, K))
-    return best
+    # Largest first, and the trivial subgroup is always among them.  Every
+    # normal p'-subgroup K lies in the first, best: else best*K would be a
+    # larger normal subgroup, of order |best|*|K|/|best & K|, prime to p.
+    return next(K for K in normal_subgroups(H) if math.gcd(K.order, p) == 1)
 
 
 def is_characteristic_p(H: Subgroup, p: int) -> bool:

@@ -213,20 +213,25 @@ def locality_elements(G_elems, S_elems, delta: set[frozenset]):
     return frozenset(g for g in G_elems if s_g(S_elems, g) in delta)
 
 
-def sylow2_like_llab(elements):
-    """Replays the canonical Sylow-2 choice: grow through normalizers,
-    always adjoining the lexicographically smallest eligible 2-element."""
+def is_p_power(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def sylow_like_llab(elements, p=2):
+    """Replays the canonical Sylow p choice: grow through normalizers,
+    always adjoining the lexicographically smallest eligible p-element."""
     degree = len(next(iter(elements)))
     n = len(elements)
     target = 1
-    while n % 2 == 0:
-        n //= 2
-        target *= 2
+    while n % p == 0:
+        n //= p
+        target *= p
     P = close([], degree)
     while len(P) < target:
         N = normalizer_set(elements, P)
-        pick = min(g for g in N - P
-                   if (lambda o: o & (o - 1) == 0)(perm_order(g)))
+        pick = min(g for g in N - P if is_p_power(perm_order(g), p))
         P = close(set(P) | {pick}, degree)
     return P
 
@@ -257,17 +262,16 @@ KNOWN_SUBGROUP_COUNTS = {
 @lru_cache(maxsize=None)
 def classification_table(name: str, p: int = 2):
     """Flags for every subgroup of the canonical Sylow p-subgroup of G."""
-    assert p == 2, "oracle is only exercised at p = 2"
     G = load_elements(name)
-    S, rows = classify_elements(G)
+    S, rows = classify_elements(G, p)
     return G, S, rows
 
 
 @lru_cache(maxsize=None)
-def classify_elements(G: frozenset):
-    """The canonical Sylow 2-subgroup S of a group given by its elements,
+def classify_elements(G: frozenset, p: int = 2):
+    """The canonical Sylow p-subgroup S of a group given by its elements,
     and the flags of every subgroup of S."""
-    S = sylow2_like_llab(G)
+    S = sylow_like_llab(G, p)
     rows = {}
     for P in sorted(subgroups(S), key=lambda u: (-len(u), sorted(u))):
         rows[P] = {

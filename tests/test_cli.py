@@ -120,6 +120,18 @@ class TestLocality:
             "quotient_proper": True,
         }
 
+    def test_theta_line_gives_the_reason_it_does_not_apply(self, capsys, tmp_path):
+        # every subgroup of S is an object, and some lie outside F^q
+        target = tmp_path / "s4.json"
+        code, out, _ = run_cli(
+            capsys, "locality", "--group", group_arg("s4"), "--p", "2",
+            "--delta", "all", "--json", str(target),
+        )
+        assert code == 0
+        assert ("theta quotient: not applicable: theta quotient needs Delta"
+                " inside F^q") in out.splitlines()
+        assert json.loads(target.read_text())["theta"] is None
+
 
 class TestExpand:
     def test_s5_growth_adds_objects_not_elements(self, capsys, tmp_path):

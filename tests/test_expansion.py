@@ -30,6 +30,7 @@ from llab.locality import (
 from llab.partial import (
     PartialSubgroup,
     all_partial_normal_subgroups,
+    coset_partition,
     generated_subgroup,
     is_partial_normal,
 )
@@ -40,7 +41,7 @@ from llab.permgroup import (
     subgroups_below,
     sylow_p,
 )
-from llab import expansion
+from llab import expansion, locality
 from llab.checks import ExampleContext
 from llab.expansion import (
     _check_extension_pair,
@@ -249,6 +250,18 @@ class TestSeedChecks:
         five = sylow_p(L.group.top, 5)
         with pytest.raises(InputError):
             check_seed(L, five)
+
+    def test_one_normalizer_sweep_per_seed(self, monkeypatch):
+        # make_seed takes N_L(R) from the admissibility report
+        calls = []
+        sweep = expansion.normalizer_in
+        monkeypatch.setattr(expansion, "normalizer_in",
+                            lambda L, R: calls.append(R.mask) or sweep(L, R))
+        L = loc("s5", "c")
+        R = swap_type(L.S, setup("s5")[1])
+        seed = make_seed(L, R)
+        assert calls == [R.mask]
+        assert set(seed.M.members()) == set(normalizer_in(L, R).members)
 
 
 class TestWitnessSets:
@@ -675,6 +688,24 @@ class TestNormalLifts:
             )
             assert lift_normal(L, Lp, both).members == upstairs.members
 
+    def test_a_conjugacy_class_is_refused_as_input(self):
+        # a 6-element class of the 24-element s5/2 base is closed under
+        # conjugation but misses the identity: no partial subgroup
+        fe = s5_full()
+        L, Lp = fe.base, fe.locality
+        rows = ({L.conj(x, g) for g in L.elements} for x in L.elements)
+        K = next(PartialSubgroup(L, frozenset(r)) for r in rows if len(r) == 6)
+        assert L.identity not in K.members
+        assert not is_partial_normal(L, K)
+        for entry in (lambda: product_partial_normal(L, K, K),
+                      lambda: o_pprime_of(L, K),
+                      lambda: o_p_of(L, K),
+                      lambda: coset_partition(L, K),
+                      lambda: quotient_locality(L, K),
+                      lambda: lift_normal(L, Lp, K)):
+            with pytest.raises(InputError, match="partial normal"):
+                entry()
+
     def test_relative_core_compatibility(self):
         fe = s5_full()
         L, Lp = fe.base, fe.locality
@@ -881,12 +912,15 @@ class TestRestrictionCut:
             expansion._check_restricts_to_base(big, small)
 
     def test_properness_guard_fires(self, monkeypatch):
+        # one guard decides both `restrict` and the cut back to the base
         fe = s4_full()
         grown, base = fe.locality, fe.base
-        monkeypatch.setattr(expansion, "is_proper",
+        monkeypatch.setattr(locality, "is_proper",
                             lambda L: ProperReport(ok=L is grown))
         with pytest.raises(PropertyViolation, match="restriction broke properness"):
             expansion._check_restricts_to_base(grown, base)
+        with pytest.raises(PropertyViolation, match="restriction broke properness"):
+            restrict(grown, base.delta)
 
 
 class TestRadicalBasePath:
@@ -1026,6 +1060,17 @@ def growths(ctx):
     return out
 
 
+@lru_cache(maxsize=None)
+def a6_growth():
+    """A6 = <(0 1 2), (1 2 3 4 5)> at p = 2: its 40-element cr-closure
+    locality grows to 104 elements on partial-domain bases, adjoining fresh
+    elements."""
+    G = group_from_generators(6, [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]])
+    F = fusion_from_group(G, 2)
+    L = locality_from_group(G, 2, resolve_delta_spec(F, "cr-closure"))
+    return full_expand(L, resolve_delta_spec(F, "s"))
+
+
 class TestGrowthKeepsByConstruction:
     @pytest.mark.parametrize("name,p", BUILTIN_PAIRS)
     def test_dropped_guards_hold(self, name, p):
@@ -1042,13 +1087,9 @@ class TestGrowthKeepsByConstruction:
             reference_chain_checks(base, grown)
 
     def test_partial_domain_growth_with_fresh_elements(self):
-        # every growth above has a full-domain base; A6 = <(0 1 2), (1 2 3 4 5)>
-        # at p = 2 grows its 40-element cr-closure locality to 104 elements
-        # on partial-domain bases, adjoining fresh elements
-        G = group_from_generators(6, [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]])
-        F = fusion_from_group(G, 2)
-        L = locality_from_group(G, 2, resolve_delta_spec(F, "cr-closure"))
-        fe = full_expand(L, resolve_delta_spec(F, "s"))
+        # every growth above has a full-domain base
+        fe = a6_growth()
+        L = fe.base
         assert (len(L.elements), len(fe.locality.elements)) == (40, 104)
         assert not any(step.base.full_domain for step in fe.steps)
         assert sum(len(step.created) for step in fe.steps) == 64

@@ -100,7 +100,7 @@ class TestFromGroup:
 
     def test_s5_centric_restriction_matches_oracle(self, s5_c):
         G_elems = oracles.load_elements("s5")
-        S_elems = oracles.sylow2_like_llab(G_elems)
+        S_elems = oracles.sylow_like_llab(G_elems)
         _, _, rows = oracles.classification_table("s5")
         fc = oracles.upward({P for P, f in rows.items() if f["centric"]}, S_elems)
         expected = oracles.locality_elements(G_elems, S_elems, fc)
@@ -172,7 +172,7 @@ class TestSgTable:
 
     def test_oracle_s_g_agreement(self, s5_c):
         G_elems = oracles.load_elements("s5")
-        S_elems = oracles.sylow2_like_llab(G_elems)
+        S_elems = oracles.sylow_like_llab(G_elems)
         G = s5_c.group
         for g in list(s5_c.elements)[:10]:
             want = oracles.s_g(S_elems, G.elements[g])
@@ -386,6 +386,55 @@ class TestNormalizersInside:
         with pytest.raises(PropertyViolation, match=r"^C_L\(P\) for an object P") as exc:
             centralizer_in(L, T)
         assert exc.value.witness == (h,)
+
+
+class TestCarrierGuards:
+    """Each construction guard fires on a hand-built S4 carrier at p = 2."""
+
+    def setup_method(self):
+        self.G = G = builtin("s4")
+        self.S = sylow_p(G.top, 2)
+        self.V4 = p_core(G.top, 2)
+        # every S_g contains the normal V4, so O1 holds for every element
+        self.delta = object_set(self.S, [Q for Q in subgroups_below(self.S)
+                                         if self.V4.le(Q)])
+        self.g = next(x for x in range(G.order) if G.element_order(x) == 3)
+
+    def test_o1_fails(self):
+        G, S = self.G, self.S
+        with pytest.raises(PropertyViolation, match="^O1 fails") as exc:
+            Locality(G, range(G.order), S, object_set(S, [S]), 2)
+        table = G.s_conjugation(S.mask)
+        assert exc.value.witness == next(x for x in range(G.order)
+                                         if table.s_g(x) != S.mask)
+
+    def test_carrier_is_not_inversion_closed(self):
+        G, S, g = self.G, self.S, self.g
+        with pytest.raises(PropertyViolation, match="not inversion-closed") as exc:
+            Locality(G, list(S.members()) + [g], S, self.delta, 2)
+        assert exc.value.witness == g
+
+    def test_s_is_not_in_the_carrier(self):
+        S = self.S
+        with pytest.raises(PropertyViolation, match="S is not contained") as exc:
+            Locality(self.G, self.V4.members(), S, self.delta, 2)
+        assert exc.value.witness == min(set(S.members()) - set(self.V4.members()))
+
+    def test_domain_product_escapes(self):
+        G, S, g = self.G, self.S, self.g
+        carrier = sorted(set(S.members()) | {g, G.inv(g)})
+        with pytest.raises(PropertyViolation,
+                           match="domain product escapes the carrier") as exc:
+            Locality(G, carrier, S, self.delta, 2)
+        x, y = exc.value.witness
+        assert {x, y} <= set(carrier) and G.mult(x, y) not in carrier
+
+    def test_partial_subgroup_is_not_an_ambient_subgroup(self, s4_all):
+        part = s4_all.sub([s4_all.identity, self.g])
+        with pytest.raises(PropertyViolation,
+                           match="not an ambient subgroup") as exc:
+            s4_all.perm_subgroup(part)
+        assert exc.value.witness == 1 | 1 << self.g
 
 
 class TestProperness:

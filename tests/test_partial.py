@@ -335,10 +335,11 @@ def reference_conjugates_outside(pg, members):
 
 
 def reference_is_partial_normal(pg, sub):
-    """True iff every defined conjugate of a member lands back in it."""
+    """True iff every defined conjugate of a member lands back in it and the
+    members form a partial subgroup."""
     for _ in reference_conjugates_outside(pg, sub.members):
         return False
-    return True
+    return generated_subgroup(pg, sub.members).members == sub.members
 
 
 def reference_normal_closure(pg, xs):
