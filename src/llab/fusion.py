@@ -17,6 +17,7 @@ import itertools
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import caps as _caps
 from .errors import CapExceeded, InputError, PropertyViolation
@@ -59,7 +60,11 @@ class FHom:
             m |= 1 << i
         return m
 
-    def mapping(self) -> dict:
+    def mapping(self) -> dict:  # built once per map; callers only read it
+        return self._mapping
+
+    @cached_property
+    def _mapping(self) -> dict:
         return dict(zip(mask_members(self.dom_mask), self.images))
 
     def restrict(self, sub_mask: int) -> "FHom":

@@ -4,7 +4,8 @@ A locality is a partial group L with a distinguished p-subgroup S and an
 object set Delta of subgroups of S such that a word w is in the domain
 exactly when the successive-conjugation subgroup S_w lies in Delta (O1),
 Delta is closed under overgroups in S and under the fusion maps (O2), and
-S is maximal among p-subgroups of L.
+S is maximal among p-subgroups of L.  `Locality` checks all three when it
+is built, so a domain test may read the image of S_w in place of S_w.
 
 Every carrier here is perm-backed: elements are ordinals of an ambient
 FiniteGroup in which products and inverses are total, so partiality lives
@@ -23,7 +24,6 @@ from .fusion import (
     FusionMap,
     FusionSystem,
     conjugation_fusion,
-    fusion_from_group,
     quotient_fusion_check,
 )
 from .partial import (
@@ -39,6 +39,7 @@ from .permgroup import (
     Subgroup,
     group_from_generators,
     is_characteristic_p,
+    mask_members,
     mask_of,
     p_prime_core,
     subgroups_below,
@@ -183,17 +184,16 @@ class Locality(PartialGroup):
         """S_w from its image: conjugate by the inverse of the product.
 
         A step by p**-1 is that conjugation, because the image conjugates
-        back into S_w, inside S, so it lies in S_{p**-1} already.  S_w and
-        its image are conjugate by p, so an F-closed Delta decides them
-        alike; the domain test pulls back because `Locality.__init__` does
-        not check that Delta is F-closed, so a hand-built Delta may not be.
-        Quotient localities are full-domain and never get here.
+        back into S_w, inside S, so it lies in S_{p**-1} already.  Only
+        `s_word_mask` needs S_w itself: growth compares it with S_f.
         """
         cur, prod = state
         return self._step_mask(self.group.inv(prod), cur)
 
     def walk_in_domain(self, state) -> bool:
-        return self.full_domain or self._pull_back(state) in self.delta.mask_set
+        # over carrier letters the image is S_w carried along the F-maps
+        # c_g1, ..., c_gk, and Delta is F-closed (checked in _validate)
+        return self.full_domain or state[0] in self.delta.mask_set
 
     def walk_product(self, state):
         return state[1]
@@ -284,6 +284,20 @@ class Locality(PartialGroup):
     def _validate(self):
         if not self.elements or self.elements[0] != 0:
             raise InputError("locality must contain the ambient identity")
+        # (O2), before the pair sweep, whose domain tests read images of S_w.
+        # F(L) is generated by c_g on S_g, g in L (g**-1 in L: inversion
+        # guard), so Delta is F-closed iff each c_g carries each object
+        # P <= S_g to an object, and a minimal object P0 <= P decides, as
+        # P**g >= P0**g.  P0**g is read off g's row of the S-conjugation table.
+        table, masks = self._s_conj, self.delta.mask_set
+        pos = {x: i for i, x in enumerate(table.members)}
+        minimal = [(m, [pos[x] for x in mask_members(m)]) for m in masks
+                   if not any(o != m and o & m == o for o in masks)]
+        for g in self.elements:
+            s_g, row = table.s_g(g), table.images(g)
+            for m, spots in minimal:
+                if m & s_g == m and sum(1 << row[i] for i in spots) not in masks:
+                    raise InputError("object set is not invariant under the fusion system")
         G = self.group
         for g in self.elements:
             if self.s_g_mask(g) not in self.delta.mask_set:
@@ -353,13 +367,13 @@ class Locality(PartialGroup):
 
 
 def locality_from_group(G: FiniteGroup, p: int, delta) -> Locality:
-    """Restriction G|_Delta: elements with S_g in Delta, domain by (O1)."""
+    """Restriction G|_Delta: elements with S_g in Delta, domain by (O1).
+
+    (O2) for F(L) is (O2) for F(G): P <= S_g with P an object puts g in L.
+    """
     S = sylow_p(G.top, p)
-    F = fusion_from_group(G, p, S)
     if not isinstance(delta, ObjectSet):
-        delta = object_set(S, delta, fusion=F)
-    elif not F.is_f_closed(delta.members):
-        raise InputError("object set is not invariant under the fusion system")
+        delta = object_set(S, delta)
     table = G.s_conjugation(S.mask)
     members = [g for g in range(G.order) if table.s_g(g) in delta.mask_set]
     return Locality(G, members, S, delta, p)
@@ -477,12 +491,12 @@ def restriction_cut(L: Locality, delta0: ObjectSet) -> tuple:
 
 
 def restrict(L: Locality, delta0) -> Locality:
-    """L|_{Delta0} for an F-closed subset Delta0 of Delta."""
-    F = L.fusion()
+    """L|_{Delta0} for an F-closed subset Delta0 of Delta.
+
+    The cut checks (O2); on Delta0 its maps are L's (`locality_from_group`).
+    """
     if not isinstance(delta0, ObjectSet):
-        delta0 = object_set(L.S, delta0, fusion=F)
-    elif not F.is_f_closed(delta0.members):
-        raise InputError("restriction object set is not F-closed")
+        delta0 = object_set(L.S, delta0)
     if not delta0.mask_set <= L.delta.mask_set:
         raise InputError("restriction object set must be a subset of Delta")
     out = Locality(L.group, restriction_cut(L, delta0), L.S, delta0, L.p)
@@ -575,10 +589,9 @@ def theta_quotient(L: Locality):
     for P in L.delta.members:
         C = L.perm_subgroup(centralizer_in(L, P))
         members.update(p_prime_core(C, L.p).members())
+    # Theta is partial normal as Delta is F-closed (Chermak, Finite localities
+    # I, 2015; Henke, Trans. AMS 371 (2019)); coset_partition checks it.
     theta = PartialSubgroup(L, frozenset(members))
-    if not is_partial_normal(L, theta):
-        raise PropertyViolation("Theta is not partial normal", witness=theta)
-
     if theta.order == 1:
         quotient = L  # L/1 = L
     else:
@@ -605,13 +618,12 @@ def _centric_base(L: Locality) -> Locality:
     if c_masks == L.delta.mask_set:
         return L
     if c_masks <= L.delta.mask_set:
-        return restrict(L, object_set(L.S, c_objs, fusion=F))
+        return restrict(L, c_objs)
     from .expansion import full_expand
 
     target = {P.mask: P for P in L.delta.members}
     target.update({P.mask: P for P in c_objs})
-    grown = full_expand(L, object_set(L.S, target.values(), fusion=F)).locality
-    return restrict(grown, object_set(grown.S, c_objs, fusion=grown.fusion()))
+    return restrict(full_expand(L, target.values()).locality, c_objs)
 
 
 def normalizer_locality(L: Locality, V: Subgroup) -> Locality:
@@ -624,7 +636,7 @@ def normalizer_locality(L: Locality, V: Subgroup) -> Locality:
     base = _centric_base(L)
     FV = F.normalizer_system(V)
     ns = V.normalizer(L.S)
-    delta_v = object_set(ns, FV.class_sets()["c"], fusion=FV)
+    delta_v = object_set(ns, FV.class_sets()["c"])
     vm = V.mask
     members = [
         g
@@ -650,7 +662,7 @@ def centralizer_locality(L: Locality, V: Subgroup) -> Locality:
     F = L.fusion()
     CF = F.centralizer_system(V)
     cs = V.centralizer(L.S)
-    sigma = object_set(cs, CF.class_sets()["c"], fusion=CF)
+    sigma = object_set(cs, CF.class_sets()["c"])
     G = L.group
     members = [
         g
@@ -673,25 +685,19 @@ def centralizer_locality(L: Locality, V: Subgroup) -> Locality:
 
 
 def o_p_locality(L: Locality) -> Subgroup:
-    """Largest subgroup of S normal in L; descending scan, uniqueness asserted.
+    """Largest subgroup of S normal in L: the first hit, largest first.
 
     Partial normality alone gives P**g = P whenever P <= S_g: for x in P the
     word (g**-1, x, g) has S_w >= S_{g**-1}, because x in S_g normalizes
     S_g, and S_{g**-1} is an object by (O1).  So x**g is defined and lies
-    in P, and P**g = P by counting.  Each candidate is a subset test against
-    the carrier's memoized conjugate rows.
+    in P, and P**g = P by counting: each candidate is a subset test against
+    memoized conjugate rows.  Products of partial normal subgroups are
+    partial normal (Chermak, Finite localities I, 2015): the first hit
+    contains every other.
     """
-    winners = []
-    for P in subgroups_below(L.S):
-        if P.is_normal_in(L.S) and is_partial_normal(
-                L, PartialSubgroup(L, frozenset(P.members()))):
-            winners.append(P)
-    top = winners[0]
-    for P in winners:
-        if not P.le(top):
-            raise PropertyViolation("normal-in-L subgroups of S lack a unique maximum",
-                                    witness=(top, P))
-    return top
+    return next(P for P in subgroups_below(L.S)
+                if P.is_normal_in(L.S) and is_partial_normal(
+                    L, PartialSubgroup(L, frozenset(P.members()))))
 
 
 def _product_set(L: Locality, A, B) -> frozenset:
@@ -759,19 +765,8 @@ def resolve_delta_spec(F: FusionSystem, spec: str) -> list:
     if spec in {"c", "q", "s"}:
         return list(F.class_sets()[spec])
     if spec == "cr-closure":
-        masks = {P.mask for P in F.class_sets()["cr"]}
-        changed = True
-        while changed:
-            changed = False
-            for Q in F.subs:
-                if Q.mask in masks:
-                    continue
-                if any(m & Q.mask == m for m in masks):
-                    masks.add(Q.mask)
-                    changed = True
-                    continue
-                if any(R.mask in masks for R in F.conjugates(Q)):
-                    masks.add(Q.mask)
-                    changed = True
-        return [P for P in F.subs if P.mask in masks]
+        # The overgroups of F^cr are F-closed: F^cr is, and Q >= P in F^cr
+        # carries P into Q's image.
+        cr = [P.mask for P in F.class_sets()["cr"]]
+        return [Q for Q in F.subs if any(m & Q.mask == m for m in cr)]
     raise InputError(f"unknown object-set spec {spec!r}")

@@ -57,6 +57,8 @@ class PartialGroup:
         self._normal_lattice: tuple | None = None
         # x -> the defined conjugates x**g over the carrier (_conjugate_row)
         self._conjugate_rows: dict = {}
+        # member set -> is it a partial subgroup? (is_partial_normal)
+        self._partial_verdicts: dict = {}
 
     def inv(self, x):
         raise NotImplementedError
@@ -450,10 +452,17 @@ def _conjugate_row(pg: PartialGroup, x) -> frozenset:
 
 def is_partial_normal(pg: PartialGroup, sub: PartialSubgroup) -> bool:
     """True iff the members form a partial subgroup and every defined
-    conjugate of a member lands back in it."""
-    members = sub.members
-    return (all(_conjugate_row(pg, x) <= members for x in members)
-            and generated_subgroup(pg, members).members == members)
+    conjugate of a member lands back in it.
+
+    The row test runs first; the pair sweep once per member set and
+    carrier, and never for a set `normal_closure` returned.
+    """
+    members, verdicts = sub.members, pg._partial_verdicts
+    if not all(_conjugate_row(pg, x) <= members for x in members):
+        return False
+    if members not in verdicts:
+        verdicts[members] = generated_subgroup(pg, members).members == members
+    return verdicts[members]
 
 
 def normal_closure(pg: PartialGroup, xs) -> PartialSubgroup:
@@ -466,6 +475,7 @@ def normal_closure(pg: PartialGroup, xs) -> PartialSubgroup:
     while True:
         grown = cur.union(*(_conjugate_row(pg, x) for x in cur))
         if grown == cur:
+            pg._partial_verdicts[cur] = True  # closed under both
             return PartialSubgroup(pg, cur)
         cur = generated_subgroup(pg, grown).members
 

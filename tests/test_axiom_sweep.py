@@ -136,7 +136,9 @@ class TestAgainstTheWordSweep:
 
 
 class TestNotFClosed:
-    """An object set that is not F-closed, where the pull-back decides D."""
+    """An unchecked carrier whose object set is not F-closed: `Locality`
+    refuses it, and the sweeps, which decide D by the image of S_w, agree
+    that it breaks the axioms."""
 
     def test_unchecked_cut_carrier(self):
         # the carrier is the cut {g : S_g in Delta}; 8 of its members lose

@@ -2,10 +2,11 @@
 
 Each `reference_*` function below is the dropped code with its guard, as it
 stood before; the argument that replaced the guard sits beside the library
-code.  `check_carrier` runs every reference on one carrier and compares its
-answer with the library's.  It runs over every carrier that the verify
-contexts of the built-in pairs build (towers included), over the A6 growth on
-partial-domain bases, and over the random groups of
+code.  `check_carrier` runs every reference on one carrier, and
+`check_growth` on one growth, and each compares its answer with the
+library's.  They run over every carrier and growth that the verify contexts
+of the built-in pairs build (towers and Theta-quotients included), over the
+A6 growth on partial-domain bases, and over the random groups of
 `tests/test_random_groups.py`.
 """
 
@@ -20,8 +21,10 @@ from llab.locality import (
     _product_set,
     centralizer_in,
     normalizer_in,
+    o_p_locality,
     o_p_of,
     o_pprime_of,
+    object_set,
     quotient_locality,
     theta_quotient,
 )
@@ -33,9 +36,11 @@ from llab.partial import (
     right_coset,
 )
 from llab.permgroup import (
+    Subgroup,
     group_from_generators,
     normal_subgroups,
     p_prime_core,
+    subgroups_below,
     sylow_p,
 )
 from test_expansion import a6_growth, example, growths
@@ -164,6 +169,71 @@ def reference_relative_core(L, N, kind):
     return out
 
 
+def reference_walk_in_domain(L, state):
+    """`Locality.walk_in_domain` with S_w pulled back from its image."""
+    return L.full_domain or L._pull_back(state) in L.delta.mask_set
+
+
+def reference_o_p_locality(L):
+    """`o_p_locality` with its uniqueness guard."""
+    winners = []
+    for P in subgroups_below(L.S):
+        if P.is_normal_in(L.S) and is_partial_normal(
+                L, PartialSubgroup(L, frozenset(P.members()))):
+            winners.append(P)
+    top = winners[0]
+    for P in winners:
+        if not P.le(top):
+            raise PropertyViolation("normal-in-L subgroups of S lack a unique maximum",
+                                    witness=(top, P))
+    return top
+
+
+def reference_theta(L):
+    """Theta of `theta_quotient` with its partial-normality guard."""
+    members = {L.identity}
+    for P in L.delta.members:
+        C = L.perm_subgroup(centralizer_in(L, P))
+        members.update(p_prime_core(C, L.p).members())
+    theta = PartialSubgroup(L, frozenset(members))
+    if not is_partial_normal(L, theta):
+        raise PropertyViolation("Theta is not partial normal", witness=theta)
+    return theta
+
+
+def reference_grown_family(step):
+    """Delta+ of `elementary_expand`, with its guard on R's class."""
+    L, seed = step.base, step.seed
+    target = [
+        P
+        for P in subgroups_below(L.S)
+        if P.mask in L.delta.mask_set or any(V.le(P) for V in seed.conjugates)
+    ]
+    deltaplus = object_set(L.S, target, fusion=L.fusion())
+    conj_masks = {V.mask for V in seed.conjugates}
+    extra = deltaplus.mask_set - L.delta.mask_set - conj_masks
+    if extra:
+        raise PropertyViolation(
+            "object family grew past the conjugacy class", witness=sorted(extra)
+        )
+    return deltaplus
+
+
+def reference_absorb(L, steps, target):
+    """`expansion._absorb` with its no-op guard, replayed over its steps."""
+    F = L.fusion()
+    cur = L
+    for step in steps:
+        missing = target - cur.delta.mask_set
+        cands = sorted((Subgroup(L.group, m) for m in missing), key=lambda P: P.key())
+        R = F.good_conjugate(cands[0])
+        assert step.seed.R.mask == R.mask
+        if R.mask in cur.delta.mask_set:  # elementary_expand's no-op test
+            raise PropertyViolation("missing class produced a no-op", witness=R.mask)
+        cur = step.locality
+    return cur
+
+
 # -- running them ---------------------------------------------------------------
 
 
@@ -180,9 +250,32 @@ def check_fusion(F):
     return len(systems)
 
 
+def check_domain(L):
+    """The pulled-back domain test against the image test, on every pair of
+    letters and every triple over the first 12, at most 100 letters strided
+    from the carrier; returns the number of words whose S_w is no object."""
+    letters = L.elements[::-(-len(L.elements) // 100)]
+    masks = L.delta.mask_set
+    outside = 0
+    for w in itertools.chain(itertools.product(letters, repeat=2),
+                             itertools.product(letters[:12], repeat=3)):
+        st = L.walk(w)
+        inside = L._pull_back(st) in masks
+        assert (st[0] in masks) == inside, w
+        assert reference_walk_in_domain(L, st) == L.walk_in_domain(st), w
+        outside += not inside
+    return outside
+
+
 def check_carrier(L):
     """Every reference on one carrier; returns its partial normal subgroups."""
     check_fusion(L.fusion())
+    check_domain(L)
+    assert reference_o_p_locality(L).mask == o_p_locality(L).mask
+    cs = L.fusion().class_sets()
+    if ({P.mask for P in cs["cr"]} <= L.delta.mask_set
+            <= {P.mask for P in cs["q"]}):
+        reference_theta(L)
     for P in L.delta.members:
         for part in (normalizer_in(L, P), centralizer_in(L, P)):
             H = L.perm_subgroup(part)
@@ -202,15 +295,24 @@ def check_carrier(L):
     return normals
 
 
+def check_growth(base, steps, grown):
+    """The growth references on one chain of steps from base to grown."""
+    for step in steps:
+        assert reference_grown_family(step).mask_set == step.locality.delta.mask_set
+    assert reference_absorb(base, steps, grown.delta.mask_set) is grown
+
+
 def context_carriers(name, p):
     """Every carrier the verify context of a built-in pair builds: the
     cr-closure locality and its Theta-quotient, the proper localities, each
     growth step of the context's growth and of each tower's, and each tower's
     quotient and lift."""
     ctx = example(name, p)
-    out = [ctx.cr_locality, theta_quotient(ctx.cr_locality)[1],
-           *ctx.proper_localities]
+    theta, quotient = theta_quotient(ctx.cr_locality)
+    assert reference_theta(ctx.cr_locality).members == theta.members
+    out = [ctx.cr_locality, quotient, *ctx.proper_localities]
     for base, steps, grown in growths(ctx):
+        check_growth(base, steps, grown)
         out += [base, *(step.locality for step in steps), grown]
     for _, rep in ctx.towers:
         out += [rep.lbar, rep.lbarplus, rep.lplus]
@@ -230,8 +332,11 @@ class TestDroppedGuardsHold:
 
     def test_partial_domain_growth(self):
         fe = a6_growth()
+        check_growth(fe.base, fe.steps, fe.locality)
         carriers = [fe.base, *(step.locality for step in fe.steps)]
         assert not any(L.full_domain for L in carriers)
+        # the image test decides words outside D here, not only the cut
+        assert all(check_domain(L) > 0 for L in carriers)
         for L in carriers:
             check_carrier(L)
 

@@ -38,12 +38,6 @@ LEDGER = {
         "translated middle escaped the normalizer":
             "tests/test_expansion.py::TestTriplesAndSim"
             "::test_canonical_form_refuses_a_middle_outside_the_normalizer",
-        "object family grew past the conjugacy class":
-            ARGUED + "a strict overgroup P of a conjugate V has N_P(V) > V,"
-            " which c_(y**-1) for a witness y of V carries onto a strict"
-            " overgroup of R, an object, so an F-closed Delta holds N_P(V)"
-            " and P; kept because Locality does not check that a hand-built"
-            " Delta is F-closed",
         "properness lost during growth":
             ARGUED + "an elementary expansion of a proper locality by a"
             " subcentric class is proper (Chermak 2013; Henke 2019); kept"
@@ -56,10 +50,6 @@ LEDGER = {
         "restriction does not recover the base":
             "tests/test_expansion.py::TestRestrictionCut"
             "::test_cut_larger_than_the_base_fires",
-        "missing class produced a no-op":
-            ARGUED + "the seed is an F-conjugate of a missing subgroup, so it"
-            " is already an object only when the current Delta is not"
-            " F-closed, which Locality does not check for a hand-built Delta",
         "lift does not cut back to the base subgroup":
             "tests/test_expansion.py::TestLiftIsTheNormalClosure"
             "::test_matches_into_the_one_shot_construction",
@@ -110,11 +100,6 @@ LEDGER = {
             "::test_representative_dependence_detected",
         "quotient projection is not a homomorphism":
             "tests/test_locality.py::TestQuotientLocality::test_projection_guard_fires",
-        "Theta is not partial normal":
-            ARGUED + "for F^cr <= Delta <= F^q, Theta is a partial normal"
-            " subgroup of L (Chermak, Finite localities I, 2015; Henke, Trans."
-            " AMS 371 (2019)); kept because theta_quotient takes a caller's"
-            " locality, whose Delta Locality does not check to be F-closed",
         "theta quotient changed the fusion system":
             ARGUED + "Theta meets S trivially, so L -> L/Theta maps S"
             " isomorphically onto its image and carries F onto the quotient's"
@@ -139,11 +124,6 @@ LEDGER = {
         "centralizer locality has the wrong fusion system":
             ARGUED + "in the same setting C_L(V) realizes C_F(V) (Chermak"
             " 2013); kept for a caller's locality",
-        "normal-in-L subgroups of S lack a unique maximum":
-            ARGUED + "the product of two partial normal subgroups of a"
-            " locality is partial normal (Chermak, Finite localities I,"
-            " 2015), so the largest is unique; kept because Locality does not"
-            " check that a hand-built Delta is F-closed",
         "intersection left the O^p family":
             ARGUED + "the intersection of the partial normal K with"
             " K(S cap N) = N has the same property (Chermak, Finite"
@@ -218,3 +198,12 @@ def test_every_guard_is_ledgered():
     assert [(mod, msg) for mod, entries in LEDGER.items()
             for msg, where in entries.items()
             if not (where.startswith(ARGUED) or where.startswith("tests/"))] == []
+
+
+def test_no_guard_is_argued_from_an_unchecked_delta():
+    # Locality checks that Delta is F-closed (O2) when it is built, so no
+    # guard may be kept on the ground that a hand-built Delta is not
+    assert [(mod, msg) for mod, entries in LEDGER.items()
+            for msg, where in entries.items()
+            if where.startswith(ARGUED) and "F-closed" in where
+            and "not check" in where] == []

@@ -287,21 +287,49 @@ class TestDomainKernel:
             assert L.s_word_mask(iter(w)) == m, w
         assert not all(L.in_domain(w) for w in want)
 
-    def test_in_domain_pulls_back_when_delta_is_not_f_closed(self):
-        # S_w and its image under the word's product are F-conjugate, so on
-        # an F-closed Delta the pull-back changes no answer; here Delta drops
-        # one of two F-conjugate involutions, and it does
+    def test_a_delta_that_is_not_f_closed_is_refused(self, monkeypatch):
+        # Delta drops one of two F-conjugate involutions: a checked Locality,
+        # locality_from_group and restrict each refuse it, before the pair
+        # sweep tests a single word
         L = not_f_closed_locality()
         G, delta = L.group, L.delta
         assert not L.fusion().is_f_closed(delta.members)
+        q = locality_from_group(G, 2, delta_of(G, 2, "q"))
+        walks = []
+        monkeypatch.setattr(Locality, "in_domain",
+                            lambda self, word: walks.append(word))
+        refusals = [
+            lambda: Locality(G, L.elements, L.S, delta, 2),
+            lambda: locality_from_group(G, 2, delta),
+            lambda: locality_from_group(G, 2, list(delta)),
+            lambda: restrict(q, delta),
+            lambda: restrict(q, list(delta)),
+        ]
+        for build in refusals:
+            with pytest.raises(InputError, match="not invariant under the fusion"):
+                build()
+        assert walks == []
+
+    def test_only_s_word_mask_pulls_back(self, monkeypatch):
+        # a domain test reads the image of S_w; S_w itself is asked for only
+        # by s_word_mask, whose letters are ambient
+        G = builtin("s5")
+        L = locality_from_group(G, 2, delta_of(G, 2, "q"))
         want = reference_s_words(G, L.S, 2, L.elements)
-        image_decides = 0
+        pulls = []
+        pull_back = Locality._pull_back
+        monkeypatch.setattr(Locality, "_pull_back",
+                            lambda self, state: pulls.append(state) or pull_back(self, state))
         for w, m in want.items():
-            assert L.in_domain(w) == (m in delta.mask_set), w
+            assert L.in_domain(w) == (m in L.delta.mask_set), w
+            if len(w) == 2:
+                assert L.conj(w[0], w[1]) == (
+                    G.conj(*w) if L.in_domain((G.inv(w[1]), *w)) else None)
             if L.in_domain(w):
                 assert L.product(w) == G.word(w), w
-            image_decides += (L.walk(w)[0] in delta.mask_set) != (m in delta.mask_set)
-        assert image_decides > 0
+        assert sum(1 for _ in L.domain_words(2)) < len(want)
+        assert pulls == []
+        assert L.s_word_mask(w) == m and len(pulls) == 1
 
     def test_domain_words_are_the_filtered_product(self):
         G = builtin("s5")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llab import caps
+from llab import caps, partial
 from llab.checks import ExampleContext
 from llab.errors import CapExceeded, DomainError, InputError, PropertyViolation
 from llab.expansion import lift_normal
@@ -482,4 +482,41 @@ class TestConjugateRowsAreMemoized:
         first = [is_partial_normal(L, sub) for sub in subs]
         calls = self.count_conj(monkeypatch)
         assert [is_partial_normal(L, sub) for sub in subs] == first
+        assert not calls
+
+
+class TestPartialVerdictsAreMemoized:
+    """`is_partial_normal` sweeps a member set's pairs once per carrier."""
+
+    def count_sweeps(self, monkeypatch):
+        calls = Counter()
+        sweep = partial.generated_subgroup
+
+        def counted(pg, xs):
+            xs = frozenset(xs)
+            calls[pg, xs] += 1
+            return sweep(pg, xs)
+
+        monkeypatch.setattr(partial, "generated_subgroup", counted)
+        return calls
+
+    def test_each_member_set_is_swept_at_most_once(self, monkeypatch):
+        L = ExampleContext(builtin("s5"), 2).base
+        e = frozenset({L.identity})
+        rows = {partial._conjugate_row(L, x) for x in L.elements}
+        sets = ([frozenset(P.members()) for P in subgroups_below(L.S)]
+                + list(rows) + [row | e for row in rows])
+        calls = self.count_sweeps(monkeypatch)
+        first = [is_partial_normal(L, PartialSubgroup(L, m)) for m in sets]
+        assert [is_partial_normal(L, PartialSubgroup(L, m)) for m in sets] == first
+        assert first.count(True) and first.count(False)
+        assert calls and max(calls.values()) == 1
+        assert len(calls) <= len(set(sets))
+
+    def test_a_normal_closure_is_not_swept_again(self, monkeypatch):
+        L = ExampleContext(builtin("s5"), 2).base
+        closures = [normal_closure(L, [x]) for x in L.elements]
+        closures += all_partial_normal_subgroups(L)
+        calls = self.count_sweeps(monkeypatch)
+        assert all(is_partial_normal(L, N) for N in closures)
         assert not calls

@@ -9,20 +9,24 @@ cr-closure locality's carrier must agree with `tests/oracles.py`, which does
 not import llab.  Where that carrier is proper, its growth to F^s must keep
 the facts that `tests/test_expansion.py` checks with the dropped guards.  The
 dropped guards of `tests/test_derived_facts.py` run on the carrier and on the
-growth.
+growth.  Dropping a member whose F-class has more than one member from the
+cr-closure or from F^s leaves a family that is not F-closed, which
+`locality_from_group` must refuse.
 """
 
 from dataclasses import asdict
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from llab.errors import InputError
 from llab.expansion import full_expand
 from llab.fusion import fusion_from_group
 from llab.locality import is_proper, locality_from_group, resolve_delta_spec
 from llab.permgroup import group_from_generators
-from test_derived_facts import check_carrier
+from test_derived_facts import check_carrier, check_growth
 from test_expansion import reference_chain_checks, reference_step_checks
 
 MAX_EXAMPLES = 15
@@ -71,11 +75,20 @@ def check_group(G, elements, p):
     assert flags == {P: {k: v for k, v in row.items() if k != "order"}
                      for P, row in rows.items()}
 
-    L = locality_from_group(G, p, resolve_delta_spec(F, "cr-closure"))
+    delta = resolve_delta_spec(F, "cr-closure")
+    L = locality_from_group(G, p, delta)
     cr = {P for P, row in rows.items() if row["centric"] and row["radical"]}
     want = oracles.locality_elements(elements, S_oracle, oracles.upward(cr, S_oracle))
     assert {G.elements[g] for g in L.elements} == want
     check_carrier(L)
+    # Dropping a member P whose F-class is larger, with the members below P
+    # to keep overgroup closure, leaves P's other conjugates in: refused.
+    # No cr-closure of the drawn groups has such a member; F^s has 29.
+    for family in (delta, resolve_delta_spec(F, "s")):
+        for P in family:
+            if len(F.conjugates(P)) > 1:
+                with pytest.raises(InputError, match="not invariant under the fusion"):
+                    locality_from_group(G, p, [Q for Q in family if not Q.le(P)])
     if not is_proper(L).ok:
         return
     fe = full_expand(L, resolve_delta_spec(F, "s"))
@@ -83,4 +96,5 @@ def check_group(G, elements, p):
         assert step.locality.fusion() is step.base.fusion()
         reference_step_checks(step)
     reference_chain_checks(L, fe.locality)
+    check_growth(L, fe.steps, fe.locality)
     check_carrier(fe.locality)
