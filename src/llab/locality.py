@@ -144,6 +144,8 @@ class Locality(PartialGroup):
         # is_proper's report; declared here so every instance keeps one
         # attribute layout (a slot added later made unrelated jobs slower)
         self._proper_report: ProperReport | None = None
+        # theta_quotient's (Theta, L/Theta), kept the same way
+        self._theta_quotient: tuple | None = None
         self.full_domain = self._invariant_core_mask() in delta.mask_set
         self._validate()
 
@@ -564,8 +566,10 @@ def theta_quotient(L: Locality):
     Requires F^cr <= Delta <= F^q.  Returns (Theta, quotient locality); the
     quotient keeps the same fusion system through the induced map on S, as
     argued below, without a check.  When Theta is trivial the quotient is L
-    itself.
+    itself.  The pair is built once per locality and kept on it.
     """
+    if L._theta_quotient is not None:
+        return L._theta_quotient
     F = L.fusion()
     cs = F.class_sets()
     cr_masks = {P.mask for P in cs["cr"]}
@@ -592,7 +596,8 @@ def theta_quotient(L: Locality):
     prop = is_proper(quotient)
     if not prop.ok:
         raise PropertyViolation("theta quotient is not proper", witness=prop.summary())
-    return theta, quotient
+    L._theta_quotient = (theta, quotient)
+    return L._theta_quotient
 
 
 # -- normalizer and centralizer localities ----------------------------------------

@@ -21,6 +21,7 @@ localities, by `locality.quotient_locality` from the maximal cosets that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import caps as _caps
 from .errors import CapExceeded, DomainError, InputError, PropertyViolation
@@ -75,8 +76,10 @@ class PartialGroup:
     #
     # Every bounded word sweep extends words one letter at a time and keeps a
     # state per prefix.  Letters are carrier elements; `walk_product` is
-    # asked only of states that `walk_in_domain` accepts.  Here the state is
-    # the word itself, answered by `in_domain` and `product`.
+    # asked only of states that `walk_in_domain` accepts.  States are
+    # hashable, and equal states have equal futures: the axiom sweep interns
+    # them.  Here the state is the word itself, answered by `in_domain` and
+    # `product`.
 
     def walk_start(self):
         """State of the empty word."""
@@ -201,12 +204,20 @@ def check_axioms(pg: PartialGroup, max_len: int = 4) -> AxiomReport:
     (closure, identity, inverses, associativity), which cover words of
     every length at once.
 
-    Other carriers are swept with their word walker, level by level in
-    `itertools.product` order: each word extends its prefix's state by one
-    letter, and every one of the n + ... + n**max_len words is decided, none
-    skipped under a prefix outside D.  The prefix, suffix and contraction
-    tests read the kept flags of shorter words, and w**-1 * w is one walk
-    from the kept state of w**-1.
+    Other carriers are swept with their word walker a prefix row at a time.
+    Each distinct walker state is stepped once per letter into a row: its
+    successor states and the mask of letters that stay in D.  Every one of
+    the n + ... + n**max_len words is still decided, none skipped under a
+    prefix outside D, because each word is a bit of its prefix's row and
+    every prefix of length < max_len has a row.  The prefix, suffix,
+    contracted-pair and escape tests and the contractions of segments
+    ending before the last letter are mask operations per row; products
+    come from one table of `binary` on D's pairs.  The contractions of
+    segments [i:k] with i >= 1, w**-1 * w and the inverse word are decided
+    per word.  The violations, their order and the cap of 200 are those of
+    the word-by-word sweep: the domain and contracted-pair tests on every
+    word, then the contraction and inverse tests on every word with a
+    product, each pass in `itertools.product` order.
     """
     if max_len < 2:
         raise InputError("axiom check needs max_len >= 2")
@@ -253,126 +264,339 @@ def _check_axioms_table(pg: PartialGroup) -> AxiomReport:
 
 
 def _cap_words(n: int, max_len: int, what: str) -> None:
-    """Refuse a sweep over all n + n**2 + ... + n**max_len words past axiom_words."""
+    """Refuse a sweep over all n + n**2 + ... + n**max_len words past axiom_words.
+
+    The sum stops as soon as it passes the limit, so a huge max_len is
+    refused at once.
+    """
     limit = _caps.current().axiom_words
-    if sum(n**k for k in range(1, max_len + 1)) > limit:
-        raise CapExceeded(what, limit)
+    total, term = 0, 1
+    for _ in range(max_len):
+        term *= n
+        total += term
+        if total > limit:
+            raise CapExceeded(what, limit)
+
+
+_NONE = object()  # no product: the word is outside D, or the sweep formed none
+
+
+def _bits(mask: int):
+    """Set bit positions of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _ValueRow(NamedTuple):
+    """Products of w + x by letter x, for one value of the product of w."""
+
+    pairs: int  # letters x with (value, x) in D
+    vals: list  # binary(value, x), _NONE where there is none
+    ok: int  # letters with a product
+    fail: int  # letters where binary raised
+    why: dict  # letter -> "binary product failed: ..."
+    escape: int  # products outside the carrier
+    short: int  # products in the carrier whose 1-letter word is outside D
 
 
 def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
     els = pg.elements
-    _cap_words(len(els), max_len, "axiom word enumeration")
+    n = len(els)
+    _cap_words(n, max_len, "axiom word enumeration")
+    index = pg._index
+    identity = pg.identity
     bad = []
 
     def record(axiom, word, detail):
         if len(bad) < 200:
             bad.append(AxiomViolation(axiom, word, detail))
 
-    start, empty_ok = pg.walk_start(), pg.in_domain(())
-    if not empty_ok:
+    if not pg.in_domain(()):
         record("1", (), "empty word not in domain")
 
-    # word -> (walk state, in D) for every word shorter than max_len and every
-    # pair over the carrier: the prefix, suffix and contraction tests read
-    # these flags.  Words of the top length are decided as they are walked
-    # and not kept.  A word missing here has a letter outside the carrier (a
-    # product or inverse escaped it), so it is not in D.
-    seen = {(): (start, empty_ok)}
+    # Walker states are interned.  A state that prefixes a word shorter than
+    # max_len gets a row: its successor ids by letter, and in `doms` the
+    # mask of letters whose successor is in D.  The w**-1 * w walks step
+    # row-less states through `memo`, keyed by (state id, letter).
+    ids, states, indom, rows, doms, memo = {}, [], [], [], [], {}
 
-    def in_d(word):
-        got = seen.get(word)
-        return got is not None and got[1]
+    def intern(st):
+        i = ids.get(st)
+        if i is None:
+            i = ids[st] = len(states)
+            states.append(st)
+            indom.append(pg.walk_in_domain(st))
+            rows.append(None)
+            doms.append(0)
+        return i
 
-    prod = {(): pg.identity}
-    checked = 0
-    level = [((), start)]
-    for k in range(1, max_len + 1):
-        keep = k < max_len or k == 2
-        nxt = []
-        # prefixes in itertools.product order, each extended by every letter
-        for pre, state in level:
-            for x in els:
-                word = pre + (x,)
-                st = pg.walk_step(state, x)
-                here = pg.walk_in_domain(st)
-                checked += 1
-                if keep:
-                    seen[word] = (st, here)
-                    nxt.append((word, st))
-                if k == 1:
-                    if not here:
-                        record("1", word, "length-1 word not in domain")
-                    else:
-                        prod[word] = x
+    def build_row(i):
+        st = states[i]
+        nx = [intern(pg.walk_step(st, x)) for x in els]
+        rows[i] = nx
+        doms[i] = sum(1 << x for x, t in enumerate(nx) if indom[t])
+        return nx
+
+    def step(i, x):
+        key = i * n + x
+        t = memo.get(key)
+        if t is None:
+            t = memo[key] = intern(pg.walk_step(states[i], els[x]))
+        return t
+
+    # The words of length m < max_len are numbered in base n, first letter
+    # most significant, which is itertools.product order.  For each level m
+    # and word w: sid[m][w] its state id, prod[m][w] its product (_NONE if
+    # the sweep forms none) and pmask[m][w] the letters x for which w + x
+    # gets a product.
+    pw = [n**m for m in range(max_len + 1)]
+    s0 = intern(pg.walk_start())
+    build_row(s0)
+    d1 = doms[s0]
+    sid, pmask = [[s0], rows[s0]], [[d1]]
+    prod = [[identity], [x if d1 >> i & 1 else _NONE for i, x in enumerate(els)]]
+
+    def digits(m, w):
+        out = []
+        for _ in range(m):
+            w, d = divmod(w, n)
+            out.append(d)
+        return out[::-1]
+
+    # Every product the sweep forms is the prefix's product times the last
+    # letter, so the products come from one pair table, a row per left factor.
+    first_row = _ValueRow(d1, list(els), d1, 0, {}, 0, 0)
+    value_rows = {}
+
+    def pair_row(i):
+        got = value_rows.get(i)
+        if got is None:
+            a, pairs = els[i], doms[sid[1][i]]
+            vals = [_NONE] * n
+            ok = fail = escape = short = 0
+            why = {}
+            for x in _bits(pairs):
+                try:
+                    v = pg.binary(a, els[x])
+                except Exception as exc:  # corrupted tables
+                    fail |= 1 << x
+                    why[x] = f"binary product failed: {exc}"
                     continue
-                if here and not seen[pre][1]:
-                    record("1", word, "prefix missing from domain")
-                if here and not seen[word[1:]][1]:
-                    record("1", word, "suffix missing from domain")
-                if here and pre in prod:
-                    # axiom (3) with the prefix contracted to its product
-                    step = (prod[pre], x)
-                    if not in_d(step):
-                        record("3", word, "contracted prefix pair leaves domain")
-                    else:
-                        try:
-                            prod[word] = pg.binary(*step)
-                        except Exception as exc:  # corrupted tables
-                            record("3", word, f"binary product failed: {exc}")
-        level = nxt
+                vals[x] = v
+                ok |= 1 << x
+                j = index.get(v)
+                if j is None:
+                    escape |= 1 << x
+                elif not d1 >> j & 1:
+                    short |= 1 << x
+            got = value_rows[i] = _ValueRow(pairs, vals, ok, fail, why, escape, short)
+        return got
 
-    for word in prod:
-        if not word:
-            continue
-        value = prod[word]
-        if value not in pg._index:
-            record("1", word, "product escapes the carrier")
-            continue
-        k = len(word)
-        # axiom (3): contract every contiguous segment; the contracted word
-        # is shorter than the word, so its flag is kept
-        for i in range(k):
-            for j in range(i + 2, k + 1):
-                seg = word[i:j]
-                if seg not in prod:
-                    continue
-                contracted = word[:i] + (prod[seg],) + word[j:]
-                if not in_d(contracted):
-                    record("3", word, f"contraction of [{i}:{j}] leaves domain")
-                elif contracted in prod and prod[contracted] != value:
-                    record("3", word, f"contraction of [{i}:{j}] changes product")
-        # axiom (4): w**-1 * w multiplies to the identity
+    def value_row(m, w):
+        """Value row of the m-letter word w, which has a product."""
+        return first_row if m == 0 else pair_row(index[prod[m][w]])
+
+    for x in _bits(((1 << n) - 1) & ~d1):
+        record("1", (els[x],), "length-1 word not in domain")
+
+    # Axioms (1) and (3), a prefix row at a time: the row's domain mask
+    # against the prefix's own flag, the row of the prefix minus its first
+    # letter, and the value row of the prefix's product.
+    nones = [_NONE] * n
+    for k in range(2, max_len + 1):
+        top = k == max_len
+        up_sid, up_prod, suf_sid, span = sid[k - 1], prod[k - 1], sid[k - 2], pw[k - 2]
+        level_pm, nsid, nprod = [], [], []
+        for p, s in enumerate(up_sid):
+            nx = rows[s] or build_row(s)
+            dom, pm, vr = doms[s], 0, None
+            if dom:
+                bad_pre = 0 if indom[s] else dom
+                bad_suf = dom & ~doms[suf_sid[p % span]]
+                bad_pair = fail = 0
+                v = up_prod[p]
+                if v is not _NONE:
+                    i = index.get(v)
+                    if i is None:
+                        bad_pair = dom
+                    else:
+                        vr = pair_row(i)
+                        bad_pair, fail, pm = dom & ~vr.pairs, dom & vr.fail, dom & vr.ok
+                hit = bad_pre | bad_suf | bad_pair | fail
+                if hit and len(bad) < 200:
+                    pre = tuple(els[y] for y in digits(k - 1, p))
+                    for x in _bits(hit):
+                        word, b = pre + (els[x],), 1 << x
+                        if bad_pre & b:
+                            record("1", word, "prefix missing from domain")
+                        if bad_suf & b:
+                            record("1", word, "suffix missing from domain")
+                        if bad_pair & b:
+                            record("3", word, "contracted prefix pair leaves domain")
+                        elif fail & b:
+                            record("3", word, vr.why[x])
+            level_pm.append(pm)
+            if not top:
+                nsid.extend(nx)
+                if not pm:
+                    nprod.extend(nones)
+                elif pm == vr.ok:
+                    nprod.extend(vr.vals)
+                else:
+                    nprod.extend(v if pm >> x & 1 else _NONE for x, v in enumerate(vr.vals))
+        pmask.append(level_pm)
+        if not top:
+            sid.append(nsid)
+            prod.append(nprod)
+
+    # inverses by letter: the carrier index (None outside it), or the error
+    inverse, inv_index, inv_error = [], [], {}
+    for i, x in enumerate(els):
         try:
-            wi = tuple(pg.inv(x) for x in reversed(word))
+            xi = pg.inv(x)
         except Exception as exc:
-            record("4", word, f"inversion failed: {exc}")
-            continue
-        # one walk of w**-1 * w: the kept state of w**-1 minus its last
-        # letter, then that letter and the letters of w
-        got = seen.get(wi[:-1])
-        inside = got is not None and wi[-1] in pg._index
-        if inside:
-            st = pg.walk_step(got[0], wi[-1])
-            for x in word:
-                st = pg.walk_step(st, x)
-            inside = pg.walk_in_domain(st)
-        if not inside:
-            record("4", word, "w**-1 * w not in domain")
+            inverse.append(_NONE)
+            inv_index.append(None)
+            inv_error[i] = exc
         else:
-            try:
-                if pg.walk_product(st) != pg.identity:
-                    record("4", word, "w**-1 * w is not the identity")
-            except DomainError:
-                record("4", word, "w**-1 * w fold left the domain")
-        if wi in prod:
-            if prod[wi] != pg.inv(value):
-                record("4", word, "product of inverse word is not the inverse")
+            inverse.append(xi)
+            inv_index.append(index.get(xi))
+
+    verdicts = {}  # state id of a walked w**-1 * w -> its axiom (4) detail
+
+    def verdict(st):
+        if not indom[st]:
+            return "w**-1 * w not in domain"
+        try:
+            if pg.walk_product(states[st]) != identity:
+                return "w**-1 * w is not the identity"
+        except DomainError:
+            return "w**-1 * w fold left the domain"
+        return None
+
+    # Axioms (3) and (4) on every word with a product, in the order the
+    # products were formed.  The contractions of segments that end before
+    # the last letter, and of the whole word, are masks over the row
+    # (4-tuples below); the segments [i:k] with i >= 1 (7-tuples), w**-1 * w
+    # and the inverse word are decided per word.
+    for k in range(1, max_len + 1):
+        for p, live in enumerate(pmask[k - 1]):
+            if not live:
+                continue
+            d = digits(k - 1, p)
+            pre = tuple(els[y] for y in d)
+            vr = value_row(k - 1, p)
+            vals, escape = vr.vals, live & vr.escape
+            rest = live & ~escape
+            entries, per_word = [], []
+            rowbad = escape
+            for i in range(k):
+                for j in range(i + 2, k + 1):
+                    if j == k and i > 0:
+                        # pre[:i] + (product of pre[i:] + x,)
+                        head, tail = p // pw[k - 1 - i], p % pw[k - 1 - i]
+                        spm = pmask[k - 1 - i][tail]
+                        if not spm & rest:
+                            continue
+                        hpm = pmask[i][head]
+                        entry = (i, j, doms[sid[i][head]], hpm,
+                                 value_row(i, head).vals if hpm else None, spm,
+                                 value_row(k - 1 - i, tail).vals)
+                        entries.append(entry)
+                        per_word.append(entry)
+                        continue
+                    if j == k:
+                        leave, change = rest & vr.short, 0
+                    else:
+                        q = prod[j - i][p // pw[k - 1 - j] % pw[j - i]]
+                        if q is _NONE:
+                            continue
+                        qi = index.get(q)
+                        leave, change = rest, 0
+                        if qi is not None:
+                            # pre[:i] + (q,) + pre[j:], shorter than pre
+                            after = pw[k - 1 - j]
+                            clen = i + k - j
+                            c = ((p // pw[k - 1 - i]) * n + qi) * after + p % after
+                            leave = rest & ~doms[sid[clen][c]]
+                            cand = rest & pmask[clen][c]
+                            if cand and prod[clen][c] != prod[k - 1][p]:
+                                cvals = value_row(clen, c).vals
+                                for x in _bits(cand):
+                                    if cvals[x] != vals[x]:
+                                        change |= 1 << x
+                    if leave | change:
+                        entries.append((i, j, leave, change))
+                        rowbad |= leave | change
+            # w**-1 is (x**-1,) + inv_pre; its first k - 1 letters are the
+            # word numbered w below, whose state starts the walk
+            pre_error = next((inv_error[y] for y in reversed(d) if y in inv_error),
+                             None)
+            inv_pre = [inv_index[y] for y in reversed(d)]
+            pre_out = None in inv_pre
+            r = 0
+            if not pre_out:
+                for y in inv_pre[:-1]:
+                    r = r * n + y
+            wsid, wpm = sid[k - 1], pmask[k - 1]
+            for x in _bits(live):
+                b = 1 << x
+                word = pre + (els[x],)
+                if escape & b:
+                    record("1", word, "product escapes the carrier")
+                    continue
+                value = vals[x]
+                for entry in entries if rowbad & b else per_word:
+                    i, j = entry[0], entry[1]
+                    if len(entry) == 4:
+                        if entry[2] & b:
+                            record("3", word, f"contraction of [{i}:{j}] leaves domain")
+                        elif entry[3] & b:
+                            record("3", word, f"contraction of [{i}:{j}] changes product")
+                        continue
+                    _, _, hdom, hpm, hvals, spm, svals = entry
+                    if not spm & b:
+                        continue
+                    qi = index.get(svals[x])
+                    if qi is None or not hdom >> qi & 1:
+                        record("3", word, f"contraction of [{i}:{j}] leaves domain")
+                    elif hpm >> qi & 1 and hvals[qi] != value:
+                        record("3", word, f"contraction of [{i}:{j}] changes product")
+                if x in inv_error or pre_error is not None:
+                    exc = inv_error.get(x, pre_error)
+                    record("4", word, f"inversion failed: {exc}")
+                    continue
+                xi = inv_index[x]
+                if xi is None or pre_out:
+                    record("4", word, "w**-1 * w not in domain")
+                    continue
+                if k == 1:
+                    w, a0 = 0, xi
+                else:
+                    w, a0 = xi * pw[k - 2] + r, inv_pre[-1]
+                st = wsid[w]
+                for y in (a0, *d, x):
+                    nx = rows[st]
+                    st = nx[y] if nx is not None else step(st, y)
+                detail = verdicts.get(st, _NONE)
+                if detail is _NONE:
+                    detail = verdicts[st] = verdict(st)
+                if detail:
+                    record("4", word, detail)
+                if wpm[w] >> a0 & 1:
+                    vi = index[value]
+                    if vi in inv_error:
+                        raise inv_error[vi]
+                    if value_row(k - 1, w).vals[a0] != inverse[vi]:
+                        record("4", word, "product of inverse word is not the inverse")
 
     for x in els:
         if pg.inv(pg.inv(x)) != x:
             record("4", (x,), "inversion is not involutory")
 
-    return AxiomReport(ok=not bad, checked_words=checked, violations=bad)
+    return AxiomReport(ok=not bad, checked_words=sum(pw[1:]), violations=bad)
 
 
 # -- partial subgroups -------------------------------------------------------

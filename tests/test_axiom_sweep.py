@@ -1,16 +1,21 @@
-"""The prefix-state axiom sweep against the word-by-word sweep it replaced."""
+"""The row-kernel axiom sweep against the word-by-word sweep it replaced."""
 
 import itertools
+import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from llab.errors import DomainError
-from llab.locality import locality_from_group
+from llab.errors import CapExceeded, DomainError
+from llab.locality import Locality, locality_from_group
 from llab.partial import (
     AxiomReport,
     AxiomViolation,
     _cap_words,
     _check_axioms_bounded,
+    check_axioms,
 )
 from table_partial import TablePartial
 from test_locality import builtin, delta_of, not_f_closed_locality
@@ -184,3 +189,142 @@ class TestNegativeControls:
         got = assert_same_report(pg, max_len)
         assert not got.ok
         assert detail in {v.detail for v in got.violations}
+
+
+def z4_with(pair, value):
+    """Z/4 with the product of one pair replaced."""
+    els = (0, 1, 2, 3)
+    products = {(x, y): (x + y) % 4 for x in els for y in els}
+    products[pair] = value
+    return TablePartial(els, 0, {0: 0, 1: 3, 2: 2, 3: 1}, products)
+
+
+def outcome(sweep, pg, max_len):
+    """A sweep's report as comparable data, or the error it raised."""
+    try:
+        rep = sweep(pg, max_len)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return rep.ok, rep.checked_words, rep.violations
+
+
+class TestMoreNegativeControls:
+    """Branches of the sweep the controls above do not reach."""
+
+    @pytest.mark.parametrize("pg,max_len,detail", [
+        # (a, a) is listed in D, but the table has no product for it
+        (c2_table([("a", "a")]), 2, "binary product failed"),
+        # 2 * 1 = 4 is no element, so (1, 1, 1) folds out of the carrier and
+        # contracting it inside (3, 1, 1, 1) leaves D
+        (z4_with((2, 1), 4), 4, "contraction of [1:4] leaves domain"),
+        (z4_table(one_plus_one=3), 2, "product of inverse word is not the inverse"),
+    ], ids=["binary-raises", "escaped-triple", "inverse-word"])
+    def test_violation_fires_in_both_sweeps(self, pg, max_len, detail):
+        got = assert_same_report(pg, max_len)
+        assert not got.ok
+        assert any(v.detail.startswith(detail) for v in got.violations)
+
+    def test_raising_inverse_fails_both_sweeps_alike(self):
+        # the words through 3 are recorded as "inversion failed", but the
+        # closing involution check asks inv(3) again and lets its error out
+        els = (0, 1, 2, 3)
+        products = {(x, y): (x + y) % 4 for x in els for y in els}
+        pg = TablePartial(els, 0, {0: 0, 1: 3, 2: 2}, products)
+        got = outcome(_check_axioms_bounded, pg, 3)
+        assert got[0] == "raised" and got[1] is KeyError
+        assert got == outcome(reference_check_axioms_bounded, pg, 3)
+
+    def test_record_cap_keeps_the_first_200_in_order(self):
+        # 318 violations in all; the cap falls among the words of length 4
+        got = assert_same_report(z4_table(one_plus_one=3), 4)
+        assert len(got.violations) == 200
+        assert len(got.violations[-1].word) == 4
+
+
+class TestNotFClosedThreeLetters:
+    def test_states_repeat_and_rows_are_shared(self, monkeypatch):
+        L = not_f_closed_locality()
+        calls = Counter()
+        step = Locality.walk_step
+
+        def counted(self, state, g):
+            calls[state, g] += 1
+            return step(self, state, g)
+
+        monkeypatch.setattr(Locality, "walk_step", counted)
+        got = _check_axioms_bounded(L, 3)
+        monkeypatch.undo()
+        n = len(L.elements)
+        assert max(calls.values()) == 1
+        # the 1 + n + n**2 prefixes of length < 3 share a few states
+        stepped = {state for state, _ in calls}
+        assert len(stepped) * 8 < 1 + n + n * n
+        want = reference_check_axioms_bounded(L, 3)
+        assert (got.ok, got.checked_words) == (want.ok, want.checked_words)
+        assert got.violations == want.violations
+        assert not got.ok
+
+
+@st.composite
+def corrupted_tables(draw):
+    """Z/4 or the partial C2 above with one product, one domain entry or one
+    inverse changed; values may leave the carrier."""
+    if draw(st.booleans()):
+        els, outside = (0, 1, 2, 3), 4
+        products = {(x, y): (x + y) % 4 for x in els for y in els}
+        inverses = {0: 0, 1: 3, 2: 2, 3: 1}
+        domain = None
+    else:
+        els, outside = ("e", "a"), "b"
+        products = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a"}
+        inverses = {"e": "e", "a": "a"}
+        domain = list(products)
+    kind = draw(st.sampled_from(["product", "domain", "inverse"]))
+    values = st.sampled_from(els + (outside,))
+    if kind == "product":
+        products[draw(st.sampled_from(sorted(products)))] = draw(values)
+    elif kind == "domain":
+        domain = list(products) if domain is None else domain
+        word = tuple(draw(st.lists(st.sampled_from(els), min_size=2, max_size=3)))
+        if word in domain:
+            domain.remove(word)
+        else:
+            domain.append(word)
+    else:
+        inverses[draw(st.sampled_from(els))] = draw(values)
+    pg = TablePartial(els, els[0], inverses, products, domain=domain)
+    return pg, draw(st.sampled_from([2, 3, 4]))
+
+
+class TestCorruptedTables:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(corrupted_tables())
+    def test_kernel_matches_the_word_sweep(self, case):
+        pg, max_len = case
+        assert (outcome(_check_axioms_bounded, pg, max_len)
+                == outcome(reference_check_axioms_bounded, pg, max_len))
+
+
+class TestSweepWork:
+    def test_each_state_steps_each_letter_once(self, monkeypatch):
+        # the word-by-word walk made 345 512 steps on this carrier
+        L = q_locality("s5")
+        calls = Counter()
+        step = Locality.walk_step
+
+        def counted(self, state, g):
+            calls[state, g] += 1
+            return step(self, state, g)
+
+        monkeypatch.setattr(Locality, "walk_step", counted)
+        rep = _check_axioms_bounded(L, 3)
+        assert rep.ok and rep.checked_words == 178_808
+        assert max(calls.values()) == 1
+        assert sum(calls.values()) < 9_000
+
+    def test_huge_max_len_is_refused_at_once(self):
+        L = q_locality("s5")
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            check_axioms(L, max_len=10**6)
+        assert time.perf_counter() - t0 < 1.0

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from llab.checks import ExampleContext
+from llab import checks, locality
+from llab.checks import ExampleContext, run_tags
 from llab.errors import DomainError, InputError, PropertyViolation
 from llab.fusion import fusion_from_group
 from llab.locality import (
@@ -569,6 +570,31 @@ class TestThetaQuotient:
     def test_delta_outside_quasicentric_rejected(self, s4_all):
         with pytest.raises(InputError):
             theta_quotient(s4_all)
+
+    @pytest.mark.parametrize("name,p", [("c6", 2), ("c6", 3), ("s5", 3)])
+    def test_verify_builds_the_quotient_once(self, monkeypatch, name, p):
+        # no standard family is proper here, so ExampleContext.proper_localities
+        # falls back to the cr-closure locality's quotient, and tag 2.9 asks
+        # for the same quotient again
+        results, quotients = [], []
+        theta = locality.theta_quotient
+        quotient = locality.quotient_locality
+
+        def counted_theta(L):
+            results.append(theta(L))
+            return results[-1]
+
+        def counted_quotient(L, N):
+            quotients.append(N)
+            return quotient(L, N)
+
+        monkeypatch.setattr(checks, "theta_quotient", counted_theta)
+        # theta_quotient's own call; growth's quotients go through expansion
+        monkeypatch.setattr(locality, "quotient_locality", counted_quotient)
+        assert all(res["ok"] for res in run_tags(builtin(name), p).values())
+        assert len(results) == 2
+        assert results[0] is results[1]  # one build, kept on the locality
+        assert quotients == [results[0][0]]
 
 
 class TestQuotientLocality:
