@@ -15,7 +15,6 @@ groups through the right-multiplication action on coset blocks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -28,6 +27,7 @@ from .partial import (
     coset_partition,
     is_partial_normal,
     all_partial_normal_subgroups,
+    products,
 )
 from .permgroup import (
     FiniteGroup,
@@ -146,6 +146,8 @@ class Locality(PartialGroup):
         self._proper_report: ProperReport | None = None
         # theta_quotient's (Theta, L/Theta), kept the same way
         self._theta_quotient: tuple | None = None
+        # _centric_base's locality on Delta = F^c when it is not L itself
+        self._centric: Locality | None = None
         self.full_domain = self._invariant_core_mask() in delta.mask_set
         self._validate()
 
@@ -229,6 +231,26 @@ class Locality(PartialGroup):
         # a full-domain carrier answers before any walk
         return self.full_domain or self.walk_in_domain(self.walk(word))
 
+    def domain_row(self, x) -> frozenset:
+        """The y with (x, y) in D, read off S_(x**-1) and S_y.
+
+        c_x carries S_(x, y) onto S_(x**-1) & S_y and c_(x**-1) carries it
+        back, and Delta is F-closed (checked in _validate before its pair
+        sweep), so (x, y) is in D iff that intersection is an object.  Rows
+        are kept by S_(x**-1), so there is at most one per distinct S_g.
+        """
+        if x not in self._index:
+            return frozenset()
+        if self.full_domain:
+            return self._carrier
+        key = self.s_g_mask(self.group.inv(x))
+        row = self._domain_rows.get(key)
+        if row is None:
+            row = self._domain_rows[key] = frozenset(
+                y for y in self.elements
+                if (key & self.s_g_mask(y)) in self.delta.mask_set)
+        return row
+
     def conj(self, x, g):
         """x**g from one walk of (g**-1, x, g): its domain test and product.
 
@@ -310,10 +332,10 @@ class Locality(PartialGroup):
         if missing:
             raise PropertyViolation("S is not contained in the carrier",
                                     witness=missing[0])
-        for g, h in itertools.product(self.elements, repeat=2):
-            if self.in_domain((g, h)) and G.mult(g, h) not in self._index:
-                raise PropertyViolation("domain product escapes the carrier",
-                                        witness=(g, h))
+        if not products(self, self.elements, self._carrier) <= self._carrier:
+            raise PropertyViolation("domain product escapes the carrier", witness=next(
+                (g, h) for g in self.elements for h in self.elements
+                if h in self.domain_row(g) and G.mult(g, h) not in self._index))
         self._check_s_maximal()
 
     def _check_s_maximal(self):
@@ -431,10 +453,11 @@ def subgroup_in_locality(L: Locality, members) -> tuple[bool, tuple | None]:
     for g in ms:
         if L.inv(g) not in ms:
             return False, (g,)
-    for g, h in itertools.product(sorted(ms), repeat=2):
-        if not L.in_domain((g, h)) or L.binary(g, h) not in ms:
-            return False, (g, h)
-    return True, None
+    if all(ms <= L.domain_row(g) for g in ms) and products(L, ms, ms) <= ms:
+        return True, None
+    order = sorted(ms)
+    return False, next((g, h) for g in order for h in order
+                       if h not in L.domain_row(g) or L.binary(g, h) not in ms)
 
 
 @dataclass
@@ -604,19 +627,25 @@ def theta_quotient(L: Locality):
 
 
 def _centric_base(L: Locality) -> Locality:
-    """Re-point a proper locality at Delta = F^c, expanding first if needed."""
+    """Re-point a proper locality at Delta = F^c, expanding first if needed.
+
+    Built once per locality and kept on it, unless it is L itself.
+    """
     F = L.fusion()
     c_objs = F.class_sets()["c"]
     c_masks = {P.mask for P in c_objs}
     if c_masks == L.delta.mask_set:
         return L
-    if c_masks <= L.delta.mask_set:
-        return restrict(L, c_objs)
-    from .expansion import full_expand
+    if L._centric is None:
+        if c_masks <= L.delta.mask_set:
+            L._centric = restrict(L, c_objs)
+        else:
+            from .expansion import full_expand
 
-    target = {P.mask: P for P in L.delta.members}
-    target.update({P.mask: P for P in c_objs})
-    return restrict(full_expand(L, target.values()).locality, c_objs)
+            target = {P.mask: P for P in L.delta.members}
+            target.update({P.mask: P for P in c_objs})
+            L._centric = restrict(full_expand(L, target.values()).locality, c_objs)
+    return L._centric
 
 
 def normalizer_locality(L: Locality, V: Subgroup) -> Locality:
@@ -687,14 +716,6 @@ def o_p_locality(L: Locality) -> Subgroup:
                     L, PartialSubgroup(L, frozenset(P.members()))))
 
 
-def _product_set(L: Locality, A, B) -> frozenset:
-    out = set()
-    for a, b in itertools.product(A, B):
-        if L.in_domain((a, b)):
-            out.add(L.binary(a, b))
-    return frozenset(out)
-
-
 def _relative_core(L: Locality, N: PartialSubgroup, kind: str) -> PartialSubgroup:
     if not is_partial_normal(L, N):
         raise InputError("relative core needs a partial normal subgroup")
@@ -702,7 +723,7 @@ def _relative_core(L: Locality, N: PartialSubgroup, kind: str) -> PartialSubgrou
     fam = []
     for K in all_partial_normal_subgroups(L):
         if kind == "p":
-            if _product_set(L, K.members, T) == N.members:
+            if products(L, K.members, T) == N.members:
                 fam.append(K)
         else:
             if T <= K.members:
@@ -736,7 +757,7 @@ def product_partial_normal(L: Locality, M: PartialSubgroup,
     """
     if not is_partial_normal(L, M) or not is_partial_normal(L, N):
         raise InputError("product needs partial normal inputs")
-    return PartialSubgroup(L, _product_set(L, M.members, N.members))
+    return PartialSubgroup(L, products(L, M.members, N.members))
 
 
 # -- CLI-facing object-set vocabulary -------------------------------------------------

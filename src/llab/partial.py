@@ -35,6 +35,7 @@ __all__ = [
     "check_axioms",
     "generated_subgroup",
     "normal_closure",
+    "products",
     "is_partial_normal",
     "all_partial_normal_subgroups",
     "coset_partition",
@@ -60,6 +61,8 @@ class PartialGroup:
         self._conjugate_rows: dict = {}
         # member set -> is it a partial subgroup? (is_partial_normal)
         self._partial_verdicts: dict = {}
+        # x -> the y with (x, y) in D (domain_row)
+        self._domain_rows: dict = {}
 
     def inv(self, x):
         raise NotImplementedError
@@ -71,6 +74,14 @@ class PartialGroup:
     def binary(self, x, y):
         """Product of the domain word (x, y)."""
         raise NotImplementedError
+
+    def domain_row(self, x) -> frozenset:
+        """The y with (x, y) in D, memoized; every pair sweep reads these."""
+        row = self._domain_rows.get(x)
+        if row is None:
+            row = self._domain_rows[x] = frozenset(
+                y for y in self.elements if self.in_domain((x, y)))
+        return row
 
     # -- word walker ---------------------------------------------------------
     #
@@ -249,8 +260,13 @@ def _check_axioms_table(pg: PartialGroup) -> AxiomReport:
     for x in els:
         if table.get((e, x)) != x or table.get((x, e)) != x:
             bad.append(AxiomViolation("2", (x,), "identity law fails"))
-        xi = pg.inv(x)
-        if pg.inv(xi) != x:
+        try:
+            xi = pg.inv(x)
+            involutory = pg.inv(xi) == x
+        except Exception as exc:
+            bad.append(AxiomViolation("4", (x,), f"inversion failed: {exc}"))
+            continue
+        if not involutory:
             bad.append(AxiomViolation("4", (x,), "inversion is not involutory"))
         if table.get((xi, x)) != e or table.get((x, xi)) != e:
             bad.append(AxiomViolation("4", (xi, x), "inverse law fails"))
@@ -588,13 +604,16 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
                 if wpm[w] >> a0 & 1:
                     vi = index[value]
                     if vi in inv_error:
-                        raise inv_error[vi]
-                    if value_row(k - 1, w).vals[a0] != inverse[vi]:
+                        record("4", word, f"inversion failed: {inv_error[vi]}")
+                    elif value_row(k - 1, w).vals[a0] != inverse[vi]:
                         record("4", word, "product of inverse word is not the inverse")
 
     for x in els:
-        if pg.inv(pg.inv(x)) != x:
-            record("4", (x,), "inversion is not involutory")
+        try:
+            if pg.inv(pg.inv(x)) != x:
+                record("4", (x,), "inversion is not involutory")
+        except Exception as exc:
+            record("4", (x,), f"inversion failed: {exc}")
 
     return AxiomReport(ok=not bad, checked_words=sum(pw[1:]), violations=bad)
 
@@ -631,34 +650,42 @@ class PartialSubgroup:
         return f"PartialSubgroup(order={self.order})"
 
 
-def generated_subgroup(pg: PartialGroup, xs) -> PartialSubgroup:
-    """Least partial subgroup containing xs.
+def products(pg: PartialGroup, xs, ys) -> frozenset:
+    """The products x*y over x in xs and y in ys with (x, y) in D.
 
-    Closure under inverses and binary domain products suffices: axiom (3)
-    contracts any domain word to a fold of binary products whose
-    intermediate pairs stay in D.
+    The one pair sweep: each x reads its domain row, so only pairs in D
+    are multiplied.
     """
-    cur = set(xs) | {pg.identity}
-    for x in cur:
-        if x not in pg._index:
-            raise InputError(f"{x!r} is not an element of this partial group")
-    # semi-naive rounds: a pair of old elements was tried in an earlier round
-    old, fresh = set(), cur
+    return frozenset(pg.binary(x, y) for x in xs
+                     for y in pg.domain_row(x).intersection(ys))
+
+
+def _closure(pg: PartialGroup, xs, normal: bool) -> frozenset:
+    """Least set holding xs and 1 closed under inverses, under products of
+    pairs in D and, when normal, under the defined conjugates x**g.
+
+    Closure under inverses and binary domain products makes a partial
+    subgroup: axiom (3) contracts any domain word to a fold of binary
+    products whose intermediate pairs stay in D.  Semi-naive rounds: each
+    fresh element's inverse, conjugate row and products with the current
+    set go into the next frontier, so a pair of old elements, tried in an
+    earlier round, is never tried again.
+    """
+    cur, fresh = set(), set(xs) | {pg.identity}
     while fresh:
-        new = {pg.inv(x) for x in fresh} - cur
-        for x in fresh:
-            for y in cur:
-                if pg.in_domain((x, y)):
-                    z = pg.binary(x, y)
-                    if z not in cur:
-                        new.add(z)
-            for y in old:
-                if pg.in_domain((y, x)):
-                    z = pg.binary(y, x)
-                    if z not in cur:
-                        new.add(z)
-        old, fresh, cur = cur, new, cur | new
-    return PartialSubgroup(pg, frozenset(cur))
+        pg.member_mask(fresh)  # an element outside the carrier is an input error
+        old, cur = cur, cur | fresh
+        new = {pg.inv(x) for x in fresh}
+        new |= products(pg, fresh, cur) | products(pg, old, fresh)
+        if normal:
+            new = new.union(*(_conjugate_row(pg, x) for x in fresh))
+        fresh = new - cur
+    return frozenset(cur)
+
+
+def generated_subgroup(pg: PartialGroup, xs) -> PartialSubgroup:
+    """Least partial subgroup containing xs."""
+    return PartialSubgroup(pg, _closure(pg, xs, normal=False))
 
 
 def _conjugate_row(pg: PartialGroup, x) -> frozenset:
@@ -690,18 +717,11 @@ def is_partial_normal(pg: PartialGroup, sub: PartialSubgroup) -> bool:
 
 
 def normal_closure(pg: PartialGroup, xs) -> PartialSubgroup:
-    """Least partial normal subgroup containing xs.
-
-    Closure under products alternates with the union of the members'
-    conjugate rows until neither adds an element.
-    """
-    cur = generated_subgroup(pg, xs).members
-    while True:
-        grown = cur.union(*(_conjugate_row(pg, x) for x in cur))
-        if grown == cur:
-            pg._partial_verdicts[cur] = True  # closed under both
-            return PartialSubgroup(pg, cur)
-        cur = generated_subgroup(pg, grown).members
+    """Least partial normal subgroup containing xs: one closure whose
+    frontier takes in the fresh elements' conjugate rows too."""
+    members = _closure(pg, xs, normal=True)
+    pg._partial_verdicts[members] = True  # closed under both
+    return PartialSubgroup(pg, members)
 
 
 def all_partial_normal_subgroups(pg: PartialGroup) -> list:
@@ -758,14 +778,6 @@ def _enumerate_partial_normals(pg: PartialGroup) -> tuple:
 # -- cosets -------------------------------------------------------------------
 
 
-def right_coset(pg: PartialGroup, sub: PartialSubgroup, g) -> frozenset:
-    out = {g}
-    for x in sub.members:
-        if pg.in_domain((x, g)):
-            out.add(pg.binary(x, g))
-    return frozenset(out)
-
-
 def coset_partition(pg: PartialGroup, sub: PartialSubgroup) -> tuple:
     """Maximal right cosets of a partial normal subgroup, by least member.
 
@@ -775,7 +787,7 @@ def coset_partition(pg: PartialGroup, sub: PartialSubgroup) -> tuple:
     """
     if not is_partial_normal(pg, sub):
         raise InputError("quotient requires a partial normal subgroup")
-    cosets = {right_coset(pg, sub, g) for g in pg.elements}
+    cosets = {products(pg, sub.members, (g,)) | {g} for g in pg.elements}
     maximal = [c for c in cosets if not any(c < d for d in cosets)]
     seen = {}
     for c in maximal:

@@ -99,12 +99,18 @@ def reference_check_axioms_bounded(pg, max_len):
             except DomainError:
                 record("4", word, "w**-1 * w fold left the domain")
         if wi in prod:
-            if prod[wi] != pg.inv(value):
-                record("4", word, "product of inverse word is not the inverse")
+            try:
+                if prod[wi] != pg.inv(value):
+                    record("4", word, "product of inverse word is not the inverse")
+            except Exception as exc:
+                record("4", word, f"inversion failed: {exc}")
 
     for x in els:
-        if pg.inv(pg.inv(x)) != x:
-            record("4", (x,), "inversion is not involutory")
+        try:
+            if pg.inv(pg.inv(x)) != x:
+                record("4", (x,), "inversion is not involutory")
+        except Exception as exc:
+            record("4", (x,), f"inversion failed: {exc}")
 
     return AxiomReport(ok=not bad, checked_words=checked, violations=bad)
 
@@ -225,14 +231,31 @@ class TestMoreNegativeControls:
         assert any(v.detail.startswith(detail) for v in got.violations)
 
     def test_raising_inverse_fails_both_sweeps_alike(self):
-        # the words through 3 are recorded as "inversion failed", but the
-        # closing involution check asks inv(3) again and lets its error out
+        # inv(3) raises: the words through 3, and the words whose product is
+        # 3, are recorded as "inversion failed", and so is 3 in the closing
+        # involution check (and 1, whose inverse is 3); nothing is raised
         els = (0, 1, 2, 3)
         products = {(x, y): (x + y) % 4 for x in els for y in els}
         pg = TablePartial(els, 0, {0: 0, 1: 3, 2: 2}, products)
-        got = outcome(_check_axioms_bounded, pg, 3)
-        assert got[0] == "raised" and got[1] is KeyError
-        assert got == outcome(reference_check_axioms_bounded, pg, 3)
+        got = assert_same_report(pg, 3)
+        assert not got.ok
+        failed = [v for v in got.violations if v.detail == "inversion failed: 3"]
+        assert {v.word for v in failed if len(v.word) == 1} == {(1,), (3,)}
+        assert any(3 not in v.word for v in failed)
+
+    def test_raising_inverse_fails_the_table_check(self):
+        # the same table on the full-domain path: inv(3) raises, and the
+        # report records it instead of raising
+        els = (0, 1, 2, 3)
+        products = {(x, y): (x + y) % 4 for x in els for y in els}
+        pg = TablePartial(els, 0, {0: 0, 1: 3, 2: 2}, products)
+        pg.full_domain = True
+        rep = check_axioms(pg, 3)
+        assert not rep.ok
+        assert [v for v in rep.violations if v.axiom == "4"] == [
+            AxiomViolation("4", (1,), "inversion failed: 3"),
+            AxiomViolation("4", (3,), "inversion failed: 3"),
+        ]
 
     def test_record_cap_keeps_the_first_200_in_order(self):
         # 318 violations in all; the cap falls among the words of length 4

@@ -19,7 +19,6 @@ from llab.errors import PropertyViolation
 from llab.expansion import check_seed
 from llab.fusion import conjugation_fusion, quotient_fusion_check
 from llab.locality import (
-    _product_set,
     centralizer_in,
     centralizer_locality,
     is_proper,
@@ -42,7 +41,6 @@ from llab.partial import (
     all_partial_normal_subgroups,
     coset_partition,
     is_partial_normal,
-    right_coset,
 )
 from llab.permgroup import (
     Subgroup,
@@ -57,6 +55,26 @@ from test_fusion import BUILTIN_PAIRS
 
 
 # -- the dropped code -----------------------------------------------------------
+
+
+def reference_right_coset(pg, sub, g):
+    """`partial.right_coset`: g and the defined x*g, x in sub, each pair
+    decided by its own `in_domain` walk."""
+    out = {g}
+    for x in sub.members:
+        if pg.in_domain((x, g)):
+            out.add(pg.binary(x, g))
+    return frozenset(out)
+
+
+def reference_product_set(L, A, B):
+    """`locality._product_set`: the defined a*b, each pair decided by its own
+    `in_domain` walk."""
+    out = set()
+    for a, b in itertools.product(A, B):
+        if L.in_domain((a, b)):
+            out.add(L.binary(a, b))
+    return frozenset(out)
 
 
 def reference_find_o_p(F):
@@ -99,7 +117,7 @@ def reference_coset_partition(pg, sub):
     """`coset_partition` with its cover guard."""
     if not is_partial_normal(pg, sub):
         raise AssertionError("quotient requires a partial normal subgroup")
-    cosets = {right_coset(pg, sub, g) for g in pg.elements}
+    cosets = {reference_right_coset(pg, sub, g) for g in pg.elements}
     maximal = [c for c in cosets if not any(c < d for d in cosets)]
     seen = {}
     for c in maximal:
@@ -162,7 +180,7 @@ def reference_relative_core(L, N, kind):
     fam = []
     for K in all_partial_normal_subgroups(L):
         if kind == "p":
-            if _product_set(L, K.members, T) == N.members:
+            if reference_product_set(L, K.members, T) == N.members:
                 fam.append(K)
         else:
             if T <= K.members:
@@ -171,11 +189,26 @@ def reference_relative_core(L, N, kind):
         raise PropertyViolation("relative core family is empty", witness=kind)
     inter = frozenset.intersection(*[K.members for K in fam])
     out = PartialSubgroup(L, inter)
-    if kind == "p" and _product_set(L, inter, T) != N.members:
+    if kind == "p" and reference_product_set(L, inter, T) != N.members:
         raise PropertyViolation("intersection left the O^p family", witness=out)
     if kind == "p'" and not T <= inter:
         raise PropertyViolation("intersection left the O^{p'} family", witness=out)
     return out
+
+
+def reference_subgroup_in_locality(L, members):
+    """`subgroup_in_locality` with each pair decided by its own `in_domain`
+    walk, in carrier order."""
+    ms = set(members)
+    if L.identity not in ms:
+        return False, (L.identity,)
+    for g in ms:
+        if L.inv(g) not in ms:
+            return False, (g,)
+    for g, h in itertools.product(sorted(ms), repeat=2):
+        if not L.in_domain((g, h)) or L.binary(g, h) not in ms:
+            return False, (g, h)
+    return True, None
 
 
 def reference_walk_in_domain(L, state):
@@ -389,7 +422,8 @@ def check_fusion(F):
 def check_domain(L):
     """The pulled-back domain test against the image test, on every pair of
     letters and every triple over the first 12, at most 100 letters strided
-    from the carrier; returns the number of words whose S_w is no object."""
+    from the carrier, and the domain rows against the walker on every pair;
+    returns the number of words whose S_w is no object."""
     letters = L.elements[::-(-len(L.elements) // 100)]
     masks = L.delta.mask_set
     outside = 0
@@ -399,14 +433,29 @@ def check_domain(L):
         inside = L._pull_back(st) in masks
         assert (st[0] in masks) == inside, w
         assert reference_walk_in_domain(L, st) == L.walk_in_domain(st), w
+        if len(w) == 2:
+            assert (w[1] in L.domain_row(w[0])) == L.in_domain(w), w
         outside += not inside
     return outside
+
+
+def check_subgroup_test(L):
+    """`subgroup_in_locality` against the pair walk on N_L(P) for every
+    P <= S and on S with one more element and its inverse, at most 40
+    elements strided from the carrier; returns the number of failures."""
+    sets = [normalizer_in(L, P).members for P in subgroups_below(L.S)]
+    S = set(L.S.members())
+    sets += [S | {x, L.inv(x)} for x in L.elements[::-(-len(L.elements) // 40)]]
+    got = [subgroup_in_locality(L, ms) for ms in sets]
+    assert got == [reference_subgroup_in_locality(L, ms) for ms in sets]
+    return sum(not ok for ok, _ in got)
 
 
 def check_carrier(L):
     """Every reference on one carrier; returns its partial normal subgroups."""
     check_fusion(L.fusion())
     check_domain(L)
+    check_subgroup_test(L)
     assert reference_o_p_locality(L).mask == o_p_locality(L).mask
     cs = L.fusion().class_sets()
     cr_masks = {P.mask for P in cs["cr"]}
@@ -501,8 +550,10 @@ class TestDroppedGuardsHold:
         check_growth(fe.base, fe.steps, fe.locality)
         carriers = [fe.base, *(step.locality for step in fe.steps)]
         assert not any(L.full_domain for L in carriers)
-        # the image test decides words outside D here, not only the cut
+        # the image test decides words outside D here, not only the cut,
+        # and the subgroup test fails on some sets, with a witness
         assert all(check_domain(L) > 0 for L in carriers)
+        assert all(check_subgroup_test(L) > 0 for L in carriers)
         for L in carriers:
             check_carrier(L)
 

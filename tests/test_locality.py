@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -466,6 +467,11 @@ class TestCarrierGuards:
             Locality(G, carrier, S, self.delta, 2)
         x, y = exc.value.witness
         assert {x, y} <= set(carrier) and G.mult(x, y) not in carrier
+        # the witness is the first such pair in carrier order, each pair
+        # decided by its own walk
+        U = UncheckedLocality(G, carrier, S, self.delta, 2)
+        assert (x, y) == next((g, h) for g, h in itertools.product(carrier, repeat=2)
+                              if U.in_domain((g, h)) and G.mult(g, h) not in carrier)
 
     @pytest.mark.parametrize("extra", [24, 99, -1, 1.5, "a"])
     def test_a_member_that_is_no_ambient_ordinal_is_refused(self, s4_all, extra):
@@ -690,6 +696,34 @@ class TestNormalizerLocalities:
         assert len(CZ.elements) == 8
         assert fusion_of(CZ).same_homs(F.centralizer_system(Z))
 
+    def test_centric_base_is_built_once(self, monkeypatch):
+        # the s5/2 cr-closure locality is grown to F^c and cut back once,
+        # not once per normalizer and centralizer locality
+        from llab import expansion
+
+        G = builtin("s5")
+        L = locality_from_group(G, 2, delta_of(G, 2, "cr-closure"))
+        F = fusion_of(L)
+        calls = Counter()
+        full_expand, restrict_ = expansion.full_expand, locality.restrict
+
+        def counted_expand(*args):
+            calls["full_expand"] += 1
+            return full_expand(*args)
+
+        def counted_restrict(*args):
+            calls["restrict"] += 1
+            return restrict_(*args)
+
+        monkeypatch.setattr(expansion, "full_expand", counted_expand)
+        monkeypatch.setattr(locality, "restrict", counted_restrict)
+        vs = [V for V in F.subs if F.is_fully_normalized(V)]
+        for V in vs:
+            normalizer_locality(L, V)
+            centralizer_locality(L, V)
+        assert len(vs) == 8
+        assert calls == {"full_expand": 1, "restrict": 1}
+
     def test_not_fully_normalized_rejected(self, s4_all):
         F = fusion_of(s4_all)
         Z = next(P for P in subgroups_below(s4_all.S)
@@ -858,6 +892,8 @@ class TestClosuresOnPartialDomain:
         els = s5_q.elements
         seeds = [els[1:2], els[5:7], els[-3:], list(s5_q.S.members()) + [els[-1]],
                  els[::9]]
+        # neighbouring pairs reach products of an old element by a fresh one
+        seeds += [els[i:i + 2] for i in range(len(els) - 1)]
         for xs in seeds:
             assert generated_subgroup(s5_q, xs).members == naive(xs), xs
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from llab import caps, partial
 from llab.checks import ExampleContext
 from llab.errors import CapExceeded, DomainError, InputError, PropertyViolation
 from llab.expansion import lift_normal
-from llab.locality import Locality
+from llab.fusion import fusion_from_group
+from llab.locality import Locality, locality_from_group, resolve_delta_spec
 from llab.partial import (
     PartialSubgroup,
     PGHom,
@@ -520,3 +522,58 @@ class TestPartialVerdictsAreMemoized:
         calls = self.count_sweeps(monkeypatch)
         assert all(is_partial_normal(L, N) for N in closures)
         assert not calls
+
+
+class TestOnePairKernel:
+    """Every pair sweep reads the carrier's domain rows, and the normal
+    closure is one semi-naive closure."""
+
+    def count(self, monkeypatch):
+        """Count generated_subgroup calls by caller and in_domain calls by
+        word length."""
+        sweeps, walks = Counter(), Counter()
+        sweep, in_domain = partial.generated_subgroup, Locality.in_domain
+
+        def counted_sweep(pg, xs):
+            sweeps[sys._getframe(1).f_code.co_name] += 1
+            return sweep(pg, xs)
+
+        def counted_walk(self, word):
+            walks[len(tuple(word))] += 1
+            return in_domain(self, word)
+
+        monkeypatch.setattr(partial, "generated_subgroup", counted_sweep)
+        monkeypatch.setattr(Locality, "in_domain", counted_walk)
+        return sweeps, walks
+
+    def test_lattice_and_lifts_walk_no_pair(self, monkeypatch):
+        ctx = ExampleContext(builtin("s5"), 2)
+        # fresh copies, so no row, closure or lattice is cached yet
+        L, Lp = (Locality(K.group, K.elements, K.S, K.delta, K.p)
+                 for K in (ctx.base, ctx.growth.locality))
+        sweeps, walks = self.count(monkeypatch)
+        normals = all_partial_normal_subgroups(L)
+        for N in normals:
+            lift_normal(L, Lp, N)
+        monkeypatch.undo()
+        assert len(normals) == 4
+        # the trivial subgroup is not a closure: lift_normal sweeps it once
+        assert sweeps == {"is_partial_normal": 1} and not walks[2]
+
+    def test_partial_domain_lattice_walks_no_pair(self, monkeypatch):
+        G = builtin("s5")
+        F = fusion_from_group(G, 2)
+        L = locality_from_group(G, 2, resolve_delta_spec(F, "q"))
+        assert not L.full_domain
+        sweeps, walks = self.count(monkeypatch)
+        normals = all_partial_normal_subgroups(L)
+        monkeypatch.undo()
+        assert len(normals) > 2
+        assert not sweeps and not walks[2]
+
+    def test_closure_checks_every_element_it_forms(self):
+        # 1 * 1 = 4 leaves Z/4: the closure names it as it names a bad input
+        pg = axiom_z4_table(one_plus_one=4)
+        for f in (generated_subgroup, normal_closure):
+            with pytest.raises(InputError, match="^4 is not an element"):
+                f(pg, [1])
