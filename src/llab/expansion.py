@@ -30,7 +30,6 @@ from .locality import (
     normalizer_in,
     object_set,
     quotient_locality,
-    restriction_cut,
     subgroup_in_locality,
 )
 from .partial import (
@@ -119,7 +118,9 @@ def check_seed(L: Locality, R: Subgroup) -> SeedReport:
     fusion_ok = False
     M = None
     if sub_ok:
-        M = L.perm_subgroup(part)
+        # every pair of the set is in D with its product in the set, so the
+        # set is closed under G's product: an ambient subgroup, unswept
+        M = Subgroup(L.group, mask_of(part.members))
         details["normalizer_order"] = M.order
         details["normalizer_characteristic_p"] = is_characteristic_p(M, L.p)
         fusion_ok = conjugation_fusion(R.normalizer(L.S), M.members()).same_homs(
@@ -594,7 +595,7 @@ def _check_extension_pair(L: Locality, Lplus: Locality) -> None:
         or not L.delta.mask_set <= Lplus.delta.mask_set
     ):
         raise InputError("the two localities are not an extension pair")
-    if restriction_cut(Lplus, L.delta) != L.elements:
+    if Lplus._carrier & L.delta.cut != L._carrier:
         raise InputError("the larger locality does not restrict to the smaller")
 
 

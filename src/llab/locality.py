@@ -55,7 +55,6 @@ __all__ = [
     "subgroup_in_locality",
     "is_proper",
     "restrict",
-    "restriction_cut",
     "theta_quotient",
     "quotient_locality",
     "normalizer_locality",
@@ -78,6 +77,13 @@ class ObjectSet:
     @cached_property
     def mask_set(self) -> frozenset:
         return frozenset(P.mask for P in self.members)
+
+    @cached_property
+    def cut(self) -> frozenset:
+        """G|Delta = {g in G : S_g in Delta}, read off S's conjugation table."""
+        S, masks = self.S, self.mask_set
+        table = S.group.s_conjugation(S.mask)
+        return frozenset(g for g in range(S.group.order) if table.s_g(g) in masks)
 
     def __contains__(self, P: Subgroup) -> bool:
         return P.mask in self.mask_set
@@ -321,9 +327,9 @@ class Locality(PartialGroup):
             for m, spots in minimal:
                 if m & s_g == m and sum(1 << row[i] for i in spots) not in masks:
                     raise InputError("object set is not invariant under the fusion system")
-        G = self.group
+        G, cut = self.group, self.delta.cut
         for g in self.elements:
-            if self.s_g_mask(g) not in self.delta.mask_set:
+            if g not in cut:
                 raise PropertyViolation("O1 fails: member with S_g outside Delta",
                                         witness=g)
             if G.inv(g) not in self._index:
@@ -332,7 +338,12 @@ class Locality(PartialGroup):
         if missing:
             raise PropertyViolation("S is not contained in the carrier",
                                     witness=missing[0])
-        if not products(self, self.elements, self._carrier) <= self._carrier:
+        # A carrier that is its whole cut is closed: (g, h) in D has
+        # S_(g, h) <= S_gh, S_(g, h) is an object and Delta is closed under
+        # overgroups, so gh lies in the cut.  On a full-domain carrier
+        # S_(g, h) holds the invariant core, an object, so this holds there too.
+        if self._carrier != cut and not products(
+                self, self.elements, self._carrier) <= self._carrier:
             raise PropertyViolation("domain product escapes the carrier", witness=next(
                 (g, h) for g in self.elements for h in self.elements
                 if h in self.domain_row(g) and G.mult(g, h) not in self._index))
@@ -390,16 +401,15 @@ class Locality(PartialGroup):
 
 
 def locality_from_group(G: FiniteGroup, p: int, delta) -> Locality:
-    """Restriction G|_Delta: elements with S_g in Delta, domain by (O1).
+    """Restriction G|_Delta: the cut `delta.cut`, domain by (O1).
 
     (O2) for F(L) is (O2) for F(G): P <= S_g with P an object puts g in L.
+    The carrier is its whole cut, so `Locality` skips its closure sweep.
     """
     S = sylow_p(G.top, p)
     if not isinstance(delta, ObjectSet):
         delta = object_set(S, delta)
-    table = G.s_conjugation(S.mask)
-    members = [g for g in range(G.order) if table.s_g(g) in delta.mask_set]
-    return Locality(G, members, S, delta, p)
+    return Locality(G, delta.cut, S, delta, p)
 
 
 def s_of_word(L: Locality, word) -> Subgroup:
@@ -503,15 +513,12 @@ def is_proper(L: Locality) -> ProperReport:
 # -- restriction -----------------------------------------------------------------
 
 
-def restriction_cut(L: Locality, delta0: ObjectSet) -> tuple:
-    """Carrier of L|_{Delta0}: the members g with S_g in Delta0, in L's order."""
-    return tuple(g for g in L.elements if L.s_g_mask(g) in delta0.mask_set)
-
-
 def restrict(L: Locality, delta0) -> Locality:
-    """L|_{Delta0} for an F-closed subset Delta0 of Delta.
+    """L|_{Delta0} for an F-closed subset Delta0 of Delta: L meet `delta0.cut`.
 
     The cut checks (O2); on Delta0 its maps are L's (`locality_from_group`).
+    When L is its own cut on Delta, so is the restriction, and `Locality`
+    skips its closure sweep.
     A proper L restricted to a Delta0 that holds F^cr is proper, so this is
     not checked: (PL2) holds as N_cut(P) = N_L(P) for P in Delta0, and F(L)
     is saturated, so by Alperin's fusion theorem it is generated by the
@@ -522,7 +529,7 @@ def restrict(L: Locality, delta0) -> Locality:
         delta0 = object_set(L.S, delta0)
     if not delta0.mask_set <= L.delta.mask_set:
         raise InputError("restriction object set must be a subset of Delta")
-    return Locality(L.group, restriction_cut(L, delta0), L.S, delta0, L.p)
+    return Locality(L.group, L._carrier & delta0.cut, L.S, delta0, L.p)
 
 
 # -- quotients --------------------------------------------------------------------

@@ -15,13 +15,16 @@ import math
 
 import pytest
 
+from llab import locality
 from llab.errors import PropertyViolation
-from llab.expansion import check_seed
+from llab.expansion import check_seed, elementary_expand
 from llab.fusion import conjugation_fusion, quotient_fusion_check
 from llab.locality import (
+    Locality,
     centralizer_in,
     centralizer_locality,
     is_proper,
+    locality_from_group,
     normalizer_in,
     normalizer_locality,
     o_p_locality,
@@ -32,7 +35,6 @@ from llab.locality import (
     quotient_locality,
     resolve_delta_spec,
     restrict,
-    restriction_cut,
     subgroup_in_locality,
     theta_quotient,
 )
@@ -41,16 +43,20 @@ from llab.partial import (
     all_partial_normal_subgroups,
     coset_partition,
     is_partial_normal,
+    products,
 )
 from llab.permgroup import (
     Subgroup,
     group_from_generators,
+    mask_of,
     normal_subgroups,
+    p_core,
     p_prime_core,
     subgroups_below,
     sylow_p,
 )
-from test_expansion import a6_growth, example, growths
+from table_partial import UncheckedLocality
+from test_expansion import a6_growth, builtin, example, growths, loc, setup, swap_type
 from test_fusion import BUILTIN_PAIRS
 
 
@@ -75,6 +81,21 @@ def reference_product_set(L, A, B):
         if L.in_domain((a, b)):
             out.add(L.binary(a, b))
     return frozenset(out)
+
+
+def reference_cut(delta):
+    """G|Delta by brute force: each g with its own S_g, from conjugating S."""
+    S = delta.S
+    return frozenset(g for g in range(S.group.order)
+                     if Subgroup(S.group, mask_of(x for x in S.members()
+                                                  if S.group.conj(x, g) in S))
+                     in delta)
+
+
+def reference_restriction_cut(L, delta0):
+    """`locality.restriction_cut`: the members g of L with S_g in Delta0, in
+    L's order."""
+    return tuple(g for g in L.elements if L.s_g_mask(g) in delta0.mask_set)
 
 
 def reference_find_o_p(F):
@@ -373,7 +394,7 @@ def reference_restrict(L, delta0):
 def reference_restricts_to_base(grown, L, witness=None):
     """`expansion._check_restricts_to_base`: the cut of grown to L's objects
     is L's carrier, and the restriction keeps properness."""
-    if restriction_cut(grown, L.delta) != L.elements:
+    if reference_restriction_cut(grown, L.delta) != L.elements:
         raise PropertyViolation("restriction does not recover the base", witness=witness)
     reference_restriction_proper(grown, L)
 
@@ -453,6 +474,10 @@ def check_subgroup_test(L):
 
 def check_carrier(L):
     """Every reference on one carrier; returns its partial normal subgroups."""
+    # the cut against brute force, and the closure sweep that _validate
+    # skips on a carrier that is its whole cut
+    assert reference_cut(L.delta) == L.delta.cut
+    assert products(L, L.elements, L._carrier) <= L._carrier
     check_fusion(L.fusion())
     check_domain(L)
     check_subgroup_test(L)
@@ -572,3 +597,80 @@ class TestDroppedGuardsHold:
             incomparable += sum(not U.le(V) and not V.le(U)
                                 for U, V in itertools.combinations(normals, 2))
         assert incomparable == 839
+
+
+class TestCutClosure:
+    """`Locality` skips its closure sweep on a carrier that is its whole cut
+    G|Delta and keeps it on every other carrier."""
+
+    @staticmethod
+    def sweeps(monkeypatch):
+        """The `products` calls `_validate` makes from now on."""
+        calls, inside = [], []
+        real_products, real_validate = locality.products, Locality._validate
+
+        def counted(*args):
+            if inside:
+                calls.append(args)
+            return real_products(*args)
+
+        def validate(self):
+            inside.append(self)
+            try:
+                return real_validate(self)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(locality, "products", counted)
+        monkeypatch.setattr(Locality, "_validate", validate)
+        return calls
+
+    def test_one_element_short_of_the_cut_escapes(self):
+        # S4 at p = 2 over the overgroups of V4 is its whole cut; dropping
+        # a transposition outside S keeps the carrier inversion-closed and
+        # holding S, and some domain product lands on the missing element
+        G = builtin("s4")
+        S = sylow_p(G.top, 2)
+        V4 = p_core(G.top, 2)
+        delta = object_set(S, [Q for Q in subgroups_below(S) if V4.le(Q)])
+        t = next(x for x in sorted(delta.cut) if x not in S and G.inv(x) == x)
+        carrier = sorted(delta.cut - {t})
+        with pytest.raises(PropertyViolation,
+                           match="^domain product escapes the carrier$") as exc:
+            Locality(G, carrier, S, delta, 2)
+        # the witness of the full sweep: the first failing pair in carrier
+        # order, each pair decided by its own walk
+        U = UncheckedLocality(G, carrier, S, delta, 2)
+        assert exc.value.witness == next(
+            (g, h) for g, h in itertools.product(carrier, repeat=2)
+            if U.in_domain((g, h)) and G.mult(g, h) not in carrier)
+
+    @pytest.mark.parametrize("spec", ["cr-closure", "c", "q"])
+    def test_no_sweep_on_the_cut_of_a_group(self, monkeypatch, spec):
+        G, F = setup("s5")
+        delta = resolve_delta_spec(F, spec)
+        calls = self.sweeps(monkeypatch)
+        L = locality_from_group(G, 2, delta)
+        assert L._carrier == L.delta.cut and calls == []
+
+    def test_no_sweep_on_a_restriction_to_the_centric_objects(self, monkeypatch):
+        G, F = setup("s5")
+        Lq = locality_from_group(G, 2, resolve_delta_spec(F, "q"))
+        calls = self.sweeps(monkeypatch)
+        Lc = restrict(Lq, resolve_delta_spec(F, "c"))
+        assert len(Lc.elements) < len(Lq.elements) and calls == []
+
+    def test_no_sweep_on_a_theta_quotient(self, monkeypatch):
+        G = builtin("c6")
+        L = locality_from_group(G, 2, [sylow_p(G.top, 2)])
+        calls = self.sweeps(monkeypatch)
+        theta, quotient = theta_quotient(L)
+        assert theta.order == 3 and quotient is not L and calls == []
+
+    def test_one_sweep_on_a_grown_carrier_short_of_its_cut(self, monkeypatch):
+        _, F = setup("s5")
+        L = loc("s5", "c")
+        R = swap_type(L.S, F)
+        calls = self.sweeps(monkeypatch)
+        grown = elementary_expand(L, R).locality
+        assert grown._carrier < grown.delta.cut and len(calls) == 1
