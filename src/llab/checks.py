@@ -38,14 +38,9 @@ from .locality import (
     theta_quotient,
 )
 from .partial import PartialSubgroup, all_partial_normal_subgroups
-from .permgroup import _p_part, mask_of, p_core
+from .permgroup import Subgroup, _p_part, mask_of, p_core
 
 __all__ = ["ExampleContext", "TAGS", "run_tags"]
-
-
-def _ambient_p_core(L, part) -> set:
-    """O_p of a subgroup of L given as a PartialSubgroup, in ambient ordinals."""
-    return set(p_core(L.perm_subgroup(part), L.p).members())
 
 
 class ExampleContext:
@@ -148,7 +143,7 @@ def _object_normalizers_sylow(ctx):
                 return False, f"conjugate sets differ at mask {P.mask}"
             if not F.is_fully_normalized(P):
                 continue
-            M = L.perm_subgroup(normalizer_in(L, P))
+            M = Subgroup(L.group, mask_of(normalizer_in(L, P).members))
             ns = P.normalizer(L.S)
             if _p_part(M.order, L.p) != ns.order:
                 return False, f"normalizer of mask {P.mask} has the wrong p-part"
@@ -175,7 +170,8 @@ def _object_class_equivalences(ctx):
                 a for a in P.members()
                 if all(G.mult(a, b) == G.mult(b, a) for b in P.members())
             }
-            ncore = _ambient_p_core(L, normalizer_in(L, P))
+            N = Subgroup(G, mask_of(normalizer_in(L, P).members))
+            ncore = set(p_core(N, L.p).members())
             if flags.centric != (cent == center):
                 return False, f"centric test differs at mask {P.mask}"
             if (flags.centric and flags.radical) != (ncore == set(P.members())):

@@ -384,14 +384,6 @@ class Locality(PartialGroup):
     def sub(self, xs) -> PartialSubgroup:
         return PartialSubgroup(self, frozenset(xs))
 
-    def perm_subgroup(self, part: PartialSubgroup) -> Subgroup:
-        """A partial subgroup whose products are all defined, as an ambient Subgroup."""
-        mask = mask_of(part.members)
-        if not self.group.is_closed_mask(mask):
-            raise PropertyViolation("partial subgroup is not an ambient subgroup",
-                                    witness=mask)
-        return Subgroup(self.group, mask)
-
     def __repr__(self):
         return (f"Locality(|L|={len(self.elements)}, |S|={self.S.order}, "
                 f"|Delta|={len(self.delta)}, p={self.p})")
@@ -502,7 +494,8 @@ def is_proper(L: Locality) -> ProperReport:
         if P.mask not in L.delta.mask_set:
             report.missing_cr.append(P)
     for P in L.delta.members:
-        N = L.perm_subgroup(normalizer_in(L, P))
+        # a subgroup for an object P, as argued in normalizer_in
+        N = Subgroup(L.group, mask_of(normalizer_in(L, P).members))
         if not is_characteristic_p(N, L.p):
             report.bad_normalizers.append((P, N))
     report.ok = not report.missing_cr and not report.bad_normalizers
@@ -611,7 +604,7 @@ def theta_quotient(L: Locality):
 
     members = {L.identity}
     for P in L.delta.members:
-        C = L.perm_subgroup(centralizer_in(L, P))
+        C = Subgroup(L.group, mask_of(centralizer_in(L, P).members))
         members.update(p_prime_core(C, L.p).members())
     # Theta is partial normal as Delta is F-closed (Chermak, Finite localities
     # I, 2015; Henke, Trans. AMS 371 (2019)); coset_partition checks it.

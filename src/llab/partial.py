@@ -834,7 +834,6 @@ class PGHom:
         key = None if src.full_domain and tgt.full_domain else max_len
         if key in self._verified:
             return self._verified[key]
-        _cap_words(len(src.elements), max_len, "homomorphism word sweep")
         bad = None
         if m[src.identity] != tgt.identity:
             bad = ("identity", ())
@@ -848,6 +847,7 @@ class PGHom:
                         for x in src.elements for y in src.elements
                         if m[src.binary(x, y)] != tgt.binary(m[x], m[y])), None)
         else:
+            _cap_words(len(src.elements), max_len, "homomorphism word sweep")
             for w, state in src.walk_domain(max_len):
                 image = tgt.walk(self.apply_word(w))
                 if not tgt.walk_in_domain(image):
@@ -882,7 +882,6 @@ class PGHom:
         The homomorphism check and the lifting test cover the same words,
         those of length <= max_len.
         """
-        _cap_words(len(self.target.elements), max_len, "projection word sweep")
         self._require_hom(max_len)
         if set(self.mapping.values()) != set(self.target.elements):
             return False
@@ -890,6 +889,7 @@ class PGHom:
             # every word over the source is in its domain, so a target word
             # lifts letter by letter through any preimages
             return True
+        _cap_words(len(self.target.elements), max_len, "projection word sweep")
         fibers = {}
         for x, fx in self.mapping.items():
             fibers.setdefault(fx, []).append(x)

@@ -9,6 +9,7 @@ import pytest
 from llab import caps, checks, cli
 from llab.errors import PropertyViolation
 from llab.locality import Locality
+from test_partial import AGL_1_8
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
 
@@ -176,6 +177,16 @@ class TestVerify:
         assert code == 0
         assert "22 passed, 0 failed" in out
         assert "FAIL" not in out
+
+    def test_agl_1_8_towers_are_not_capped(self, capsys, tmp_path):
+        # order 168: the towers' homomorphisms between groups are decided by
+        # pairs, so the word cap, which counts 168 + 168**2 + 168**3 words,
+        # does not apply
+        gf = tmp_path / "agl_1_8.json"
+        gf.write_text(json.dumps({"degree": 8, "generators": AGL_1_8}))
+        code, out, err = run_cli(capsys, "verify", "--group", str(gf), "--p", "2")
+        assert (code, err) == (0, "")
+        assert "22 passed, 0 failed" in out
 
     def test_failing_suite_exits_three(self, capsys, monkeypatch):
         monkeypatch.setitem(checks.TAGS, "1.9", lambda ctx: (False, "forced"))

@@ -232,6 +232,16 @@ def reference_subgroup_in_locality(L, members):
     return True, None
 
 
+def reference_perm_subgroup(L, part):
+    """`Locality.perm_subgroup`: a partial subgroup as an ambient Subgroup,
+    with the closure sweep that normalizer_in's argument made redundant."""
+    mask = mask_of(part.members)
+    if not L.group.is_closed_mask(mask):
+        raise PropertyViolation("partial subgroup is not an ambient subgroup",
+                                witness=mask)
+    return Subgroup(L.group, mask)
+
+
 def reference_walk_in_domain(L, state):
     """`Locality.walk_in_domain` with S_w pulled back from its image."""
     return L.full_domain or L._pull_back(state) in L.delta.mask_set
@@ -256,7 +266,7 @@ def reference_theta(L):
     """Theta of `theta_quotient` with its partial-normality guard."""
     members = {L.identity}
     for P in L.delta.members:
-        C = L.perm_subgroup(centralizer_in(L, P))
+        C = reference_perm_subgroup(L, centralizer_in(L, P))
         members.update(p_prime_core(C, L.p).members())
     theta = PartialSubgroup(L, frozenset(members))
     if not is_partial_normal(L, theta):
@@ -492,7 +502,7 @@ def check_carrier(L):
         reference_restrict(L, resolve_delta_spec(L.fusion(), "cr-closure"))
     for P in L.delta.members:
         for part in (reference_normalizer_in(L, P), reference_centralizer_in(L, P)):
-            H = L.perm_subgroup(part)
+            H = reference_perm_subgroup(L, part)
             assert reference_p_prime_core(H, L.p).mask == p_prime_core(H, L.p).mask
     normals = all_partial_normal_subgroups(L)
     for N in normals:

@@ -47,6 +47,7 @@ from llab.expansion import (
     _check_extension_pair,
     _gamma_forms,
     _thread_value,
+    FullExpansion,
     PhiTriple,
     TildeClass,
     approx_class,
@@ -61,7 +62,7 @@ from llab.expansion import (
     make_seed,
     sim_related,
 )
-from table_partial import TablePartial
+from table_partial import TablePartial, UncheckedLocality
 from test_fusion import BUILTIN_PAIRS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
@@ -886,6 +887,44 @@ class TestQuotientTower:
         assert len(all_partial_normal_subgroups(rep.lbar)) == 3
         assert rep.sigma.mapping == quotient_locality(L, N).sigma.mapping
 
+    def test_unclosed_pushed_family_fires(self):
+        # a caller's growth whose family adds one transposition subgroup of
+        # D8 but not its F-conjugate: unchecked, so only the push sees it
+        L = loc("s4", "c")
+        G, S = L.group, L.S
+        P = next(Q for Q in subgroups_below(S) if Q.order == 2
+                 and Q.mask not in L.delta.mask_set
+                 and all(V.mask in L.delta.mask_set for V in subgroups_below(S)
+                         if Q.le(V) and V.mask != Q.mask)
+                 and not L.fusion().is_f_closed([*L.delta.members, Q]))
+        deltaplus = object_set(S, [*L.delta.members, P])
+        lplus = UncheckedLocality(G, L.elements, S, deltaplus, 2)
+        triv = next(n for n in all_partial_normal_subgroups(L) if n.order == 1)
+        with pytest.raises(PropertyViolation,
+                           match="^pushed object family is not closed: object set"
+                                 " is not invariant under the fusion system$"):
+            expand_quotient(L, triv, FullExpansion(lplus, L, ()))
+
+    def test_towers_take_no_growth_step(self, monkeypatch):
+        # L has full domain, so a tower reuses rho and builds the grown
+        # quotient in one Locality; s5/2 has four towers
+        ctx = ExampleContext(builtin("s5"), 2)
+        ctx.growth  # built before counting: the towers share it
+        calls = {"elementary_expand": 0, "is_proper": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(expansion, name, counted(name, getattr(expansion, name)))
+        assert len(ctx.towers) == 4
+        assert calls == {"elementary_expand": 0, "is_proper": 0}
+        assert all(rep.rho_plus.mapping == quotient_locality(ctx.base, N).rho.mapping
+                   for N, rep in ctx.towers)
+
     def test_growth_of_another_base_rejected(self):
         L = loc("s5", "c")
         _, F = setup("s5")
@@ -1066,6 +1105,8 @@ def growths(ctx):
             continue
         cur, steps = expansion._absorb(rep.lbar, rep.lbarplus.delta)
         assert cur.elements == rep.lbarplus.elements
+        assert cur.delta.mask_set == rep.lbarplus.delta.mask_set
+        assert cur.full_domain == rep.lbarplus.full_domain
         out.append((rep.lbar, steps, cur))
     return out
 
@@ -1087,6 +1128,8 @@ class TestGrowthKeepsByConstruction:
         ctx = example(name, p)
         for base, steps, grown in growths(ctx):
             for step in steps:
+                # every base here has full domain, so no step adjoins an element
+                assert not step.created
                 assert step.locality.fusion() is step.base.fusion()
                 reference_step_checks(step)
                 classes = [approx_class(step, g) for g in step.base.elements[:12]]

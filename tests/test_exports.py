@@ -43,6 +43,7 @@ def test_dead_helpers_are_gone():
     assert not hasattr(locality.ObjectSet, "contains_mask")
     assert not hasattr(locality, "restriction_cut")
     assert "restriction_cut" not in locality.__all__
+    assert not hasattr(locality.Locality, "perm_subgroup")
     assert not hasattr(partial.PGHom, "apply")
     assert "GroupPartial" not in partial.__all__
     assert not hasattr(partial, "GroupPartial")

@@ -39,11 +39,8 @@ LEDGER = {
             "tests/test_expansion.py::TestLiftIsTheNormalClosure"
             "::test_matches_into_the_one_shot_construction",
         "pushed object family is not closed: {}":
-            ARGUED + "the pushed family is the object family of the quotient"
-            " of the grown locality by the lifted subgroup (Chermak, Finite"
-            " localities I, 2015), overgroup-closed and closed under the"
-            " quotient's fusion system; kept because expand_quotient takes a"
-            " caller's growth",
+            "tests/test_expansion.py::TestQuotientTower"
+            "::test_unclosed_pushed_family_fires",
     },
     "fusion": {
         "no conjugate has both itself and its normalizer core fully normalized":
@@ -69,9 +66,6 @@ LEDGER = {
         "S is not a maximal p-subgroup of the carrier":
             "tests/test_locality.py::TestSMaximality"
             "::test_normal_c2_below_a_2_group_is_refused",
-        "partial subgroup is not an ambient subgroup":
-            "tests/test_locality.py::TestCarrierGuards"
-            "::test_partial_subgroup_is_not_an_ambient_subgroup",
         "coset product is not representative-independent":
             "tests/test_locality.py::TestQuotientLocality"
             "::test_representative_dependence_detected",

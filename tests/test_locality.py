@@ -58,6 +58,7 @@ from table_partial import UncheckedLocality
 from test_derived_facts import (
     reference_centralizer_in,
     reference_normalizer_in,
+    reference_perm_subgroup,
     reference_quotient_locality,
 )
 from test_fusion import BUILTIN_PAIRS
@@ -482,10 +483,11 @@ class TestCarrierGuards:
             Locality(self.G, [*s4_all.elements, extra], self.S, s4_all.delta, 2)
 
     def test_partial_subgroup_is_not_an_ambient_subgroup(self, s4_all):
+        # negative control: the reference closure sweep refuses {1, g}
         part = s4_all.sub([s4_all.identity, self.g])
         with pytest.raises(PropertyViolation,
                            match="not an ambient subgroup") as exc:
-            s4_all.perm_subgroup(part)
+            reference_perm_subgroup(s4_all, part)
         assert exc.value.witness == 1 | 1 << self.g
 
 
@@ -927,7 +929,7 @@ class TestObjectFamilyShapes:
         for P in s5_c.delta.members:
             if not F.is_fully_normalized(P):
                 continue
-            N = s5_c.perm_subgroup(normalizer_in(s5_c, P))
+            N = reference_perm_subgroup(s5_c, normalizer_in(s5_c, P))
             NS = P.normalizer(s5_c.S)
             part = N.order
             while part % 2 == 0:
@@ -953,8 +955,8 @@ class TestObjectFamilyShapes:
         c = {P.mask for P in cs["c"]}
         q = {P.mask for P in cs["q"]}
         for P in L.delta.members:
-            N = L.perm_subgroup(normalizer_in(L, P))
-            C = L.perm_subgroup(centralizer_in(L, P))
+            N = reference_perm_subgroup(L, normalizer_in(L, P))
+            C = reference_perm_subgroup(L, centralizer_in(L, P))
             core_amb = set(p_core(N, 2).members())
             assert (P.mask in cr) == (core_amb == set(P.members()))
             assert (P.mask in c) == (C.mask == P.center().mask)

@@ -39,6 +39,10 @@ from test_expansion import example
 from test_fusion import BUILTIN_PAIRS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
+# AGammaL(1, 8) on the 8 points of GF(8): x + 1, multiplication by a
+# generator, and the Frobenius x -> x**2; order 168
+AGL_1_8 = [[1, 0, 3, 2, 5, 4, 7, 6], [0, 2, 4, 6, 3, 1, 7, 5],
+           [0, 1, 4, 5, 6, 7, 2, 3]]
 
 
 def builtin(name) -> FiniteGroup:
@@ -295,25 +299,51 @@ class TestPGHom:
                 h.kernel()
 
     def test_word_sweeps_are_capped(self):
-        # 6 + 36 + 216 = 258 words of length <= 3 over C6
+        # the s5/2 F^q locality has partial domain: 56 + 56**2 = 3192 words
+        # of length <= 2, swept by both tests
+        G = builtin("s5")
+        L = locality_from_group(G, 2, resolve_delta_spec(fusion_from_group(G, 2), "q"))
+        assert not L.full_domain and len(L.elements) == 56
+        h = PGHom(L, L, {x: x for x in L.elements})
+        caps.override(caps.Caps(axiom_words=3191))
+        try:
+            with pytest.raises(CapExceeded) as exc:
+                h.verify(max_len=2)
+            assert exc.value.limit == 3191
+        finally:
+            caps.override(None)
+        assert h.verify(max_len=2)[0]
+        # verified now, so only the projection sweep itself can refuse
+        caps.override(caps.Caps(axiom_words=3191))
+        try:
+            with pytest.raises(CapExceeded):
+                h.is_projection(max_len=2)
+        finally:
+            caps.override(None)
+        assert h.is_projection(max_len=2)
+
+    def test_group_pair_tests_are_not_capped(self):
+        # 6 + 36 + 216 = 258 words of length <= 3 over C6, but between two
+        # groups no word is swept: pairs decide verify, and a surjective map
+        # from a group is a projection
         c6 = GroupPartial(builtin("c6"))
         h = PGHom(c6, c6, {x: x for x in c6.elements})
         caps.override(caps.Caps(axiom_words=257))
         try:
-            with pytest.raises(CapExceeded) as exc:
-                h.verify()
-            assert exc.value.limit == 257
+            assert h.verify() == (True, None)
+            assert h.is_projection()
         finally:
             caps.override(None)
-        assert h.verify()[0]
-        # verified now, so only the projection sweep itself can refuse
-        caps.override(caps.Caps(axiom_words=257))
-        try:
-            with pytest.raises(CapExceeded):
-                h.is_projection()
-        finally:
-            caps.override(None)
+
+    def test_agl_1_8_under_default_caps(self):
+        # order 168: 168 + 168**2 + 168**3 words pass the default cap of
+        # 2 000 000, while the pair test forms 168**2
+        agl = GroupPartial(group_from_generators(8, AGL_1_8))
+        assert len(agl.elements) == 168
+        h = PGHom(agl, agl, {x: x for x in agl.elements})
+        assert h.verify() == (True, None)
         assert h.is_projection()
+        assert h.kernel().order == 1
 
     def test_missing_element_rejected(self, s4p):
         with pytest.raises(InputError):
