@@ -132,10 +132,11 @@ def _normalized_implies_centralized(ctx):
 def _object_normalizers_sylow(ctx):
     for L in ctx.proper_localities:
         F = L.fusion()
+        table = L.group.s_conjugation(L.S.mask)
         for P in L.delta.members:
             conj = {V.mask for V in F.conjugates(P)}
             reach = {
-                P.conjugate(g).mask
+                table.conjugate_mask(P.mask, g)
                 for g in L.elements
                 if P.mask & L.s_g_mask(g) == P.mask
             }

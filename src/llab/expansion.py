@@ -143,15 +143,15 @@ def build_y_sets(L: Locality, R: Subgroup) -> dict:
     Keyed by conjugate mask.  Once the strict-overgroup condition holds
     every set is guaranteed nonempty, so an empty one raises.
     """
+    table = L.group.s_conjugation(L.S.mask)
+    carried: dict[int, list[int]] = {}
+    for y in L.elements:
+        carried.setdefault(table.conjugate_mask(R.mask, y), []).append(y)
     out = {}
     for V in L.fusion().conjugates(R):
         ns = V.normalizer(L.S).mask
-        ys = []
-        for y in L.elements:
-            if R.conjugate(y).mask != V.mask:
-                continue
-            if ns & L.s_g_mask(L.inv(y)) == ns:
-                ys.append(y)
+        ys = [y for y in carried.get(V.mask, ())
+              if ns & L.s_g_mask(L.inv(y)) == ns]
         if not ys:
             raise PropertyViolation(
                 "empty witness set for a conjugate of the seed", witness=V.mask
@@ -440,7 +440,7 @@ def _reps_with_left(exp: ElementaryExpansion, cls: TildeClass, u_mask: int):
         g = cls.element
         if u_mask & L0.s_g_mask(g) != u_mask:
             return
-        v_mask = Subgroup(G, u_mask).conjugate(g).mask
+        v_mask = G.s_conjugation(L0.S.mask).conjugate_mask(u_mask, g)
 
         def make(xb, yb):
             return PhiTriple(xb, G.mult(G.mult(xb, g), G.inv(yb)), yb, u_mask, v_mask)

@@ -168,7 +168,7 @@ class Locality(PartialGroup):
         key = (g, cur)
         got = self._step_memo.get(key)
         if got is None:
-            got = Subgroup(self.group, cur & self.s_g_mask(g)).conjugate(g).mask
+            got = self._s_conj.conjugate_mask(cur & self.s_g_mask(g), g)
             self._step_memo[key] = got
         return got
 
@@ -424,8 +424,9 @@ def normalizer_in(L: Locality, P: Subgroup) -> PartialSubgroup:
     # For an object P this is a subgroup with every product in D: g, h in
     # N_L(P) give P <= S_(g, h), an object, so (g, h) is in D, and the checked
     # carrier holds gh and g**-1, which normalize P; no pair sweep is needed.
+    table = L._s_conj
     members = [g for g in L.elements
-               if L.s_g_mask(g) & pm == pm and P.conjugate(g).mask == pm]
+               if L.s_g_mask(g) & pm == pm and table.conjugate_mask(pm, g) == pm]
     return PartialSubgroup(L, frozenset(members))
 
 
@@ -434,11 +435,10 @@ def centralizer_in(L: Locality, P: Subgroup) -> PartialSubgroup:
     if not P.le(L.S):
         raise InputError("centralizer_in expects P <= S")
     pm = P.mask
-    G = L.group
+    table = L._s_conj
     # a subgroup of N_L(P) for an object P, by the argument in normalizer_in
     members = [g for g in L.elements
-               if L.s_g_mask(g) & pm == pm
-               and all(G.conj(x, g) == x for x in P.members())]
+               if L.s_g_mask(g) & pm == pm and table.centralizes(pm, g)]
     return PartialSubgroup(L, frozenset(members))
 
 
@@ -666,11 +666,12 @@ def normalizer_locality(L: Locality, V: Subgroup) -> Locality:
     ns = V.normalizer(L.S)
     delta_v = object_set(ns, FV.class_sets()["c"])
     vm = V.mask
+    table = base._s_conj
     members = [
         g
         for g in base.elements
         if base.s_g_mask(g) & vm == vm
-        and V.conjugate(g).mask == vm
+        and table.conjugate_mask(vm, g) == vm
         and (base.s_g_mask(g) & ns.mask) in delta_v.mask_set
     ]
     return Locality(base.group, members, ns, delta_v, L.p)
@@ -687,14 +688,15 @@ def centralizer_locality(L: Locality, V: Subgroup) -> Locality:
     CF = F.centralizer_system(V)
     cs = V.centralizer(L.S)
     sigma = object_set(cs, CF.class_sets()["c"])
-    G = L.group
+    # V <= S lies in S's table whatever carrier LV reads its S_g from
+    table = L._s_conj
     members = [
         g
         for g in LV.elements
-        if all(G.conj(x, g) == x for x in V.members())
+        if table.centralizes(V.mask, g)
         and (LV.s_g_mask(g) & cs.mask) in sigma.mask_set
     ]
-    return Locality(G, members, cs, sigma, L.p)
+    return Locality(L.group, members, cs, sigma, L.p)
 
 
 # -- cores and products -------------------------------------------------------------

@@ -232,16 +232,6 @@ class FiniteGroup:
             frontier = nxt
         return mask
 
-    def is_closed_mask(self, mask: int) -> bool:
-        members = mask_members(mask)
-        if not mask & 1:
-            return False
-        for a in members:
-            for b in members:
-                if not mask >> self.mult(a, b) & 1:
-                    return False
-        return True
-
     def __repr__(self):
         return f"FiniteGroup(order={self.order}, degree={self.degree})"
 
@@ -271,38 +261,78 @@ class SConjugation:
     """Conjugation of the members of one subgroup S by the group's elements.
 
     `images(g)` is the tuple of x^g for the members x of S in ascending
-    order, and `s_g(g)` the mask of S_g = {x in S : x^g in S}.  A row is
-    built from permutation images the first time its g is asked for and
-    kept, so a sweep over the whole group costs |G|·|S| compositions once
-    per (G, S) and reads no Cayley row.  The table keeps the group's element
-    tuples, not the group, so the group's memo holds no cycle through it.
+    order, and `s_g(g)` the mask of S_g = {x in S : x^g in S}.  Both depend
+    only on the coset C_G(S)·g: conjugation is a homomorphism, so two
+    elements that send the generators of S to the same images induce the
+    same map c_g on S, hence the same row and the same S_g.  The first time
+    a g is asked for, its label (the images of S's generators, |gens|
+    compositions) is computed; the |S| row and S_g are built once per label
+    and kept per g, so a sweep over the whole group costs
+    |G|·|gens| + |G : C_G(S)|·|S| compositions once per (G, S) and reads no
+    Cayley row.  The table keeps the group's element tuples, not the group,
+    so the group's memo holds no cycle through it.
     """
 
-    __slots__ = ("mask", "members", "_arith", "_images", "_s_g")
+    __slots__ = ("mask", "members", "_gens", "_order", "_arith", "_rows",
+                 "_images", "_s_g")
 
     def __init__(self, group: FiniteGroup, mask: int):
         self.mask = mask
         self.members = tuple(mask_members(mask))
+        self._gens = Subgroup(group, mask).generators()
+        self._order = group.order
         self._arith = (group.elements, group._inv, group._index)
+        # label -> (row, S_g), one entry per coset C_G(S)·g seen so far
+        self._rows: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
         self._images: dict[int, tuple[int, ...]] = {}
         self._s_g: dict[int, int] = {}
 
+    def _build(self, g: int) -> tuple[tuple[int, ...], int]:
+        # g's label: the images of S's generators, which fix c_g on S
+        label = _conj_images(*self._arith, self._gens, g)
+        got = self._rows.get(label)
+        if got is None:
+            row = _conj_images(*self._arith, self.members, g)
+            mask = self.mask
+            s_g = 0
+            for x, y in zip(self.members, row):
+                if mask >> y & 1:
+                    s_g |= 1 << x
+            got = self._rows[label] = (row, s_g)
+        self._images[g], self._s_g[g] = got
+        return got
+
     def images(self, g: int) -> tuple[int, ...]:
         got = self._images.get(g)
-        if got is None:
-            got = self._images[g] = _conj_images(*self._arith, self.members, g)
-        return got
+        return got if got is not None else self._build(g)[0]
 
     def s_g(self, g: int) -> int:
         got = self._s_g.get(g)
-        if got is None:
-            mask = self.mask
-            got = 0
-            for x, y in zip(self.members, self.images(g)):
-                if mask >> y & 1:
-                    got |= 1 << x
-            self._s_g[g] = got
-        return got
+        return got if got is not None else self._build(g)[1]
+
+    def conjugate_mask(self, mask: int, g: int) -> int:
+        """P**g for a subgroup P <= S given by its mask, read off g's row.
+
+        The row holds x**g for every member x of S, inside S or not, so
+        P**g = {x**g : x in P} needs no Cayley row and no S_g test.
+        """
+        out = 0
+        for x, y in zip(self.members, self.images(g)):
+            if mask >> x & 1:
+                out |= 1 << y
+        return out
+
+    def centralizes(self, mask: int, g: int) -> bool:
+        """x**g == x for every x of the subgroup P <= S with this mask."""
+        return all(x == y for x, y in zip(self.members, self.images(g))
+                   if mask >> x & 1)
+
+    def coset_representatives(self) -> tuple[int, ...]:
+        """The least g of each coset C_G(S)·g, ascending."""
+        firsts: dict[tuple[int, ...], int] = {}
+        for g in range(self._order):
+            firsts.setdefault(self.images(g), g)
+        return tuple(firsts.values())
 
 
 # subgroups ----------------------------------------------------------------
@@ -527,15 +557,22 @@ def sylow_p(H: Subgroup, p: int) -> Subgroup:
     return P
 
 
-def p_core(H: Subgroup, p: int) -> Subgroup:
-    """O_p(H): the largest normal p-subgroup (intersection of Sylow conjugates)."""
+def _sylow_core(H: Subgroup, p: int) -> tuple[SConjugation, int]:
+    """The conjugation table of a Sylow p-subgroup S of H, and the mask of
+    O_p(H): the intersection of the S**g, g in H, read off that table."""
     S = sylow_p(H, p)
+    table = H.group.s_conjugation(S.mask)
     mask = S.mask
     for g in H.members():
         if mask == 1:
             break
-        mask &= S.conjugate(g).mask
-    return Subgroup(H.group, mask)
+        mask &= table.conjugate_mask(S.mask, g)
+    return table, mask
+
+
+def p_core(H: Subgroup, p: int) -> Subgroup:
+    """O_p(H): the largest normal p-subgroup (intersection of Sylow conjugates)."""
+    return Subgroup(H.group, _sylow_core(H, p)[1])
 
 
 def p_prime_core(H: Subgroup, p: int) -> Subgroup:
@@ -548,5 +585,7 @@ def p_prime_core(H: Subgroup, p: int) -> Subgroup:
 
 def is_characteristic_p(H: Subgroup, p: int) -> bool:
     """True when the centralizer of O_p(H) in H sits inside O_p(H)."""
-    core = p_core(H, p)
-    return core.centralizer(H).le(core)
+    # O_p(H) lies in the Sylow subgroup S, so x**g for x in O_p(H) is on
+    # g's row of S's table
+    table, core = _sylow_core(H, p)
+    return all(core >> g & 1 for g in H.members() if table.centralizes(core, g))

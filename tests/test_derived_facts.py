@@ -48,6 +48,7 @@ from llab.partial import (
 from llab.permgroup import (
     Subgroup,
     group_from_generators,
+    mask_members,
     mask_of,
     normal_subgroups,
     p_core,
@@ -119,6 +120,17 @@ def reference_find_o_p(F):
                 witness=(top.mask, U.mask),
             )
     return top
+
+
+def reference_p_core(H, p):
+    """`p_core` intersecting the Sylow conjugates built through `G.conj`."""
+    S = sylow_p(H, p)
+    mask = S.mask
+    for g in H.members():
+        if mask == 1:
+            break
+        mask &= S.conjugate(g).mask
+    return Subgroup(H.group, mask)
 
 
 def reference_p_prime_core(H, p):
@@ -232,11 +244,18 @@ def reference_subgroup_in_locality(L, members):
     return True, None
 
 
+def reference_is_closed_mask(G, mask):
+    """`FiniteGroup.is_closed_mask`: the identity and every pair product."""
+    members = mask_members(mask)
+    return bool(mask & 1) and all(mask >> G.mult(a, b) & 1
+                                  for a in members for b in members)
+
+
 def reference_perm_subgroup(L, part):
     """`Locality.perm_subgroup`: a partial subgroup as an ambient Subgroup,
     with the closure sweep that normalizer_in's argument made redundant."""
     mask = mask_of(part.members)
-    if not L.group.is_closed_mask(mask):
+    if not reference_is_closed_mask(L.group, mask):
         raise PropertyViolation("partial subgroup is not an ambient subgroup",
                                 witness=mask)
     return Subgroup(L.group, mask)
@@ -503,6 +522,7 @@ def check_carrier(L):
     for P in L.delta.members:
         for part in (reference_normalizer_in(L, P), reference_centralizer_in(L, P)):
             H = reference_perm_subgroup(L, part)
+            assert reference_p_core(H, L.p).mask == p_core(H, L.p).mask
             assert reference_p_prime_core(H, L.p).mask == p_prime_core(H, L.p).mask
     normals = all_partial_normal_subgroups(L)
     for N in normals:

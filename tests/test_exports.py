@@ -34,6 +34,7 @@ def test_dead_helpers_are_gone():
     for name in ("regular_group", "core_commutator_slice"):
         assert not hasattr(permgroup, name)
     assert not hasattr(permgroup.FiniteGroup, "subgroup")
+    assert not hasattr(permgroup.FiniteGroup, "is_closed_mask")
     assert not hasattr(permgroup.Subgroup, "meet")
     params = inspect.signature(fusion.quotient_fusion_check).parameters
     assert "delta" not in params and "delta_bar" not in params

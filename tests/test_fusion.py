@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from llab import caps
+from bench.workloads import generated_groups
+from llab import caps, fusion
 from llab.errors import CapExceeded, InputError
 from llab.fusion import (
     FHom,
@@ -36,6 +37,14 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
 
 def builtin(name):
     spec = json.loads((DATA / f"{name}.json").read_text())
+    return group_from_generators(spec["degree"], spec["generators"])
+
+
+def any_group(name):
+    """A built-in group, or one of the benchmark's generated groups."""
+    if (DATA / f"{name}.json").exists():
+        return builtin(name)
+    spec = generated_groups()[name]
     return group_from_generators(spec["degree"], spec["generators"])
 
 
@@ -140,6 +149,26 @@ class TestInterning:
         every = range(group.order)
         assert _conj_keys(S, every) == distinct_keys(conj_fhom(group, S, g) for g in every)
         assert _inner_seeds(S) == distinct_keys(conj_fhom(group, S, s) for s in S.members())
+
+    @pytest.mark.parametrize("name,p", [*BUILTIN_PAIRS, ("d16", 2), ("c5xc5", 5),
+                                        ("s6", 3), ("s7", 7)])
+    def test_group_seeds_equal_the_whole_group_sweep(self, name, p, monkeypatch):
+        # fusion_from_group conjugates by one element per coset C_G(S)g;
+        # its seed keys are those of every g, as a tuple, order included
+        group = any_group(name)
+        S = sylow_p(group.top, p)
+        passed = []
+        real = fusion.conjugation_fusion
+
+        def spy(S, conjugators):
+            passed.append(conjugators)
+            return real(S, conjugators)
+
+        monkeypatch.setattr(fusion, "conjugation_fusion", spy)
+        fusion_from_group(group, p, S)
+        [conjugators] = passed
+        assert len(conjugators) == group.order // S.centralizer().order
+        assert _conj_keys(S, conjugators) == _conj_keys(S, range(group.order))
 
     def test_twins_share_normalizer_cache(self, f_s4):
         S = f_s4.S

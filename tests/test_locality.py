@@ -145,12 +145,18 @@ class TestFromGroup:
         # sweep over the group.  The conjugation sweeps (Sylow search,
         # fusion, S_g, the invariant core) read S's conjugation table, so
         # the only rows are those of the 72 carrier elements, from the
-        # product checks.
+        # product checks.  Normalizers of objects and the (PL2) test read
+        # the tables of S and of the normalizers' Sylow subgroups: no row.
         spec = generated_groups()["s6"]
         G = group_from_generators(spec["degree"], spec["generators"])
         L = locality_from_group(G, 3, delta_of(G, 3, "cr-closure"))
         assert len(L.elements) == 72
-        assert len(G._mul_rows) <= 72
+        built = set(G._mul_rows)
+        assert len(built) <= 72
+        for P in L.delta.members:
+            normalizer_in(L, P)
+        assert is_proper(L).ok
+        assert set(G._mul_rows) == built
 
     def test_delta_not_overgroup_closed_rejected(self):
         G = builtin("s4")

@@ -19,6 +19,7 @@ from llab.permgroup import (
 )
 from llab.errors import InputError, CapExceeded, PropertyViolation
 from bench.workloads import generated_groups
+from test_derived_facts import reference_is_closed_mask
 from test_fusion import BUILTIN_PAIRS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
@@ -144,7 +145,7 @@ def test_subgroups_below_filters(s4):
 
 def test_every_enumerated_mask_is_closed(s4):
     for H in all_subgroups(s4):
-        assert s4.is_closed_mask(H.mask)
+        assert reference_is_closed_mask(s4, H.mask)
         assert s4.order % H.order == 0
 
 
@@ -308,15 +309,52 @@ def test_sylow_scan_matches_the_normalizer_sweep(name):
             assert sylow_p(H, p).mask == reference_sylow_p(H, p).mask
 
 
-@pytest.mark.parametrize("name,p", BUILTIN_PAIRS)
+def load_any(name):
+    return load(name) if (DATA / f"{name}.json").exists() else bench_group(name)
+
+
+# the built-in pairs and the benchmark's generated groups at their primes
+TABLE_PAIRS = [*BUILTIN_PAIRS, ("d16", 2), ("c5xc5", 5), ("s6", 3), ("s7", 7)]
+
+
+@pytest.mark.parametrize("name,p", TABLE_PAIRS)
 def test_s_conjugation_table_matches_conj(name, p):
-    G = load(name)
+    G = load_any(name)
     S = sylow_p(G.top, p)
     table = G.s_conjugation(S.mask)
     assert G.s_conjugation(S.mask) is table
     assert table.members == tuple(S.members())
+    first_of_row = {}
     for g in range(G.order):
         images = tuple(G.conj(x, g) for x in S.members())
         assert table.images(g) == images
         assert table.s_g(g) == mask_of(x for x, y in zip(S.members(), images)
                                        if S.contains(y))
+        first_of_row.setdefault(images, g)
+    # one row per coset C_G(S)g, and the least g of each, ascending
+    assert len(table._rows) == len(first_of_row) == G.order // S.centralizer().order
+    assert table.coset_representatives() == tuple(first_of_row.values())
+
+
+@pytest.mark.parametrize("name,p", TABLE_PAIRS)
+def test_conjugate_mask_matches_subgroup_conjugate(name, p):
+    G = load_any(name)
+    S = sylow_p(G.top, p)
+    table = G.s_conjugation(S.mask)
+    for P in subgroups_below(S):
+        for g in range(G.order):
+            conj = P.conjugate(g)
+            assert table.conjugate_mask(P.mask, g) == conj.mask
+            assert table.centralizes(P.mask, g) == all(
+                G.conj(x, g) == x for x in P.members())
+
+
+def test_s7_table_holds_one_row_per_coset_of_the_centralizer():
+    # S7 at p = 7: C(<7-cycle>) is the cyclic group itself, so the 5040
+    # conjugators give 720 distinct rows
+    G = bench_group("s7")
+    S = sylow_p(G.top, 7)
+    table = G.s_conjugation(S.mask)
+    assert len(table.coset_representatives()) == 720
+    assert len(table._rows) == 720
+    assert len({id(table.images(g)) for g in range(G.order)}) == 720
