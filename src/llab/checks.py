@@ -209,11 +209,19 @@ def _triple_relation_is_equivalence(ctx):
     for a in trips:
         if not sim_related(seed, a, a):
             return False, "not reflexive"
-    for a, b in itertools.combinations(trips, 2):
-        if sim_related(seed, a, b) != sim_related(seed, b, a):
+    # each canonical form is found once, when a pair first needs it
+    forms = {}
+
+    def form(i):
+        if i not in forms:
+            forms[i] = canonical_triple(seed, trips[i])
+        return forms[i]
+
+    for (i, a), (j, b) in itertools.combinations(enumerate(trips), 2):
+        ab = sim_related(seed, a, b)
+        if ab != sim_related(seed, b, a):
             return False, "not symmetric"
-        same = canonical_triple(seed, a) == canonical_triple(seed, b)
-        if sim_related(seed, a, b) != same:
+        if ab != (form(i) == form(j)):
             return False, "relation disagrees with canonical forms"
     return True, f"{len(trips)} sampled triples"
 

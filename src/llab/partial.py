@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 from . import caps as _caps
 from .errors import CapExceeded, DomainError, InputError, PropertyViolation
+from .permgroup import mask_members
 
 __all__ = [
     "PartialGroup",
@@ -213,22 +214,27 @@ def check_axioms(pg: PartialGroup, max_len: int = 4) -> AxiomReport:
     Violations are returned as data, never raised.  Carriers with full word
     domain are checked through the equivalent finite-group conditions
     (closure, identity, inverses, associativity), which cover words of
-    every length at once.
+    every length at once; the products are one index row per element, and
+    associativity is compared a row of z at a time.
 
     Other carriers are swept with their word walker a prefix row at a time.
     Each distinct walker state is stepped once per letter into a row: its
     successor states and the mask of letters that stay in D.  Every one of
     the n + ... + n**max_len words is still decided, none skipped under a
     prefix outside D, because each word is a bit of its prefix's row and
-    every prefix of length < max_len has a row.  The prefix, suffix,
-    contracted-pair and escape tests and the contractions of segments
-    ending before the last letter are mask operations per row; products
-    come from one table of `binary` on D's pairs.  The contractions of
-    segments [i:k] with i >= 1, w**-1 * w and the inverse word are decided
-    per word.  The violations, their order and the cap of 200 are those of
-    the word-by-word sweep: the domain and contracted-pair tests on every
-    word, then the contraction and inverse tests on every word with a
-    product, each pass in `itertools.product` order.
+    every prefix of length < max_len has a row.  Products come from one
+    table of `binary` on D's pairs, held as carrier indices, with the
+    escaped and failed products as masks.  Every test is a row mask: the
+    prefix, suffix, contracted-pair and escape tests and the contractions
+    of segments ending before the last letter are exact mask operations;
+    the contractions of segments [i:k] with i >= 1, the w**-1 * w walk and
+    the inverse-word test are list lookups over the row's letters, which
+    may flag a letter that passes but never pass one that fails.  Only
+    flagged letters are visited word by word, and the violations, their
+    order and the cap of 200 are those of the word-by-word sweep: the
+    domain and contracted-pair tests on every word, then the contraction
+    and inverse tests on every word with a product, each pass in
+    `itertools.product` order.
     """
     if max_len < 2:
         raise InputError("axiom check needs max_len >= 2")
@@ -243,22 +249,37 @@ def _check_axioms_table(pg: PartialGroup) -> AxiomReport:
     limit = _caps.current().axiom_table
     if n**3 > limit:
         raise CapExceeded("axiom table check", limit)
+    index = pg._index
     bad = []
     e = pg.identity
-    if e not in pg._index:
+    if e not in index:
         bad.append(AxiomViolation("2", (), "identity is not an element"))
-    table = {}
+    # code[x][y] names the product of the pair (x, y) by an int: its carrier
+    # index, n where there is none, and n + 1, ... for the distinct values
+    # outside the carrier; raw[c] is the value a code names
+    code, outside = [], {}
     for x in els:
+        row = []
         for y in els:
             if not pg.in_domain((x, y)):
                 bad.append(AxiomViolation("1", (x, y), "pair missing from full domain"))
+                row.append(n)
                 continue
             z = pg.binary(x, y)
-            if z not in pg._index:
+            c = index.get(z)
+            if c is None:
                 bad.append(AxiomViolation("1", (x, y), "product escapes the carrier"))
-            table[(x, y)] = z
+                c = n if z is None else outside.setdefault(z, n + 1 + len(outside))
+            row.append(c)
+        code.append(row)
+    raw = [*els, None, *outside]
+
+    def product(a, b):
+        i, j = index.get(a), index.get(b)
+        return None if i is None or j is None else raw[code[i][j]]
+
     for x in els:
-        if table.get((e, x)) != x or table.get((x, e)) != x:
+        if product(e, x) != x or product(x, e) != x:
             bad.append(AxiomViolation("2", (x,), "identity law fails"))
         try:
             xi = pg.inv(x)
@@ -268,14 +289,22 @@ def _check_axioms_table(pg: PartialGroup) -> AxiomReport:
             continue
         if not involutory:
             bad.append(AxiomViolation("4", (x,), "inversion is not involutory"))
-        if table.get((xi, x)) != e or table.get((x, xi)) != e:
+        if product(xi, x) != e or product(x, xi) != e:
             bad.append(AxiomViolation("4", (xi, x), "inverse law fails"))
-    for x in els:
-        for y in els:
-            xy = table.get((x, y))
-            for z in els:
-                if table.get((xy, z)) != table.get((x, table.get((y, z)))):
-                    bad.append(AxiomViolation("3", (x, y, z), "associativity fails"))
+    # (xy)z against x(yz), a row of z at a time: a product with no carrier
+    # index has no products of its own, so code n stands for both sides
+    spill = [n] * (len(raw) - n)
+    nothing = [n] * n
+    for x, cx in enumerate(code):
+        through = cx + spill
+        for y, xy in enumerate(cx):
+            left = code[xy] if xy < n else nothing
+            right = [through[c] for c in code[y]]
+            if left != right:
+                for z in range(n):
+                    if left[z] != right[z]:
+                        bad.append(AxiomViolation("3", (els[x], els[y], els[z]),
+                                                  "associativity fails"))
     return AxiomReport(ok=not bad, checked_words=n + n * n + n**3, violations=bad)
 
 
@@ -294,15 +323,7 @@ def _cap_words(n: int, max_len: int, what: str) -> None:
             raise CapExceeded(what, limit)
 
 
-_NONE = object()  # no product: the word is outside D, or the sweep formed none
-
-
-def _bits(mask: int):
-    """Set bit positions of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+_NONE = object()  # no value: no product, no inverse, or no verdict decided yet
 
 
 class _ValueRow(NamedTuple):
@@ -310,6 +331,7 @@ class _ValueRow(NamedTuple):
 
     pairs: int  # letters x with (value, x) in D
     vals: list  # binary(value, x), _NONE where there is none
+    idx: list  # carrier index of vals[x]: n where it escapes, n + 1 where none
     ok: int  # letters with a product
     fail: int  # letters where binary raised
     why: dict  # letter -> "binary product failed: ..."
@@ -335,8 +357,9 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
     # Walker states are interned.  A state that prefixes a word shorter than
     # max_len gets a row: its successor ids by letter, and in `doms` the
     # mask of letters whose successor is in D.  The w**-1 * w walks step
-    # row-less states through `memo`, keyed by (state id, letter).
-    ids, states, indom, rows, doms, memo = {}, [], [], [], [], {}
+    # row-less states through `memo`, keyed by (state id, letter), and
+    # `verdicts` holds each end state's axiom (4) detail once decided.
+    ids, states, indom, rows, doms, verdicts, memo = {}, [], [], [], [], [], {}
 
     def intern(st):
         i = ids.get(st)
@@ -346,6 +369,7 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
             indom.append(pg.walk_in_domain(st))
             rows.append(None)
             doms.append(0)
+            verdicts.append(_NONE)
         return i
 
     def build_row(i):
@@ -364,15 +388,18 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
 
     # The words of length m < max_len are numbered in base n, first letter
     # most significant, which is itertools.product order.  For each level m
-    # and word w: sid[m][w] its state id, prod[m][w] its product (_NONE if
-    # the sweep forms none) and pmask[m][w] the letters x for which w + x
-    # gets a product.
+    # and word w: sid[m][w] its state id, pidx[m][w] the carrier index of its
+    # product (`esc` when the product leaves the carrier, `none` when the
+    # sweep forms none) and pmask[m][w] the letters x for which w + x gets a
+    # product.
+    esc, none = n, n + 1
     pw = [n**m for m in range(max_len + 1)]
     s0 = intern(pg.walk_start())
     build_row(s0)
     d1 = doms[s0]
     sid, pmask = [[s0], rows[s0]], [[d1]]
-    prod = [[identity], [x if d1 >> i & 1 else _NONE for i, x in enumerate(els)]]
+    # level 0, the empty word, reads `first_row` below instead of pidx
+    pidx = [None, [x if d1 >> x & 1 else none for x in range(n)]]
 
     def digits(m, w):
         out = []
@@ -382,49 +409,48 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
         return out[::-1]
 
     # Every product the sweep forms is the prefix's product times the last
-    # letter, so the products come from one pair table, a row per left factor.
-    first_row = _ValueRow(d1, list(els), d1, 0, {}, 0, 0)
-    value_rows = {}
+    # letter, so the products come from one pair table, a row per left
+    # factor by carrier index; `esc` and `none` index the empty row.
+    first_row = _ValueRow(d1, list(els), list(range(n)), d1, 0, {}, 0, 0)
+    no_row = _ValueRow(0, [_NONE] * n, [none] * n, 0, 0, {}, 0, 0)
+    table = [None] * n + [no_row, no_row]
 
     def pair_row(i):
-        got = value_rows.get(i)
-        if got is None:
-            a, pairs = els[i], doms[sid[1][i]]
-            vals = [_NONE] * n
-            ok = fail = escape = short = 0
-            why = {}
-            for x in _bits(pairs):
-                try:
-                    v = pg.binary(a, els[x])
-                except Exception as exc:  # corrupted tables
-                    fail |= 1 << x
-                    why[x] = f"binary product failed: {exc}"
-                    continue
-                vals[x] = v
-                ok |= 1 << x
-                j = index.get(v)
-                if j is None:
-                    escape |= 1 << x
-                elif not d1 >> j & 1:
+        a, pairs = els[i], doms[sid[1][i]]
+        vals, idx = [_NONE] * n, [none] * n
+        ok = fail = escape = short = 0
+        why = {}
+        for x in mask_members(pairs):
+            try:
+                v = pg.binary(a, els[x])
+            except Exception as exc:  # corrupted tables
+                fail |= 1 << x
+                why[x] = f"binary product failed: {exc}"
+                continue
+            vals[x] = v
+            ok |= 1 << x
+            j = index.get(v)
+            if j is None:
+                escape |= 1 << x
+                idx[x] = esc
+            else:
+                idx[x] = j
+                if not d1 >> j & 1:
                     short |= 1 << x
-            got = value_rows[i] = _ValueRow(pairs, vals, ok, fail, why, escape, short)
-        return got
+        table[i] = _ValueRow(pairs, vals, idx, ok, fail, why, escape, short)
+        return table[i]
 
-    def value_row(m, w):
-        """Value row of the m-letter word w, which has a product."""
-        return first_row if m == 0 else pair_row(index[prod[m][w]])
-
-    for x in _bits(((1 << n) - 1) & ~d1):
+    for x in mask_members(((1 << n) - 1) & ~d1):
         record("1", (els[x],), "length-1 word not in domain")
 
     # Axioms (1) and (3), a prefix row at a time: the row's domain mask
     # against the prefix's own flag, the row of the prefix minus its first
     # letter, and the value row of the prefix's product.
-    nones = [_NONE] * n
+    nones = [none] * n
     for k in range(2, max_len + 1):
         top = k == max_len
-        up_sid, up_prod, suf_sid, span = sid[k - 1], prod[k - 1], sid[k - 2], pw[k - 2]
-        level_pm, nsid, nprod = [], [], []
+        up_sid, up_pidx, suf_sid, span = sid[k - 1], pidx[k - 1], sid[k - 2], pw[k - 2]
+        level_pm, nsid, npidx = [], [], []
         for p, s in enumerate(up_sid):
             nx = rows[s] or build_row(s)
             dom, pm, vr = doms[s], 0, None
@@ -432,18 +458,14 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
                 bad_pre = 0 if indom[s] else dom
                 bad_suf = dom & ~doms[suf_sid[p % span]]
                 bad_pair = fail = 0
-                v = up_prod[p]
-                if v is not _NONE:
-                    i = index.get(v)
-                    if i is None:
-                        bad_pair = dom
-                    else:
-                        vr = pair_row(i)
-                        bad_pair, fail, pm = dom & ~vr.pairs, dom & vr.fail, dom & vr.ok
+                v = up_pidx[p]
+                if v != none:
+                    vr = table[v] or pair_row(v)
+                    bad_pair, fail, pm = dom & ~vr.pairs, dom & vr.fail, dom & vr.ok
                 hit = bad_pre | bad_suf | bad_pair | fail
                 if hit and len(bad) < 200:
                     pre = tuple(els[y] for y in digits(k - 1, p))
-                    for x in _bits(hit):
+                    for x in mask_members(hit):
                         word, b = pre + (els[x],), 1 << x
                         if bad_pre & b:
                             record("1", word, "prefix missing from domain")
@@ -457,30 +479,33 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
             if not top:
                 nsid.extend(nx)
                 if not pm:
-                    nprod.extend(nones)
+                    npidx.extend(nones)
                 elif pm == vr.ok:
-                    nprod.extend(vr.vals)
+                    npidx.extend(vr.idx)
                 else:
-                    nprod.extend(v if pm >> x & 1 else _NONE for x, v in enumerate(vr.vals))
+                    npidx.extend(j if pm >> x & 1 else none for x, j in enumerate(vr.idx))
         pmask.append(level_pm)
         if not top:
             sid.append(nsid)
-            prod.append(nprod)
+            pidx.append(npidx)
 
-    # inverses by letter: the carrier index (None outside it), or the error
-    inverse, inv_index, inv_error = [], [], {}
+    # the value row of every word shorter than max_len, level by level
+    vrows = [[first_row]] + [[table[v] or pair_row(v) for v in level]
+                             for level in pidx[1:]]
+
+    # inverses by letter: the carrier index, -1 where inv raises (the error
+    # is kept) or leaves the carrier; inv_bad masks those letters
+    inverse, inv_of, inv_error, inv_bad = [], [], {}, 0
     for i, x in enumerate(els):
         try:
             xi = pg.inv(x)
         except Exception as exc:
-            inverse.append(_NONE)
-            inv_index.append(None)
+            xi = _NONE
             inv_error[i] = exc
-        else:
-            inverse.append(xi)
-            inv_index.append(index.get(xi))
-
-    verdicts = {}  # state id of a walked w**-1 * w -> its axiom (4) detail
+        inverse.append(xi)
+        inv_of.append(index.get(xi, -1))
+        if inv_of[i] < 0:
+            inv_bad |= 1 << i
 
     def verdict(st):
         if not indom[st]:
@@ -493,78 +518,117 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
         return None
 
     # Axioms (3) and (4) on every word with a product, in the order the
-    # products were formed.  The contractions of segments that end before
-    # the last letter, and of the whole word, are masks over the row
+    # products were formed.  Each prefix row first flags, in bulk, every
+    # letter that may fail a test: the contractions of segments that end
+    # before the last letter, and of the whole word, are exact masks
     # (4-tuples below); the segments [i:k] with i >= 1 (7-tuples), w**-1 * w
-    # and the inverse word are decided per word.
+    # and the inverse word are list lookups over the row's letters, which
+    # may flag a letter that passes but never pass one that fails.  Only
+    # flagged letters are then decided and recorded word by word.
     for k in range(1, max_len + 1):
-        for p, live in enumerate(pmask[k - 1]):
+        wsid, wpm, wrows = sid[k - 1], pmask[k - 1], vrows[k - 1]
+        span = pw[k - 2] if k > 1 else 0
+        for p, live in enumerate(wpm):
             if not live:
                 continue
-            d = digits(k - 1, p)
-            pre = tuple(els[y] for y in d)
-            vr = value_row(k - 1, p)
-            vals, escape = vr.vals, live & vr.escape
-            rest = live & ~escape
-            entries, per_word = [], []
-            rowbad = escape
+            vr = wrows[p]
+            vidx = vr.idx
+            escape = live & vr.escape
+            rest = live ^ escape
+            flag = escape
+            entries = []
             for i in range(k):
                 for j in range(i + 2, k + 1):
                     if j == k and i > 0:
-                        # pre[:i] + (product of pre[i:] + x,)
-                        head, tail = p // pw[k - 1 - i], p % pw[k - 1 - i]
+                        # pre[:i] + (product of w[i:],): that product's index
+                        # must continue the head's products to this value
+                        head, tail = divmod(p, pw[k - 1 - i])
                         spm = pmask[k - 1 - i][tail]
-                        if not spm & rest:
+                        ms = rest & spm
+                        if not ms:
                             continue
-                        hpm = pmask[i][head]
-                        entry = (i, j, doms[sid[i][head]], hpm,
-                                 value_row(i, head).vals if hpm else None, spm,
-                                 value_row(k - 1 - i, tail).vals)
-                        entries.append(entry)
-                        per_word.append(entry)
+                        srow = vrows[k - 1 - i][tail]
+                        entries.append((i, j, doms[sid[i][head]], pmask[i][head],
+                                        vrows[i][head], spm, srow))
+                        flag |= ms & srow.escape
+                        cont, base, sidx = pidx[i + 1], head * n, srow.idx
+                        for x in [x for x in mask_members(ms & ~srow.escape)
+                                  if cont[base + sidx[x]] != vidx[x]]:
+                            flag |= 1 << x
                         continue
                     if j == k:
                         leave, change = rest & vr.short, 0
                     else:
-                        q = prod[j - i][p // pw[k - 1 - j] % pw[j - i]]
-                        if q is _NONE:
+                        q = pidx[j - i][p // pw[k - 1 - j] % pw[j - i]]
+                        if q == none:
                             continue
-                        qi = index.get(q)
                         leave, change = rest, 0
-                        if qi is not None:
+                        if q != esc:
                             # pre[:i] + (q,) + pre[j:], shorter than pre
                             after = pw[k - 1 - j]
                             clen = i + k - j
-                            c = ((p // pw[k - 1 - i]) * n + qi) * after + p % after
+                            c = ((p // pw[k - 1 - i]) * n + q) * after + p % after
                             leave = rest & ~doms[sid[clen][c]]
                             cand = rest & pmask[clen][c]
-                            if cand and prod[clen][c] != prod[k - 1][p]:
-                                cvals = value_row(clen, c).vals
-                                for x in _bits(cand):
-                                    if cvals[x] != vals[x]:
+                            if cand and pidx[clen][c] != pidx[k - 1][p]:
+                                cidx = vrows[clen][c].idx
+                                for x in mask_members(cand):
+                                    if cidx[x] != vidx[x]:
                                         change |= 1 << x
                     if leave | change:
                         entries.append((i, j, leave, change))
-                        rowbad |= leave | change
-            # w**-1 is (x**-1,) + inv_pre; its first k - 1 letters are the
-            # word numbered w below, whose state starts the walk
+                        flag |= leave | change
+            # w**-1 is (x**-1,) + inv_pre: for k >= 2 its first k - 1 letters
+            # are the word numbered ws[x] below, whose state starts the walk
+            # on through a0 = inv_pre[-1] and w; for k = 1 it is one letter
+            d = digits(k - 1, p)
+            inv_pre = [inv_of[y] for y in reversed(d)]
+            xs = ws = fin = ()
+            if -1 in inv_pre:
+                flag |= rest
+            else:
+                flag |= rest & inv_bad
+                xs = mask_members(rest & ~inv_bad)
+            if xs:
+                if k == 1:
+                    sts, mid = [sid[1][inv_of[x]] for x in xs], ()
+                else:
+                    r = 0
+                    for y in inv_pre[:-1]:
+                        r = r * n + y
+                    a0 = inv_pre[-1]
+                    ws = [inv_of[x] * span + r for x in xs]
+                    sts, mid = [wsid[w] for w in ws], (a0, *d)
+                for y in mid:
+                    sts = [nx[y] if (nx := rows[s]) is not None else step(s, y)
+                           for s in sts]
+                fin = [nx[x] if (nx := rows[s]) is not None else step(s, x)
+                       for s, x in zip(sts, xs)]
+                for f in [f for f in fin if verdicts[f] is _NONE]:
+                    if verdicts[f] is _NONE:
+                        verdicts[f] = verdict(f)
+                fin = [verdicts[f] for f in fin]
+                for x in [x for x, detail in zip(xs, fin) if detail]:
+                    flag |= 1 << x
+                # the inverse word's product against the inverse of the
+                # product (for k = 1 both are x**-1)
+                if k > 1:
+                    for x in [x for x, w in zip(xs, ws)
+                              if wrows[w].idx[a0] != inv_of[vidx[x]]]:
+                        flag |= 1 << x
+            if not flag or len(bad) >= 200:
+                continue
+            pre = tuple(els[y] for y in d)
             pre_error = next((inv_error[y] for y in reversed(d) if y in inv_error),
                              None)
-            inv_pre = [inv_index[y] for y in reversed(d)]
-            pre_out = None in inv_pre
-            r = 0
-            if not pre_out:
-                for y in inv_pre[:-1]:
-                    r = r * n + y
-            wsid, wpm = sid[k - 1], pmask[k - 1]
-            for x in _bits(live):
+            ends = dict(zip(xs, fin))  # letter -> its w**-1 * w verdict
+            for x in mask_members(flag):
                 b = 1 << x
                 word = pre + (els[x],)
                 if escape & b:
                     record("1", word, "product escapes the carrier")
                     continue
-                value = vals[x]
-                for entry in entries if rowbad & b else per_word:
+                for entry in entries:
                     i, j = entry[0], entry[1]
                     if len(entry) == 4:
                         if entry[2] & b:
@@ -572,40 +636,29 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
                         elif entry[3] & b:
                             record("3", word, f"contraction of [{i}:{j}] changes product")
                         continue
-                    _, _, hdom, hpm, hvals, spm, svals = entry
+                    _, _, hdom, hpm, hrow, spm, srow = entry
                     if not spm & b:
                         continue
-                    qi = index.get(svals[x])
-                    if qi is None or not hdom >> qi & 1:
+                    qi = srow.idx[x]
+                    if qi == esc or not hdom >> qi & 1:
                         record("3", word, f"contraction of [{i}:{j}] leaves domain")
-                    elif hpm >> qi & 1 and hvals[qi] != value:
+                    elif hpm >> qi & 1 and hrow.idx[qi] != vidx[x]:
                         record("3", word, f"contraction of [{i}:{j}] changes product")
                 if x in inv_error or pre_error is not None:
                     exc = inv_error.get(x, pre_error)
                     record("4", word, f"inversion failed: {exc}")
                     continue
-                xi = inv_index[x]
-                if xi is None or pre_out:
+                if x not in ends:
                     record("4", word, "w**-1 * w not in domain")
                     continue
-                if k == 1:
-                    w, a0 = 0, xi
-                else:
-                    w, a0 = xi * pw[k - 2] + r, inv_pre[-1]
-                st = wsid[w]
-                for y in (a0, *d, x):
-                    nx = rows[st]
-                    st = nx[y] if nx is not None else step(st, y)
-                detail = verdicts.get(st, _NONE)
-                if detail is _NONE:
-                    detail = verdicts[st] = verdict(st)
-                if detail:
-                    record("4", word, detail)
+                if ends[x]:
+                    record("4", word, ends[x])
+                w, a0 = (0, inv_of[x]) if k == 1 else (inv_of[x] * span + r, a0)
                 if wpm[w] >> a0 & 1:
-                    vi = index[value]
+                    vi = vidx[x]
                     if vi in inv_error:
                         record("4", word, f"inversion failed: {inv_error[vi]}")
-                    elif value_row(k - 1, w).vals[a0] != inverse[vi]:
+                    elif wrows[w].vals[a0] != inverse[vi]:
                         record("4", word, "product of inverse word is not the inverse")
 
     for x in els:

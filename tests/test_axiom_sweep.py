@@ -15,9 +15,11 @@ from llab.partial import (
     AxiomViolation,
     _cap_words,
     _check_axioms_bounded,
+    _check_axioms_table,
     check_axioms,
 )
-from table_partial import TablePartial
+from llab.permgroup import FiniteGroup
+from table_partial import GroupPartial, TablePartial
 from test_locality import builtin, delta_of, not_f_closed_locality
 
 
@@ -113,6 +115,47 @@ def reference_check_axioms_bounded(pg, max_len):
             record("4", (x,), f"inversion failed: {exc}")
 
     return AxiomReport(ok=not bad, checked_words=checked, violations=bad)
+
+
+def reference_check_axioms_table(pg):
+    """The full-domain axiom check as it was before index rows: one dict of
+    products keyed by element pairs, and each (x, y, z) decided alone."""
+    els = pg.elements
+    n = len(els)
+    bad = []
+    e = pg.identity
+    if e not in pg._index:
+        bad.append(AxiomViolation("2", (), "identity is not an element"))
+    table = {}
+    for x in els:
+        for y in els:
+            if not pg.in_domain((x, y)):
+                bad.append(AxiomViolation("1", (x, y), "pair missing from full domain"))
+                continue
+            z = pg.binary(x, y)
+            if z not in pg._index:
+                bad.append(AxiomViolation("1", (x, y), "product escapes the carrier"))
+            table[(x, y)] = z
+    for x in els:
+        if table.get((e, x)) != x or table.get((x, e)) != x:
+            bad.append(AxiomViolation("2", (x,), "identity law fails"))
+        try:
+            xi = pg.inv(x)
+            involutory = pg.inv(xi) == x
+        except Exception as exc:
+            bad.append(AxiomViolation("4", (x,), f"inversion failed: {exc}"))
+            continue
+        if not involutory:
+            bad.append(AxiomViolation("4", (x,), "inversion is not involutory"))
+        if table.get((xi, x)) != e or table.get((x, xi)) != e:
+            bad.append(AxiomViolation("4", (xi, x), "inverse law fails"))
+    for x in els:
+        for y in els:
+            xy = table.get((x, y))
+            for z in els:
+                if table.get((xy, z)) != table.get((x, table.get((y, z)))):
+                    bad.append(AxiomViolation("3", (x, y, z), "associativity fails"))
+    return AxiomReport(ok=not bad, checked_words=n + n * n + n**3, violations=bad)
 
 
 def q_locality(name):
@@ -264,6 +307,80 @@ class TestMoreNegativeControls:
         assert len(got.violations[-1].word) == 4
 
 
+class Punctured(TablePartial):
+    """Z/4 with the listed words taken out of D and the given products
+    changed (None drops a product, so `binary` raises on that pair)."""
+
+    def __init__(self, excluded=(), inverses=None, products=None, domain=None):
+        els = (0, 1, 2, 3)
+        table = {(x, y): (x + y) % 4 for x in els for y in els}
+        table.update(products or {})
+        table = {k: v for k, v in table.items() if v is not None}
+        super().__init__(els, 0, inverses or {0: 0, 1: 3, 2: 2, 3: 1}, table,
+                         domain=domain)
+        self._excluded = {tuple(w) for w in excluded}
+
+    def in_domain(self, word) -> bool:
+        return tuple(word) not in self._excluded and super().in_domain(word)
+
+
+ALL_PAIRS = [(x, y) for x in range(4) for y in range(4)]
+
+
+class TestBulkRowTests:
+    """One fault per bulk row test of the second pass, at length 3.
+
+    Each row flags its letters with list lookups and only flagged letters
+    are decided word by word, so a bulk test that missed a failing letter
+    would drop its violation from the report.  A pair product is shared by
+    every word that folds through it, so only the w**-1 * w faults (one word
+    taken out of D) reach a single word.
+    """
+
+    @pytest.mark.parametrize("pg,detail,words", [
+        # (1, 2) leaves D but keeps its product: (1, 1, 1) and (1, 3, 3)
+        # contract into it
+        (Punctured(domain=[p for p in ALL_PAIRS if p != (1, 2)]),
+         "contraction of [1:3] leaves domain", {(1, 1, 1), (1, 3, 3)}),
+        (z4_table(one_plus_one=3), "contraction of [1:3] changes product",
+         {(1, 1, 2), (1, 1, 3), (1, 2, 3), (1, 3, 2), (2, 1, 1), (2, 3, 1),
+          (3, 1, 1), (3, 2, 1)}),
+        # the one 6-letter word (1, 2, 3, 1, 2, 3) leaves D
+        (Punctured(excluded=[(1, 2, 3, 1, 2, 3)]), "w**-1 * w not in domain",
+         {(1, 2, 3)}),
+        # (1, 1, 2) leaves D: only the fold of w**-1 * w for w = (2, 3, 3)
+        # passes through it
+        (Punctured(excluded=[(1, 1, 2)]), "w**-1 * w fold left the domain",
+         {(2, 3, 3)}),
+        (Punctured(products={(3, 3): 0}), "product of inverse word is not the inverse",
+         None),
+        # inv(2) leaves the carrier: every word through 2, or whose product
+        # is 2, has a w**-1 outside the carrier
+        (Punctured(inverses={0: 0, 1: 3, 2: 5, 3: 1}), "w**-1 * w not in domain", None),
+        (Punctured(inverses={0: 0, 1: 3, 3: 1}), "inversion failed: 2", None),
+    ], ids=["tail-leaves", "tail-changes", "walk-not-in-domain", "walk-fold",
+            "inverse-word", "inverse-outside", "inverse-raises"])
+    def test_fault_is_found_where_the_word_sweep_finds_it(self, pg, detail, words):
+        got = assert_same_report(pg, 3)
+        found = {v.word for v in got.violations if v.detail == detail and len(v.word) == 3}
+        assert found
+        if words is not None:
+            assert found == words
+            if len(words) == 1:
+                assert len(got.violations) == 1
+
+    def test_over_flagged_letters_are_passed_by_the_recorder(self):
+        # (1, 2) is in D but binary raises on it: (1, 1, 1) and (1, 3, 3)
+        # contract into it, so the [1:3] test sees no product there and
+        # flags them, and the word-by-word check, which finds no product to
+        # compare, records nothing for them
+        pg = Punctured(products={(1, 2): None}, domain=ALL_PAIRS)
+        got = assert_same_report(pg, 3)
+        assert [v.word for v in got.violations if v.detail.startswith("binary")] == [
+            (1, 2)]
+        assert not {(1, 1, 1), (1, 3, 3)} & {v.word for v in got.violations}
+
+
 class TestNotFClosedThreeLetters:
     def test_states_repeat_and_rows_are_shared(self, monkeypatch):
         L = not_f_closed_locality()
@@ -328,6 +445,53 @@ class TestCorruptedTables:
                 == outcome(reference_check_axioms_bounded, pg, max_len))
 
 
+class TestTablePath:
+    """The full-domain check on index rows against the dict-keyed one."""
+
+    @pytest.mark.parametrize("name", ["s4", "a5"])
+    def test_groups(self, name):
+        pg = GroupPartial(builtin(name))
+        got = _check_axioms_table(pg)
+        assert got == reference_check_axioms_table(pg)
+        assert got.ok
+
+    def test_products_outside_the_carrier(self):
+        # (1, 1) and (1, 3) escape to one value, (3, 2) to another and
+        # (3, 3) to None
+        els = (0, 1, 2, 3)
+        products = {(x, y): (x + y) % 4 for x in els for y in els}
+        products.update({(1, 1): "x", (1, 3): "x", (3, 2): "y", (3, 3): None})
+        pg = TablePartial(els, 0, {0: 0, 1: 3, 2: 2, 3: 1}, products)
+        pg.full_domain = True
+        got = _check_axioms_table(pg)
+        assert got == reference_check_axioms_table(pg)
+        assert {v.detail for v in got.violations} >= {
+            "product escapes the carrier", "associativity fails", "inverse law fails"}
+
+    def test_identity_outside_the_carrier(self):
+        els = (0, 1, 2, 3)
+        products = {(x, y): (x + y) % 4 for x in els for y in els}
+        pg = TablePartial(els, 7, {0: 0, 1: 3, 2: 2, 3: 1}, products)
+        pg.full_domain = True
+        got = _check_axioms_table(pg)
+        assert got == reference_check_axioms_table(pg)
+        assert got.violations[0].detail == "identity is not an element"
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(corrupted_tables())
+    def test_corrupted_tables(self, case):
+        pg, _ = case
+        pg.full_domain = True
+
+        def table_check(pg, _max_len):
+            return _check_axioms_table(pg)
+
+        def reference(pg, _max_len):
+            return reference_check_axioms_table(pg)
+
+        assert outcome(table_check, pg, 0) == outcome(reference, pg, 0)
+
+
 class TestSweepWork:
     def test_each_state_steps_each_letter_once(self, monkeypatch):
         # the word-by-word walk made 345 512 steps on this carrier
@@ -344,6 +508,23 @@ class TestSweepWork:
         assert rep.ok and rep.checked_words == 178_808
         assert max(calls.values()) == 1
         assert sum(calls.values()) < 9_000
+
+    def test_clean_sweep_stays_within_the_readme_counts(self, monkeypatch):
+        L = q_locality("s5")
+        calls = Counter()
+        for cls, name in [(Locality, "walk_step"), (Locality, "binary"),
+                          (FiniteGroup, "mult")]:
+            def counted(self, *args, _f=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _f(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        rep = _check_axioms_bounded(L, 3)
+        monkeypatch.undo()
+        assert rep.ok
+        assert calls["walk_step"] <= 8_064
+        assert calls["binary"] <= 1_600
+        assert calls["mult"] <= 9_664
 
     def test_huge_max_len_is_refused_at_once(self):
         L = q_locality("s5")

@@ -41,7 +41,7 @@ from llab.permgroup import (
     subgroups_below,
     sylow_p,
 )
-from llab import expansion
+from llab import checks, expansion
 from llab.checks import ExampleContext
 from llab.expansion import (
     _check_extension_pair,
@@ -351,6 +351,23 @@ class TestTriplesAndSim:
         assert sim_related(seed, a, ca)
         assert canonical_triple(seed, ca) == ca
         assert sim_related(seed, a, b) == (ca == cb)
+
+    def test_tag_pays_for_each_fact_once(self, monkeypatch):
+        # tag 3.5 samples 30 triples: one canonical form each, and each of
+        # the 435 pairs asks sim_related once in either order
+        ctx = example("s5", 2)
+        calls = {"sim_related": 0, "canonical_triple": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(checks, name, counted(name, getattr(checks, name)))
+        assert checks.TAGS["3.5"](ctx) == (True, "30 sampled triples")
+        assert calls == {"sim_related": 30 + 2 * 435, "canonical_triple": 30}
 
     def test_exactly_one_transversal_middle_per_class(self):
         seed = z_expansion().seed
