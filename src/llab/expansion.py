@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InputError, PropertyViolation
-from .fusion import FusionMap, conjugation_fusion
+from .fusion import FusionMap, group_fusion
 from .locality import (
     Locality,
     ObjectSet,
@@ -123,7 +123,8 @@ def check_seed(L: Locality, R: Subgroup) -> SeedReport:
         M = Subgroup(L.group, mask_of(part.members))
         details["normalizer_order"] = M.order
         details["normalizer_characteristic_p"] = is_characteristic_p(M, L.p)
-        fusion_ok = conjugation_fusion(R.normalizer(L.S), M.members()).same_homs(
+        # M >= N_S(R) is a group, so its fusion is read as restrictions
+        fusion_ok = group_fusion(R.normalizer(L.S), M.members()).same_homs(
             F.normalizer_system(R)
         )
         if not fusion_ok:
@@ -706,7 +707,10 @@ def expand_quotient(L: Locality, N: PartialSubgroup,
         raise InputError("the growth must be a full expansion of this locality")
     lq = quotient_locality(L, N)
     lplus = growth.locality
-    nplus = lift_normal(L, lplus, N)
+    # lplus has L's carrier (argued below) and a larger family, so it is the
+    # group L again, and the lift of N, partial normal in L (checked by
+    # quotient_locality's coset_partition), is N itself
+    nplus = PartialSubgroup(lplus, N.members)
     lbar = lq.locality
     send = lq.rho.mapping
 
@@ -745,21 +749,16 @@ def expand_quotient(L: Locality, N: PartialSubgroup,
 
     correspondence = True
     for Kbar in all_partial_normal_subgroups(lbar):
-        # The preimage K is partial normal in L, so it needs no guard.
-        # quotient_locality takes only a full-domain L, its rho is a
-        # homomorphism (argued there), and Kbar is from lbar's lattice.
-        # For x in K and g in L the word (g**-1, x, g) is in D, so it maps
-        # into lbar's domain with rho(x**g) = rho(x)**rho(g), a defined
-        # conjugate of a member of Kbar, hence in Kbar.
-        K = PartialSubgroup(
-            L, frozenset(x for x in L.elements if send[x] in Kbar.members))
-        kplus = lift_normal(L, lplus, K)
-        kbarplus = lift_normal(lbar, lbarplus, Kbar)
-        image = frozenset(send[x] for x in kplus.members)
-        if image != kbarplus.members:
-            correspondence = False
-            break
-        if kbarplus.members & set(lbar.elements) != Kbar.members:
+        # The preimage K is partial normal in L: quotient_locality takes
+        # only a full-domain L, its rho is a homomorphism (argued there),
+        # and Kbar is from lbar's lattice.  For x in K and g in L the word
+        # (g**-1, x, g) is in D, so it maps into lbar's domain with
+        # rho(x**g) = rho(x)**rho(g), a defined conjugate of a member of
+        # Kbar, hence in Kbar.  As for N above, lplus and lbarplus are the
+        # groups L and lbar again, so K and Kbar are their own lifts; left
+        # to check is that rho maps K onto Kbar.
+        K = frozenset(x for x in L.elements if send[x] in Kbar.members)
+        if frozenset(send[x] for x in K) != Kbar.members:
             correspondence = False
             break
     checks["normal_correspondence"] = correspondence

@@ -25,6 +25,7 @@ from .permgroup import (
     FiniteGroup,
     Subgroup,
     mask_members,
+    mask_of,
     subgroups_below,
     sylow_p,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "FusionSystem",
     "conjugation_fusion",
     "fusion_from_group",
+    "group_fusion",
     "FusionMap",
     "QuotientFusionReport",
     "quotient_fusion_check",
@@ -75,17 +77,6 @@ class FHom:
         pairs = sorted(zip(self.images, mask_members(self.dom_mask)))
         return FHom(self.group, self.image_mask, tuple(x for _, x in pairs))
 
-    def fixes_setwise(self, mask: int) -> bool:
-        m = self.mapping()
-        img = 0
-        for x in mask_members(mask):
-            img |= 1 << m[x]
-        return img == mask
-
-    def fixes_pointwise(self, mask: int) -> bool:
-        m = self.mapping()
-        return all(m[x] == x for x in mask_members(mask))
-
 
 @dataclass(frozen=True)
 class ClassFlags:
@@ -111,17 +102,35 @@ def _conj_keys(S: Subgroup, conjugators) -> tuple:
 
 
 class _Derived(tuple):
-    """Seed keys (dom_mask, images) llab derived itself, taken without _validate.
+    """Seed keys (dom_mask, images) taken without _validate: llab's own, or
+    caller maps already validated.
 
-    Only conjugation keys (_conj_keys) and restrictions of maps already in
-    a closed table belong here: both are injective homomorphisms between
-    subgroups of S by construction.
+    With S's inner maps they generate the system, closed by _close.  llab's
+    own are conjugation keys (_conj_keys) and maps of a closed table: both
+    are injective homomorphisms between subgroups of S.
+    """
+
+
+class _Restrictions(tuple):
+    """Keys as for _Derived whose restrictions to the subgroups of S are the
+    whole system, with no closure: each user argues beside its code that
+    they are closed under composition and inversion and land in S.
     """
 
 
 def conjugation_fusion(S: Subgroup, conjugators) -> "FusionSystem":
     """The fusion system on S generated by conjugation by the given ordinals."""
     return FusionSystem(S, _Derived(_conj_keys(S, conjugators)))
+
+
+def group_fusion(S: Subgroup, conjugators) -> "FusionSystem":
+    """F_S(H) for a subgroup H >= S, from its members or one per C_H(S)-coset.
+
+    F_S(H) = {c_h|P : h in H, P <= S_h} is closed: c_h|P then c_k is c_hk|P
+    with P <= S_hk, and c_h|P inverts to c_(h**-1) on P**h.  c_h on S
+    depends only on C_H(S)·h.
+    """
+    return FusionSystem(S, _Restrictions(_conj_keys(S, conjugators)))
 
 
 def _inner_seeds(S: Subgroup) -> tuple:
@@ -145,12 +154,11 @@ class _Closed:
     all of them.
     """
 
-    __slots__ = ("table", "by_image", "size", "conj", "flags", "nsys", "csys",
-                 "o_p", "__weakref__")
+    __slots__ = ("table", "size", "conj", "flags", "nsys", "csys", "o_p",
+                 "__weakref__")
 
-    def __init__(self, table: dict, by_image: dict, size: int):
+    def __init__(self, table: dict, size: int):
         self.table = table
-        self.by_image = by_image
         self.size = size
         self.conj: dict[int, tuple] = {}
         self.flags: dict[int, tuple] = {}
@@ -166,10 +174,11 @@ class _Closed:
 class FusionSystem:
     """Hom-closed category of injective maps between subgroups of S.
 
-    Caller-supplied generators are validated; _Derived ones are trusted.
-    A weak-valued registry in the group's memo maps seed sets and exact
-    closed tables to the live _Closed: a seed set seen before skips the
-    closure, and a closure equal to a live table adopts that table.
+    _Restrictions keys, or no maps (S's inner system), give the table of
+    their restrictions; caller maps (validated) and _Derived keys are closed
+    with S's inner maps.  A weak-valued registry in the group's memo maps
+    seed sets and exact tables to the live _Closed: a seed set seen before
+    skips the build, and a table equal to a live one adopts it.
     """
 
     def __init__(self, S: Subgroup, generators=()):
@@ -181,27 +190,30 @@ class FusionSystem:
         self.subs = subgroups_below(S)
         self._masks = [h.mask for h in self.subs]
         self._mask_set = set(self._masks)
-        if isinstance(generators, _Derived):
-            keys = generators
-        else:
+        if not isinstance(generators, (_Derived, _Restrictions)):
             generators = list(generators)
             for h in generators:
                 self._validate(h)
-            keys = ((h.dom_mask, h.images) for h in generators)
-        seeds = tuple(dict.fromkeys(itertools.chain(_inner_seeds(S), keys)))
+            # no maps: F_S(S), closed by group_fusion's argument with H = S
+            generators = (_Derived((h.dom_mask, h.images) for h in generators)
+                          if generators else _Restrictions(_inner_seeds(S)))
+        if isinstance(generators, _Restrictions):
+            build, keys = self._restrictions, generators
+        else:
+            build, keys = self._close, (*_inner_seeds(S), *generators)
+        seeds = tuple(dict.fromkeys(keys))
         registry = self.group._memo.setdefault(
             "fusion_tables", weakref.WeakValueDictionary())
-        seed_key = ("seeds", S.mask, frozenset(seeds))
+        seed_key = (build.__name__, S.mask, frozenset(seeds))
         closed = registry.get(seed_key)
         if closed is None:
-            closed = self._close(seeds, cap.fusion_maps)
+            closed = build(seeds, cap.fusion_maps)
             closed = registry.setdefault(("table", S.mask, closed.key()), closed)
             registry[seed_key] = closed
         elif closed.size > cap.fusion_maps:
             raise CapExceeded("fusion homtable", cap.fusion_maps)
         self._closed = closed
         self._table: dict[int, dict[tuple, int]] = closed.table
-        self._by_image: dict[int, set] = closed.by_image
         self._conj_cache = closed.conj
         self._flag_cache = closed.flags
         self._nsys_cache = closed.nsys
@@ -222,6 +234,27 @@ class FusionSystem:
         for a, b in itertools.product(mask_members(h.dom_mask), repeat=2):
             if m[self.group.mult(a, b)] != self.group.mult(m[a], m[b]):
                 raise InputError("generator map is not a homomorphism")
+
+    def _restrictions(self, keys, cap: int) -> _Closed:
+        """Each key restricted to each subgroup of S inside its domain."""
+        table: dict[int, dict[tuple, int]] = {m: {} for m in self._masks}
+        count = 0
+        members = [(m, mask_members(m)) for m in self._masks]
+        below: dict[int, list] = {}  # domain -> [(row, positions in domain)]
+        for dom, images in keys:
+            rows = below.get(dom)
+            if rows is None:
+                pos = {x: i for i, x in enumerate(mask_members(dom))}
+                rows = below[dom] = [(table[m], [pos[x] for x in mem])
+                                     for m, mem in members if m & dom == m]
+            for row, at in rows:
+                sub = tuple(map(images.__getitem__, at))
+                if sub not in row:
+                    row[sub] = mask_of(sub)
+                    count += 1
+            if count > cap:
+                raise CapExceeded("fusion homtable", cap)
+        return _Closed(table, count)
 
     def _close(self, seeds, cap: int) -> _Closed:
         table: dict[int, dict[tuple, int]] = {m: {} for m in self._masks}
@@ -266,7 +299,7 @@ class FusionSystem:
             hm = h.mapping()
             for dom2, images2 in list(by_image[h.dom_mask]):
                 push(FHom(self.group, dom2, tuple(hm[y] for y in images2)))
-        return _Closed(table, by_image, count)
+        return _Closed(table, count)
 
     # -- queries -----------------------------------------------------------
 
@@ -333,8 +366,10 @@ class FusionSystem:
 
     # -- subsystems ----------------------------------------------------------
 
-    def _harvest(self, cache: dict, um: int, carrier: Subgroup, keep) -> "FusionSystem":
-        """Subsystem on `carrier` from restrictions of maps passing `keep`.
+    def _harvest(self, cache: dict, um: int, carrier: Subgroup,
+                 pointwise: bool) -> "FusionSystem":
+        """The maps on domains >= U fixing U (setwise or pointwise),
+        restricted to the subgroups of `carrier`.
 
         Cached under `um`. A subsystem equal to this system is cached as None
         and answered with self: a twin in the shared cache would tie the
@@ -342,37 +377,37 @@ class FusionSystem:
         until the cyclic garbage collector runs.
         """
         if um not in cache:
-            cm = carrier.mask
-            gens = []
+            fixed = mask_members(um)
+            keys = []
             for dom in self._masks:
+                if dom & um != um:
+                    continue
+                at = [i for i, x in enumerate(mask_members(dom)) if um >> x & 1]
                 for images in self._table[dom]:
-                    h = FHom(self.group, dom, images)
-                    if not keep(h):
-                        continue
-                    m = h.mapping()
-                    sub = [x for x in mask_members(dom & cm) if (1 << m[x]) & cm]
-                    if sub:
-                        gens.append((sum(1 << x for x in sub), tuple(m[x] for x in sub)))
-            system = FusionSystem(carrier, _Derived(gens))
+                    image = [images[i] for i in at]
+                    if (image == fixed) if pointwise else (mask_of(image) == um):
+                        keys.append((dom, images))
+            system = FusionSystem(carrier, _Restrictions(keys))
             cache[um] = None if system._closed is self._closed else system
         got = cache[um]
         return self if got is None else got
 
     def normalizer_system(self, U: Subgroup) -> "FusionSystem":
-        """Fusion on N_S(U) from maps defined past U that fix U setwise."""
-        um = U.mask
-        return self._harvest(
-            self._nsys_cache, um, U.normalizer(self.S),
-            lambda h: (h.dom_mask & um) == um and h.fixes_setwise(um),
-        )
+        """N_F(U) on N_S(U): the phi: P -> Q that extend to a map of F on PU
+        fixing U.
+
+        Read with no closure as the restrictions to subgroups P <= N_S(U)
+        of the maps h of F on domains R >= U with h(U) = U.  Each h|P is in
+        N_F(U), extended by h|PU, and lands in N_S(h(U)) = N_S(U).  Each map
+        of N_F(U) is one: PU is a subgroup, and F's table holds every map on
+        it.  They are closed: h2∘h1 on h1**-1(dom h2) >= U and h1**-1 on
+        h1(R) are maps of F fixing U.
+        """
+        return self._harvest(self._nsys_cache, U.mask, U.normalizer(self.S), False)
 
     def centralizer_system(self, U: Subgroup) -> "FusionSystem":
-        """Fusion on C_S(U) from maps defined past U that fix U pointwise."""
-        um = U.mask
-        return self._harvest(
-            self._csys_cache, um, U.centralizer(self.S),
-            lambda h: (h.dom_mask & um) == um and h.fixes_pointwise(um),
-        )
+        """C_F(U) on C_S(U): as normalizer_system, fixing U pointwise."""
+        return self._harvest(self._csys_cache, U.mask, U.centralizer(self.S), True)
 
     def is_normal_in_system(self, T: Subgroup) -> bool:
         """T normal: the U-fixing subsystem on N_S(T) is all of the system."""
@@ -526,7 +561,7 @@ def fusion_from_group(G: FiniteGroup, p: int, S: Subgroup | None = None) -> Fusi
         S = sylow_p(G.top, p)
     # c_g depends only on C_G(S)·g; the least g of each coset, ascending,
     # gives the same keys in the same order as sweeping all of G
-    return conjugation_fusion(S, G.s_conjugation(S.mask).coset_representatives())
+    return group_fusion(S, G.s_conjugation(S.mask).coset_representatives())
 
 
 # -- quotient compatibility ---------------------------------------------------

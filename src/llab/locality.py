@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InputError, PropertyViolation
-from .fusion import FusionMap, FusionSystem, conjugation_fusion
+from .fusion import FusionMap, FusionSystem, conjugation_fusion, group_fusion
 from .partial import (
     PartialGroup,
     PartialSubgroup,
@@ -376,9 +376,16 @@ class Locality(PartialGroup):
     # -- derived structure ----------------------------------------------------
 
     def fusion(self) -> FusionSystem:
-        """The fusion system on S generated by conjugation by carrier elements."""
+        """The fusion system on S generated by conjugation by carrier elements.
+
+        A full-domain carrier is a group under G's products, a subgroup
+        H >= S, so its system is F_S(H) and is read as restrictions
+        (group_fusion).  Otherwise it is closed by composition: c_g then c_h
+        on a non-object P need not be one c_f with f in the carrier.
+        """
         if self._fusion_cache is None:
-            self._fusion_cache = conjugation_fusion(self.S, self.elements)
+            build = group_fusion if self.full_domain else conjugation_fusion
+            self._fusion_cache = build(self.S, self.elements)
         return self._fusion_cache
 
     def sub(self, xs) -> PartialSubgroup:

@@ -189,6 +189,8 @@ class PartialGroup:
 
 # -- axiom checking ----------------------------------------------------------
 
+MAX_VIOLATIONS = 200  # an axiom check records no more violations than this
+
 
 @dataclass(frozen=True)
 class AxiomViolation:
@@ -231,7 +233,7 @@ def check_axioms(pg: PartialGroup, max_len: int = 4) -> AxiomReport:
     the inverse-word test are list lookups over the row's letters, which
     may flag a letter that passes but never pass one that fails.  Only
     flagged letters are visited word by word, and the violations, their
-    order and the cap of 200 are those of the word-by-word sweep: the
+    order and the MAX_VIOLATIONS cap are those of the word-by-word sweep: the
     domain and contracted-pair tests on every word, then the contraction
     and inverse tests on every word with a product, each pass in
     `itertools.product` order.
@@ -251,9 +253,14 @@ def _check_axioms_table(pg: PartialGroup) -> AxiomReport:
         raise CapExceeded("axiom table check", limit)
     index = pg._index
     bad = []
+
+    def record(axiom, word, detail):
+        if len(bad) < MAX_VIOLATIONS:
+            bad.append(AxiomViolation(axiom, word, detail))
+
     e = pg.identity
     if e not in index:
-        bad.append(AxiomViolation("2", (), "identity is not an element"))
+        record("2", (), "identity is not an element")
     # code[x][y] names the product of the pair (x, y) by an int: its carrier
     # index, n where there is none, and n + 1, ... for the distinct values
     # outside the carrier; raw[c] is the value a code names
@@ -262,13 +269,13 @@ def _check_axioms_table(pg: PartialGroup) -> AxiomReport:
         row = []
         for y in els:
             if not pg.in_domain((x, y)):
-                bad.append(AxiomViolation("1", (x, y), "pair missing from full domain"))
+                record("1", (x, y), "pair missing from full domain")
                 row.append(n)
                 continue
             z = pg.binary(x, y)
             c = index.get(z)
             if c is None:
-                bad.append(AxiomViolation("1", (x, y), "product escapes the carrier"))
+                record("1", (x, y), "product escapes the carrier")
                 c = n if z is None else outside.setdefault(z, n + 1 + len(outside))
             row.append(c)
         code.append(row)
@@ -280,17 +287,17 @@ def _check_axioms_table(pg: PartialGroup) -> AxiomReport:
 
     for x in els:
         if product(e, x) != x or product(x, e) != x:
-            bad.append(AxiomViolation("2", (x,), "identity law fails"))
+            record("2", (x,), "identity law fails")
         try:
             xi = pg.inv(x)
             involutory = pg.inv(xi) == x
         except Exception as exc:
-            bad.append(AxiomViolation("4", (x,), f"inversion failed: {exc}"))
+            record("4", (x,), f"inversion failed: {exc}")
             continue
         if not involutory:
-            bad.append(AxiomViolation("4", (x,), "inversion is not involutory"))
+            record("4", (x,), "inversion is not involutory")
         if product(xi, x) != e or product(x, xi) != e:
-            bad.append(AxiomViolation("4", (xi, x), "inverse law fails"))
+            record("4", (xi, x), "inverse law fails")
     # (xy)z against x(yz), a row of z at a time: a product with no carrier
     # index has no products of its own, so code n stands for both sides
     spill = [n] * (len(raw) - n)
@@ -300,11 +307,10 @@ def _check_axioms_table(pg: PartialGroup) -> AxiomReport:
         for y, xy in enumerate(cx):
             left = code[xy] if xy < n else nothing
             right = [through[c] for c in code[y]]
-            if left != right:
+            if left != right and len(bad) < MAX_VIOLATIONS:
                 for z in range(n):
                     if left[z] != right[z]:
-                        bad.append(AxiomViolation("3", (els[x], els[y], els[z]),
-                                                  "associativity fails"))
+                        record("3", (els[x], els[y], els[z]), "associativity fails")
     return AxiomReport(ok=not bad, checked_words=n + n * n + n**3, violations=bad)
 
 
@@ -348,7 +354,7 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
     bad = []
 
     def record(axiom, word, detail):
-        if len(bad) < 200:
+        if len(bad) < MAX_VIOLATIONS:
             bad.append(AxiomViolation(axiom, word, detail))
 
     if not pg.in_domain(()):
@@ -463,7 +469,7 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
                     vr = table[v] or pair_row(v)
                     bad_pair, fail, pm = dom & ~vr.pairs, dom & vr.fail, dom & vr.ok
                 hit = bad_pre | bad_suf | bad_pair | fail
-                if hit and len(bad) < 200:
+                if hit and len(bad) < MAX_VIOLATIONS:
                     pre = tuple(els[y] for y in digits(k - 1, p))
                     for x in mask_members(hit):
                         word, b = pre + (els[x],), 1 << x
@@ -616,7 +622,7 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
                     for x in [x for x, w in zip(xs, ws)
                               if wrows[w].idx[a0] != inv_of[vidx[x]]]:
                         flag |= 1 << x
-            if not flag or len(bad) >= 200:
+            if not flag or len(bad) >= MAX_VIOLATIONS:
                 continue
             pre = tuple(els[y] for y in d)
             pre_error = next((inv_error[y] for y in reversed(d) if y in inv_error),

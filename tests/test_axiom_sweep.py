@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from llab.errors import CapExceeded, DomainError
 from llab.locality import Locality, locality_from_group
 from llab.partial import (
+    MAX_VIOLATIONS,
     AxiomReport,
     AxiomViolation,
     _cap_words,
@@ -476,6 +477,21 @@ class TestTablePath:
         got = _check_axioms_table(pg)
         assert got == reference_check_axioms_table(pg)
         assert got.violations[0].detail == "identity is not an element"
+
+    def test_records_stop_at_the_cap(self):
+        # one changed product in A5's table breaks associativity in 234
+        # triples; the table path keeps the first 200, as the sweep does
+        class Altered(GroupPartial):
+            def binary(self, x, y):
+                return 0 if (x, y) == (3, 5) else self.group.mult(x, y)
+
+        pg = Altered(builtin("a5"))
+        want = reference_check_axioms_table(pg)
+        assert len(want.violations) == 234
+        got = _check_axioms_table(pg)
+        assert MAX_VIOLATIONS == 200
+        assert (got.ok, got.checked_words) == (want.ok, want.checked_words)
+        assert got.violations == want.violations[:200]
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(corrupted_tables())

@@ -1,13 +1,13 @@
-"""Guards that src/ dropped because a stated argument implies them.
+"""Guards and closures that src/ dropped because a stated argument implies them.
 
-Each `reference_*` function below is the dropped code with its guard, as it
-stood before; the argument that replaced the guard sits beside the library
-code.  `check_carrier` runs every reference on one carrier, and
-`check_growth` on one growth, and each compares its answer with the
-library's.  They run over every carrier and growth that the verify contexts
-of the built-in pairs build (towers and Theta-quotients included), over the
-A6 growth on partial-domain bases, and over the random groups of
-`tests/test_random_groups.py`.
+Each `reference_*` function below is the dropped code with its guard, or
+the closure by composition it replaced, as it stood before; the argument
+that replaced it sits beside the library code.  `check_carrier` runs every
+reference on one carrier, and `check_growth` on one growth, and each
+compares its answer with the library's.  They run over every carrier and
+growth that the verify contexts of the built-in pairs build (towers and
+Theta-quotients included), over the A6 growth on partial-domain bases, and
+over the random groups of `tests/test_random_groups.py`.
 """
 
 import itertools
@@ -15,10 +15,18 @@ import math
 
 import pytest
 
-from llab import locality
+from llab import caps, locality
 from llab.errors import PropertyViolation
 from llab.expansion import check_seed, elementary_expand
-from llab.fusion import conjugation_fusion, quotient_fusion_check
+from llab.fusion import (
+    FHom,
+    FusionSystem,
+    _conj_keys,
+    _inner_seeds,
+    conjugation_fusion,
+    fusion_from_group,
+    quotient_fusion_check,
+)
 from llab.locality import (
     Locality,
     centralizer_in,
@@ -58,7 +66,7 @@ from llab.permgroup import (
 )
 from table_partial import UncheckedLocality
 from test_expansion import a6_growth, builtin, example, growths, loc, setup, swap_type
-from test_fusion import BUILTIN_PAIRS
+from test_fusion import BUILTIN_PAIRS, any_group
 
 
 # -- the dropped code -----------------------------------------------------------
@@ -453,6 +461,57 @@ def reference_step_proper(step):
         raise PropertyViolation("properness lost during growth", witness=R.mask)
 
 
+def reference_close(S, keys):
+    """S's inner maps and the keys closed by `FusionSystem._close`, the BFS
+    over composition, restriction and inversion, as the table's key set."""
+    seeds = tuple(dict.fromkeys((*_inner_seeds(S), *keys)))
+    return FusionSystem(S)._close(seeds, caps.current().fusion_maps).key()
+
+
+def reference_group_fusion(S, conjugators):
+    """`fusion_from_group` and full-domain `Locality.fusion`: the
+    conjugation keys, closed."""
+    return reference_close(S, _conj_keys(S, conjugators))
+
+
+def reference_harvest(F, carrier, keep):
+    """`FusionSystem._harvest`: each map of F that passes `keep`, cut to the
+    members of its domain in the carrier that it maps into the carrier,
+    as a generator, then closed."""
+    cm = carrier.mask
+    gens = []
+    for dom in F._masks:
+        for images in F._table[dom]:
+            h = FHom(F.group, dom, images)
+            if not keep(h):
+                continue
+            m = h.mapping()
+            sub = [x for x in mask_members(dom & cm) if (1 << m[x]) & cm]
+            if sub:
+                gens.append((sum(1 << x for x in sub), tuple(m[x] for x in sub)))
+    return reference_close(carrier, gens)
+
+
+def reference_normalizer_system(F, U):
+    um = U.mask
+
+    def keep(h):
+        m = h.mapping()
+        return (h.dom_mask & um) == um and mask_of(m[x] for x in mask_members(um)) == um
+
+    return reference_harvest(F, U.normalizer(F.S), keep)
+
+
+def reference_centralizer_system(F, U):
+    um = U.mask
+
+    def keep(h):
+        m = h.mapping()
+        return (h.dom_mask & um) == um and all(m[x] == x for x in mask_members(um))
+
+    return reference_harvest(F, U.centralizer(F.S), keep)
+
+
 # -- running them ---------------------------------------------------------------
 
 
@@ -467,6 +526,16 @@ def check_fusion(F):
     for E in systems.values():
         assert reference_find_o_p(E).mask == E.o_p().mask
     return len(systems)
+
+
+def check_restriction_tables(F, conjugators):
+    """F, and its normalizer and centralizer systems at every U <= S, against
+    the closures they replaced; F is the fusion of a group, given by its
+    members or one per C_G(S)-coset."""
+    assert F._closed.key() == reference_group_fusion(F.S, conjugators)
+    for U in F.subs:
+        assert F.normalizer_system(U)._closed.key() == reference_normalizer_system(F, U)
+        assert F.centralizer_system(U)._closed.key() == reference_centralizer_system(F, U)
 
 
 def check_domain(L):
@@ -507,6 +576,8 @@ def check_carrier(L):
     # skips on a carrier that is its whole cut
     assert reference_cut(L.delta) == L.delta.cut
     assert products(L, L.elements, L._carrier) <= L._carrier
+    if L.full_domain:
+        check_restriction_tables(L.fusion(), L.elements)
     check_fusion(L.fusion())
     check_domain(L)
     check_subgroup_test(L)
@@ -627,6 +698,17 @@ class TestDroppedGuardsHold:
             incomparable += sum(not U.le(V) and not V.le(U)
                                 for U, V in itertools.combinations(normals, 2))
         assert incomparable == 839
+
+
+class TestRestrictionTables:
+    """Systems read as restrictions against the closures they replaced."""
+
+    @pytest.mark.parametrize("name,p", [*BUILTIN_PAIRS, ("d16", 2), ("c5xc5", 5),
+                                        ("s6", 3), ("s7", 7)])
+    def test_group_normalizer_and_centralizer_systems(self, name, p):
+        G = any_group(name)
+        F = fusion_from_group(G, p)
+        check_restriction_tables(F, G.s_conjugation(F.S.mask).coset_representatives())
 
 
 class TestCutClosure:

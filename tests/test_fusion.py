@@ -1,13 +1,16 @@
 """Fusion systems: homtable closure, classification, subsystems, quotients."""
 
 import gc
+import io
 import json
+import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from bench.workloads import generated_groups
-from llab import caps, fusion
+from llab import caps, cli, fusion
 from llab.errors import CapExceeded, InputError
 from llab.fusion import (
     FHom,
@@ -15,9 +18,12 @@ from llab.fusion import (
     FusionSystem,
     _conj_keys,
     _inner_seeds,
+    _Restrictions,
+    conjugation_fusion,
     fusion_from_group,
     quotient_fusion_check,
 )
+from llab.locality import locality_from_group, resolve_delta_spec
 from llab.permgroup import (
     Subgroup,
     group_from_generators,
@@ -158,13 +164,13 @@ class TestInterning:
         group = any_group(name)
         S = sylow_p(group.top, p)
         passed = []
-        real = fusion.conjugation_fusion
+        real = fusion.group_fusion
 
         def spy(S, conjugators):
             passed.append(conjugators)
             return real(S, conjugators)
 
-        monkeypatch.setattr(fusion, "conjugation_fusion", spy)
+        monkeypatch.setattr(fusion, "group_fusion", spy)
         fusion_from_group(group, p, S)
         [conjugators] = passed
         assert len(conjugators) == group.order // S.centralizer().order
@@ -201,6 +207,76 @@ class TestInterning:
         del F
         gc.collect()
         assert len(registry) == 0
+
+
+def close_callers(monkeypatch):
+    """Wrap FusionSystem._close; each call appends who asked for it:
+    "is_cr_generated", "partial-domain fusion" or "full-domain fusion" for
+    Locality.fusion, or None for any other caller."""
+    seen = []
+    real = FusionSystem._close
+
+    def spy(self, seeds, cap):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name not in ("is_cr_generated", "fusion"):
+            frame = frame.f_back
+        if frame is None:
+            seen.append(None)
+        elif frame.f_code.co_name == "is_cr_generated":
+            seen.append("is_cr_generated")
+        else:
+            full = frame.f_locals["self"].full_domain
+            seen.append(f"{'full' if full else 'partial'}-domain fusion")
+        return real(self, seeds, cap)
+
+    monkeypatch.setattr(FusionSystem, "_close", spy)
+    return seen
+
+
+def run_quietly(*argv):
+    with redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+
+
+class TestRestrictionTables:
+    """Which systems are read as restrictions and which are closed."""
+
+    def test_restrictions_of_a_non_group_are_not_closed(self):
+        # D8 and one 4-cycle of S4 outside it are not a group: conjugation by
+        # them, restricted, misses maps that their composites give (all of
+        # F_S(S4) here, 28 maps against 23)
+        group = builtin("s4")
+        S = sylow_p(group.top, 2)
+        g = next(g for g in range(group.order)
+                 if not S.contains(g) and group.mult(g, g) != 0
+                 and group.mult(group.mult(g, g), group.mult(g, g)) == 0)
+        keys = _conj_keys(S, [*S.members(), g])
+        restricted = FusionSystem(S, _Restrictions(keys))
+        closed = conjugation_fusion(S, [g])
+        assert restricted._closed.key() < closed._closed.key()
+        assert (restricted._closed.size, closed._closed.size) == (23, 28)
+        assert closed.same_homs(fusion_from_group(group, 2))
+
+    def test_partial_domain_locality_closes_by_composition(self, monkeypatch):
+        group = builtin("s5")
+        F = fusion_from_group(group, 2)
+        L = locality_from_group(group, 2, resolve_delta_spec(F, "q"))
+        assert not L.full_domain
+        seen = close_callers(monkeypatch)
+        assert L.fusion().same_homs(F)
+        assert seen == ["partial-domain fusion"]
+
+    def test_close_runs_only_for_generated_systems(self, monkeypatch, tmp_path):
+        d16 = tmp_path / "d16.json"
+        d16.write_text(json.dumps(generated_groups()["d16"]))
+        s5 = str(DATA / "s5.json")
+        seen = close_callers(monkeypatch)
+        assert run_quietly("classify", "--group", str(d16), "--p", "2") == 0
+        assert run_quietly("locality", "--group", s5, "--p", "2") == 0
+        assert seen == []
+        assert run_quietly("verify", "--group", s5, "--p", "2") == 0
+        assert seen
+        assert set(seen) <= {"is_cr_generated", "partial-domain fusion"}
 
 
 class TestConjugatesAndClosureProperties:
