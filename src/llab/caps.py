@@ -9,7 +9,8 @@ degree            points of a group file's permutations, checked before
 group_order       elements of a group closed from generators
 subgroup_count    subgroups found below one subgroup
 partial_normal    carrier size and lattice size of the partial-normal search
-fusion_maps       morphisms in one closed fusion-system hom table
+fusion_maps       morphisms in one closed fusion-system hom table, and
+                  composites in the key pass of a generated system
 sylow_order       order of the p-subgroup a fusion system is built on
 axiom_table       n**3 products in the full-domain axiom check
 axiom_words       words of length <= max_len in the bounded axiom check

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -73,10 +72,6 @@ class FHom:
         m = self.mapping()
         return FHom(self.group, sub_mask, tuple(m[x] for x in mask_members(sub_mask)))
 
-    def inverse(self) -> "FHom":
-        pairs = sorted(zip(self.images, mask_members(self.dom_mask)))
-        return FHom(self.group, self.image_mask, tuple(x for _, x in pairs))
-
 
 @dataclass(frozen=True)
 class ClassFlags:
@@ -105,9 +100,10 @@ class _Derived(tuple):
     """Seed keys (dom_mask, images) taken without _validate: llab's own, or
     caller maps already validated.
 
-    With S's inner maps they generate the system, closed by _close.  llab's
-    own are conjugation keys (_conj_keys) and maps of a closed table: both
-    are injective homomorphisms between subgroups of S.
+    With their inverses and S's inner maps they generate the system: the
+    restrictions of their whole composites (FusionSystem._composites).
+    llab's own are conjugation keys (_conj_keys) and maps of a closed table:
+    both are injective homomorphisms between subgroups of S.
     """
 
 
@@ -174,9 +170,10 @@ class _Closed:
 class FusionSystem:
     """Hom-closed category of injective maps between subgroups of S.
 
-    _Restrictions keys, or no maps (S's inner system), give the table of
-    their restrictions; caller maps (validated) and _Derived keys are closed
-    with S's inner maps.  A weak-valued registry in the group's memo maps
+    Every table is the set of restrictions of some keys (_restrictions):
+    _Restrictions keys, S's inner maps when no maps are given, or the
+    composites of caller maps (validated) or _Derived keys with S's inner
+    maps (_composites).  A weak-valued registry in the group's memo maps
     seed sets and exact tables to the live _Closed: a seed set seen before
     skips the build, and a table equal to a live one adopts it.
     """
@@ -197,17 +194,17 @@ class FusionSystem:
             # no maps: F_S(S), closed by group_fusion's argument with H = S
             generators = (_Derived((h.dom_mask, h.images) for h in generators)
                           if generators else _Restrictions(_inner_seeds(S)))
-        if isinstance(generators, _Restrictions):
-            build, keys = self._restrictions, generators
-        else:
-            build, keys = self._close, (*_inner_seeds(S), *generators)
-        seeds = tuple(dict.fromkeys(keys))
+        generated = isinstance(generators, _Derived)
+        seeds = tuple(dict.fromkeys(
+            (*_inner_seeds(S), *generators) if generated else generators))
         registry = self.group._memo.setdefault(
             "fusion_tables", weakref.WeakValueDictionary())
-        seed_key = (build.__name__, S.mask, frozenset(seeds))
+        seed_key = (generated, S.mask, frozenset(seeds))
         closed = registry.get(seed_key)
         if closed is None:
-            closed = build(seeds, cap.fusion_maps)
+            if generated:
+                seeds = self._composites(seeds, cap.fusion_maps)
+            closed = self._restrictions(seeds, cap.fusion_maps)
             closed = registry.setdefault(("table", S.mask, closed.key()), closed)
             registry[seed_key] = closed
         elif closed.size > cap.fusion_maps:
@@ -228,6 +225,8 @@ class FusionSystem:
             raise InputError("generator map is not between subgroups of S")
         if h.dom_mask not in self._mask_set:
             raise InputError("generator domain is not a subgroup of S")
+        if len(h.images) != h.dom_mask.bit_count():
+            raise InputError("generator map does not match its domain")
         if len(set(h.images)) != len(h.images):
             raise InputError("generator map is not injective")
         m = h.mapping()
@@ -256,50 +255,38 @@ class FusionSystem:
                 raise CapExceeded("fusion homtable", cap)
         return _Closed(table, count)
 
-    def _close(self, seeds, cap: int) -> _Closed:
-        table: dict[int, dict[tuple, int]] = {m: {} for m in self._masks}
-        by_image: dict[int, set] = {m: set() for m in self._masks}
-        count = 0
-        queue = deque()
+    @staticmethod
+    def _composites(keys, cap: int) -> tuple:
+        """The whole composites of the keys and their inverses, each on its
+        largest domain, as keys; the system they generate is the set of
+        restrictions of these.
 
-        def push(h: FHom):
-            nonlocal count
-            row = table[h.dom_mask]
-            if h.images in row:
-                return
-            img = h.image_mask
-            row[h.images] = img
-            by_image[img].add((h.dom_mask, h.images))
-            count += 1
-            if count > cap:
-                raise CapExceeded("fusion homtable", cap)
-            queue.append(h)
-
-        # position of each member in a subgroup's ascending member list,
-        # by subgroup mask: a stored map's images are listed in that order
-        spots: dict[int, dict] = {}
-
-        for dom, images in seeds:
-            push(FHom(self.group, dom, images))
-        while queue:
-            h = queue.popleft()
-            img = h.image_mask
-            push(h.inverse())
-            for m in self._masks:
-                if m != h.dom_mask and (m & h.dom_mask) == m:
-                    push(h.restrict(m))
-            pos = spots.get(img)
-            if pos is None:
-                pos = spots[img] = {x: i for i, x in enumerate(mask_members(img))}
-            # h, then each stored map k on h's image: x -> k(h(x))
-            at = [pos[y] for y in h.images]
-            for images in list(table[img]):
-                push(FHom(self.group, h.dom_mask, tuple(images[i] for i in at)))
-            # each stored map k onto h's domain, then h: x -> h(k(x))
-            hm = h.mapping()
-            for dom2, images2 in list(by_image[h.dom_mask]):
-                push(FHom(self.group, dom2, tuple(hm[y] for y in images2)))
-        return _Closed(table, count)
+        A chain of restrictions of generators composes to a restriction of
+        the composite of the whole maps, which is defined wherever the chain
+        is.  The inverse of a composite is the composite of the inverses in
+        reverse order, and the generators are closed under inverses.  So
+        the pass sends each key k, with each generator g, to g∘k on
+        {x in dom k : k(x) in dom g}: the preimage of a subgroup under an
+        injective homomorphism, so a subgroup.  Each key is a map of the
+        table, so the cap on maps bounds the pass.
+        """
+        found = dict.fromkeys(keys)
+        for dom, images in keys:
+            pairs = sorted(zip(images, mask_members(dom)))
+            found[(mask_of(images), tuple(x for _, x in pairs))] = None
+        maps = [dict(zip(mask_members(dom), images)) for dom, images in found]
+        queue = list(found)
+        for dom, images in queue:  # breadth first: the loop reads what it appends
+            members = mask_members(dom)
+            for g in maps:
+                pairs = [(x, g[y]) for x, y in zip(members, images) if y in g]
+                key = (mask_of(x for x, _ in pairs), tuple(y for _, y in pairs))
+                if key not in found:
+                    found[key] = None
+                    queue.append(key)
+                    if len(found) > cap:
+                        raise CapExceeded("fusion homtable", cap)
+        return tuple(found)
 
     # -- queries -----------------------------------------------------------
 

@@ -10,18 +10,23 @@ Theta-quotients included), over the A6 growth on partial-domain bases, and
 over the random groups of `tests/test_random_groups.py`.
 """
 
+import collections
+import functools
 import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llab import caps, locality
-from llab.errors import PropertyViolation
+from llab.errors import CapExceeded, PropertyViolation
 from llab.expansion import check_seed, elementary_expand
 from llab.fusion import (
     FHom,
     FusionSystem,
     _conj_keys,
+    _Derived,
     _inner_seeds,
     conjugation_fusion,
     fusion_from_group,
@@ -464,8 +469,49 @@ def reference_step_proper(step):
 def reference_close(S, keys):
     """S's inner maps and the keys closed by `FusionSystem._close`, the BFS
     over composition, restriction and inversion, as the table's key set."""
-    seeds = tuple(dict.fromkeys((*_inner_seeds(S), *keys)))
-    return FusionSystem(S)._close(seeds, caps.current().fusion_maps).key()
+    group, cap = S.group, caps.current().fusion_maps
+    masks = [P.mask for P in subgroups_below(S)]
+    table = {m: {} for m in masks}
+    by_image = {m: set() for m in masks}
+    count = 0
+    queue = collections.deque()
+
+    def push(h):
+        nonlocal count
+        row = table[h.dom_mask]
+        if h.images in row:
+            return
+        img = h.image_mask
+        row[h.images] = img
+        by_image[img].add((h.dom_mask, h.images))
+        count += 1
+        if count > cap:
+            raise CapExceeded("fusion homtable", cap)
+        queue.append(h)
+
+    spots = {}
+    for dom, images in dict.fromkeys((*_inner_seeds(S), *keys)):
+        push(FHom(group, dom, images))
+    while queue:
+        h = queue.popleft()
+        img = h.image_mask
+        pairs = sorted(zip(h.images, mask_members(h.dom_mask)))
+        push(FHom(group, img, tuple(x for _, x in pairs)))
+        for m in masks:
+            if m != h.dom_mask and (m & h.dom_mask) == m:
+                push(h.restrict(m))
+        pos = spots.get(img)
+        if pos is None:
+            pos = spots[img] = {x: i for i, x in enumerate(mask_members(img))}
+        # h, then each stored map k on h's image: x -> k(h(x))
+        at = [pos[y] for y in h.images]
+        for images in list(table[img]):
+            push(FHom(group, h.dom_mask, tuple(images[i] for i in at)))
+        # each stored map k onto h's domain, then h: x -> h(k(x))
+        hm = h.mapping()
+        for dom2, images2 in list(by_image[h.dom_mask]):
+            push(FHom(group, dom2, tuple(hm[y] for y in images2)))
+    return frozenset((dom, images) for dom, row in table.items() for images in row)
 
 
 def reference_group_fusion(S, conjugators):
@@ -538,6 +584,53 @@ def check_restriction_tables(F, conjugators):
         assert F.centralizer_system(U)._closed.key() == reference_centralizer_system(F, U)
 
 
+def cr_keys(E):
+    """The keys `is_cr_generated` generates from: every automorphism of each
+    centric-radical subgroup."""
+    return [(h.dom_mask, h.images) for R in E.class_sets()["cr"] for h in E.auts(R)]
+
+
+def check_generated_tables(F):
+    """The system `is_cr_generated` builds on each normalizer and centralizer
+    system of F, against the BFS; returns the number of systems checked."""
+    systems = {}
+    for U in F.subs:
+        for E in (F.normalizer_system(U), F.centralizer_system(U)):
+            systems[id(E._closed)] = E
+    for E in systems.values():
+        keys = cr_keys(E)
+        assert FusionSystem(E.S, _Derived(keys))._closed.key() == reference_close(E.S, keys)
+    return len(systems)
+
+
+@functools.lru_cache(maxsize=None)
+def injective_homs(name, p):
+    """A group's Sylow p-subgroup S and every injective homomorphism from a
+    subgroup of S into S, as keys: images of a generating set of the
+    subgroup, extended along products and kept when consistent."""
+    G = any_group(name)
+    S = sylow_p(G.top, p)
+    keys = []
+    for P in subgroups_below(S):
+        gens, span = [], 1
+        for x in P.members():
+            if not span >> x & 1:
+                gens.append(x)
+                span = G.close_mask(span | 1 << x)
+        for images in itertools.product(S.members(), repeat=len(gens)):
+            m, queue, ok = {0: 0}, [0], True
+            for x in queue:
+                for g, gi in zip(gens, images):
+                    y, v = G.mult(x, g), G.mult(m[x], gi)
+                    if y not in m:
+                        m[y] = v
+                        queue.append(y)
+                    ok = ok and m[y] == v
+            if ok and len(set(m.values())) == len(m):
+                keys.append((P.mask, tuple(m[x] for x in P.members())))
+    return S, tuple(keys)
+
+
 def check_domain(L):
     """The pulled-back domain test against the image test, on every pair of
     letters and every triple over the first 12, at most 100 letters strided
@@ -578,6 +671,9 @@ def check_carrier(L):
     assert products(L, L.elements, L._carrier) <= L._carrier
     if L.full_domain:
         check_restriction_tables(L.fusion(), L.elements)
+    else:
+        # generated: the restrictions of the composites of conjugation maps
+        assert L.fusion()._closed.key() == reference_group_fusion(L.S, L.elements)
     check_fusion(L.fusion())
     check_domain(L)
     check_subgroup_test(L)
@@ -709,6 +805,24 @@ class TestRestrictionTables:
         G = any_group(name)
         F = fusion_from_group(G, p)
         check_restriction_tables(F, G.s_conjugation(F.S.mask).coset_representatives())
+
+
+class TestGeneratedTables:
+    """Systems generated by composites against the BFS they replaced."""
+
+    @pytest.mark.parametrize("name,p", [*BUILTIN_PAIRS, ("d16", 2), ("c5xc5", 5),
+                                        ("s6", 3), ("s7", 7)])
+    def test_cr_generated_subsystems(self, name, p):
+        assert check_generated_tables(fusion_from_group(any_group(name), p)) > 0
+
+    @pytest.mark.parametrize("name", ["s4", "s5", "a5", "d8"])
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_random_caller_maps(self, name, data):
+        S, homs = injective_homs(name, 2)
+        keys = data.draw(st.lists(st.sampled_from(homs), min_size=1, max_size=3))
+        E = FusionSystem(S, [FHom(S.group, dom, images) for dom, images in keys])
+        assert E._closed.key() == reference_close(S, keys)
 
 
 class TestCutClosure:

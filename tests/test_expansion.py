@@ -28,6 +28,7 @@ from llab.locality import (
     restrict,
 )
 from llab.partial import (
+    PGHom,
     PartialSubgroup,
     all_partial_normal_subgroups,
     coset_partition,
@@ -941,6 +942,27 @@ class TestQuotientTower:
         assert calls == {"elementary_expand": 0, "is_proper": 0}
         assert all(rep.rho_plus.mapping == quotient_locality(ctx.base, N).rho.mapping
                    for N, rep in ctx.towers)
+
+    def test_towers_make_no_pair_test(self, monkeypatch):
+        # rho_plus is rho between two groups, a homomorphism by
+        # quotient_locality's argument: the towers read its kernel and its
+        # image off the map, and the pair test stays the reference
+        ctx = ExampleContext(builtin("s5"), 2)
+        ctx.growth, ctx.base_normals  # built before counting
+        calls = []
+        real = PGHom.verify
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(PGHom, "verify", counted)
+        assert len(ctx.towers) == 4
+        assert calls == []
+        for N, rep in ctx.towers:
+            assert rep.ok and rep.rho_plus.verify() == (True, None)
+            assert rep.rho_plus.is_projection()
+            assert rep.rho_plus.kernel().members == rep.nplus.members == N.members
 
     def test_growth_of_another_base_rejected(self):
         L = loc("s5", "c")

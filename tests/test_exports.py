@@ -39,8 +39,10 @@ def test_dead_helpers_are_gone():
     params = inspect.signature(fusion.quotient_fusion_check).parameters
     assert "delta" not in params and "delta_bar" not in params
     assert not hasattr(fusion, "_conj_map")
-    for attr in ("source", "image"):
+    for attr in ("source", "image", "inverse"):
         assert not hasattr(fusion.FHom, attr)
+    # generated systems are restriction sets of composites, not a BFS
+    assert not hasattr(fusion.FusionSystem, "_close")
     assert not hasattr(locality.ObjectSet, "contains_mask")
     assert not hasattr(locality, "restriction_cut")
     assert "restriction_cut" not in locality.__all__

@@ -124,6 +124,38 @@ class TestClosure:
         with pytest.raises(InputError, match="not a subgroup"):
             FusionSystem(S, [FHom(group, dom, (0, a, b))])
 
+    @pytest.mark.parametrize("order,images", [(8, 3), (2, 3)],
+                             ids=["three-images-on-s", "three-images-on-order-2"])
+    def test_generator_not_matching_its_domain_rejected(self, order, images):
+        group = builtin("s4")
+        S = sylow_p(group.top, 2)
+        P = next(P for P in subgroups_below(S) if P.order == order)
+        with pytest.raises(InputError, match="^generator map does not match its domain$"):
+            FusionSystem(S, [FHom(group, P.mask, tuple(S.members()[:images]))])
+
+    def test_inverse_of_a_caller_map_is_in_the_table(self):
+        # Z(D8) -> another order-2 subgroup Q of S4's D8: D8's inner maps
+        # fix Z(D8) and keep Q's class away from it, so no composite of them
+        # and the given map sends Q into Z(D8); only the inverse step does
+        group = builtin("s4")
+        S = sylow_p(group.top, 2)
+        F = FusionSystem(S)
+        Z = _center(F)
+        Q = next(P for P in F.subs if P.order == 2 and P.mask != Z.mask)
+        E = FusionSystem(S, [FHom(group, Z.mask, tuple(Q.members()))])
+        assert [h.images for h in E.isos(Q, Z)] == [tuple(Z.members())]
+        assert [h.images for h in F.isos(Q, Z)] == []
+
+    def test_composite_pass_is_capped(self):
+        # every composite is a map of the table, so fusion_maps bounds the
+        # pass before the table is built
+        group = builtin("s4")
+        S = sylow_p(group.top, 2)
+        seeds = (*_inner_seeds(S), *_conj_keys(S, range(group.order)))
+        found = FusionSystem._composites(seeds, caps.current().fusion_maps)
+        with pytest.raises(CapExceeded, match="^fusion homtable exceeded cap of"):
+            FusionSystem._composites(seeds, len(found) - 1)
+
     def test_carrier_cap(self):
         group = builtin("s4")
         caps.override(caps.Caps(sylow_order=4))
@@ -210,13 +242,14 @@ class TestInterning:
 
 
 def close_callers(monkeypatch):
-    """Wrap FusionSystem._close; each call appends who asked for it:
-    "is_cr_generated", "partial-domain fusion" or "full-domain fusion" for
-    Locality.fusion, or None for any other caller."""
+    """Wrap FusionSystem._composites, the closure step of generated systems;
+    each call appends who asked for it: "is_cr_generated", "partial-domain
+    fusion" or "full-domain fusion" for Locality.fusion, or None for any
+    other caller."""
     seen = []
-    real = FusionSystem._close
+    real = FusionSystem._composites
 
-    def spy(self, seeds, cap):
+    def spy(keys, cap):
         frame = sys._getframe(1)
         while frame is not None and frame.f_code.co_name not in ("is_cr_generated", "fusion"):
             frame = frame.f_back
@@ -227,9 +260,9 @@ def close_callers(monkeypatch):
         else:
             full = frame.f_locals["self"].full_domain
             seen.append(f"{'full' if full else 'partial'}-domain fusion")
-        return real(self, seeds, cap)
+        return real(keys, cap)
 
-    monkeypatch.setattr(FusionSystem, "_close", spy)
+    monkeypatch.setattr(FusionSystem, "_composites", staticmethod(spy))
     return seen
 
 
