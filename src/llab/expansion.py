@@ -463,26 +463,34 @@ def _gamma_forms(exp: ElementaryExpansion, word, limit: int) -> list:
         if not isinstance(c, TildeClass):
             raise InputError("entries must be classes of this growth step")
     out = []
-
-    # Each representative (x**-1, h, y) carries its left endpoint onto R,
-    # fixes R and carries R onto its right endpoint, the next one's left
-    # endpoint, so the chained word keeps the first endpoint inside S.
-    def extend(prefix, idx, um):
-        if len(out) >= limit:
-            return
-        if idx == len(word):
-            out.append(tuple(prefix))
-            return
-        for phi in _reps_with_left(exp, word[idx], um):
-            extend(prefix + [phi], idx + 1, phi.v_mask)
-            if len(out) >= limit:
-                return
-
     for U0 in seed.conjugates:
-        extend([], 0, U0.mask)
+        _extend_forms(exp, word, limit, out, [], U0.mask)
         if len(out) >= limit:
             break
     return out
+
+
+def _extend_forms(exp: ElementaryExpansion, word, limit: int, out: list,
+                  prefix: list, um: int) -> None:
+    """Append to `out` the threadings of the word that start with `prefix`,
+    whose next left endpoint is `um`, until `out` holds `limit` of them.
+
+    Each representative (x**-1, h, y) carries its left endpoint onto R,
+    fixes R and carries R onto its right endpoint, the next one's left
+    endpoint, so the chained word keeps the first endpoint inside S.  A
+    module function, not a closure that calls itself: that closure would
+    hold its own cell, a cycle keeping the growth step and its group alive
+    until the cycle collector runs.
+    """
+    if len(out) >= limit:
+        return
+    if len(prefix) == len(word):
+        out.append(tuple(prefix))
+        return
+    for phi in _reps_with_left(exp, word[len(prefix)], um):
+        _extend_forms(exp, word, limit, out, prefix + [phi], phi.v_mask)
+        if len(out) >= limit:
+            return
 
 
 def _thread_value(exp: ElementaryExpansion, form) -> int:

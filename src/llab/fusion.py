@@ -546,8 +546,8 @@ def fusion_from_group(G: FiniteGroup, p: int, S: Subgroup | None = None) -> Fusi
     """The fusion system on a Sylow p-subgroup induced by conjugation in G."""
     if S is None:
         S = sylow_p(G.top, p)
-    # c_g depends only on C_G(S)·g; the least g of each coset, ascending,
-    # gives the same keys in the same order as sweeping all of G
+    # c_g depends only on C_G(S)·g; one g per coset gives the same key set
+    # as sweeping all of G
     return group_fusion(S, G.s_conjugation(S.mask).coset_representatives())
 
 

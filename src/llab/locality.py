@@ -80,10 +80,17 @@ class ObjectSet:
 
     @cached_property
     def cut(self) -> frozenset:
-        """G|Delta = {g in G : S_g in Delta}, read off S's conjugation table."""
+        """G|Delta = {g in G : S_g in Delta}, read off S's conjugation table.
+
+        S_g depends only on the coset C_G(S)·g, so the cut is the union of
+        the cosets C_G(S)·r of the table's representatives r with S_r in
+        Delta.  Each coset is built once and fills in its members' rows, so
+        the carrier's later reads of them are hits.
+        """
         S, masks = self.S, self.mask_set
         table = S.group.s_conjugation(S.mask)
-        return frozenset(g for g in range(S.group.order) if table.s_g(g) in masks)
+        return frozenset(g for r in table.coset_representatives()
+                         if table.s_g(r) in masks for g in table.coset(r))
 
     def __contains__(self, P: Subgroup) -> bool:
         return P.mask in self.mask_set
@@ -150,7 +157,8 @@ class Locality(PartialGroup):
         # is_proper's report; declared here so every instance keeps one
         # attribute layout (a slot added later made unrelated jobs slower)
         self._proper_report: ProperReport | None = None
-        # theta_quotient's (Theta, L/Theta), kept the same way
+        # theta_quotient's (Theta's members, L/Theta or None for L itself),
+        # kept the same way; no reference back to L, so no cycle through it
         self._theta_quotient: tuple | None = None
         # _centric_base's locality on Delta = F^c when it is not L itself
         self._centric: Locality | None = None
@@ -599,7 +607,8 @@ def theta_quotient(L: Locality):
     itself.  The pair is built once per locality and kept on it.
     """
     if L._theta_quotient is not None:
-        return L._theta_quotient
+        members, quotient = L._theta_quotient
+        return PartialSubgroup(L, members), L if quotient is None else quotient
     F = L.fusion()
     cs = F.class_sets()
     cr_masks = {P.mask for P in cs["cr"]}
@@ -626,8 +635,8 @@ def theta_quotient(L: Locality):
     prop = is_proper(quotient)
     if not prop.ok:
         raise PropertyViolation("theta quotient is not proper", witness=prop.summary())
-    L._theta_quotient = (theta, quotient)
-    return L._theta_quotient
+    L._theta_quotient = (theta.members, None if quotient is L else quotient)
+    return theta, quotient
 
 
 # -- normalizer and centralizer localities ----------------------------------------

@@ -131,7 +131,9 @@ _MUL_CACHE_MAX_ORDER = 1024
 class FiniteGroup:
     """A concrete finite permutation group with canonically ordered elements."""
 
-    def __init__(self, perms, degree: int):
+    def __init__(self, perms, degree: int, generators):
+        """`perms` are the group's elements and `generators` permutations
+        that generate it; the generators are kept as ordinals."""
         elements = tuple(sorted(set(perms)))
         if not elements:
             raise InputError("a group needs at least the identity")
@@ -142,6 +144,7 @@ class FiniteGroup:
         self.order = len(elements)
         self._index = {p: i for i, p in enumerate(elements)}
         self._inv = tuple(self._index[pinv(p)] for p in elements)
+        self.generators = tuple(self.index_of(tuple(g)) for g in generators)
         self._mul_rows: dict[int, tuple[int, ...]] = {}
         self._memo: dict = {}
 
@@ -236,25 +239,42 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, degree={self.degree})"
 
 
+def _grow(elements: list, seen: set, gens: list, g: Perm, cap: int) -> None:
+    """Grow `elements`, the group generated by `gens`, into the group
+    generated by gens and g, and append g to gens.
+
+    An old element times an old generator is old, so new elements start as
+    old ones times g, and each new one is multiplied by every generator.
+    The result holds 1 and is closed under right multiplication by every
+    generator, so it is the group they generate.
+    """
+    old = len(elements)
+    gens.append(g)
+    for i, a in enumerate(elements):  # breadth first: the loop reads what it appends
+        for h in gens if i >= old else (g,):
+            b = pmul(a, h)
+            if b not in seen:
+                if len(seen) >= cap:
+                    raise CapExceeded("group order", cap)
+                seen.add(b)
+                elements.append(b)
+
+
 def group_from_generators(degree: int, generators) -> FiniteGroup:
-    """BFS closure of a generating set of permutations."""
+    """Closure of a generating set of permutations, one generator at a time.
+
+    A generator that lies in the group closed so far is dropped, so the
+    group keeps only generators that each at least double it: at most
+    log2 of its order, however many were given.
+    """
     cap = current_caps().group_order
-    gens = [_check_perm(degree, g) for g in generators]
+    checked = [_check_perm(degree, g) for g in generators]
     ident = identity_perm(degree)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = pmul(a, g)
-                if b not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded("group order", cap)
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return FiniteGroup(seen, degree)
+    elements, seen, gens = [ident], {ident}, []
+    for g in checked:
+        if g not in seen:
+            _grow(elements, seen, gens, g, cap)
+    return FiniteGroup(seen, degree, gens)
 
 
 class SConjugation:
@@ -262,34 +282,47 @@ class SConjugation:
 
     `images(g)` is the tuple of x^g for the members x of S in ascending
     order, and `s_g(g)` the mask of S_g = {x in S : x^g in S}.  Both depend
-    only on the coset C_G(S)·g: conjugation is a homomorphism, so two
-    elements that send the generators of S to the same images induce the
-    same map c_g on S, hence the same row and the same S_g.  The first time
-    a g is asked for, its label (the images of S's generators, |gens|
-    compositions) is computed; the |S| row and S_g are built once per label
-    and kept per g, so a sweep over the whole group costs
-    |G|·|gens| + |G : C_G(S)|·|S| compositions once per (G, S) and reads no
-    Cayley row.  The table keeps the group's element tuples, not the group,
-    so the group's memo holds no cycle through it.
+    only on the coset C_G(S)·g: conjugation is a homomorphism, so c_g on S
+    is fixed by g's label, the images of S's generators, and g, h have the
+    same label exactly when h·g^-1 centralizes S.  The |S| row and S_g are
+    built once per label and kept per g.
+
+    The cosets are found by walking the orbit of S's generator tuple under
+    G's generators (orbit-stabilizer; Seress, Permutation Group Algorithms,
+    2003, ch. 4): the label of g·h is label(g)^h, and a new label's
+    representative is its parent's times h.  Labels and cosets correspond
+    one to one, so |C_G(S)| = |G| / |orbit|.  C_G(S), the stabilizer of the
+    tuple, is generated by the Schreier elements r·h·r'^-1 of the edges
+    r --h--> r' (Schreier's lemma), closed one at a time until the group
+    reaches that order.  The walk costs |G:C_G(S)|·|gens G|·|gens S|
+    compositions for labels and |G:C_G(S)|·|S| for rows, once per (G, S).
+    `coset` then lists a whole coset and fills in its members' rows; any
+    other g is labelled on its own, |gens S| compositions.  The table keeps
+    the group's element tuples and generator ordinals, not the group, so
+    the group's memo holds no cycle through it.
     """
 
-    __slots__ = ("mask", "members", "_gens", "_order", "_arith", "_rows",
-                 "_images", "_s_g")
+    __slots__ = ("mask", "members", "_gens", "_group_gens", "_order", "_arith",
+                 "_rows", "_images", "_s_g", "_reps", "_centralizer", "_cosets")
 
     def __init__(self, group: FiniteGroup, mask: int):
         self.mask = mask
         self.members = tuple(mask_members(mask))
         self._gens = Subgroup(group, mask).generators()
+        self._group_gens = group.generators
         self._order = group.order
         self._arith = (group.elements, group._inv, group._index)
         # label -> (row, S_g), one entry per coset C_G(S)·g seen so far
         self._rows: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
         self._images: dict[int, tuple[int, ...]] = {}
         self._s_g: dict[int, int] = {}
+        # the walk's representatives, ascending, and C_G(S), once walked
+        self._reps: tuple[int, ...] | None = None
+        self._centralizer: tuple[int, ...] = ()
+        self._cosets: dict[int, tuple[int, ...]] = {}
 
-    def _build(self, g: int) -> tuple[tuple[int, ...], int]:
-        # g's label: the images of S's generators, which fix c_g on S
-        label = _conj_images(*self._arith, self._gens, g)
+    def _row(self, label: tuple[int, ...], g: int) -> tuple[tuple[int, ...], int]:
+        """The row and S_g of the coset with this label, kept for g."""
         got = self._rows.get(label)
         if got is None:
             row = _conj_images(*self._arith, self.members, g)
@@ -301,6 +334,45 @@ class SConjugation:
             got = self._rows[label] = (row, s_g)
         self._images[g], self._s_g[g] = got
         return got
+
+    def _build(self, g: int) -> tuple[tuple[int, ...], int]:
+        # g's label: the images of S's generators, which fix c_g on S
+        return self._row(_conj_images(*self._arith, self._gens, g), g)
+
+    def _walk(self) -> None:
+        elements, inv, index = self._arith
+        start = self._gens  # the label of 1
+        reps = {start: 0}
+        self._row(start, 0)
+        edges = []  # (r, h, r') with label(r)^h = label(r') off the tree
+        queue = [(start, 0)]
+        for label, r in queue:  # breadth first: the loop reads what it appends
+            for h in self._group_gens:
+                nxt = _conj_images(elements, inv, index, label, h)
+                got = reps.get(nxt)
+                if got is None:
+                    g = reps[nxt] = index[pmul(elements[r], elements[h])]
+                    self._row(nxt, g)
+                    queue.append((nxt, g))
+                else:
+                    edges.append((r, h, got))
+        # Close C_G(S) over a list of Schreier elements, never over its
+        # members: with S trivial it is all of G.
+        order = self._order // len(reps)
+        ident = elements[0]
+        members, seen, gens = [ident], {ident}, []
+        for r, h, r2 in edges:
+            if len(members) == order:
+                break
+            s = pmul(pmul(elements[r], elements[h]), elements[inv[r2]])
+            if s not in seen:
+                _grow(members, seen, gens, s, self._order)
+        # the walk and the Schreier elements cover the group the generators
+        # generate, which is all of G exactly when the orders agree
+        if len(members) * len(reps) != self._order:
+            raise InputError("the group's generators do not generate it")
+        self._centralizer = tuple(sorted(index[x] for x in members))
+        self._reps = tuple(sorted(reps.values()))
 
     def images(self, g: int) -> tuple[int, ...]:
         got = self._images.get(g)
@@ -328,11 +400,30 @@ class SConjugation:
                    if mask >> x & 1)
 
     def coset_representatives(self) -> tuple[int, ...]:
-        """The least g of each coset C_G(S)·g, ascending."""
-        firsts: dict[tuple[int, ...], int] = {}
-        for g in range(self._order):
-            firsts.setdefault(self.images(g), g)
-        return tuple(firsts.values())
+        """One g per coset C_G(S)·g, ascending: the walk's representatives."""
+        if self._reps is None:
+            self._walk()
+        return self._reps
+
+    def centralizer(self) -> tuple[int, ...]:
+        """The members of C_G(S), ascending: the walk's stabilizer."""
+        if self._reps is None:
+            self._walk()
+        return self._centralizer
+
+    def coset(self, g: int) -> tuple[int, ...]:
+        """The coset C_G(S)·g, built once; its members get g's row."""
+        got = self._cosets.get(g)
+        if got is None:
+            elements, _, index = self._arith
+            gp = elements[g]
+            got = self._cosets[g] = tuple(
+                index[tuple(map(gp.__getitem__, elements[c]))]
+                for c in self.centralizer())
+            row, s_g = self.images(g), self.s_g(g)
+            self._images.update(dict.fromkeys(got, row))
+            self._s_g.update(dict.fromkeys(got, s_g))
+        return got
 
 
 # subgroups ----------------------------------------------------------------
@@ -527,10 +618,16 @@ def _p_part(n: int, p: int) -> int:
 
 
 def sylow_p(H: Subgroup, p: int) -> Subgroup:
-    """The canonical-first Sylow p-subgroup of H, grown through normalizers."""
+    """The canonical-first Sylow p-subgroup of H, grown through normalizers
+    once per (H, p)."""
     if not is_prime(p):
         raise InputError(f"p = {p} is not prime")
     G = H.group
+    # the mask, not a Subgroup: the group's memo holds no cycle through it
+    memo = G._memo.setdefault("sylow", {})
+    got = memo.get((H.mask, p))
+    if got is not None:
+        return Subgroup(G, got)
     target = _p_part(H.order, p)
     P = G.trivial
     members = H.members()
@@ -554,6 +651,7 @@ def sylow_p(H: Subgroup, p: int) -> Subgroup:
             raise PropertyViolation("Sylow growth stalled below the p-part", P)
         if not P.is_p_group(p):
             raise PropertyViolation("Sylow growth left the p-world", P)
+    memo[(H.mask, p)] = P.mask
     return P
 
 
@@ -577,6 +675,8 @@ def p_core(H: Subgroup, p: int) -> Subgroup:
 
 def p_prime_core(H: Subgroup, p: int) -> Subgroup:
     """O_{p'}(H): the largest normal subgroup of order prime to p."""
+    if math.gcd(H.order, p) == 1:  # H itself is a normal p'-subgroup
+        return H
     # Largest first, and the trivial subgroup is always among them.  Every
     # normal p'-subgroup K lies in the first, best: else best*K would be a
     # larger normal subgroup, of order |best|*|K|/|best & K|, prime to p.

@@ -1,5 +1,6 @@
 """Command line behavior: output shape, JSON determinism, exit codes."""
 
+import gc
 import json
 import time
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from llab import caps, checks, cli
 from llab.errors import PropertyViolation
 from llab.locality import Locality
+from llab.permgroup import FiniteGroup
 from test_partial import AGL_1_8
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
@@ -330,3 +332,34 @@ class TestExitCodes:
                                "--p", "2")
         assert code == 3
         assert "witness" not in err
+
+
+class TestNoReferenceCycles:
+    """A finished job leaves no group for the cycle collector: every cache
+    that outlives a step holds masks, members or weak references, never a
+    path back to the object that holds it."""
+
+    @staticmethod
+    def groups_left(capsys, *argv):
+        gc.collect()
+        gc.disable()
+        try:
+            # strong references, so no survivor can reuse a live group's id
+            before = [o for o in gc.get_objects() if isinstance(o, FiniteGroup)]
+            seen = {id(o) for o in before}
+            code, _, _ = run_cli(capsys, *argv)
+            left = sum(isinstance(o, FiniteGroup) and id(o) not in seen
+                       for o in gc.get_objects())
+        finally:
+            gc.enable()
+        return code, left
+
+    @pytest.mark.parametrize("command", ["classify", "locality", "expand"])
+    @pytest.mark.parametrize("name,p", [("s5", 2), ("a5", 3), ("s4", 2)])
+    def test_job_frees_its_groups(self, capsys, command, name, p):
+        assert self.groups_left(capsys, command, "--group", group_arg(name),
+                                "--p", str(p)) == (0, 0)
+
+    def test_verify_frees_its_groups(self, capsys):
+        assert self.groups_left(capsys, "verify", "--group", group_arg("a5"),
+                                "--p", "3") == (0, 0)

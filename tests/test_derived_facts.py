@@ -106,6 +106,16 @@ def reference_cut(delta):
                      in delta)
 
 
+def reference_coset_representatives(G, S):
+    """`SConjugation.coset_representatives` as a labelling sweep: every g
+    of G labelled by the images of S's generators; label -> least g."""
+    gens = S.generators()
+    firsts = {}
+    for g in range(G.order):
+        firsts.setdefault(G.conj_images(gens, g), g)
+    return firsts
+
+
 def reference_restriction_cut(L, delta0):
     """`locality.restriction_cut`: the members g of L with S_g in Delta0, in
     L's order."""

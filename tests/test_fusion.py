@@ -192,7 +192,9 @@ class TestInterning:
                                         ("s6", 3), ("s7", 7)])
     def test_group_seeds_equal_the_whole_group_sweep(self, name, p, monkeypatch):
         # fusion_from_group conjugates by one element per coset C_G(S)g;
-        # its seed keys are those of every g, as a tuple, order included
+        # its seed keys are those of every g.  The registry keys a seed set
+        # as a frozenset and a restriction table is the same set of maps in
+        # any key order, so the order of the keys is not read.
         group = any_group(name)
         S = sylow_p(group.top, p)
         passed = []
@@ -206,7 +208,9 @@ class TestInterning:
         fusion_from_group(group, p, S)
         [conjugators] = passed
         assert len(conjugators) == group.order // S.centralizer().order
-        assert _conj_keys(S, conjugators) == _conj_keys(S, range(group.order))
+        keys = _conj_keys(S, conjugators)
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(_conj_keys(S, range(group.order)))
 
     def test_twins_share_normalizer_cache(self, f_s4):
         S = f_s4.S

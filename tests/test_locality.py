@@ -607,7 +607,9 @@ class TestThetaQuotient:
         monkeypatch.setattr(locality, "quotient_locality", counted_quotient)
         assert all(res["ok"] for res in run_tags(builtin(name), p).values())
         assert len(results) == 2
-        assert results[0] is results[1]  # one build, kept on the locality
+        # one build, kept on the locality: the same quotient, an equal Theta
+        # (the locality keeps Theta's members, not a subgroup pointing back)
+        assert results[0][1] is results[1][1] and results[0][0] == results[1][0]
         assert quotients == [results[0][0]]
 
 

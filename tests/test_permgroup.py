@@ -17,9 +17,12 @@ from llab.permgroup import (
     identity_perm, pmul, pinv, pconj, perm_order, perm_from_cycles, cycles_str,
     mask_of, mask_members, is_prime, _p_part,
 )
+from llab import permgroup
 from llab.errors import InputError, CapExceeded, PropertyViolation
+from llab.locality import object_set
 from bench.workloads import generated_groups
-from test_derived_facts import reference_is_closed_mask
+from test_derived_facts import (reference_coset_representatives, reference_cut,
+                                reference_is_closed_mask)
 from test_fusion import BUILTIN_PAIRS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
@@ -229,7 +232,8 @@ def test_p_local_helpers_match_a_standalone_copy(name):
     # with the same helper on H rebuilt as its own group, mapped back
     G = load(name)
     for H in all_subgroups(G):
-        copy = FiniteGroup([G.elements[i] for i in H.members()], G.degree)
+        copy = FiniteGroup([G.elements[i] for i in H.members()], G.degree,
+                           [G.elements[i] for i in H.generators()])
 
         def back(K):
             return mask_of(G.index_of(copy.elements[i]) for i in K.members())
@@ -331,9 +335,11 @@ def test_s_conjugation_table_matches_conj(name, p):
         assert table.s_g(g) == mask_of(x for x, y in zip(S.members(), images)
                                        if S.contains(y))
         first_of_row.setdefault(images, g)
-    # one row per coset C_G(S)g, and the least g of each, ascending
+    # one row per coset C_G(S)g; one g per coset, ascending, covering every row
     assert len(table._rows) == len(first_of_row) == G.order // S.centralizer().order
-    assert table.coset_representatives() == tuple(first_of_row.values())
+    reps = table.coset_representatives()
+    assert list(reps) == sorted(set(reps)) and len(reps) == len(first_of_row)
+    assert {table.images(r) for r in reps} == set(first_of_row)
 
 
 @pytest.mark.parametrize("name,p", TABLE_PAIRS)
@@ -356,5 +362,116 @@ def test_s7_table_holds_one_row_per_coset_of_the_centralizer():
     S = sylow_p(G.top, 7)
     table = G.s_conjugation(S.mask)
     assert len(table.coset_representatives()) == 720
+    # the walk built one row per coset, before any row is read
     assert len(table._rows) == 720
     assert len({id(table.images(g)) for g in range(G.order)}) == 720
+    assert len(table._rows) == 720
+
+
+# the table pairs, S6 at p = 5, and S5 at p = 7, where S is trivial
+WALK_PAIRS = [*TABLE_PAIRS, ("s6", 5), ("s5", 7)]
+
+
+@pytest.mark.parametrize("name,p", WALK_PAIRS)
+def test_walk_matches_the_labelling_sweep(name, p):
+    G = load_any(name)
+    S = sylow_p(G.top, p)
+    table = G.s_conjugation(S.mask)
+    firsts = reference_coset_representatives(G, S)
+    reps = table.coset_representatives()
+    labels = [G.conj_images(S.generators(), r) for r in reps]
+    # exactly the sweep's labels, one per coset
+    assert set(labels) == set(firsts) and len(labels) == len(firsts)
+    assert mask_of(table.centralizer()) == S.centralizer().mask
+
+
+@pytest.mark.parametrize("name,p", WALK_PAIRS)
+def test_cut_by_cosets_matches_the_sweep(name, p):
+    G = load_any(name)
+    S = sylow_p(G.top, p)
+    table = G.s_conjugation(S.mask)
+    subs = subgroups_below(S)
+    # the overgroup-closed families of the subgroups of order >= k, smallest
+    # cut first, so later cuts mix filled and unfilled cosets
+    for k in sorted({P.order for P in subs}, reverse=True):
+        delta = object_set(S, [P for P in subs if P.order >= k])
+        assert delta.cut == reference_cut(delta)
+    # the rows that building the cosets filled in are each g's own
+    for g in range(G.order):
+        images = tuple(G.conj(x, g) for x in S.members())
+        assert table.images(g) == images
+        assert table.s_g(g) == mask_of(x for x, y in zip(S.members(), images)
+                                       if S.contains(y))
+
+
+def test_s7_walk_labels_one_g_per_coset(monkeypatch):
+    G = bench_group("s7")
+    S = sylow_p(G.top, 7)
+    sizes = []
+    real = permgroup._conj_images
+
+    def spy(elements, inv, index, xs, g):
+        sizes.append(len(xs))
+        return real(elements, inv, index, xs, g)
+
+    monkeypatch.setattr(permgroup, "_conj_images", spy)
+    table = G.s_conjugation(S.mask)
+    delta = object_set(S, subgroups_below(S))
+    assert len(delta.cut) == G.order
+    for g in range(G.order):
+        table.images(g)
+    # a label is the image of S's one generator, a row its 7 members; the
+    # labelling sweep made 5040 labels, one per g
+    assert len(table._gens) == 1 and len(G.generators) == 2
+    assert sizes.count(1) <= 720 * len(G.generators)
+    assert sizes.count(7) == 720
+
+
+def test_walk_refuses_generators_that_do_not_generate_the_group():
+    G = load("s4")
+    copy = FiniteGroup(G.elements, G.degree, [G.elements[G.generators[0]]])
+    S = sylow_p(copy.top, 3)
+    with pytest.raises(InputError, match="generators do not generate"):
+        copy.s_conjugation(S.mask).coset_representatives()
+
+
+def test_group_keeps_only_the_generators_it_needed():
+    swap, cycle = (1, 0, 2, 3), (1, 2, 3, 0)
+    # the identity, a repeat and the square of the 4-cycle add nothing
+    G = group_from_generators(4, [swap, swap, (0, 1, 2, 3), cycle, (2, 3, 0, 1)])
+    assert G.order == 24
+    assert [G.elements[i] for i in G.generators] == [swap, cycle]
+    assert group_from_generators(1, [[0]]).generators == ()
+
+
+def test_sylow_scan_runs_once_per_subgroup_and_prime(monkeypatch):
+    G = load("s5")
+    calls = []
+    real = FiniteGroup.is_p_element
+
+    def spy(self, g, p):
+        calls.append(g)
+        return real(self, g, p)
+
+    monkeypatch.setattr(FiniteGroup, "is_p_element", spy)
+    P = sylow_p(G.top, 2)
+    first = len(calls)
+    assert first and sylow_p(G.top, 2) == P and len(calls) == first
+    # the memo holds masks, not Subgroups, so it makes no cycle with G
+    assert G._memo["sylow"] == {(G.top.mask, 2): P.mask}
+
+
+def test_p_prime_core_of_a_p_prime_group_enumerates_no_subgroup(monkeypatch):
+    G = load("s5")
+    calls = []
+    real = permgroup.subgroups_below
+
+    def spy(H):
+        calls.append(H)
+        return real(H)
+
+    monkeypatch.setattr(permgroup, "subgroups_below", spy)
+    assert p_prime_core(G.top, 7) == G.top
+    three = sylow_p(G.top, 3)
+    assert p_prime_core(three, 2) == three
+    assert calls == []
