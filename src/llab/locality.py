@@ -562,18 +562,23 @@ def quotient_locality(L: Locality, N: PartialSubgroup) -> LocalityQuotient:
     blocks = coset_partition(L, N)
     pos = {x: i for i, c in enumerate(blocks) for x in c}
     G = L.group
-    perms = []
-    for c in blocks:
-        images = []
-        for b in blocks:
-            hits = {pos[G.mult(x, y)] for x in b for y in c}
-            if len(hits) != 1:
-                raise PropertyViolation(
-                    "coset product is not representative-independent",
-                    witness=(min(b), min(c)),
-                )
-            images.append(hits.pop())
-        perms.append(tuple(images))
+    if len(blocks) == 1:
+        # every product lies in the one block, so the guard below cannot
+        # fail: skip its |L|^2 sweep, Q is the trivial group
+        perms = [(0,)]
+    else:
+        perms = []
+        for c in blocks:
+            images = []
+            for b in blocks:
+                hits = {pos[G.mult(x, y)] for x in b for y in c}
+                if len(hits) != 1:
+                    raise PropertyViolation(
+                        "coset product is not representative-independent",
+                        witness=(min(b), min(c)),
+                    )
+                images.append(hits.pop())
+            perms.append(tuple(images))
     # The guard above makes the product of blocks well defined, and it is
     # associative as G's is.  The block of 1 is an identity and the block of
     # x**-1 inverts the block of x, so the blocks form a group and perms is

@@ -843,7 +843,14 @@ def coset_partition(pg: PartialGroup, sub: PartialSubgroup) -> tuple:
     The inclusion-maximal right cosets are checked to partition the
     carrier; a failure aborts with a witness element.  They cover it: g lies
     in its own right coset, and so in a maximal one.
+
+    The whole carrier is partial normal, since every defined product and
+    conjugate lies in it, and it is its own one maximal coset, as 1·g = g
+    for every g: that partition needs neither the row test nor the cosets.
     """
+    carrier = frozenset(pg.elements)
+    if sub.members == carrier:
+        return (carrier,)
     if not is_partial_normal(pg, sub):
         raise InputError("quotient requires a partial normal subgroup")
     cosets = {products(pg, sub.members, (g,)) | {g} for g in pg.elements}

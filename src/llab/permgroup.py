@@ -100,12 +100,25 @@ def _check_perm(degree: int, images) -> Perm:
 
 # bitmask helpers ----------------------------------------------------------
 
+# the set bits of each byte value, ascending
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
 def mask_members(mask: int) -> list[int]:
+    """The set bits of mask, ascending, a byte at a time off a table.
+
+    One Python step per byte and per member, where peeling the lowest bit
+    costs three big-int operations per member: faster on the masks the
+    workloads pass, slower only on long sparse ones (a few members in a
+    mask of thousands of bits).
+    """
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
+        if byte:
+            for i in _BYTE_BITS[byte]:
+                out.append(base + i)
+        base += 8
     return out
 
 
@@ -151,14 +164,64 @@ class FiniteGroup:
     # low-level arithmetic
 
     def mult(self, i: int, j: int) -> int:
+        """i·j by ordinal.  Up to order 1024 through i's Cayley row, built
+        the first time i is asked for with one lookup per entry along the
+        generator tree (see `_tree`); above that by one composition."""
         if self.order <= _MUL_CACHE_MAX_ORDER:
             row = self._mul_rows.get(i)
             if row is None:
-                a = self.elements[i]
-                row = tuple(self._index[pmul(a, b)] for b in self.elements)
-                self._mul_rows[i] = row
+                row = self._mul_rows[i] = self._cayley_row(i)
             return row[j]
         return self._index[pmul(self.elements[i], self.elements[j])]
+
+    def _tree(self) -> tuple[tuple, tuple[int, ...]]:
+        """The group's generator tree, built once: |gens|·|G| compositions.
+
+        A breadth-first tree from 1 in which every other element j is c·h
+        for an element c one level up and a generator h.  It is kept as
+        segments (h's right-multiplication column a -> a·h by ordinal, the
+        tree positions of the parents c), one per level and generator in
+        tree order, and `position`, each ordinal's place in that order.
+        """
+        got = self._memo.get("tree")
+        if got is None:
+            elements, index = self.elements, self._index
+            columns = [tuple(index[pmul(a, elements[h])] for a in elements)
+                       for h in self.generators]
+            order = [0]
+            seen = bytearray(self.order)
+            seen[0] = 1
+            segments = []
+            start = 0
+            while start < len(order):
+                end = len(order)
+                for column in columns:
+                    parents = []
+                    for k in range(start, end):
+                        j = column[order[k]]
+                        if not seen[j]:
+                            seen[j] = 1
+                            order.append(j)
+                            parents.append(k)
+                    if parents:
+                        segments.append((column, parents))
+                start = end
+            if len(order) != self.order:
+                raise InputError("the group's generators do not generate it")
+            position = [0] * self.order
+            for k, j in enumerate(order):
+                position[j] = k
+            got = self._memo["tree"] = (tuple(segments), tuple(position))
+        return got
+
+    def _cayley_row(self, i: int) -> tuple[int, ...]:
+        """i·j for every ordinal j: i·1 = i and i·(c·h) = (i·c)·h, read off
+        h's column, one segment of the tree at a time."""
+        segments, position = self._tree()
+        along = [i]  # i times the tree's elements, in tree order
+        for column, parents in segments:
+            along.extend(map(column.__getitem__, map(along.__getitem__, parents)))
+        return tuple(map(along.__getitem__, position))
 
     def inv(self, i: int) -> int:
         return self._inv[i]
@@ -289,21 +352,27 @@ class SConjugation:
 
     The cosets are found by walking the orbit of S's generator tuple under
     G's generators (orbit-stabilizer; Seress, Permutation Group Algorithms,
-    2003, ch. 4): the label of g·h is label(g)^h, and a new label's
-    representative is its parent's times h.  Labels and cosets correspond
-    one to one, so |C_G(S)| = |G| / |orbit|.  C_G(S), the stabilizer of the
-    tuple, is generated by the Schreier elements r·h·r'^-1 of the edges
-    r --h--> r' (Schreier's lemma), closed one at a time until the group
-    reaches that order.  The walk costs |G:C_G(S)|·|gens G|·|gens S|
-    compositions for labels and |G:C_G(S)|·|S| for rows, once per (G, S).
+    2003, ch. 4): the label of g·h is label(g)^h and its row row(g)^h, and
+    a new label's representative is its parent's times h.  Labels and
+    cosets correspond one to one, so |C_G(S)| = |G| / |orbit|.  C_G(S), the
+    stabilizer of the tuple, is generated by the Schreier elements
+    r·h·r'^-1 of the edges r --h--> r' (Schreier's lemma), closed one at a
+    time until the group reaches that order.  Labels and rows are read
+    through the group's memo x -> x^h per generator h, shared by all its
+    tables: each element met in a row is conjugated by each generator from
+    permutations at most once.  So the walk costs, once per (G, S), at most
+    |gens G| compositions per element conjugate to a member of S, plus one
+    per coset for its representative and two per Schreier element.
     `coset` then lists a whole coset and fills in its members' rows; any
-    other g is labelled on its own, |gens S| compositions.  The table keeps
-    the group's element tuples and generator ordinals, not the group, so
-    the group's memo holds no cycle through it.
+    other g is labelled on its own, |gens S| compositions, and a new
+    label's row costs |S|.  The table keeps the group's element tuples,
+    generator ordinals and memo, not the group, so the group's memo holds
+    no cycle through it.
     """
 
     __slots__ = ("mask", "members", "_gens", "_group_gens", "_order", "_arith",
-                 "_rows", "_images", "_s_g", "_reps", "_centralizer", "_cosets")
+                 "_by_gen", "_rows", "_images", "_s_g", "_reps", "_centralizer",
+                 "_cosets")
 
     def __init__(self, group: FiniteGroup, mask: int):
         self.mask = mask
@@ -312,6 +381,9 @@ class SConjugation:
         self._group_gens = group.generators
         self._order = group.order
         self._arith = (group.elements, group._inv, group._index)
+        # x -> x^h per generator h, shared by every table of the group
+        self._by_gen = group._memo.setdefault(
+            "conj_by_gen", tuple({} for _ in group.generators))
         # label -> (row, S_g), one entry per coset C_G(S)·g seen so far
         self._rows: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
         self._images: dict[int, tuple[int, ...]] = {}
@@ -321,11 +393,13 @@ class SConjugation:
         self._centralizer: tuple[int, ...] = ()
         self._cosets: dict[int, tuple[int, ...]] = {}
 
-    def _row(self, label: tuple[int, ...], g: int) -> tuple[tuple[int, ...], int]:
-        """The row and S_g of the coset with this label, kept for g."""
+    def _row(self, label: tuple[int, ...], g: int,
+             make) -> tuple[tuple[int, ...], int]:
+        """The row and S_g of the coset with this label, kept for g; `make()`
+        gives the row when the label is new."""
         got = self._rows.get(label)
         if got is None:
-            row = _conj_images(*self._arith, self.members, g)
+            row = make()
             mask = self.mask
             s_g = 0
             for x, y in zip(self.members, row):
@@ -337,22 +411,36 @@ class SConjugation:
 
     def _build(self, g: int) -> tuple[tuple[int, ...], int]:
         # g's label: the images of S's generators, which fix c_g on S
-        return self._row(_conj_images(*self._arith, self._gens, g), g)
+        return self._row(_conj_images(*self._arith, self._gens, g), g,
+                         lambda: _conj_images(*self._arith, self.members, g))
+
+    def _conj_by(self, xs: tuple[int, ...], k: int) -> tuple[int, ...]:
+        """x^h for each x in xs and the k-th group generator h, through the
+        group's memo: each x is conjugated by h from permutations once."""
+        memo, h = self._by_gen[k], self._group_gens[k]
+        out = []
+        for x in xs:
+            y = memo.get(x)
+            if y is None:
+                y = memo[x] = _conj_images(*self._arith, (x,), h)[0]
+            out.append(y)
+        return tuple(out)
 
     def _walk(self) -> None:
         elements, inv, index = self._arith
         start = self._gens  # the label of 1
         reps = {start: 0}
-        self._row(start, 0)
+        self._row(start, 0, lambda: self.members)
         edges = []  # (r, h, r') with label(r)^h = label(r') off the tree
         queue = [(start, 0)]
         for label, r in queue:  # breadth first: the loop reads what it appends
-            for h in self._group_gens:
-                nxt = _conj_images(elements, inv, index, label, h)
+            for k, h in enumerate(self._group_gens):
+                # label(r·h) = label(r)^h and row(r·h) = row(r)^h
+                nxt = self._conj_by(label, k)
                 got = reps.get(nxt)
                 if got is None:
                     g = reps[nxt] = index[pmul(elements[r], elements[h])]
-                    self._row(nxt, g)
+                    self._row(nxt, g, lambda: self._conj_by(self._images[r], k))
                     queue.append((nxt, g))
                 else:
                     edges.append((r, h, got))

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llab import caps, locality
-from llab.errors import CapExceeded, PropertyViolation
+from llab.errors import CapExceeded, InputError, PropertyViolation
 from llab.expansion import check_seed, elementary_expand
 from llab.fusion import (
     FHom,
@@ -59,6 +59,7 @@ from llab.partial import (
     products,
 )
 from llab.permgroup import (
+    FiniteGroup,
     Subgroup,
     group_from_generators,
     mask_members,
@@ -66,6 +67,7 @@ from llab.permgroup import (
     normal_subgroups,
     p_core,
     p_prime_core,
+    pmul,
     subgroups_below,
     sylow_p,
 )
@@ -114,6 +116,13 @@ def reference_coset_representatives(G, S):
     for g in range(G.order):
         firsts.setdefault(G.conj_images(gens, g), g)
     return firsts
+
+
+def reference_row(G, i):
+    """`FiniteGroup.mult`'s Cayley row of i as it was built: i·b for every
+    element b, one composition and one tuple hash per entry."""
+    a = G.elements[i]
+    return tuple(G._index[pmul(a, b)] for b in G.elements)
 
 
 def reference_restriction_cut(L, delta0):
@@ -833,6 +842,38 @@ class TestGeneratedTables:
         keys = data.draw(st.lists(st.sampled_from(homs), min_size=1, max_size=3))
         E = FusionSystem(S, [FHom(S.group, dom, images) for dom, images in keys])
         assert E._closed.key() == reference_close(S, keys)
+
+
+class TestCayleyRows:
+    """Cayley rows read along the generator tree against composed rows."""
+
+    @staticmethod
+    def check_rows(G):
+        for i in range(G.order):
+            assert tuple(G.mult(i, j) for j in range(G.order)) == reference_row(G, i)
+
+    @pytest.mark.parametrize("name", [*dict.fromkeys(name for name, _ in BUILTIN_PAIRS),
+                                      "d16", "c5xc5", "s6"])
+    def test_every_row(self, name):
+        self.check_rows(any_group(name))
+
+    def test_every_row_of_a_block_group(self):
+        # S4 modulo V4: a group closed from block permutations
+        G = builtin("s4")
+        L = locality_from_group(G, 2, resolve_delta_spec(fusion_from_group(G, 2), "all"))
+        N = PartialSubgroup(L, frozenset(p_core(G.top, 2).members()))
+        Q = quotient_locality(L, N).locality.group
+        assert Q.order == 6 and Q.degree == 6
+        self.check_rows(Q)
+
+    def test_generators_that_do_not_generate_raise_at_the_first_row(self):
+        G = builtin("s4")
+        copy = FiniteGroup(G.elements, G.degree, [G.elements[G.generators[0]]])
+        with pytest.raises(InputError, match="generators do not generate"):
+            copy.mult(1, 1)
+        # the full generating set builds the same rows as the group
+        copy = FiniteGroup(G.elements, G.degree, [G.elements[g] for g in G.generators])
+        self.check_rows(copy)
 
 
 class TestCutClosure:

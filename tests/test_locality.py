@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from llab import checks, locality
+from llab import checks, locality, partial
 from llab.checks import ExampleContext, run_tags
 from llab.errors import DomainError, InputError, PropertyViolation
 from llab.fusion import fusion_from_group
@@ -46,6 +46,7 @@ from llab.partial import (
     normal_closure,
 )
 from llab.permgroup import (
+    FiniteGroup,
     Subgroup,
     all_subgroups,
     group_from_generators,
@@ -644,6 +645,42 @@ class TestQuotientLocality:
         assert check_axioms(lq.locality).ok
         assert lq.rho.kernel().members == N.members
         assert lq.rho.is_projection()
+
+    def test_quotient_by_the_whole_carrier_sweeps_nothing(self, monkeypatch):
+        # S5 at p = 7: S = 1, so Theta = O_7'(S5) is the whole carrier, a
+        # partial normal subgroup that is its own one coset, and L/Theta is
+        # the trivial group.  The parent swept 120 conjugate rows and 120**2
+        # block products here.
+        G = builtin("s5")
+        L = locality_from_group(G, 7, delta_of(G, 7, "cr-closure"))
+        rows, products, inside = [], [], []
+        real_row, real_mult = partial._conjugate_row, FiniteGroup.mult
+        real_quotient = locality.quotient_locality
+
+        def row(pg, x):
+            rows.append(x)
+            return real_row(pg, x)
+
+        def mult(self, i, j):
+            if inside:
+                products.append((i, j))
+            return real_mult(self, i, j)
+
+        def quotient(L, N):
+            inside.append(N)
+            try:
+                return real_quotient(L, N)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(partial, "_conjugate_row", row)
+        monkeypatch.setattr(FiniteGroup, "mult", mult)
+        monkeypatch.setattr(locality, "quotient_locality", quotient)
+        theta, quo = theta_quotient(L)
+        assert theta.order == len(L.elements) == 120 and len(quo.elements) == 1
+        assert rows == []
+        # the only products are sigma's check on S x S, 1*1 in L and in Q
+        assert set(products) == {(0, 0)} and len(products) == 2
 
     def test_non_normal_subgroup_rejected(self, s4_all):
         G = s4_all.group

@@ -267,6 +267,13 @@ def test_normal_subgroups(s4):
 def test_mask_helpers():
     assert mask_members(0b10110) == [1, 2, 4]
     assert mask_of([1, 2, 4]) == 0b10110
+    assert mask_members(0) == []
+
+
+@given(st.sets(st.integers(min_value=0, max_value=5100)))
+def test_mask_members_reads_every_bit(bits):
+    # byte boundaries, empty bytes and masks as wide as S7's ordinals
+    assert mask_members(mask_of(bits)) == sorted(bits)
 
 
 # --- S-conjugation table and the first-hit Sylow scan -----------------------
@@ -383,6 +390,13 @@ def test_walk_matches_the_labelling_sweep(name, p):
     # exactly the sweep's labels, one per coset
     assert set(labels) == set(firsts) and len(labels) == len(firsts)
     assert mask_of(table.centralizer()) == S.centralizer().mask
+    # the walk read each coset's row off its parent's by the generators'
+    # conjugation memo; each equals the row conjugated from permutations
+    for r in reps:
+        row = G.conj_images(S.members(), r)
+        assert table.images(r) == row
+        assert table.s_g(r) == mask_of(x for x, y in zip(S.members(), row)
+                                       if S.contains(y))
 
 
 @pytest.mark.parametrize("name,p", WALK_PAIRS)
@@ -420,17 +434,27 @@ def test_s7_walk_labels_one_g_per_coset(monkeypatch):
     assert len(delta.cut) == G.order
     for g in range(G.order):
         table.images(g)
-    # a label is the image of S's one generator, a row its 7 members; the
-    # labelling sweep made 5040 labels, one per g
+    # the walk conjugates single elements, each by each generator of G at
+    # most once: S's 6 elements of order 7 are conjugate in G to the 720
+    # 7-cycles, so every label and row holds only those and 1.  No row is
+    # conjugated whole from permutations, where composing labels and rows
+    # took 1440 labels and a row of 7 per coset.
     assert len(table._gens) == 1 and len(G.generators) == 2
-    assert sizes.count(1) <= 720 * len(G.generators)
-    assert sizes.count(7) == 720
+    assert sizes.count(1) == len(sizes) <= 721 * len(G.generators)
+    assert 7 not in sizes
 
 
 def test_walk_refuses_generators_that_do_not_generate_the_group():
     G = load("s4")
+    # the first Cayley row, in the Sylow search, already needs the tree
+    with pytest.raises(InputError, match="generators do not generate"):
+        copy = FiniteGroup(G.elements, G.degree, [G.elements[G.generators[0]]])
+        S = sylow_p(copy.top, 3)
+        copy.s_conjugation(S.mask).coset_representatives()
+    # above the row cache no tree is built, and the walk's own count refuses
+    G = bench_group("s7")
     copy = FiniteGroup(G.elements, G.degree, [G.elements[G.generators[0]]])
-    S = sylow_p(copy.top, 3)
+    S = sylow_p(copy.top, 7)
     with pytest.raises(InputError, match="generators do not generate"):
         copy.s_conjugation(S.mask).coset_representatives()
 
