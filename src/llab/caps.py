@@ -12,9 +12,9 @@ partial_normal    carrier size and lattice size of the partial-normal search
 fusion_maps       morphisms in one closed fusion-system hom table, and
                   composites in the key pass of a generated system
 sylow_order       order of the p-subgroup a fusion system is built on
-axiom_table       n**3 products in the full-domain axiom check
-axiom_words       words of length <= max_len in the bounded axiom check
-                  and in the PGHom.verify / PGHom.is_projection sweeps
+axiom_words       words of length <= max_len in the bounded axiom check,
+                  the n + n**2 + n**3 words of the full-domain table check,
+                  and the PGHom.verify / PGHom.is_projection sweeps
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class Caps:
     partial_normal: int = 5_000
     fusion_maps: int = 1_000_000
     sylow_order: int = 64
-    axiom_table: int = 2_000_000
     axiom_words: int = 2_000_000
 
 

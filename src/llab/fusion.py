@@ -61,15 +61,12 @@ class FHom:
             m |= 1 << i
         return m
 
-    def mapping(self) -> dict:  # built once per map; callers only read it
-        return self._mapping
-
     @cached_property
-    def _mapping(self) -> dict:
+    def mapping(self) -> dict:  # built once per map; callers only read it
         return dict(zip(mask_members(self.dom_mask), self.images))
 
     def restrict(self, sub_mask: int) -> "FHom":
-        m = self.mapping()
+        m = self.mapping
         return FHom(self.group, sub_mask, tuple(m[x] for x in mask_members(sub_mask)))
 
 
@@ -229,7 +226,7 @@ class FusionSystem:
             raise InputError("generator map does not match its domain")
         if len(set(h.images)) != len(h.images):
             raise InputError("generator map is not injective")
-        m = h.mapping()
+        m = h.mapping
         for a, b in itertools.product(mask_members(h.dom_mask), repeat=2):
             if m[self.group.mult(a, b)] != self.group.mult(m[a], m[b]):
                 raise InputError("generator map is not a homomorphism")
@@ -331,17 +328,6 @@ class FusionSystem:
         c = P.centralizer(self.S).order
         return all(Q.centralizer(self.S).order <= c for Q in self.conjugates(P))
 
-    def is_weakly_closed(self, T: Subgroup) -> bool:
-        return self.conjugates(T) == (T,)
-
-    def is_strongly_closed(self, T: Subgroup) -> bool:
-        for m in self._masks:
-            if (m & T.mask) == m:
-                for img in self._table[m].values():
-                    if img & ~T.mask:
-                        return False
-        return True
-
     def same_homs(self, other: "FusionSystem") -> bool:
         if self.S.mask != other.S.mask or self.group is not other.group:
             return False
@@ -425,9 +411,6 @@ class FusionSystem:
         return next(T for T in self.subs
                     if T.is_normal_in(self.S) and self.is_normal_in_system(T))
 
-    def trivial_on(self, T: Subgroup) -> "FusionSystem":
-        return FusionSystem(T)
-
     # -- classification ------------------------------------------------------
 
     def _class_flags(self, P: Subgroup) -> tuple:
@@ -452,7 +435,7 @@ class FusionSystem:
         if fc:
             Q = fc[0]
             cs = self.centralizer_system(Q)
-            quasicentric = cs.same_homs(self.trivial_on(cs.S))
+            quasicentric = cs.same_homs(FusionSystem(cs.S))
         flags = (centric, radical, quasicentric, subcentric)
         self._flag_cache[key] = flags
         return flags
@@ -542,10 +525,9 @@ class FusionSystem:
         return f"FusionSystem(|S|={self.S.order}, subgroups={len(self.subs)})"
 
 
-def fusion_from_group(G: FiniteGroup, p: int, S: Subgroup | None = None) -> FusionSystem:
+def fusion_from_group(G: FiniteGroup, p: int) -> FusionSystem:
     """The fusion system on a Sylow p-subgroup induced by conjugation in G."""
-    if S is None:
-        S = sylow_p(G.top, p)
+    S = sylow_p(G.top, p)
     # c_g depends only on C_G(S)·g; one g per coset gives the same key set
     # as sweeping all of G
     return group_fusion(S, G.s_conjugation(S.mask).coset_representatives())
@@ -585,7 +567,7 @@ class FusionMap:
 
     def push_hom(self, h: FHom) -> FHom | None:
         """Induced map on images; None when it is not well defined."""
-        m = h.mapping()
+        m = h.mapping
         tgt_dom = self.push_mask(h.dom_mask)
         images = {}
         for x in mask_members(h.dom_mask):

@@ -48,8 +48,6 @@ __all__ = [
     "LocalityQuotient",
     "ProperReport",
     "locality_from_group",
-    "s_of_word",
-    "fusion_of",
     "normalizer_in",
     "centralizer_in",
     "subgroup_in_locality",
@@ -396,9 +394,6 @@ class Locality(PartialGroup):
             self._fusion_cache = build(self.S, self.elements)
         return self._fusion_cache
 
-    def sub(self, xs) -> PartialSubgroup:
-        return PartialSubgroup(self, frozenset(xs))
-
     def __repr__(self):
         return (f"Locality(|L|={len(self.elements)}, |S|={self.S.order}, "
                 f"|Delta|={len(self.delta)}, p={self.p})")
@@ -417,15 +412,6 @@ def locality_from_group(G: FiniteGroup, p: int, delta) -> Locality:
     if not isinstance(delta, ObjectSet):
         delta = object_set(S, delta)
     return Locality(G, delta.cut, S, delta, p)
-
-
-def s_of_word(L: Locality, word) -> Subgroup:
-    """S_w for a word of ambient ordinals (entries need not lie in L)."""
-    return Subgroup(L.group, L.s_word_mask(word))
-
-
-def fusion_of(L: Locality) -> FusionSystem:
-    return L.fusion()
 
 
 # -- normalizers, properness ----------------------------------------------------

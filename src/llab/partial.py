@@ -248,9 +248,7 @@ def check_axioms(pg: PartialGroup, max_len: int = 4) -> AxiomReport:
 def _check_axioms_table(pg: PartialGroup) -> AxiomReport:
     els = pg.elements
     n = len(els)
-    limit = _caps.current().axiom_table
-    if n**3 > limit:
-        raise CapExceeded("axiom table check", limit)
+    _cap_words(n, 3, "axiom table check")  # the checked_words reported below
     index = pg._index
     bad = []
 

@@ -42,11 +42,6 @@ def pinv(a: Perm) -> Perm:
     return tuple(out)
 
 
-def pconj(x: Perm, g: Perm) -> Perm:
-    """x^g = g^-1 x g."""
-    return pmul(pmul(pinv(g), x), g)
-
-
 def perm_order(a: Perm) -> int:
     return reduce(math.lcm, (len(c) for c in perm_cycles(a)), 1)
 
@@ -75,18 +70,6 @@ def cycles_str(a: Perm) -> str:
     if not cycles:
         return "()"
     return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycles)
-
-
-def perm_from_cycles(degree: int, cycles: list[list[int]]) -> Perm:
-    """Build a permutation from 1-based cycles."""
-    images = list(range(degree))
-    for cyc in cycles:
-        pts = [p - 1 for p in cyc]
-        if any(p < 0 or p >= degree for p in pts) or len(set(pts)) != len(pts):
-            raise InputError(f"bad cycle {cyc} for degree {degree}")
-        for i, p in enumerate(pts):
-            images[p] = pts[(i + 1) % len(pts)]
-    return tuple(images)
 
 
 def _check_perm(degree: int, images) -> Perm:
@@ -252,9 +235,6 @@ class FiniteGroup:
             out = self.mult(out, i)
         return out
 
-    def element_order(self, i: int) -> int:
-        return perm_order(self.elements[i])
-
     def is_p_element(self, i: int, p: int) -> bool:
         n = perm_order(self.elements[i])
         while n % p == 0:
@@ -268,10 +248,6 @@ class FiniteGroup:
             raise InputError(f"{perm!r} is not an element of this group")
 
     # subgroup plumbing
-
-    def subgroup_of(self, ordinals) -> "Subgroup":
-        """Closure of the given ordinals."""
-        return Subgroup(self, self.close_mask(mask_of(ordinals)))
 
     @property
     def trivial(self) -> "Subgroup":
@@ -564,14 +540,6 @@ class Subgroup:
             memo[self.mask] = got
         return got
 
-    def conjugate(self, g: int) -> "Subgroup":
-        G = self.group
-        return Subgroup(G, mask_of(G.conj(x, g) for x in self.members()))
-
-    def join(self, other: "Subgroup") -> "Subgroup":
-        gens = mask_of(self.generators()) | mask_of(other.generators())
-        return Subgroup(self.group, self.group.close_mask(gens))
-
     def _stabilizer(self, name: str, within: "Subgroup | None", fixes) -> "Subgroup":
         """The g in `within` (default: the whole group) with fixes(x, x^g) for
         every generator x of self, memoized per (mask, scope)."""
@@ -596,9 +564,6 @@ class Subgroup:
     def centralizer(self, within: "Subgroup | None" = None) -> "Subgroup":
         """C(self) inside `within` (default: the whole group)."""
         return self._stabilizer("centralizer", within, lambda x, y: x == y)
-
-    def center(self) -> "Subgroup":
-        return self.centralizer(within=self)
 
     def is_normal_in(self, other: "Subgroup") -> bool:
         if not self.le(other):

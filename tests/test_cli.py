@@ -289,6 +289,15 @@ class TestExitCodes:
         assert code == 2
         assert "cap exceeded" in err
 
+    def test_unknown_cap_entry(self, capsys, monkeypatch):
+        # the full-domain axiom table check counts against axiom_words
+        monkeypatch.setenv("LLAB_CAPS", "axiom_table=10")
+        monkeypatch.setattr(caps, "_current", None)
+        code, out, err = run_cli(capsys, "classify", "--group", group_arg("s4"), "--p", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: LLAB_CAPS: unknown entry 'axiom_table=10'\n"
+
     def test_degree_refused_before_the_group_is_built(self, capsys, monkeypatch,
                                                        tmp_path):
         def build(degree, generators):

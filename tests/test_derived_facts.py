@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llab import caps, locality
+from llab.checks import ExampleContext
 from llab.errors import CapExceeded, InputError, PropertyViolation
 from llab.expansion import check_seed, elementary_expand
 from llab.fusion import (
@@ -131,6 +132,12 @@ def reference_restriction_cut(L, delta0):
     return tuple(g for g in L.elements if L.s_g_mask(g) in delta0.mask_set)
 
 
+def join(U, V):
+    """The subgroup generated by U and V."""
+    gens = mask_of(U.generators()) | mask_of(V.generators())
+    return Subgroup(U.group, U.group.close_mask(gens))
+
+
 def reference_find_o_p(F):
     """`FusionSystem._find_o_p` with its join-closure and uniqueness guards."""
     normals = [
@@ -140,7 +147,7 @@ def reference_find_o_p(F):
     ]
     top = normals[0]
     for U, V in itertools.combinations(normals, 2):
-        if U.join(V) not in normals:
+        if join(U, V) not in normals:
             raise PropertyViolation(
                 "normal subgroups of the system are not join-closed",
                 witness=(U.mask, V.mask),
@@ -161,7 +168,7 @@ def reference_p_core(H, p):
     for g in H.members():
         if mask == 1:
             break
-        mask &= S.conjugate(g).mask
+        mask &= mask_of(H.group.conj(x, g) for x in S.members())
     return Subgroup(H.group, mask)
 
 
@@ -212,6 +219,27 @@ def reference_kernel(hom):
     if not is_partial_normal(hom.source, ker):
         raise PropertyViolation("kernel is not partial normal", witness=ker)
     return ker
+
+
+def reference_tower_checks(rep, send=None):
+    """The tower legs `expand_quotient` argues, computed as it once did: the
+    onto test, the fiber over 1 against the lift, and the correspondence
+    loop over the quotient's partial normal subgroups.  `send` replaces the
+    tower's projection map."""
+    send = rep.rho_plus.mapping if send is None else send
+    e = rep.lbarplus.identity
+    correspondence = True
+    for Kbar in all_partial_normal_subgroups(rep.lbar):
+        K = frozenset(x for x in rep.lplus.elements if send[x] in Kbar.members)
+        if frozenset(send[x] for x in K) != Kbar.members:
+            correspondence = False
+            break
+    return {
+        "is_projection": set(send.values()) == set(rep.lbarplus.elements),
+        "kernel_matches_lift": frozenset(
+            x for x in rep.lplus.elements if send[x] == e) == rep.nplus.members,
+        "normal_correspondence": correspondence,
+    }
 
 
 def reference_block_group(L, N):
@@ -527,7 +555,7 @@ def reference_close(S, keys):
         for images in list(table[img]):
             push(FHom(group, h.dom_mask, tuple(images[i] for i in at)))
         # each stored map k onto h's domain, then h: x -> h(k(x))
-        hm = h.mapping()
+        hm = h.mapping
         for dom2, images2 in list(by_image[h.dom_mask]):
             push(FHom(group, dom2, tuple(hm[y] for y in images2)))
     return frozenset((dom, images) for dom, row in table.items() for images in row)
@@ -550,7 +578,7 @@ def reference_harvest(F, carrier, keep):
             h = FHom(F.group, dom, images)
             if not keep(h):
                 continue
-            m = h.mapping()
+            m = h.mapping
             sub = [x for x in mask_members(dom & cm) if (1 << m[x]) & cm]
             if sub:
                 gens.append((sum(1 << x for x in sub), tuple(m[x] for x in sub)))
@@ -561,7 +589,7 @@ def reference_normalizer_system(F, U):
     um = U.mask
 
     def keep(h):
-        m = h.mapping()
+        m = h.mapping
         return (h.dom_mask & um) == um and mask_of(m[x] for x in mask_members(um)) == um
 
     return reference_harvest(F, U.normalizer(F.S), keep)
@@ -571,7 +599,7 @@ def reference_centralizer_system(F, U):
     um = U.mask
 
     def keep(h):
-        m = h.mapping()
+        m = h.mapping
         return (h.dom_mask & um) == um and all(m[x] == x for x in mask_members(um))
 
     return reference_harvest(F, U.centralizer(F.S), keep)
@@ -813,6 +841,37 @@ class TestDroppedGuardsHold:
             incomparable += sum(not U.le(V) and not V.le(U)
                                 for U, V in itertools.combinations(normals, 2))
         assert incomparable == 839
+
+
+class TestArguedTowerChecks:
+    """`expand_quotient`'s argued legs against the computation they replaced."""
+
+    @staticmethod
+    def towers(name, p):
+        ctx = example(name, p) if (name, p) in BUILTIN_PAIRS else ExampleContext(
+            any_group(name), p)
+        assert ctx.base.full_domain
+        return ctx.towers
+
+    @pytest.mark.parametrize("name,p", [*BUILTIN_PAIRS, ("d16", 2), ("c5xc5", 5),
+                                        ("s6", 3)])
+    def test_every_tower(self, name, p):
+        towers = self.towers(name, p)
+        assert towers
+        for _, rep in towers:
+            ref = reference_tower_checks(rep)
+            assert all(ref.values())
+            assert {k: rep.checks[k] for k in ref} == ref
+
+    def test_moved_kernel_element_is_caught(self):
+        # negative control: send one element of N to another block
+        rep = next(rep for N, rep in self.towers("s4", 2)
+                   if N.order > 1 and len(rep.lbar.elements) > 1)
+        send = dict(rep.rho_plus.mapping)
+        x = next(x for x in sorted(rep.nplus.members) if x != rep.lplus.identity)
+        send[x] = next(y for y in rep.lbarplus.elements if y != rep.lbarplus.identity)
+        ref = reference_tower_checks(rep, send)
+        assert not ref["kernel_matches_lift"]
 
 
 class TestRestrictionTables:

@@ -39,6 +39,7 @@ from llab.permgroup import (
     Subgroup,
     group_from_generators,
     mask_members,
+    mask_of,
     subgroups_below,
     sylow_p,
 )
@@ -832,7 +833,9 @@ class TestUniqueIso:
         exp = z_expansion()
         assert check_unique_iso(exp.locality, exp.base) is None
 
-    def test_scrambled_table_is_none(self):
+    def test_table_target_is_refused(self):
+        # only a Locality target is compared; a table with the same
+        # elements and products is refused, not swept
         fe = s4_full()
         Lp = fe.locality
         G = Lp.group
@@ -840,13 +843,11 @@ class TestUniqueIso:
             (a, b): G.mult(a, b)
             for a, b in itertools.product(Lp.elements, repeat=2)
         }
-        a, b = Lp.elements[3], Lp.elements[5]
-        c, d = Lp.elements[7], Lp.elements[2]
-        products[(a, b)], products[(c, d)] = products[(c, d)], products[(a, b)]
-        scrambled = TablePartial(
+        table = TablePartial(
             Lp.elements, Lp.identity, {g: G.inv(g) for g in Lp.elements}, products
         )
-        assert check_unique_iso(Lp, scrambled) is None
+        with pytest.raises(InputError, match="needs a Locality target"):
+            check_unique_iso(Lp, table)
 
     def test_locality_target_needs_no_sweep(self, monkeypatch):
         # group, S, Delta and carrier agree, so no homomorphism sweep runs
@@ -1094,7 +1095,7 @@ def reference_step_checks(step):
             u_mask = U.mask
             if u_mask & sg != u_mask:
                 continue
-            v_mask = Subgroup(G, u_mask).conjugate(g).mask
+            v_mask = mask_of(G.conj(x, g) for x in mask_members(u_mask))
             if v_mask not in seed.ysets:
                 raise PropertyViolation(
                     "endpoint left the conjugacy class", witness=v_mask

@@ -1,6 +1,7 @@
 """Every public export of every llab module resolves."""
 
 import dataclasses
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -29,7 +30,7 @@ def test_partial_no_longer_exports_the_generic_quotient():
 
 
 def test_dead_helpers_are_gone():
-    from llab import expansion, fusion, locality, partial, permgroup
+    from llab import caps, expansion, fusion, locality, partial, permgroup
 
     for name in ("regular_group", "core_commutator_slice"):
         assert not hasattr(permgroup, name)
@@ -59,6 +60,23 @@ def test_dead_helpers_are_gone():
               for cls in (expansion.TildeClass, expansion.ExpansionSeed)}
     assert "endpoints" not in fields[expansion.TildeClass]
     assert not {"xsets", "report"} & fields[expansion.ExpansionSeed]
+    # helpers only tests called, and wrappers that added nothing to their call
+    for name in ("pconj", "perm_from_cycles"):
+        assert not hasattr(permgroup, name)
+    for cls, names in ((permgroup.FiniteGroup, ("element_order", "subgroup_of")),
+                       (permgroup.Subgroup, ("conjugate", "center", "join")),
+                       (fusion.FusionSystem, ("is_weakly_closed", "is_strongly_closed",
+                                              "trivial_on")),
+                       (fusion.FHom, ("_mapping",)),
+                       (locality.Locality, ("sub",))):
+        for name in names:
+            assert not hasattr(cls, name), (cls, name)
+    assert isinstance(inspect.getattr_static(fusion.FHom, "mapping"), functools.cached_property)
+    for name in ("s_of_word", "fusion_of"):
+        assert name not in locality.__all__
+        assert not hasattr(locality, name)
+    assert "axiom_table" not in {f.name for f in dataclasses.fields(caps.Caps)}
+    assert list(inspect.signature(fusion.fusion_from_group).parameters) == ["G", "p"]
 
 
 def test_locality_takes_only_its_definition():

@@ -28,6 +28,7 @@ from llab.permgroup import (
     Subgroup,
     group_from_generators,
     mask_of,
+    perm_order,
     subgroups_below,
     sylow_p,
 )
@@ -174,7 +175,7 @@ class TestInterning:
         # a plain list is caller input, so every map goes through _validate
         validated = FusionSystem(S, [conj_fhom(group, S, g) for g in range(group.order)])
         group._memo.pop("fusion_tables")  # forget it: the derived build closes afresh
-        derived = fusion_from_group(group, p, S)
+        derived = fusion_from_group(group, p)
         assert derived._table is not validated._table
         assert derived.same_homs(validated)
 
@@ -205,7 +206,7 @@ class TestInterning:
             return real(S, conjugators)
 
         monkeypatch.setattr(fusion, "group_fusion", spy)
-        fusion_from_group(group, p, S)
+        fusion_from_group(group, p)
         [conjugators] = passed
         assert len(conjugators) == group.order // S.centralizer().order
         keys = _conj_keys(S, conjugators)
@@ -326,19 +327,6 @@ class TestConjugatesAndClosureProperties:
         assert len(conj) == 3
         assert all(P.order == 2 for P in conj)
 
-    def test_v4_is_weakly_closed(self, f_s4):
-        assert f_s4.is_weakly_closed(f_s4.o_p())
-
-    def test_transposition_subgroup_not_strongly_closed(self, f_s4):
-        P = next(
-            P
-            for P in f_s4.subs
-            if P.order == 2 and len(f_s4.conjugates(P)) == 2
-        )
-        assert not f_s4.is_strongly_closed(P)
-        assert f_s4.is_strongly_closed(f_s4.S)
-        assert f_s4.is_strongly_closed(f_s4.o_p())
-
     def test_fully_normalized_examples(self, f_s4):
         assert f_s4.is_fully_normalized(f_s4.S)
         assert f_s4.is_fully_centralized(f_s4.S)
@@ -363,7 +351,7 @@ class TestSubsystems:
         Z = _center(f_s4)
         C = f_s4.centralizer_system(Z)
         assert C.S.mask == f_s4.S.mask
-        assert C.same_homs(f_s4.trivial_on(f_s4.S))
+        assert C.same_homs(FusionSystem(f_s4.S))
 
     def test_o_p_values(self, f_s4, f_s5):
         assert f_s4.o_p().order == 4
@@ -397,7 +385,7 @@ class TestClassification:
             for P in f_s4.subs
             if P.order == 4
             and P.mask != f_s4.o_p().mask
-            and all(f_s4.group.element_order(x) <= 2 for x in P.members())
+            and all(perm_order(f_s4.group.elements[x]) <= 2 for x in P.members())
         )
         flags = f_s4.classify(E)
         assert flags.centric and not flags.radical
@@ -433,11 +421,13 @@ class TestClassification:
                 assert f_s5.is_fully_centralized(P)
 
     def test_core_times_subgroup_subcentric_pullback(self, f_s4, f_s5):
+        from test_derived_facts import join
+
         for F in (f_s4, f_s5):
             s_masks = {P.mask for P in F.class_sets()["s"]}
             core = F.o_p()
             for P in F.subs:
-                if core.join(P).mask in s_masks:
+                if join(core, P).mask in s_masks:
                     assert P.mask in s_masks
 
     def test_subcentric_via_centralizer_cores(self, f_s4):
@@ -482,7 +472,7 @@ class TestFClosedAndInductive:
                     if h.restrict(U.mask).image_mask == V.mask
                 ]
                 assert movers
-                phi = movers[0].mapping()
+                phi = movers[0].mapping
                 NU, NV = f_s4.normalizer_system(U), f_s4.normalizer_system(V)
                 for dom, rows in NU._table.items():
                     tdom = sum(1 << phi[x] for x in Subgroup(f_s4.group, dom).members())

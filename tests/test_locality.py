@@ -13,13 +13,12 @@ import oracles
 from llab import checks, locality, partial
 from llab.checks import ExampleContext, run_tags
 from llab.errors import DomainError, InputError, PropertyViolation
-from llab.fusion import fusion_from_group
+from llab.fusion import FusionSystem, fusion_from_group
 from llab.locality import (
     Locality,
     ObjectSet,
     centralizer_in,
     centralizer_locality,
-    fusion_of,
     is_proper,
     locality_from_group,
     normalizer_in,
@@ -32,7 +31,6 @@ from llab.locality import (
     quotient_locality,
     resolve_delta_spec,
     restrict,
-    s_of_word,
     theta_quotient,
 )
 from llab.partial import (
@@ -50,7 +48,10 @@ from llab.permgroup import (
     Subgroup,
     all_subgroups,
     group_from_generators,
+    mask_members,
+    mask_of,
     p_core,
+    perm_order,
     subgroups_below,
     sylow_p,
 )
@@ -124,7 +125,7 @@ class TestFromGroup:
         G = s5_c.group
         t = G.index_of((1, 0, 2, 3, 4))
         assert t not in s5_c._index
-        assert s_of_word(s5_c, [t]).order == 2
+        assert s5_c.s_word_mask([t]).bit_count() == 2
 
     def test_c6_abelian_keeps_everything(self, c6_top):
         assert len(c6_top.elements) == 6
@@ -167,23 +168,24 @@ class TestFromGroup:
 
 class TestSgTable:
     def test_empty_word_gives_s(self, s5_c):
-        assert s_of_word(s5_c, []).mask == s5_c.S.mask
+        assert s5_c.s_word_mask([]) == s5_c.S.mask
 
     def test_single_letter_matches_table(self, s5_c):
         for g in s5_c.elements:
-            assert s_of_word(s5_c, [g]).mask == s5_c.s_g_mask(g)
+            assert s5_c.s_word_mask([g]) == s5_c.s_g_mask(g)
 
     def test_inverse_relation(self, s5_c):
         G = s5_c.group
         for g in list(s5_c.elements)[:12]:
-            lhs = s_of_word(s5_c, [G.inv(g)])
-            rhs = s_of_word(s5_c, [g]).conjugate(g)
-            assert lhs.mask == rhs.mask
+            lhs = s5_c.s_word_mask([G.inv(g)])
+            rhs = mask_of(G.conj(x, g) for x in mask_members(s5_c.s_word_mask([g])))
+            assert lhs == rhs
 
     def test_prefix_monotone(self, s5_c):
         els = list(s5_c.elements)
         for g, h in zip(els[3:9], els[10:16]):
-            assert s_of_word(s5_c, [g, h]).le(s_of_word(s5_c, [g]))
+            Sgh, Sg = s5_c.s_word_mask([g, h]), s5_c.s_word_mask([g])
+            assert Sgh & Sg == Sgh
 
     def test_oracle_s_g_agreement(self, s5_c):
         G_elems = oracles.load_elements("s5")
@@ -191,7 +193,7 @@ class TestSgTable:
         G = s5_c.group
         for g in list(s5_c.elements)[:10]:
             want = oracles.s_g(S_elems, G.elements[g])
-            got = {G.elements[x] for x in s_of_word(s5_c, [g]).members()}
+            got = {G.elements[x] for x in mask_members(s5_c.s_word_mask([g]))}
             assert got == want
 
 
@@ -398,10 +400,11 @@ class TestNormalizersInside:
 
     def test_matches_ambient_intersection(self, s5_c):
         E = next(P for P in subgroups_below(s5_c.S)
-                 if P.order == 4 and P.mask != fusion_of(s5_c).o_p().mask
-                 and all(s5_c.group.element_order(x) <= 2 for x in P.members()))
+                 if P.order == 4 and P.mask != s5_c.fusion().o_p().mask
+                 and all(perm_order(s5_c.group.elements[x]) <= 2 for x in P.members()))
+        table = s5_c.group.s_conjugation(s5_c.S.mask)
         want = {g for g in s5_c.elements
-                if E.conjugate(g).mask == E.mask}
+                if table.conjugate_mask(E.mask, g) == E.mask}
         got = normalizer_in(s5_c, E).members
         assert got == want
 
@@ -418,7 +421,7 @@ class TestNormalizersInside:
         G = builtin("s4")
         S = sylow_p(G.top, 2)
         V4 = p_core(G.top, 2)
-        g = next(x for x in range(G.order) if G.element_order(x) == 3)
+        g = next(x for x in range(G.order) if perm_order(G.elements[x]) == 3)
         delta = object_set(S, [Q for Q in subgroups_below(S) if V4.le(Q)])
         L = UncheckedLocality(G, list(S.members()) + [g], S, delta, 2)
         with pytest.raises(PropertyViolation, match=r"^N_L\(P\) for an object P") as exc:
@@ -427,7 +430,7 @@ class TestNormalizersInside:
         assert g in normalizer_in(L, V4).members
         C = builtin("c6")
         T = sylow_p(C.top, 2)
-        h = next(x for x in range(C.order) if C.element_order(x) == 3)
+        h = next(x for x in range(C.order) if perm_order(C.elements[x]) == 3)
         L = UncheckedLocality(C, list(T.members()) + [h], T, object_set(T, [T]), 2)
         with pytest.raises(PropertyViolation, match=r"^C_L\(P\) for an object P") as exc:
             reference_centralizer_in(L, T)
@@ -445,7 +448,7 @@ class TestCarrierGuards:
         # every S_g contains the normal V4, so O1 holds for every element
         self.delta = object_set(self.S, [Q for Q in subgroups_below(self.S)
                                          if self.V4.le(Q)])
-        self.g = next(x for x in range(G.order) if G.element_order(x) == 3)
+        self.g = next(x for x in range(G.order) if perm_order(G.elements[x]) == 3)
 
     def test_o1_fails(self):
         G, S = self.G, self.S
@@ -491,7 +494,7 @@ class TestCarrierGuards:
 
     def test_partial_subgroup_is_not_an_ambient_subgroup(self, s4_all):
         # negative control: the reference closure sweep refuses {1, g}
-        part = s4_all.sub([s4_all.identity, self.g])
+        part = PartialSubgroup(s4_all, frozenset([s4_all.identity, self.g]))
         with pytest.raises(PropertyViolation,
                            match="not an ambient subgroup") as exc:
             reference_perm_subgroup(s4_all, part)
@@ -522,14 +525,14 @@ class TestProperness:
 
 class TestFusionOf:
     def test_full_domain_recovers_group_fusion(self, s4_all):
-        assert fusion_of(s4_all).same_homs(fusion_from_group(s4_all.group, 2))
+        assert s4_all.fusion().same_homs(fusion_from_group(s4_all.group, 2))
 
     def test_restriction_keeps_fusion_above_cr(self, s5_c):
-        assert fusion_of(s5_c).same_homs(fusion_from_group(s5_c.group, 2))
+        assert s5_c.fusion().same_homs(fusion_from_group(s5_c.group, 2))
 
     def test_c6_gives_trivial_fusion(self, c6_top):
-        F = fusion_of(c6_top)
-        assert F.same_homs(F.trivial_on(c6_top.S))
+        F = c6_top.fusion()
+        assert F.same_homs(FusionSystem(c6_top.S))
 
 
 class TestRestrict:
@@ -562,7 +565,7 @@ class TestThetaQuotient:
     def test_c6_collapses_odd_part(self, c6_top):
         theta, quo = theta_quotient(c6_top)
         assert theta.order == 3
-        assert sorted(c6_top.group.element_order(x) for x in theta.members) == [1, 3, 3]
+        assert sorted(perm_order(c6_top.group.elements[x]) for x in theta.members) == [1, 3, 3]
         assert len(quo.elements) == 2
         assert is_proper(quo).ok
 
@@ -722,26 +725,26 @@ class TestNormalizerLocalities:
         LV = normalizer_locality(s4_all, V4)
         assert len(LV.elements) == 24
         assert LV.S.mask == s4_all.S.mask
-        assert fusion_of(LV).same_homs(fusion_of(s4_all))
+        assert LV.fusion().same_homs(s4_all.fusion())
         assert is_proper(LV).ok
 
     def test_center_gives_dihedral_normalizer(self, s4_all):
-        F = fusion_of(s4_all)
+        F = s4_all.fusion()
         Z = next(P for P in subgroups_below(s4_all.S)
                  if P.order == 2 and P.normalizer(s4_all.S).mask == s4_all.S.mask)
         LZ = normalizer_locality(s4_all, Z)
         assert LZ.S.mask == s4_all.S.mask
         assert len(LZ.elements) == 8
-        assert fusion_of(LZ).same_homs(F.normalizer_system(Z))
+        assert LZ.fusion().same_homs(F.normalizer_system(Z))
 
     def test_centralizer_of_center(self, s4_all):
-        F = fusion_of(s4_all)
+        F = s4_all.fusion()
         Z = next(P for P in subgroups_below(s4_all.S)
                  if P.order == 2 and P.normalizer(s4_all.S).mask == s4_all.S.mask)
         CZ = centralizer_locality(s4_all, Z)
         assert CZ.S.mask == Z.centralizer(s4_all.S).mask
         assert len(CZ.elements) == 8
-        assert fusion_of(CZ).same_homs(F.centralizer_system(Z))
+        assert CZ.fusion().same_homs(F.centralizer_system(Z))
 
     def test_centric_base_is_built_once(self, monkeypatch):
         # the s5/2 cr-closure locality is grown to F^c and cut back once,
@@ -750,7 +753,7 @@ class TestNormalizerLocalities:
 
         G = builtin("s5")
         L = locality_from_group(G, 2, delta_of(G, 2, "cr-closure"))
-        F = fusion_of(L)
+        F = L.fusion()
         calls = Counter()
         full_expand, restrict_ = expansion.full_expand, locality.restrict
 
@@ -772,7 +775,7 @@ class TestNormalizerLocalities:
         assert calls == {"full_expand": 1, "restrict": 1}
 
     def test_not_fully_normalized_rejected(self, s4_all):
-        F = fusion_of(s4_all)
+        F = s4_all.fusion()
         Z = next(P for P in subgroups_below(s4_all.S)
                  if P.order == 2 and P.normalizer(s4_all.S).mask == s4_all.S.mask)
         other = next(Q for Q in F.conjugates(Z) if Q.mask != Z.mask)
@@ -782,10 +785,12 @@ class TestNormalizerLocalities:
 
 def reference_is_normal_in_locality(L, P):
     """P normal in S, partial normal in L, and P**g = P whenever P <= S_g."""
-    if not P.is_normal_in(L.S) or not is_partial_normal(L, L.sub(P.members())):
+    if not P.is_normal_in(L.S) or not is_partial_normal(
+            L, PartialSubgroup(L, frozenset(P.members()))):
         return False
     pm = P.mask
-    return all(L.s_g_mask(g) & pm != pm or P.conjugate(g).mask == pm
+    G = L.group
+    return all(L.s_g_mask(g) & pm != pm or mask_of(G.conj(x, g) for x in P.members()) == pm
                for g in L.elements)
 
 
@@ -805,12 +810,12 @@ class TestCores:
     def test_s4_core_is_v4(self, s4_all):
         core = o_p_locality(s4_all)
         assert core.mask == p_core(s4_all.group.top, 2).mask
-        assert core.mask == fusion_of(s4_all).o_p().mask
+        assert core.mask == s4_all.fusion().o_p().mask
 
     def test_s5_centric_core_matches_fusion_core(self, s5_c):
         core = o_p_locality(s5_c)
         assert core.order == 4
-        assert core.mask == fusion_of(s5_c).o_p().mask
+        assert core.mask == s5_c.fusion().o_p().mask
 
     def test_o_p_of_whole_s5_centric(self, s5_c):
         whole = PartialSubgroup(s5_c, frozenset(s5_c.elements))
@@ -846,14 +851,14 @@ class TestCores:
                 for P in subgroups_below(L.S):
                     assert reference_is_normal_in_locality(L, P) == (
                         P.is_normal_in(L.S)
-                        and is_partial_normal(L, L.sub(P.members()))), (name, p, P)
+                        and is_partial_normal(L, PartialSubgroup(L, frozenset(P.members())))), (name, p, P)
                     decided += 1
                 assert o_p_locality(L).mask == reference_o_p_locality(L).mask
         assert decided == 180
 
     def test_rejects_non_normal(self, s5_c):
         t = next(g for g in s5_c.elements
-                 if g != 0 and s5_c.group.element_order(g) == 2)
+                 if g != 0 and perm_order(s5_c.group.elements[g]) == 2)
         sub = PartialSubgroup(s5_c, frozenset({0, t}))
         if not is_partial_normal(s5_c, sub):
             with pytest.raises(InputError):
@@ -966,11 +971,11 @@ class TestProducts:
 class TestObjectFamilyShapes:
     def test_every_object_is_subcentric(self, s4_all, s5_c):
         for L in (s4_all, s5_c):
-            s_masks = {P.mask for P in fusion_of(L).class_sets()["s"]}
+            s_masks = {P.mask for P in L.fusion().class_sets()["s"]}
             assert L.delta.mask_set <= s_masks
 
     def test_sylow_in_object_normalizers(self, s5_c):
-        F = fusion_of(s5_c)
+        F = s5_c.fusion()
         for P in s5_c.delta.members:
             if not F.is_fully_normalized(P):
                 continue
@@ -982,19 +987,20 @@ class TestObjectFamilyShapes:
             assert NS.order * part == N.order
 
     def test_conjugate_formula(self, s5_c):
-        F = fusion_of(s5_c)
+        F = s5_c.fusion()
+        table = s5_c.group.s_conjugation(s5_c.S.mask)
         for P in s5_c.delta.members:
             via_locality = set()
             for g in s5_c.elements:
                 if s5_c.s_g_mask(g) & P.mask == P.mask:
-                    via_locality.add(P.conjugate(g).mask)
+                    via_locality.add(table.conjugate_mask(P.mask, g))
             assert via_locality == {Q.mask for Q in F.conjugates(P)}
 
     def test_object_classification_via_normalizers(self, s4_all):
         """Objects are centric-radical/centric/quasicentric exactly when the
         corresponding normalizer-side condition holds."""
         L = s4_all
-        F = fusion_of(L)
+        F = L.fusion()
         cs = F.class_sets()
         cr = {P.mask for P in cs["cr"]}
         c = {P.mask for P in cs["c"]}
@@ -1004,7 +1010,7 @@ class TestObjectFamilyShapes:
             C = reference_perm_subgroup(L, centralizer_in(L, P))
             core_amb = set(p_core(N, 2).members())
             assert (P.mask in cr) == (core_amb == set(P.members()))
-            assert (P.mask in c) == (C.mask == P.center().mask)
+            assert (P.mask in c) == (C.mask == P.centralizer(within=P).mask)
             assert (P.mask in q) == (set(C.members()) <= core_amb)
 
 
@@ -1069,7 +1075,7 @@ def _conjugacy_representatives(G, subs):
     for S in subs:
         if S.mask not in seen:
             out.append(S)
-            seen.update(S.conjugate(g).mask for g in range(G.order))
+            seen.update(mask_of(G.conj(x, g) for x in S.members()) for g in range(G.order))
     return out
 
 
@@ -1114,7 +1120,7 @@ class TestSMaximality:
             Locality(G, range(G.order), S, delta, 2)
         x = exc.value.witness
         assert x not in S and G.is_p_element(x, 2)
-        assert S.conjugate(x).mask == S.mask
+        assert G.s_conjugation(S.mask).conjugate_mask(S.mask, x) == S.mask
 
     def test_matches_the_generated_subgroup_test(self):
         counts = {True: 0, False: 0}

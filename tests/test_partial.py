@@ -29,6 +29,8 @@ from llab.partial import (
 from llab.permgroup import (
     FiniteGroup,
     group_from_generators,
+    mask_members,
+    mask_of,
     normal_subgroups,
     subgroups_below,
 )
@@ -139,6 +141,23 @@ class TestCheckAxioms:
         monkeypatch.setattr(caps, "_current", None)
         assert check_axioms(z4_table(), max_len=3).ok
 
+    def test_table_check_is_capped_by_its_word_count(self, s4p):
+        # the full-domain table check reports 24 + 24**2 + 24**3 = 14424
+        # words on S4, and the same word cap refuses it below that count
+        assert s4p.full_domain
+        caps.override(caps.Caps(axiom_words=14423))
+        try:
+            with pytest.raises(CapExceeded, match="^axiom table check") as exc:
+                check_axioms(s4p)
+            assert exc.value.limit == 14423
+        finally:
+            caps.override(None)
+        caps.override(caps.Caps(axiom_words=14424))
+        try:
+            assert check_axioms(s4p).checked_words == 14424
+        finally:
+            caps.override(None)
+
 
 class TestGeneratedSubgroup:
     def test_identity_generates_trivial(self, s4p):
@@ -151,7 +170,7 @@ class TestGeneratedSubgroup:
     def test_matches_group_closure(self, s4, s4p):
         gens = [5, 9]
         sub = generated_subgroup(s4p, gens)
-        assert sub.members == frozenset(s4.subgroup_of(gens).members())
+        assert sub.members == frozenset(mask_members(s4.close_mask(mask_of(gens))))
 
     def test_equals_intersection_of_closed_supersets(self):
         """Fixpoint output is the least closed subset on a small instance."""

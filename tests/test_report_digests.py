@@ -1,5 +1,9 @@
 """The run digests of `tests/report_digests.py` are stable and mode-free."""
 
+import shlex
+
+from llab import cli
+
 import report_digests
 
 S3 = ("--group", "src/llab/data/s3.json", "--p", "3")
@@ -22,3 +26,15 @@ def test_two_calls_give_the_same_digests():
 def test_in_process_digest_equals_the_subprocess_one():
     run = ("locality", *S3)
     assert report_digests.digest(run) == report_digests.digest(run, in_process=False)
+
+
+def test_every_frontier_run_parses_and_loads_its_group():
+    # the runs themselves take about 10 s in process, so they are not run here:
+    #   python3 tests/report_digests.py --stdin < tests/frontier/runs.txt
+    lines = (report_digests.ROOT / "tests" / "frontier" / "runs.txt").read_text().splitlines()
+    runs = [shlex.split(line) for line in lines if line.strip()]
+    assert len(runs) == 27
+    parser = cli.build_parser()
+    for run in runs:
+        args = parser.parse_args(run)
+        assert cli.load_group(str(report_digests.ROOT / args.group)).order > 1
