@@ -14,7 +14,7 @@ fusion_maps       morphisms in one closed fusion-system hom table, and
 sylow_order       order of the p-subgroup a fusion system is built on
 axiom_words       words of length <= max_len in the bounded axiom check,
                   the n + n**2 + n**3 words of the full-domain table check,
-                  and the PGHom.verify / PGHom.is_projection sweeps
+                  and the PGHom.verify word sweep
 """
 
 from __future__ import annotations

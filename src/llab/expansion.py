@@ -22,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InputError, PropertyViolation
-from .fusion import FusionMap, group_fusion
+from .fusion import group_fusion
 from .locality import (
     Locality,
+    LocalityQuotient,
     ObjectSet,
     is_proper,
     normalizer_in,
@@ -48,7 +49,6 @@ __all__ = [
     "TildeClass",
     "ElementaryExpansion",
     "FullExpansion",
-    "QuotientExpansionReport",
     "check_seed",
     "build_y_sets",
     "make_seed",
@@ -669,60 +669,41 @@ def check_unique_iso(Lplus: Locality, Ltilde: Locality, base: Locality | None = 
 # -- quotient compatibility -----------------------------------------------------
 
 
-@dataclass
-class QuotientExpansionReport:
-    """Reconciliation of growth with a quotient by a partial normal subgroup."""
-
-    ok: bool
-    checks: dict
-    lplus: Locality
-    nplus: PartialSubgroup
-    lbar: Locality
-    sigma: FusionMap
-    lbarplus: Locality
-    rho_plus: PGHom
-
-
 def expand_quotient(L: Locality, N: PartialSubgroup,
-                    growth: FullExpansion) -> QuotientExpansionReport:
-    """Grow L and L/N together and reconcile the two towers.
+                    growth: FullExpansion) -> tuple[LocalityQuotient, Locality]:
+    """Grow L and L/N together: (L/N, the grown quotient).
 
     `growth` is the full expansion of L itself (`full_expand(L, target)`),
     so the towers over every N of one base share a single growth.  L has
-    full domain, so the growth keeps L's carrier and the projection rho
-    itself is the grown projection; the grown quotient is L/N's carrier on
-    the pushed object family, without a growth of its own (argued below).
-    The grown projection is onto with the lifted subgroup as kernel, and
-    partial normal subgroups of the quotient correspond to partial normal
-    subgroups above N across the growth; each leg is argued beside the
-    code and reported in `checks`.
+    full domain, so the growth keeps L's carrier and the projection rho of
+    L/N is itself the grown projection; the grown quotient is L/N's carrier
+    on the pushed object family, without a growth of its own (argued
+    below).
     """
     if growth.base is not L:
         raise InputError("the growth must be a full expansion of this locality")
     lq = quotient_locality(L, N)
-    lplus = growth.locality
-    # lplus has L's carrier (argued below) and a larger family, so it is the
-    # group L again, and the lift of N, partial normal in L (checked by
-    # quotient_locality's coset_partition), is N itself
-    nplus = PartialSubgroup(lplus, N.members)
     lbar = lq.locality
     send = lq.rho.mapping
-
     bar_members = {}
-    for P in lplus.delta.members:
+    for P in growth.locality.delta.members:
         m = mask_of(send[x] for x in P.members())
         bar_members[m] = Subgroup(lbar.group, m)
     # quotient_locality takes only a full-domain L, so every canonical word
     # (x**-1, h, y) of a growth step is in its base's domain (L's carrier,
-    # by induction): no step creates an element, lplus has L's carrier and
-    # rho is defined on all of it (a growth with more elements fails in
-    # PGHom: "homomorphism map misses an element").  lbar has full domain
-    # too (argued in quotient_locality), so each step of its growth would
-    # add exactly its seed's class and end on lbar's carrier with the pushed
+    # by induction): no step creates an element, and the grown locality is
+    # the group L again, on which rho is defined.  lbar has full domain too
+    # (argued in quotient_locality), so each step of its growth would add
+    # exactly its seed's class and end on lbar's carrier with the pushed
     # family.  That growth never fails here: lbar is a group, so its fusion
     # system is saturated, a fully normalized R has N(R) realized by
     # N_lbar(R), and _absorb takes larger classes first, so check_seed
     # passes every seed.  The Locality below checks the pushed family (O2).
+    # The tower's other legs hold by construction: rho is a homomorphism
+    # (quotient_locality), onto as lbar has one element per nonempty maximal
+    # coset of L, with kernel the block of 1, the coset N*1 = N, which is
+    # its own lift to the group L; and the preimage of a partial normal
+    # subgroup of lbar is partial normal in L, mapped onto it by rho.
     try:
         bar_target = object_set(lbar.S, bar_members.values())
         lbarplus = lbar if bar_target.mask_set == lbar.delta.mask_set else Locality(
@@ -731,35 +712,4 @@ def expand_quotient(L: Locality, N: PartialSubgroup,
         raise PropertyViolation(
             f"pushed object family is not closed: {exc}"
         ) from exc
-    rho_plus = PGHom(lplus, lbarplus, send)
-
-    # rho_plus is rho between the groups L and lbar, which quotient_locality
-    # argues is a homomorphism, so no pair test.  The other legs hold by
-    # construction:
-    # - rho_plus = rho is onto: lbar has one element per block, and every
-    #   block is a nonempty maximal coset of L; lplus has full domain, so a
-    #   word of lbarplus lifts letter by letter and rho_plus is a projection;
-    # - its kernel is the fiber over 1, the block of 1, which is the coset
-    #   N*1 = N, and nplus is N;
-    # - the preimage K of a partial normal Kbar of lbar is partial normal in
-    #   L: for x in K and g in L, rho(x**g) = rho(x)**rho(g) lies in Kbar.
-    #   lplus and lbarplus are the groups L and lbar again, so K and Kbar
-    #   are their own lifts, and an onto map sends K onto Kbar.
-    checks = {
-        "projection_verified": True,
-        "extends_base_projection": True,  # rho_plus has rho's map
-        "is_projection": True,
-        "kernel_matches_lift": True,
-        "normal_correspondence": True,
-    }
-
-    return QuotientExpansionReport(
-        ok=all(checks.values()),
-        checks=checks,
-        lplus=lplus,
-        nplus=nplus,
-        lbar=lbar,
-        sigma=lq.sigma,
-        lbarplus=lbarplus,
-        rho_plus=rho_plus,
-    )
+    return lq, lbarplus

@@ -287,9 +287,6 @@ class FusionSystem:
 
     # -- queries -----------------------------------------------------------
 
-    def sub(self, mask: int) -> Subgroup:
-        return Subgroup(self.group, mask)
-
     def homs(self, P: Subgroup, Q: Subgroup) -> list:
         """All morphisms P -> Q (image inside Q), canonical order."""
         qm = Q.mask
@@ -474,7 +471,7 @@ class FusionSystem:
         for m in masks:
             if m not in self._mask_set:
                 return False
-            for Q in self.conjugates(self.sub(m)):
+            for Q in self.conjugates(Subgroup(self.group, m)):
                 if Q.mask not in masks:
                     return False
             for over in self._masks:
@@ -615,9 +612,9 @@ def quotient_fusion_check(
             witnesses.append((name, witness))
 
     for P in over:
-        pb = Fbar.sub(lam.push_mask(P.mask))
+        pb = Subgroup(Fbar.group, lam.push_mask(P.mask))
         for Q in over:
-            qb = Fbar.sub(lam.push_mask(Q.mask))
+            qb = Subgroup(Fbar.group, lam.push_mask(Q.mask))
             pushed = set()
             for h in F.homs(P, Q):
                 hb = lam.push_hom(h)
@@ -629,7 +626,7 @@ def quotient_fusion_check(
             note("hom_surjectivity", target_homs <= pushed, (P.mask, Q.mask))
 
     for P in over:
-        pb = Fbar.sub(lam.push_mask(P.mask))
+        pb = Subgroup(Fbar.group, lam.push_mask(P.mask))
         note(
             "fully_normalized_correspondence",
             F.is_fully_normalized(P) == Fbar.is_fully_normalized(pb),

@@ -548,27 +548,16 @@ def quotient_locality(L: Locality, N: PartialSubgroup) -> LocalityQuotient:
     blocks = coset_partition(L, N)
     pos = {x: i for i, c in enumerate(blocks) for x in c}
     G = L.group
-    if len(blocks) == 1:
-        # every product lies in the one block, so the guard below cannot
-        # fail: skip its |L|^2 sweep, Q is the trivial group
-        perms = [(0,)]
-    else:
-        perms = []
-        for c in blocks:
-            images = []
-            for b in blocks:
-                hits = {pos[G.mult(x, y)] for x in b for y in c}
-                if len(hits) != 1:
-                    raise PropertyViolation(
-                        "coset product is not representative-independent",
-                        witness=(min(b), min(c)),
-                    )
-                images.append(hits.pop())
-            perms.append(tuple(images))
-    # The guard above makes the product of blocks well defined, and it is
-    # associative as G's is.  The block of 1 is an identity and the block of
-    # x**-1 inverts the block of x, so the blocks form a group and perms is
-    # its right regular representation: Q has one element per block.
+    # One product per pair of blocks.  L has full domain, so it is a group,
+    # and coset_partition has checked that N is partial normal, so N is a
+    # normal subgroup of L and the blocks are its cosets: Nx * Ny = Nxy, and
+    # any representatives give the same block: here their least members.
+    # The block product is associative as G's is.  The block of 1 is an
+    # identity and the block of x**-1 inverts the block of x, so the blocks
+    # form a group and perms is its right regular representation: Q has one
+    # element per block.
+    reps = [min(b) for b in blocks]
+    perms = [tuple(pos[G.mult(b, c)] for b in reps) for c in reps]
     Q = group_from_generators(len(blocks), perms)
     to_ord = {i: Q.index_of(p) for i, p in enumerate(perms)}
     send = {x: to_ord[pos[x]] for x in L.elements}

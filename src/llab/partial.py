@@ -135,11 +135,6 @@ class PartialGroup:
                         yield u, st
             frontier = nxt
 
-    def domain_words(self, max_len: int):
-        """Yield all domain words of length 1..max_len, in `walk_domain` order."""
-        for w, _ in self.walk_domain(max_len):
-            yield w
-
     # -- derived operations ------------------------------------------------
 
     def index_of(self, x) -> int:
@@ -883,9 +878,6 @@ class PGHom:
             if self.mapping[x] not in target._index:
                 raise InputError("homomorphism image escapes the target")
 
-    def apply_word(self, word) -> tuple:
-        return tuple(self.mapping[x] for x in word)
-
     def verify(self, max_len: int = 3):
         """Check domain words map into domain words with matching products.
 
@@ -913,7 +905,7 @@ class PGHom:
         else:
             _cap_words(len(src.elements), max_len, "homomorphism word sweep")
             for w, state in src.walk_domain(max_len):
-                image = tgt.walk(self.apply_word(w))
+                image = tgt.walk(m[x] for x in w)
                 if not tgt.walk_in_domain(image):
                     bad = ("domain", w)
                     break
@@ -922,57 +914,6 @@ class PGHom:
                     break
         self._verified[key] = (bad is None, bad)
         return self._verified[key]
-
-    def _require_hom(self, max_len: int = 3):
-        ok, witness = self.verify(max_len)
-        if not ok:
-            raise InputError(f"not a partial group homomorphism: {witness}")
-
-    def kernel(self) -> PartialSubgroup:
-        """The elements sent to 1, partial normal: rho respects every word
-        of length <= 3, so rho(1) = 1, rho(g**-1) = rho(g)**-1, and for x, y
-        in the kernel rho(x**-1) = 1, rho(xy) = 1 and rho(x**g) =
-        rho(g)**-1 * 1 * rho(g) = 1."""
-        self._require_hom()
-        e = self.target.identity
-        return PartialSubgroup(
-            self.source,
-            frozenset(x for x in self.source.elements if self.mapping[x] == e),
-        )
-
-    def is_projection(self, max_len: int = 3) -> bool:
-        """True iff the induced map on word domains is surjective.
-
-        The homomorphism check and the lifting test cover the same words,
-        those of length <= max_len.
-        """
-        self._require_hom(max_len)
-        if set(self.mapping.values()) != set(self.target.elements):
-            return False
-        if self.source.full_domain:
-            # every word over the source is in its domain, so a target word
-            # lifts letter by letter through any preimages
-            return True
-        _cap_words(len(self.target.elements), max_len, "projection word sweep")
-        fibers = {}
-        for x, fx in self.mapping.items():
-            fibers.setdefault(fx, []).append(x)
-
-        src, tgt = self.source, self.target
-
-        def liftable(word) -> bool:
-            def extend(state, rest):
-                if not rest:
-                    return True
-                for x in fibers[rest[0]]:
-                    st = src.walk_step(state, x)
-                    if src.walk_in_domain(st) and extend(st, rest[1:]):
-                        return True
-                return False
-
-            return extend(src.walk_start(), tuple(word))
-
-        return all(liftable(w) for w in tgt.domain_words(max_len))
 
     def __repr__(self):
         return f"PGHom({len(self.source.elements)} -> {len(self.target.elements)})"

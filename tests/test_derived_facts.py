@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from llab import caps, locality
 from llab.checks import ExampleContext
 from llab.errors import CapExceeded, InputError, PropertyViolation
-from llab.expansion import check_seed, elementary_expand
+from llab.expansion import check_seed, elementary_expand, expand_quotient, lift_normal
 from llab.fusion import (
     FHom,
     FusionSystem,
@@ -208,9 +208,19 @@ def reference_coset_partition(pg, sub):
     return tuple(maximal)
 
 
+def domain_words(pg, max_len):
+    """Every domain word of length 1..max_len, shortest first, then
+    lexicographic in carrier order: the words of each length filtered by
+    `in_domain`, without the walker."""
+    return [w for k in range(1, max_len + 1)
+            for w in itertools.product(pg.elements, repeat=k) if pg.in_domain(w)]
+
+
 def reference_kernel(hom):
     """`PGHom.kernel` with its normality guard."""
-    hom._require_hom()
+    ok, witness = hom.verify()
+    if not ok:
+        raise InputError(f"not a partial group homomorphism: {witness}")
     e = hom.target.identity
     ker = PartialSubgroup(
         hom.source,
@@ -221,30 +231,65 @@ def reference_kernel(hom):
     return ker
 
 
-def reference_tower_checks(rep, send=None):
-    """The tower legs `expand_quotient` argues, computed as it once did: the
-    onto test, the fiber over 1 against the lift, and the correspondence
-    loop over the quotient's partial normal subgroups.  `send` replaces the
-    tower's projection map."""
-    send = rep.rho_plus.mapping if send is None else send
-    e = rep.lbarplus.identity
-    correspondence = True
-    for Kbar in all_partial_normal_subgroups(rep.lbar):
-        K = frozenset(x for x in rep.lplus.elements if send[x] in Kbar.members)
-        if frozenset(send[x] for x in K) != Kbar.members:
-            correspondence = False
-            break
+def reference_is_projection(hom, max_len=3):
+    """`PGHom.is_projection`: every target domain word lifts to a source
+    domain word, letter by letter."""
+    src = hom.source
+    fibers = {}
+    for x, fx in hom.mapping.items():
+        fibers.setdefault(fx, []).append(x)
+
+    def lifts(prefix, rest):
+        if not rest:
+            return True
+        return any(src.in_domain(prefix + (x,)) and lifts(prefix + (x,), rest[1:])
+                   for x in fibers.get(rest[0], ()))
+
+    return all(lifts((), w) for w in domain_words(hom.target, max_len))
+
+
+def reference_tower_checks(L, N, growth, send=None):
+    """The five legs of the tower over N that `expand_quotient` argues,
+    computed from (L, N, growth): the grown projection rho+ from the grown
+    locality L+ onto the grown quotient is a homomorphism, extends rho
+    through the maximal cosets of the lift N+ of N, is onto with kernel N+,
+    and its preimages are the partial normal subgroups of L+ above N+.
+    `send` replaces rho+'s map, which is rho's."""
+    lq, lbarplus = expand_quotient(L, N, growth)
+    lplus, rho = growth.locality, lq.rho.mapping
+    send = rho if send is None else send
+    # both carriers are groups, so a map respects every word iff it
+    # respects every pair
+    assert lplus.full_domain and lbarplus.full_domain
+    nplus = lift_normal(L, lplus, N)
+    base, extends = frozenset(L.elements), True
+    for c in coset_partition(lplus, nplus):
+        # each maximal coset of N+ meets L in one fiber of rho, and is sent
+        # where that fiber is
+        image = {rho[x] for x in c & base}
+        extends &= len(image) == 1 and {send[x] for x in c} == image
+    preimages = {frozenset(x for x in lplus.elements if send[x] in Kbar.members): Kbar
+                 for Kbar in all_partial_normal_subgroups(lbarplus)}
+    above = {K.members for K in all_partial_normal_subgroups(lplus)
+             if nplus.members <= K.members}
     return {
-        "is_projection": set(send.values()) == set(rep.lbarplus.elements),
+        "projection_verified": send[lplus.identity] == lbarplus.identity and all(
+            send[lplus.binary(x, y)] == lbarplus.binary(send[x], send[y])
+            for x in lplus.elements for y in lplus.elements),
+        "extends_base_projection": extends,
+        # L+ has full domain, so onto is enough: a word lifts letter by letter
+        "is_projection": set(send.values()) == set(lbarplus.elements),
         "kernel_matches_lift": frozenset(
-            x for x in rep.lplus.elements if send[x] == e) == rep.nplus.members,
-        "normal_correspondence": correspondence,
+            x for x in lplus.elements if send[x] == lbarplus.identity) == nplus.members,
+        "normal_correspondence": set(preimages) == above and all(
+            {send[x] for x in K} == Kbar.members for K, Kbar in preimages.items()),
     }
 
 
-def reference_block_group(L, N):
-    """The block group of `quotient_locality`, with its regularity guard."""
-    blocks = coset_partition(L, N)
+def reference_quotient_blocks(L, blocks):
+    """The block permutations of `quotient_locality` read off every product
+    of two blocks, with the guard that each pair of blocks multiplies into
+    one block.  Returns one permutation of the block indices per block."""
     pos = {x: i for i, c in enumerate(blocks) for x in c}
     G = L.group
     perms = []
@@ -259,7 +304,13 @@ def reference_block_group(L, N):
                 )
             images.append(hits.pop())
         perms.append(tuple(images))
-    Q = group_from_generators(len(blocks), perms)
+    return perms
+
+
+def reference_block_group(L, N):
+    """The block group of `quotient_locality`, with its regularity guard."""
+    blocks = coset_partition(L, N)
+    Q = group_from_generators(len(blocks), reference_quotient_blocks(L, blocks))
     if Q.order != len(blocks):
         raise PropertyViolation("block action is not regular", witness=Q.order)
     return Q
@@ -749,7 +800,11 @@ def check_carrier(L):
             lq = reference_quotient_locality(L, N)
             assert lq.locality.full_domain
             assert reference_block_group(L, N).order == len(blocks)
-            assert lq.locality.group.order == len(blocks)
+            Q = lq.locality.group
+            assert Q.order == len(blocks)
+            # block i is sent to its permutation, read off all its products
+            assert [Q.elements[lq.rho.mapping[min(c)]] for c in blocks] == (
+                reference_quotient_blocks(L, blocks))
             assert reference_kernel(lq.rho).members == N.members
     for M, N in itertools.combinations(normals, 2):
         assert reference_product_partial_normal(L, M, N).members in {
@@ -793,9 +848,8 @@ def context_carriers(name, p):
     for base, steps, grown in growths(ctx):
         check_growth(base, steps, grown)
         out += [base, *(step.locality for step in steps), grown]
-    for _, rep in ctx.towers:
-        out += [rep.lbar, rep.lbarplus, rep.lplus]
-        assert reference_kernel(rep.rho_plus).members == rep.nplus.members
+    for _, (lq, lbarplus) in ctx.towers:
+        out += [lq.locality, lbarplus]
     return list({id(L): L for L in out}.values())
 
 
@@ -844,33 +898,33 @@ class TestDroppedGuardsHold:
 
 
 class TestArguedTowerChecks:
-    """`expand_quotient`'s argued legs against the computation they replaced."""
+    """`expand_quotient`'s argued legs, each computed from (L, N, growth)."""
 
     @staticmethod
-    def towers(name, p):
+    def context(name, p):
         ctx = example(name, p) if (name, p) in BUILTIN_PAIRS else ExampleContext(
             any_group(name), p)
         assert ctx.base.full_domain
-        return ctx.towers
+        return ctx
 
     @pytest.mark.parametrize("name,p", [*BUILTIN_PAIRS, ("d16", 2), ("c5xc5", 5),
                                         ("s6", 3)])
     def test_every_tower(self, name, p):
-        towers = self.towers(name, p)
-        assert towers
-        for _, rep in towers:
-            ref = reference_tower_checks(rep)
-            assert all(ref.values())
-            assert {k: rep.checks[k] for k in ref} == ref
+        ctx = self.context(name, p)
+        assert ctx.towers
+        for N, _ in ctx.towers:
+            ref = reference_tower_checks(ctx.base, N, ctx.growth)
+            assert len(ref) == 5 and all(ref.values()), ref
 
     def test_moved_kernel_element_is_caught(self):
         # negative control: send one element of N to another block
-        rep = next(rep for N, rep in self.towers("s4", 2)
-                   if N.order > 1 and len(rep.lbar.elements) > 1)
-        send = dict(rep.rho_plus.mapping)
-        x = next(x for x in sorted(rep.nplus.members) if x != rep.lplus.identity)
-        send[x] = next(y for y in rep.lbarplus.elements if y != rep.lbarplus.identity)
-        ref = reference_tower_checks(rep, send)
+        ctx = self.context("s4", 2)
+        N, (lq, _) = next((N, tower) for N, tower in ctx.towers
+                          if N.order > 1 and len(tower[0].blocks) > 1)
+        send = dict(lq.rho.mapping)
+        x = next(x for x in sorted(N.members) if x != ctx.base.identity)
+        send[x] = next(y for y in lq.locality.elements if y != lq.locality.identity)
+        ref = reference_tower_checks(ctx.base, N, ctx.growth, send)
         assert not ref["kernel_matches_lift"]
 
 

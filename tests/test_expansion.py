@@ -633,8 +633,7 @@ class TestFullGrowth:
         iso = check_unique_iso(fe.locality, direct, base=fe.base)
         assert iso is not None
         assert iso.verify()[0]
-        assert iso.is_projection()
-        assert iso.kernel().order == 1
+        assert set(iso.target.elements) == set(fe.locality.elements)
         assert all(iso.mapping[g] == g for g in fe.locality.elements)
 
     def test_identity_target_is_a_noop(self):
@@ -799,9 +798,9 @@ class TestLiftIsTheNormalClosure:
         ctx = example(name, p)
         L, Lp = ctx.base, ctx.growth.locality
         pairs = [(L, Lp, N) for N in ctx.base_normals]
-        for _, rep in ctx.towers:
-            pairs.extend((rep.lbar, rep.lbarplus, K)
-                         for K in all_partial_normal_subgroups(rep.lbar))
+        for _, (lq, lbarplus) in ctx.towers:
+            pairs.extend((lq.locality, lbarplus, K)
+                         for K in all_partial_normal_subgroups(lq.locality))
         assert len(pairs) > len(ctx.base_normals)
         for base, grown, N in pairs:
             assert (lift_normal(base, grown, N).members
@@ -876,35 +875,27 @@ class TestQuotientTower:
         L = loc("s5", "c")
         _, F = setup("s5")
         N = next(n for n in all_partial_normal_subgroups(L) if n.order == 12)
-        rep = expand_quotient(L, N, full_expand(L, resolve_delta_spec(F, "s")))
-        assert rep.ok
-        assert all(rep.checks.values())
-        assert len(rep.lbar.elements) == 2
-        assert rep.nplus.order == 12
-        assert rep.rho_plus.kernel().members == rep.nplus.members
-        assert len(rep.lbarplus.elements) == 2
-        assert rep.sigma.mapping == quotient_locality(L, N).sigma.mapping
+        lq, lbarplus = expand_quotient(L, N, full_expand(L, resolve_delta_spec(F, "s")))
+        assert len(lq.locality.elements) == 2
+        assert len(lbarplus.elements) == 2
+        assert lq.sigma.mapping == quotient_locality(L, N).sigma.mapping
 
     def test_trivial_kernel_tower(self):
         L = loc("s5", "c")
         _, F = setup("s5")
         triv = next(n for n in all_partial_normal_subgroups(L) if n.order == 1)
-        rep = expand_quotient(L, triv, full_expand(L, resolve_delta_spec(F, "s")))
-        assert rep.ok
-        assert rep.rho_plus.kernel().order == 1
-        assert len(rep.lbar.elements) == 24
-        assert rep.sigma.mapping == quotient_locality(L, triv).sigma.mapping
+        lq, _ = expand_quotient(L, triv, full_expand(L, resolve_delta_spec(F, "s")))
+        assert len(lq.locality.elements) == 24
+        assert lq.sigma.mapping == quotient_locality(L, triv).sigma.mapping
 
     def test_s4_modulo_klein(self):
         L = loc("s4", "cr-closure")
         _, F = setup("s4")
         N = next(n for n in all_partial_normal_subgroups(L) if n.order == 4)
-        rep = expand_quotient(L, N, full_expand(L, resolve_delta_spec(F, "s")))
-        assert rep.ok
-        assert len(rep.lbar.elements) == 6
-        assert rep.nplus.order == 4
-        assert len(all_partial_normal_subgroups(rep.lbar)) == 3
-        assert rep.sigma.mapping == quotient_locality(L, N).sigma.mapping
+        lq, _ = expand_quotient(L, N, full_expand(L, resolve_delta_spec(F, "s")))
+        assert len(lq.locality.elements) == 6
+        assert len(all_partial_normal_subgroups(lq.locality)) == 3
+        assert lq.sigma.mapping == quotient_locality(L, N).sigma.mapping
 
     def test_unclosed_pushed_family_fires(self):
         # a caller's growth whose family adds one transposition subgroup of
@@ -941,13 +932,13 @@ class TestQuotientTower:
             monkeypatch.setattr(expansion, name, counted(name, getattr(expansion, name)))
         assert len(ctx.towers) == 4
         assert calls == {"elementary_expand": 0, "is_proper": 0}
-        assert all(rep.rho_plus.mapping == quotient_locality(ctx.base, N).rho.mapping
-                   for N, rep in ctx.towers)
+        assert all(lq.rho.mapping == quotient_locality(ctx.base, N).rho.mapping
+                   for N, (lq, _) in ctx.towers)
 
     def test_towers_make_no_pair_test(self, monkeypatch):
-        # rho_plus is rho between two groups, a homomorphism by
-        # quotient_locality's argument: the towers read its kernel and its
-        # image off the map, and the pair test stays the reference
+        # the grown projection is rho between two groups, a homomorphism by
+        # quotient_locality's argument, onto with kernel N by expand_quotient's:
+        # the towers test none of it, and the pair test stays the reference
         ctx = ExampleContext(builtin("s5"), 2)
         ctx.growth, ctx.base_normals  # built before counting
         calls = []
@@ -960,10 +951,13 @@ class TestQuotientTower:
         monkeypatch.setattr(PGHom, "verify", counted)
         assert len(ctx.towers) == 4
         assert calls == []
-        for N, rep in ctx.towers:
-            assert rep.ok and rep.rho_plus.verify() == (True, None)
-            assert rep.rho_plus.is_projection()
-            assert rep.rho_plus.kernel().members == rep.nplus.members == N.members
+        from test_derived_facts import reference_kernel
+
+        for N, (lq, lbarplus) in ctx.towers:
+            rho_plus = PGHom(ctx.growth.locality, lbarplus, lq.rho.mapping)
+            assert rho_plus.verify() == (True, None)
+            assert set(rho_plus.mapping.values()) == set(lbarplus.elements)
+            assert reference_kernel(rho_plus).members == N.members
 
     def test_growth_of_another_base_rejected(self):
         L = loc("s5", "c")
@@ -1140,14 +1134,15 @@ def growths(ctx):
     """(base, steps, grown) for the context's growth and each tower's."""
     fe = ctx.growth
     out = [(fe.base, fe.steps, fe.locality)]
-    for _, rep in ctx.towers:
-        if rep.lbarplus is rep.lbar:
+    for _, (lq, lbarplus) in ctx.towers:
+        lbar = lq.locality
+        if lbarplus is lbar:
             continue
-        cur, steps = expansion._absorb(rep.lbar, rep.lbarplus.delta)
-        assert cur.elements == rep.lbarplus.elements
-        assert cur.delta.mask_set == rep.lbarplus.delta.mask_set
-        assert cur.full_domain == rep.lbarplus.full_domain
-        out.append((rep.lbar, steps, cur))
+        cur, steps = expansion._absorb(lbar, lbarplus.delta)
+        assert cur.elements == lbarplus.elements
+        assert cur.delta.mask_set == lbarplus.delta.mask_set
+        assert cur.full_domain == lbarplus.full_domain
+        out.append((lbar, steps, cur))
     return out
 
 

@@ -77,6 +77,16 @@ def test_dead_helpers_are_gone():
         assert not hasattr(locality, name)
     assert "axiom_table" not in {f.name for f in dataclasses.fields(caps.Caps)}
     assert list(inspect.signature(fusion.fusion_from_group).parameters) == ["G", "p"]
+    # PGHom methods without a src/ caller; their references live in the tests
+    for cls, names in ((partial.PGHom, ("kernel", "is_projection", "_require_hom",
+                                        "apply_word")),
+                       (partial.PartialGroup, ("domain_words",)),
+                       (fusion.FusionSystem, ("sub",))):
+        for name in names:
+            assert not hasattr(cls, name), (cls, name)
+    # a tower is (L/N, the grown quotient): no report of constant checks
+    assert "QuotientExpansionReport" not in expansion.__all__
+    assert not hasattr(expansion, "QuotientExpansionReport")
 
 
 def test_locality_takes_only_its_definition():

@@ -66,9 +66,6 @@ LEDGER = {
         "S is not a maximal p-subgroup of the carrier":
             "tests/test_locality.py::TestSMaximality"
             "::test_normal_c2_below_a_2_group_is_refused",
-        "coset product is not representative-independent":
-            "tests/test_locality.py::TestQuotientLocality"
-            "::test_representative_dependence_detected",
         "theta quotient is not proper":
             ARGUED + "L/Theta is a proper locality (Chermak 2015; Henke"
             " 2019); kept because verify tag 2.9 reports this guard",

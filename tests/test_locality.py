@@ -58,9 +58,13 @@ from llab.permgroup import (
 from bench.workloads import generated_groups
 from table_partial import UncheckedLocality
 from test_derived_facts import (
+    domain_words,
     reference_centralizer_in,
+    reference_is_projection,
+    reference_kernel,
     reference_normalizer_in,
     reference_perm_subgroup,
+    reference_quotient_blocks,
     reference_quotient_locality,
 )
 from test_fusion import BUILTIN_PAIRS
@@ -344,7 +348,7 @@ class TestDomainKernel:
                     G.conj(*w) if L.in_domain((G.inv(w[1]), *w)) else None)
             if L.in_domain(w):
                 assert L.product(w) == G.word(w), w
-        assert sum(1 for _ in L.domain_words(2)) < len(want)
+        assert sum(1 for _ in L.walk_domain(2)) < len(want)
         assert pulls == []
         assert L.s_word_mask(w) == m and len(pulls) == 1
 
@@ -355,7 +359,7 @@ class TestDomainKernel:
         expected = [w for k in (1, 2, 3) for w in itertools.product(L.elements, repeat=k)
                     if want[w] in L.delta.mask_set]
         assert len(expected) < len(want) - 1
-        assert list(L.domain_words(3)) == expected
+        assert [w for w, _ in L.walk_domain(3)] == expected
 
     def test_non_carrier_letters_and_negative_ordinals(self):
         G = builtin("a5")
@@ -625,8 +629,8 @@ class TestQuotientLocality:
         lq = quotient_locality(s4_all, N)
         assert len(lq.locality.elements) == 6
         assert lq.locality.S.order == 2
-        assert lq.rho.kernel().members == N.members
-        assert lq.rho.is_projection()
+        assert reference_kernel(lq.rho).members == N.members
+        assert reference_is_projection(lq.rho)
         ok, witness = lq.rho.verify()
         assert ok, witness
 
@@ -646,14 +650,14 @@ class TestQuotientLocality:
         lq = quotient_locality(L, N)
         assert len(lq.locality.elements) == len(lq.blocks) == q_order
         assert check_axioms(lq.locality).ok
-        assert lq.rho.kernel().members == N.members
-        assert lq.rho.is_projection()
+        assert reference_kernel(lq.rho).members == N.members
+        assert reference_is_projection(lq.rho)
 
     def test_quotient_by_the_whole_carrier_sweeps_nothing(self, monkeypatch):
         # S5 at p = 7: S = 1, so Theta = O_7'(S5) is the whole carrier, a
         # partial normal subgroup that is its own one coset, and L/Theta is
-        # the trivial group.  The parent swept 120 conjugate rows and 120**2
-        # block products here.
+        # the trivial group: no conjugate row is swept, and its one block
+        # makes one block product.
         G = builtin("s5")
         L = locality_from_group(G, 7, delta_of(G, 7, "cr-closure"))
         rows, products, inside = [], [], []
@@ -682,8 +686,9 @@ class TestQuotientLocality:
         theta, quo = theta_quotient(L)
         assert theta.order == len(L.elements) == 120 and len(quo.elements) == 1
         assert rows == []
-        # the only products are sigma's check on S x S, 1*1 in L and in Q
-        assert set(products) == {(0, 0)} and len(products) == 2
+        # the only products are the block product 1*1 in L, and sigma's
+        # check on S x S, 1*1 in L and in Q
+        assert products == [(0, 0)] * 3
 
     def test_non_normal_subgroup_rejected(self, s4_all):
         G = s4_all.group
@@ -708,15 +713,17 @@ class TestQuotientLocality:
         with pytest.raises(PropertyViolation, match="not a homomorphism"):
             reference_quotient_locality(s4_all, V4)
 
-    def test_representative_dependence_detected(self, s4_all, monkeypatch):
-        # right cosets of a non-normal subgroup, passed off as the partition
+    def test_representative_dependence_detected(self, s4_all):
+        # quotient_locality multiplies least representatives by its argument
+        # (N is normal in the group L); the reference sweeps every product
+        # and is compared in check_carrier.  Negative control: the right
+        # cosets of a non-normal subgroup
         G = s4_all.group
         H = frozenset({0, G.index_of((1, 0, 2, 3))})
         cosets = sorted({frozenset(G.mult(h, g) for h in H) for g in s4_all.elements},
                         key=min)
-        monkeypatch.setattr("llab.locality.coset_partition", lambda L, N: tuple(cosets))
         with pytest.raises(PropertyViolation, match="representative-independent"):
-            quotient_locality(s4_all, PartialSubgroup(s4_all, H))
+            reference_quotient_blocks(s4_all, cosets)
 
 
 class TestNormalizerLocalities:
@@ -1141,29 +1148,13 @@ def reference_verify(h, max_len=3):
     src, tgt, m = h.source, h.target, h.mapping
     if m[src.identity] != tgt.identity:
         return False, ("identity", ())
-    for w in src.domain_words(max_len):
+    for w in domain_words(src, max_len):
         fw = tuple(m[x] for x in w)
         if not tgt.in_domain(fw):
             return False, ("domain", w)
         if m[src.product(w)] != tgt.product(fw):
             return False, ("product", w)
     return True, None
-
-
-def reference_is_projection(h, max_len=3):
-    """Every target domain word lifts to a source domain word, letter by letter."""
-    src = h.source
-    fibers = {}
-    for x, fx in h.mapping.items():
-        fibers.setdefault(fx, []).append(x)
-
-    def lifts(prefix, rest):
-        if not rest:
-            return True
-        return any(src.in_domain(prefix + (x,)) and lifts(prefix + (x,), rest[1:])
-                   for x in fibers.get(rest[0], ()))
-
-    return all(lifts((), w) for w in h.target.domain_words(max_len))
 
 
 class TestPartialDomainHoms:
@@ -1181,25 +1172,17 @@ class TestPartialDomainHoms:
         assert PGHom(L, L, swapped).verify(max_len=2) == h.verify(max_len=2)
         assert reference_verify(h, max_len=2) == h.verify(max_len=2)
 
-    def test_projection_checks_the_hom_on_its_own_words(self):
-        G = builtin("s5")
-        L = locality_from_group(G, 2, delta_of(G, 2, "q"))
-        h = PGHom(L, L, {g: g for g in L.elements})
-        assert h.is_projection(max_len=2)
-        assert set(h._verified) == {2}
-
     def test_projection_lifts_through_the_source_domain(self):
         G = builtin("s5")
         L = locality_from_group(G, 2, delta_of(G, 2, "q"))
         ident = PGHom(L, L, {g: g for g in L.elements})
-        assert ident.is_projection(max_len=2) and reference_is_projection(ident, 2)
+        assert reference_is_projection(ident, 2)
         # the same carrier with every subgroup of S an object: a pair whose
         # S_w is not in q is a target word that no source word lifts
         wide = UncheckedLocality(G, L.elements, L.S,
                                  object_set(L.S, subgroups_below(L.S)), 2)
         onto = PGHom(L, wide, {g: g for g in L.elements})
         assert onto.verify()[0]
-        assert not onto.is_projection(max_len=2)
         assert not reference_is_projection(onto, 2)
 
 
@@ -1241,13 +1224,12 @@ class TestFullDomainHoms:
         assert h.verify() == reference_verify(h)
         assert not h.verify()[0]
 
-    def test_projection_matches_the_lifting_reference(self, s4_all):
+    def test_quotient_projection_lifts_every_word(self, s4_all):
         V4 = p_core(s4_all.group.top, 2)
         rho = quotient_locality(
             s4_all, PartialSubgroup(s4_all, frozenset(V4.members()))).rho
-        assert rho.is_projection() and reference_is_projection(rho)
+        assert reference_is_projection(rho)
         lbar = rho.target
         trivial = PGHom(s4_all, lbar, {g: lbar.identity for g in s4_all.elements})
         assert trivial.verify()[0]
-        assert not trivial.is_projection()
         assert not reference_is_projection(trivial)

@@ -37,6 +37,7 @@ from llab.permgroup import (
 from table_partial import GroupPartial, TablePartial
 from test_axiom_sweep import c2_table
 from test_axiom_sweep import z4_table as axiom_z4_table
+from test_derived_facts import reference_is_projection, reference_kernel
 from test_expansion import example
 from test_fusion import BUILTIN_PAIRS
 
@@ -300,14 +301,14 @@ class TestPGHom:
     def test_identity_hom(self, s4p):
         h = PGHom(s4p, s4p, {x: x for x in s4p.elements})
         assert h.verify()[0]
-        assert h.kernel().order == 1
-        assert h.is_projection()
+        assert reference_kernel(h).order == 1
+        assert reference_is_projection(h)
 
     def test_non_surjective_map_is_not_projection(self):
         c6 = GroupPartial(builtin("c6"))
         const = PGHom(c6, c6, {x: 0 for x in c6.elements})
         assert const.verify()[0]
-        assert not const.is_projection()
+        assert not reference_is_projection(const)
 
     def test_bad_map_rejected_by_kernel(self, s4p):
         mapping = {x: x for x in s4p.elements}
@@ -315,11 +316,11 @@ class TestPGHom:
         h = PGHom(s4p, s4p, mapping)
         if not h.verify()[0]:
             with pytest.raises(InputError):
-                h.kernel()
+                reference_kernel(h)
 
     def test_word_sweeps_are_capped(self):
         # the s5/2 F^q locality has partial domain: 56 + 56**2 = 3192 words
-        # of length <= 2, swept by both tests
+        # of length <= 2
         G = builtin("s5")
         L = locality_from_group(G, 2, resolve_delta_spec(fusion_from_group(G, 2), "q"))
         assert not L.full_domain and len(L.elements) == 56
@@ -332,25 +333,15 @@ class TestPGHom:
         finally:
             caps.override(None)
         assert h.verify(max_len=2)[0]
-        # verified now, so only the projection sweep itself can refuse
-        caps.override(caps.Caps(axiom_words=3191))
-        try:
-            with pytest.raises(CapExceeded):
-                h.is_projection(max_len=2)
-        finally:
-            caps.override(None)
-        assert h.is_projection(max_len=2)
 
     def test_group_pair_tests_are_not_capped(self):
         # 6 + 36 + 216 = 258 words of length <= 3 over C6, but between two
-        # groups no word is swept: pairs decide verify, and a surjective map
-        # from a group is a projection
+        # groups no word is swept: pairs decide verify
         c6 = GroupPartial(builtin("c6"))
         h = PGHom(c6, c6, {x: x for x in c6.elements})
         caps.override(caps.Caps(axiom_words=257))
         try:
             assert h.verify() == (True, None)
-            assert h.is_projection()
         finally:
             caps.override(None)
 
@@ -361,8 +352,7 @@ class TestPGHom:
         assert len(agl.elements) == 168
         h = PGHom(agl, agl, {x: x for x in agl.elements})
         assert h.verify() == (True, None)
-        assert h.is_projection()
-        assert h.kernel().order == 1
+        assert reference_kernel(h).order == 1
 
     def test_missing_element_rejected(self, s4p):
         with pytest.raises(InputError):
@@ -453,8 +443,8 @@ def example_carriers(name, p):
     growth step, and each tower's quotient and grown quotient."""
     ctx = example(name, p)
     carriers = [ctx.base] + [step.locality for step in ctx.growth.steps]
-    for _, rep in ctx.towers:
-        carriers += [rep.lbar, rep.lbarplus]
+    for _, (lq, lbarplus) in ctx.towers:
+        carriers += [lq.locality, lbarplus]
     return ctx, list({id(L): L for L in carriers}.values())
 
 

@@ -15,6 +15,15 @@ def test_the_default_runs_are_the_84_built_in_ones():
     assert ("verify", "--group", "src/llab/data/s5.json", "--p", "2") in runs
 
 
+def test_the_built_in_runs_give_the_recorded_digests():
+    # a change that alters a report on purpose regenerates the record:
+    #   python3 tests/report_digests.py > tests/report_digests.txt
+    recorded = (report_digests.ROOT / "tests" / "report_digests.txt").read_text()
+    got = [f"{report_digests.digest(run)} {shlex.join(run)}"
+           for run in report_digests.builtin_runs()]
+    assert got == recorded.splitlines()
+
+
 def test_two_calls_give_the_same_digests():
     runs = [("classify", *S3), ("verify", *S3), ("expand", *S3[:3], "7")]
     first = [report_digests.digest(run) for run in runs]
