@@ -10,6 +10,7 @@ property failed (or a verify tag did).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -266,7 +267,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every `main` call shares it."""
     parser = _Parser(prog="llab", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--group", required=True, help="JSON group file")

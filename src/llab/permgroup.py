@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import repeat
 
 from .caps import current as current_caps
 from .errors import InputError, CapExceeded, PropertyViolation
@@ -124,13 +125,35 @@ def _conj_images(elements, inv, index, xs, g: int) -> tuple[int, ...]:
 _MUL_CACHE_MAX_ORDER = 1024
 
 
+class _Inverses(dict):
+    """Ordinal -> the ordinal of its inverse, filled the first time an
+    ordinal is read: a group whose inverses are mostly unread never
+    inverts its whole element list."""
+
+    __slots__ = ("_elements", "_index")
+
+    def __init__(self, elements, index):
+        super().__init__()
+        self._elements, self._index = elements, index
+
+    def __missing__(self, i: int) -> int:
+        j = self[i] = self._index[pinv(self._elements[i])]
+        self[j] = i
+        return j
+
+
 class FiniteGroup:
-    """A concrete finite permutation group with canonically ordered elements."""
+    """A concrete finite permutation group with canonically ordered elements.
+
+    Built by `group_from_generators` at |G| compositions plus |gens|·[G:H]
+    probes (see `_grow`); the inverse table `_inv` is indexed like a tuple
+    and computes each inverse on first use.
+    """
 
     def __init__(self, perms, degree: int, generators):
-        """`perms` are the group's elements and `generators` permutations
-        that generate it; the generators are kept as ordinals."""
-        elements = tuple(sorted(set(perms)))
+        """`perms` are the group's distinct elements and `generators`
+        permutations that generate it; the generators are kept as ordinals."""
+        elements = tuple(sorted(perms))
         if not elements:
             raise InputError("a group needs at least the identity")
         if elements[0] != identity_perm(degree):
@@ -139,7 +162,7 @@ class FiniteGroup:
         self.elements = elements
         self.order = len(elements)
         self._index = {p: i for i, p in enumerate(elements)}
-        self._inv = tuple(self._index[pinv(p)] for p in elements)
+        self._inv = _Inverses(elements, self._index)
         self.generators = tuple(self.index_of(tuple(g)) for g in generators)
         self._mul_rows: dict[int, tuple[int, ...]] = {}
         self._memo: dict = {}
@@ -279,32 +302,52 @@ class FiniteGroup:
 
 
 def _grow(elements: list, seen: set, gens: list, g: Perm, cap: int) -> None:
-    """Grow `elements`, the group generated by `gens`, into the group
-    generated by gens and g, and append g to gens.
+    """Grow `elements`, the group H generated by `gens`, into the group
+    generated by gens and g, and append g to gens: Dimino's coset closure
+    (G. Butler, Fundamental Algorithms for Permutation Groups, LNCS 559,
+    1991).
 
-    An old element times an old generator is old, so new elements start as
-    old ones times g, and each new one is multiplied by every generator.
-    The result holds 1 and is closed under right multiplication by every
-    generator, so it is the group they generate.
+    The new elements come as whole right cosets H·r, each listed as soon as
+    its representative r is met, starting with H·g.  Every representative
+    is multiplied by every generator, and a product r·h outside the union
+    starts the next coset.  The union is a union of cosets of H, so one
+    probe of r·h decides all of H·(r·h); it holds 1 and is closed under
+    right multiplication by every generator (H·h = H for the old ones and
+    H·g is listed), so it is the group they generate.  Each new element is
+    one composition, and each representative costs one probe per
+    generator.  A coset is checked against the cap before it is listed, so
+    the closure raises exactly when the group it reaches exceeds `cap`.
     """
-    old = len(elements)
+    block = tuple(elements)
     gens.append(g)
-    for i, a in enumerate(elements):  # breadth first: the loop reads what it appends
-        for h in gens if i >= old else (g,):
-            b = pmul(a, h)
+
+    def adjoin(r: Perm) -> None:
+        if len(elements) + len(block) > cap:
+            raise CapExceeded("group order", cap)
+        coset = list(map(pmul, block, repeat(r)))
+        elements.extend(coset)
+        seen.update(coset)
+
+    adjoin(g)
+    reps = [g]
+    for r in reps:  # breadth first: the loop reads what it appends
+        for h in gens:
+            b = pmul(r, h)
             if b not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded("group order", cap)
-                seen.add(b)
-                elements.append(b)
+                adjoin(b)
+                reps.append(b)
 
 
 def group_from_generators(degree: int, generators) -> FiniteGroup:
-    """Closure of a generating set of permutations, one generator at a time.
+    """Closure of a generating set of permutations, one generator at a time,
+    by cosets of the group closed so far (see `_grow`).
 
     A generator that lies in the group closed so far is dropped, so the
     group keeps only generators that each at least double it: at most
-    log2 of its order, however many were given.
+    log2 of its order, however many were given.  The closure costs |G|
+    compositions for the cosets plus |gens|·[K:H] probes (one composition
+    each) per step from H to K, and raises `CapExceeded` when the group
+    would exceed the `group_order` cap.
     """
     cap = current_caps().group_order
     checked = [_check_perm(degree, g) for g in generators]

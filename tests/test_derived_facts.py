@@ -126,6 +126,29 @@ def reference_row(G, i):
     return tuple(G._index[pmul(a, b)] for b in G.elements)
 
 
+def reference_closure(degree, generators, cap):
+    """`permgroup._grow` as it stood, breadth first over elements, driven by
+    `group_from_generators`: each new element is multiplied by every
+    generator and each product probed.  Returns the element set and the kept
+    generators; raises CapExceeded when an element past the cap turns up."""
+    ident = tuple(range(degree))
+    elements, seen, gens = [ident], {ident}, []
+    for g in map(tuple, generators):
+        if g in seen:
+            continue
+        old = len(elements)
+        gens.append(g)
+        for i, a in enumerate(elements):
+            for h in gens if i >= old else (g,):
+                b = pmul(a, h)
+                if b not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded("group order", cap)
+                    seen.add(b)
+                    elements.append(b)
+    return seen, gens
+
+
 def reference_restriction_cut(L, delta0):
     """`locality.restriction_cut`: the members g of L with S_g in Delta0, in
     L's order."""
@@ -987,6 +1010,68 @@ class TestCayleyRows:
         # the full generating set builds the same rows as the group
         copy = FiniteGroup(G.elements, G.degree, [G.elements[g] for g in G.generators])
         self.check_rows(copy)
+
+
+@st.composite
+def generator_lists(draw, max_degree=7):
+    """Generator lists of degree at most max_degree, with the identity,
+    repeats and products of earlier generators mixed in."""
+    # Hypothesis leans to simple draws, so the degree leans to max_degree
+    # and half the permutations come from a seeded shuffle, which mostly
+    # generates A_n or S_n
+    degree = max_degree - draw(st.integers(0, max_degree - 1))
+    shuffled = st.randoms(use_true_random=False).map(
+        lambda r: tuple(r.sample(range(degree), degree)))
+    perm = st.one_of(st.permutations(range(degree)).map(tuple), shuffled)
+    gens = draw(st.lists(perm, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["identity", "repeat", "product"]))
+        if kind == "identity" or not gens:
+            extra = tuple(range(degree))
+        elif kind == "repeat":
+            extra = draw(st.sampled_from(gens))
+        else:
+            extra = pmul(draw(st.sampled_from(gens)), draw(st.sampled_from(gens)))
+        gens.insert(draw(st.integers(0, len(gens))), extra)
+    return degree, gens
+
+
+class TestCosetClosure:
+    """`group_from_generators` closes by cosets; the breadth-first closure
+    it replaced gives the same elements, kept generators and cap errors."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(drawn=generator_lists())
+    def test_same_group_and_generators_as_the_breadth_first_closure(self, drawn):
+        degree, gens = drawn
+        elements, kept = reference_closure(degree, gens, math.inf)
+        G = group_from_generators(degree, gens)
+        assert G.elements == tuple(sorted(elements))
+        assert [G.elements[g] for g in G.generators] == kept
+
+    @pytest.mark.parametrize("degree,gens", [
+        # S4 and A5 from their files' generators
+        (4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
+        (5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]),
+        # S4 x C2: the last generator adds one coset, the size of the
+        # group before it, so the cap falls inside that one coset
+        (6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)]),
+    ])
+    def test_the_cap_holds_at_the_group_order(self, degree, gens):
+        order = len(reference_closure(degree, gens, math.inf)[0])
+        for cap in (order - 1, order):
+            caps.override(caps.Caps(group_order=cap))
+            try:
+                if cap < order:
+                    with pytest.raises(CapExceeded, match="group order"):
+                        reference_closure(degree, gens, cap)
+                    with pytest.raises(CapExceeded, match="group order") as exc:
+                        group_from_generators(degree, gens)
+                    assert str(exc.value) == str(CapExceeded("group order", cap))
+                else:
+                    assert group_from_generators(degree, gens).order == order
+            finally:
+                caps.override(None)
 
 
 class TestCutClosure:

@@ -18,7 +18,7 @@ from llab.permgroup import (
     identity_perm, pmul, pinv, perm_order, cycles_str,
     mask_of, mask_members, is_prime, _p_part,
 )
-from llab import permgroup
+from llab import cli, permgroup
 from llab.errors import InputError, CapExceeded, PropertyViolation
 from llab.locality import object_set
 from bench.workloads import generated_groups
@@ -27,6 +27,7 @@ from test_derived_facts import (reference_coset_representatives, reference_cut,
 from test_fusion import BUILTIN_PAIRS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
+FRONTIER = Path(__file__).resolve().parent / "frontier"
 
 
 def load(name):
@@ -476,6 +477,64 @@ def test_group_keeps_only_the_generators_it_needed():
     assert G.order == 24
     assert [G.elements[i] for i in G.generators] == [swap, cycle]
     assert group_from_generators(1, [[0]]).generators == ()
+
+
+def spy_on(monkeypatch, name):
+    """The argument tuples of every call to permgroup's `name` from now on."""
+    calls = []
+    real = getattr(permgroup, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(permgroup, name, spy)
+    return calls
+
+
+def test_s7_closure_composes_each_element_once(monkeypatch):
+    spec = generated_groups()["s7"]
+    G = group_from_generators(spec["degree"], spec["generators"])
+    # the groups the closure passes through, one per kept generator, and
+    # the cosets it lists: [K:H] at each step from H to K
+    kept = [G.elements[g] for g in G.generators]
+    orders = [group_from_generators(G.degree, kept[:k]).order
+              for k in range(len(kept) + 1)]
+    cosets = sum(big // small for small, big in zip(orders, orders[1:]))
+    calls = spy_on(monkeypatch, "pmul")
+    group_from_generators(spec["degree"], spec["generators"])
+    # one composition per element and one per representative and generator;
+    # the breadth-first closure made |gens|*|G| = 10080
+    assert orders == [1, 7, 5040]
+    assert len(calls) <= G.order + len(kept) * cosets < len(kept) * G.order
+
+
+def test_classify_s7_inverts_few_elements(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "s7.json"
+    path.write_text(json.dumps(generated_groups()["s7"]))
+    groups = []
+    real = cli.load_group
+
+    def load_group(p):
+        groups.append(real(p))
+        return groups[-1]
+
+    monkeypatch.setattr(cli, "load_group", load_group)
+    inversions = spy_on(monkeypatch, "pinv")
+    assert cli.main(["classify", "--group", str(path), "--p", "7"]) == 0
+    (G,) = groups
+    # each inversion fills the entries of an element and its inverse
+    assert G.order == 5040 and len(inversions) <= len(G._inv) < 100
+
+
+@pytest.mark.parametrize("path", [DATA / "s5.json", FRONTIER / "a6.json"])
+def test_inverses_on_demand_are_the_inverses(path):
+    spec = json.loads(path.read_text())
+    G = group_from_generators(spec["degree"], spec["generators"])
+    assert len(G._inv) == 0
+    for i in range(G.order):
+        assert G.inv(i) == G._index[pinv(G.elements[i])]
+    assert len(G._inv) == G.order
 
 
 def test_sylow_scan_runs_once_per_subgroup_and_prime(monkeypatch):

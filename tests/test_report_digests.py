@@ -32,6 +32,19 @@ def test_two_calls_give_the_same_digests():
     assert len(set(first)) == 3
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # the parser is built once per process: calls with other options, and a
+    # usage error between them, give what fresh interpreters give
+    assert cli.build_parser() is cli.build_parser()
+    runs = [("locality", *S3, "--delta", "q"), ("classify", "--p", "3"),
+            ("locality", *S3)]
+    assert ([report_digests.digest(run) for run in runs]
+            == [report_digests.digest(run, in_process=False) for run in runs])
+    assert cli.main(["locality", *S3, "--axiom-len", "2"]) == 0
+    assert cli.main(["classify", "--p", "3"]) == 1
+    assert "the following arguments are required: --group" in capsys.readouterr().err
+
+
 def test_in_process_digest_equals_the_subprocess_one():
     run = ("locality", *S3)
     assert report_digests.digest(run) == report_digests.digest(run, in_process=False)
