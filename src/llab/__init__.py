@@ -11,7 +11,6 @@ from .permgroup import (
     FiniteGroup,
     Subgroup,
     group_from_generators,
-    all_subgroups,
     subgroups_below,
     normal_subgroups,
     sylow_p,

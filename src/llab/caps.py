@@ -1,6 +1,7 @@
 """Enumeration caps: the one home of every limit an input can drive.
 
-Defaults are sized for desk-scale inputs. LLAB_CAPS overrides them, e.g.
+Defaults are sized for desk-scale inputs. LLAB_CAPS overrides them with
+integers of at least 1, e.g.
 
     LLAB_CAPS="group_order=20000,partial_normal=10000" llab verify ...
 
@@ -54,9 +55,12 @@ def _from_env() -> Caps:
         if not sep or key not in fields:
             raise InputError(f"LLAB_CAPS: unknown entry {chunk!r}")
         try:
-            caps = replace(caps, **{key: int(value)})
+            n = int(value)
         except ValueError:
             raise InputError(f"LLAB_CAPS: {key} wants an integer, got {value!r}")
+        if n < 1:
+            raise InputError(f"LLAB_CAPS: {key} must be at least 1, got {chunk!r}")
+        caps = replace(caps, **{key: n})
     return caps
 
 

@@ -55,8 +55,6 @@ __all__ = [
     "restrict",
     "theta_quotient",
     "quotient_locality",
-    "normalizer_locality",
-    "centralizer_locality",
     "o_p_locality",
     "o_p_of",
     "o_pprime_of",
@@ -158,8 +156,6 @@ class Locality(PartialGroup):
         # theta_quotient's (Theta's members, L/Theta or None for L itself),
         # kept the same way; no reference back to L, so no cycle through it
         self._theta_quotient: tuple | None = None
-        # _centric_base's locality on Delta = F^c when it is not L itself
-        self._centric: Locality | None = None
         self.full_domain = self._invariant_core_mask() in delta.mask_set
         self._validate()
 
@@ -617,82 +613,6 @@ def theta_quotient(L: Locality):
         raise PropertyViolation("theta quotient is not proper", witness=prop.summary())
     L._theta_quotient = (theta.members, None if quotient is L else quotient)
     return theta, quotient
-
-
-# -- normalizer and centralizer localities ----------------------------------------
-
-
-def _centric_base(L: Locality) -> Locality:
-    """Re-point a proper locality at Delta = F^c, expanding first if needed.
-
-    Built once per locality and kept on it, unless it is L itself.
-    """
-    F = L.fusion()
-    c_objs = F.class_sets()["c"]
-    c_masks = {P.mask for P in c_objs}
-    if c_masks == L.delta.mask_set:
-        return L
-    if L._centric is None:
-        if c_masks <= L.delta.mask_set:
-            L._centric = restrict(L, c_objs)
-        else:
-            from .expansion import full_expand
-
-            target = {P.mask: P for P in L.delta.members}
-            target.update({P.mask: P for P in c_objs})
-            L._centric = restrict(full_expand(L, target.values()).locality, c_objs)
-    return L._centric
-
-
-def normalizer_locality(L: Locality, V: Subgroup) -> Locality:
-    """Proper locality on N_F(V) over the carrier N_S(V).
-
-    For a proper L and a fully normalized V, N_L(V) over the centric
-    objects of N_F(V) is a proper locality realizing N_F(V) (Chermak,
-    Fusion systems and localities, Acta Math. 211 (2013)); both inputs are
-    checked, the result is not.
-    """
-    F = L.fusion()
-    if not F.is_fully_normalized(V):
-        raise InputError("normalizer locality needs a fully normalized V")
-    if not is_proper(L).ok:
-        raise InputError("normalizer locality needs a proper input")
-    base = _centric_base(L)
-    FV = F.normalizer_system(V)
-    ns = V.normalizer(L.S)
-    delta_v = object_set(ns, FV.class_sets()["c"])
-    vm = V.mask
-    table = base._s_conj
-    members = [
-        g
-        for g in base.elements
-        if base.s_g_mask(g) & vm == vm
-        and table.conjugate_mask(vm, g) == vm
-        and (base.s_g_mask(g) & ns.mask) in delta_v.mask_set
-    ]
-    return Locality(base.group, members, ns, delta_v, L.p)
-
-
-def centralizer_locality(L: Locality, V: Subgroup) -> Locality:
-    """Proper locality on C_F(V) over the carrier C_S(V).
-
-    C_L(V) over the centric objects of C_F(V) is proper and realizes C_F(V)
-    in the setting of `normalizer_locality` (Chermak 2013); not checked.
-    """
-    LV = normalizer_locality(L, V)
-    F = L.fusion()
-    CF = F.centralizer_system(V)
-    cs = V.centralizer(L.S)
-    sigma = object_set(cs, CF.class_sets()["c"])
-    # V <= S lies in S's table whatever carrier LV reads its S_g from
-    table = L._s_conj
-    members = [
-        g
-        for g in LV.elements
-        if table.centralizes(V.mask, g)
-        and (LV.s_g_mask(g) & cs.mask) in sigma.mask_set
-    ]
-    return Locality(L.group, members, cs, sigma, L.p)
 
 
 # -- cores and products -------------------------------------------------------------

@@ -143,9 +143,6 @@ class PartialGroup:
         except KeyError:
             raise InputError(f"{x!r} is not an element of this partial group")
 
-    def sort_key(self, x) -> int:
-        return self.index_of(x)
-
     def member_mask(self, xs) -> int:
         m = 0
         for x in xs:
@@ -682,22 +679,6 @@ class PartialSubgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def __contains__(self, x) -> bool:
-        return x in self.members
-
-    def __iter__(self):
-        return iter(sorted(self.members, key=self.pg.sort_key))
-
-    @property
-    def mask(self) -> int:
-        return self.pg.member_mask(self.members)
-
-    def key(self):
-        return (-self.order, self.mask)
-
-    def __le__(self, other) -> bool:
-        return self.members <= other.members
-
     def __repr__(self):
         return f"PartialSubgroup(order={self.order})"
 
@@ -856,7 +837,7 @@ def coset_partition(pg: PartialGroup, sub: PartialSubgroup) -> tuple:
                     "maximal cosets fail to partition the carrier", witness=x
                 )
             seen[x] = c
-    maximal.sort(key=lambda c: min(pg.sort_key(x) for x in c))
+    maximal.sort(key=lambda c: min(pg.index_of(x) for x in c))
     return tuple(maximal)
 
 
@@ -870,8 +851,6 @@ class PGHom:
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
-        # verify's answers by max_len; None keys the length-free pair test
-        self._verified: dict = {}
         for x in source.elements:
             if x not in self.mapping:
                 raise InputError("homomorphism map misses an element")
@@ -886,10 +865,6 @@ class PGHom:
         order.
         """
         src, tgt, m = self.source, self.target, self.mapping
-        # the pair test below answers for every length at once
-        key = None if src.full_domain and tgt.full_domain else max_len
-        if key in self._verified:
-            return self._verified[key]
         bad = None
         if m[src.identity] != tgt.identity:
             bad = ("identity", ())
@@ -912,8 +887,7 @@ class PGHom:
                 if m[src.walk_product(state)] != tgt.walk_product(image):
                     bad = ("product", w)
                     break
-        self._verified[key] = (bad is None, bad)
-        return self._verified[key]
+        return bad is None, bad
 
     def __repr__(self):
         return f"PGHom({len(self.source.elements)} -> {len(self.target.elements)})"

@@ -555,14 +555,11 @@ class Subgroup:
         """Canonical sort key: larger subgroups first, ties by mask."""
         return (-self.order, self.mask)
 
-    def contains(self, ordinal: int) -> bool:
-        return bool(self.mask >> ordinal & 1)
-
     def le(self, other: "Subgroup") -> bool:
         return self.mask & other.mask == self.mask
 
     def __contains__(self, ordinal: int) -> bool:
-        return self.contains(ordinal)
+        return bool(self.mask >> ordinal & 1)
 
     def generators(self) -> tuple[int, ...]:
         memo = self.group._memo.setdefault("gens", {})
@@ -659,10 +656,6 @@ def subgroups_below(H: Subgroup) -> list[Subgroup]:
         got = tuple(sorted(known, key=lambda m: (-m.bit_count(), m)))
         memo[H.mask] = got
     return [Subgroup(G, m) for m in got]
-
-
-def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    return subgroups_below(G.top)
 
 
 def normal_subgroups(H: Subgroup) -> list[Subgroup]:

@@ -320,6 +320,17 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: LLAB_CAPS: unknown entry 'axiom_table=10'\n"
 
+    @pytest.mark.parametrize("entry", ["degree=-5", "group_order=0", "sylow_order=0"])
+    def test_cap_below_one_is_an_input_error(self, capsys, monkeypatch, entry):
+        # no input fits a cap below 1, so the entry is refused, not the input
+        monkeypatch.setenv("LLAB_CAPS", entry)
+        monkeypatch.setattr(caps, "_current", None)
+        code, out, err = run_cli(capsys, "classify", "--group", group_arg("s4"), "--p", "2")
+        assert code == 1
+        assert out == ""
+        key = entry.partition("=")[0]
+        assert err == f"error: LLAB_CAPS: {key} must be at least 1, got {entry!r}\n"
+
     def test_degree_refused_before_the_group_is_built(self, capsys, monkeypatch,
                                                        tmp_path):
         def build(degree, generators):

@@ -7,19 +7,21 @@ reference on one carrier, and `check_growth` on one growth, and each
 compares its answer with the library's.  They run over every carrier and
 growth that the verify contexts of the built-in pairs build (towers and
 Theta-quotients included), over the A6 growth on partial-domain bases, and
-over the random groups of `tests/test_random_groups.py`.
+over the random groups of `tests/test_random_groups.py`.  The normalizer
+and centralizer localities, which no command builds, live here too.
 """
 
 import collections
 import functools
 import itertools
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llab import caps, locality
+from llab import caps, expansion, locality
 from llab.checks import ExampleContext
 from llab.errors import CapExceeded, InputError, PropertyViolation
 from llab.expansion import check_seed, elementary_expand, expand_quotient, lift_normal
@@ -36,11 +38,9 @@ from llab.fusion import (
 from llab.locality import (
     Locality,
     centralizer_in,
-    centralizer_locality,
     is_proper,
     locality_from_group,
     normalizer_in,
-    normalizer_locality,
     o_p_locality,
     o_p_of,
     o_pprime_of,
@@ -227,7 +227,7 @@ def reference_coset_partition(pg, sub):
         raise PropertyViolation(
             "maximal cosets fail to cover the carrier", witness=missing[0]
         )
-    maximal.sort(key=lambda c: min(pg.sort_key(x) for x in c))
+    maximal.sort(key=lambda c: min(pg.index_of(x) for x in c))
     return tuple(maximal)
 
 
@@ -502,6 +502,64 @@ def reference_theta_quotient(L):
             raise PropertyViolation("theta quotient changed the fusion system",
                                     witness=report.checks)
     return theta, quotient
+
+
+# N_L(V) and C_L(V) over the centric objects of N_F(V) and C_F(V) (Chermak,
+# Fusion systems and localities, Acta Math. 211 (2013)).  No command builds
+# them; as references they cross-check `FusionSystem.normalizer_system` and
+# `centralizer_system`, `restrict` and `full_expand` against localities.
+
+_CENTRIC_BASES = weakref.WeakKeyDictionary()
+
+
+def centric_base(L):
+    """A proper L re-pointed at Delta = F^c, grown first if needed; built
+    once per L, unless it is L itself."""
+    c_objs = L.fusion().class_sets()["c"]
+    c_masks = {P.mask for P in c_objs}
+    if c_masks == L.delta.mask_set:
+        return L
+    if L not in _CENTRIC_BASES:
+        grown = L
+        if not c_masks <= L.delta.mask_set:
+            target = {P.mask: P for P in L.delta.members}
+            target.update({P.mask: P for P in c_objs})
+            grown = expansion.full_expand(L, target.values()).locality
+        _CENTRIC_BASES[L] = locality.restrict(grown, c_objs)
+    return _CENTRIC_BASES[L]
+
+
+def normalizer_locality(L, V):
+    """N_L(V) over the centric objects of N_F(V), for a proper L and a fully
+    normalized V (both checked)."""
+    F = L.fusion()
+    if not F.is_fully_normalized(V):
+        raise InputError("normalizer locality needs a fully normalized V")
+    if not is_proper(L).ok:
+        raise InputError("normalizer locality needs a proper input")
+    base = centric_base(L)
+    ns = V.normalizer(L.S)
+    delta_v = object_set(ns, F.normalizer_system(V).class_sets()["c"])
+    vm = V.mask
+    table = base._s_conj
+    members = [g for g in base.elements
+               if base.s_g_mask(g) & vm == vm
+               and table.conjugate_mask(vm, g) == vm
+               and (base.s_g_mask(g) & ns.mask) in delta_v.mask_set]
+    return Locality(base.group, members, ns, delta_v, L.p)
+
+
+def centralizer_locality(L, V):
+    """C_L(V) over the centric objects of C_F(V), cut from N_L(V)."""
+    LV = normalizer_locality(L, V)
+    cs = V.centralizer(L.S)
+    sigma = object_set(cs, L.fusion().centralizer_system(V).class_sets()["c"])
+    # V <= S lies in S's table whatever carrier LV reads its S_g from
+    table = L._s_conj
+    members = [g for g in LV.elements
+               if table.centralizes(V.mask, g)
+               and (LV.s_g_mask(g) & cs.mask) in sigma.mask_set]
+    return Locality(L.group, members, cs, sigma, L.p)
 
 
 def reference_normalizer_locality(L, V):

@@ -18,7 +18,6 @@ from llab.locality import (
     is_proper,
     locality_from_group,
     normalizer_in,
-    normalizer_locality,
     o_p_of,
     o_pprime_of,
     object_set,
@@ -1010,6 +1009,8 @@ class TestRadicalBasePath:
     def test_normalizer_carrier_agrees_across_bases(self):
         # the radical-closure base has to grow internally before it can
         # hand over a carrier for the normalizer construction
+        from test_derived_facts import normalizer_locality
+
         L_small = loc("s5", "cr-closure")
         L_big = loc("s5", "c")
         _, F = setup("s5")
@@ -1188,6 +1189,30 @@ class TestGrowthKeepsByConstruction:
             reference_threading_checks(
                 step, list(itertools.product(classes[:4], repeat=2)))
         reference_chain_checks(L, fe.locality)
+
+    def test_threading_through_fresh_classes(self):
+        # the step that adjoins the 64 fresh elements: words of one pure
+        # class (a fresh element) and one embedded class, either way round,
+        # thread through both branches of `_reps_with_left`
+        step = a6_growth().steps[1]
+        Lp = step.locality
+        pure = [approx_class(step, g) for g in sorted(step.created)[:16]]
+        embedded = [approx_class(step, g) for g in step.base.elements[:8]]
+        words = [(a, b) for a in pure for b in embedded]
+        words += [(b, a) for a in pure for b in embedded]
+        assert {c.kind for c in pure} == {"pure"} and {c.kind for c in embedded} == {"embedded"}
+        threaded = 0
+        for word in words:
+            forms = _gamma_forms(step, word, 2)
+            for form in forms:
+                assert tuple(approx_class(step, phi) for phi in form) == word
+            values = {_thread_value(step, form) for form in forms}
+            ew = [c.element for c in word]
+            assert Lp.in_domain(ew) == bool(forms)
+            if forms:
+                assert values == {Lp.product(ew)}
+                threaded += len(forms) == 2
+        assert (len(words), threaded) == (256, 160)
 
     def test_witness_lemma_pairs_are_counted(self):
         # ordered pairs (x, y) of one witness set, over every step above:

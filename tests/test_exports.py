@@ -1,10 +1,12 @@
 """Every public export of every llab module resolves."""
 
+import ast
 import dataclasses
 import functools
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import llab
 
@@ -87,6 +89,57 @@ def test_dead_helpers_are_gone():
     # a tower is (L/N, the grown quotient): no report of constant checks
     assert "QuotientExpansionReport" not in expansion.__all__
     assert not hasattr(expansion, "QuotientExpansionReport")
+    # N_L(V) and C_L(V), which no command builds, live in the tests; so
+    # does their one centric base per locality
+    for name in ("normalizer_locality", "centralizer_locality"):
+        assert name not in locality.__all__
+        assert not hasattr(locality, name)
+    assert not hasattr(locality, "_centric_base")
+    G = permgroup.group_from_generators(3, [[1, 0, 2], [1, 2, 0]])
+    S = permgroup.sylow_p(G.top, 2)
+    L = locality.Locality(G, S.members(), S, locality.object_set(S, [S]), 2)
+    assert not hasattr(L, "_centric")
+    # duplicates of the code behind them, and members no run or test entered
+    for cls, names in ((partial.PartialSubgroup, ("__iter__", "mask", "key")),
+                       (partial.PartialGroup, ("sort_key",)),
+                       (permgroup.Subgroup, ("contains",))):
+        for name in names:
+            assert not hasattr(cls, name), (cls, name)
+    for name in ("__contains__", "__le__"):
+        assert name not in vars(partial.PartialSubgroup)
+    assert not hasattr(permgroup, "all_subgroups")
+    assert not hasattr(llab, "all_subgroups")
+    assert not hasattr(partial.PGHom(L, L, {x: x for x in L.elements}), "_verified")
+
+
+# errors < caps < permgroup < {fusion, partial} < locality < expansion < checks < cli
+LAYERS = {"errors": 0, "caps": 1, "permgroup": 2, "fusion": 3, "partial": 3,
+          "locality": 4, "expansion": 5, "checks": 6, "cli": 7}
+
+
+def test_modules_import_strictly_downward():
+    # every `from ... import` in a module body or inside a function; the
+    # package's __init__ only re-exports
+    modules = {info.name for info in pkgutil.iter_modules(llab.__path__)}
+    assert modules == set(LAYERS)
+    upward = []
+    for name, layer in LAYERS.items():
+        path = Path(llab.__file__).parent / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0:
+                parts = (node.module or "").split(".")
+                if parts[0] != "llab":
+                    continue
+                targets = parts[1:2] or [a.name for a in node.names]
+            else:
+                targets = ([node.module.split(".")[0]] if node.module
+                           else [a.name for a in node.names])
+            for target in targets:
+                if LAYERS[target] >= layer:
+                    upward.append((name, node.lineno, target))
+    assert upward == []
 
 
 def test_locality_takes_only_its_definition():

@@ -57,7 +57,7 @@ def any_group(name):
 
 def conj_fhom(group, S, g):
     """Conjugation by g on S_g as an FHom, from the group's own conjugation."""
-    dom = [x for x in S.members() if S.contains(group.conj(x, g))]
+    dom = [x for x in S.members() if group.conj(x, g) in S]
     return FHom(group, mask_of(dom), tuple(group.conj(x, g) for x in dom))
 
 
@@ -286,7 +286,7 @@ class TestRestrictionTables:
         group = builtin("s4")
         S = sylow_p(group.top, 2)
         g = next(g for g in range(group.order)
-                 if not S.contains(g) and group.mult(g, g) != 0
+                 if g not in S and group.mult(g, g) != 0
                  and group.mult(group.mult(g, g), group.mult(g, g)) == 0)
         keys = _conj_keys(S, [*S.members(), g])
         restricted = FusionSystem(S, _Restrictions(keys))
@@ -502,6 +502,19 @@ class TestQuotientFusionCheck:
         lam = FusionMap(f_s4, f_s4, {x: x for x in f_s4.S.members()})
         report = quotient_fusion_check(lam, f_s4, f_s4)
         assert report.ok, report.checks
+        assert report.summary() == "quotient fusion: pass"
+
+    def test_map_into_a_smaller_system_fails(self, f_s4):
+        # the inner system on S misses the maps S4 adds, so pushing F_S(S4)
+        # there is not fusion preserving, and the two double transpositions
+        # that S4 fuses with S's center are fully normalized only there
+        inner = FusionSystem(f_s4.S)
+        lam = FusionMap(f_s4, inner, {x: x for x in f_s4.S.members()})
+        report = quotient_fusion_check(lam, f_s4, inner)
+        assert not report.ok
+        assert report.summary() == (
+            "quotient fusion: FAIL ['fusion_preserving', 'fully_normalized_correspondence']")
+        assert report.witnesses[0][0] == "fusion_preserving"
 
     def test_collapse_to_point_passes(self):
         group = builtin("c6")

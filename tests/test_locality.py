@@ -18,11 +18,9 @@ from llab.locality import (
     Locality,
     ObjectSet,
     centralizer_in,
-    centralizer_locality,
     is_proper,
     locality_from_group,
     normalizer_in,
-    normalizer_locality,
     o_p_locality,
     o_p_of,
     o_pprime_of,
@@ -46,7 +44,6 @@ from llab.partial import (
 from llab.permgroup import (
     FiniteGroup,
     Subgroup,
-    all_subgroups,
     group_from_generators,
     mask_members,
     mask_of,
@@ -58,7 +55,9 @@ from llab.permgroup import (
 from bench.workloads import generated_groups
 from table_partial import UncheckedLocality
 from test_derived_facts import (
+    centralizer_locality,
     domain_words,
+    normalizer_locality,
     reference_centralizer_in,
     reference_is_projection,
     reference_kernel,
@@ -727,6 +726,8 @@ class TestQuotientLocality:
 
 
 class TestNormalizerLocalities:
+    # N_L(V) and C_L(V) are built in tests/test_derived_facts.py; no command
+    # builds them
     def test_v4_gives_whole_system(self, s4_all):
         V4 = p_core(s4_all.group.top, 2)
         LV = normalizer_locality(s4_all, V4)
@@ -1093,7 +1094,7 @@ def candidate_carriers():
     for name, primes in (("s4", (2, 3)), ("d8", (2,)), ("a4", (2, 3)),
                          ("a5", (2, 3, 5)), ("s5", (2, 3, 5))):
         G = builtin(name)
-        subs = all_subgroups(G)
+        subs = subgroups_below(G.top)
         for p in primes:
             psubs = [S for S in subs if S.order > 1 and _is_p_power(S.order, p)]
             for S in _conjugacy_representatives(G, psubs):
