@@ -88,15 +88,6 @@ class ObjectSet:
         return frozenset(g for r in table.coset_representatives()
                          if table.s_g(r) in masks for g in table.coset(r))
 
-    def __contains__(self, P: Subgroup) -> bool:
-        return P.mask in self.mask_set
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
     def __repr__(self):
         return f"ObjectSet({len(self.members)} subgroups of S order {self.S.order})"
 
@@ -392,7 +383,7 @@ class Locality(PartialGroup):
 
     def __repr__(self):
         return (f"Locality(|L|={len(self.elements)}, |S|={self.S.order}, "
-                f"|Delta|={len(self.delta)}, p={self.p})")
+                f"|Delta|={len(self.delta.members)}, p={self.p})")
 
 
 # -- constructors --------------------------------------------------------------
@@ -413,30 +404,32 @@ def locality_from_group(G: FiniteGroup, p: int, delta) -> Locality:
 # -- normalizers, properness ----------------------------------------------------
 
 
+def _stabilizer_in(L: Locality, P: Subgroup, name: str, fixes) -> PartialSubgroup:
+    """The g in L with P <= S_g and fixes(table, P's mask, g), read off S's
+    conjugation table.
+
+    For an object P this is a subgroup with every product in D: g, h in it
+    give P <= S_(g, h), an object, so (g, h) is in D, and the checked carrier
+    holds gh and g**-1, which normalize (or centralize) P; no pair sweep is
+    needed.
+    """
+    if not P.le(L.S):
+        raise InputError(f"{name} expects P <= S")
+    pm, table = P.mask, L._s_conj
+    return PartialSubgroup(L, frozenset(
+        g for g in L.elements if L.s_g_mask(g) & pm == pm and fixes(table, pm, g)))
+
+
 def normalizer_in(L: Locality, P: Subgroup) -> PartialSubgroup:
     """N_L(P) = {g : P <= S_g and P**g = P}; a group when P is an object."""
-    if not P.le(L.S):
-        raise InputError("normalizer_in expects P <= S")
-    pm = P.mask
-    # For an object P this is a subgroup with every product in D: g, h in
-    # N_L(P) give P <= S_(g, h), an object, so (g, h) is in D, and the checked
-    # carrier holds gh and g**-1, which normalize P; no pair sweep is needed.
-    table = L._s_conj
-    members = [g for g in L.elements
-               if L.s_g_mask(g) & pm == pm and table.conjugate_mask(pm, g) == pm]
-    return PartialSubgroup(L, frozenset(members))
+    return _stabilizer_in(L, P, "normalizer_in",
+                          lambda table, pm, g: table.conjugate_mask(pm, g) == pm)
 
 
 def centralizer_in(L: Locality, P: Subgroup) -> PartialSubgroup:
     """C_L(P) = {g in N_L(P) : x**g = x for all x in P}."""
-    if not P.le(L.S):
-        raise InputError("centralizer_in expects P <= S")
-    pm = P.mask
-    table = L._s_conj
-    # a subgroup of N_L(P) for an object P, by the argument in normalizer_in
-    members = [g for g in L.elements
-               if L.s_g_mask(g) & pm == pm and table.centralizes(pm, g)]
-    return PartialSubgroup(L, frozenset(members))
+    return _stabilizer_in(L, P, "centralizer_in",
+                          lambda table, pm, g: table.centralizes(pm, g))
 
 
 def subgroup_in_locality(L: Locality, members) -> tuple[bool, tuple | None]:
@@ -491,7 +484,7 @@ def is_proper(L: Locality) -> ProperReport:
         if P.mask not in L.delta.mask_set:
             report.missing_cr.append(P)
     for P in L.delta.members:
-        # a subgroup for an object P, as argued in normalizer_in
+        # a subgroup for an object P, as argued in _stabilizer_in
         N = Subgroup(L.group, mask_of(normalizer_in(L, P).members))
         if not is_characteristic_p(N, L.p):
             report.bad_normalizers.append((P, N))

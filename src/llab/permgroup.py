@@ -281,61 +281,59 @@ class FiniteGroup:
         return Subgroup(self, (1 << self.order) - 1)
 
     def close_mask(self, seed: int) -> int:
-        """Smallest subgroup mask containing the seed ordinals."""
-        gens = mask_members(seed)
-        mask = 1
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in gens:
-                    k = self.mult(h, g)
-                    bit = 1 << k
-                    if not mask & bit:
-                        mask |= bit
-                        nxt.append(k)
-            frontier = nxt
-        return mask
+        """Smallest subgroup mask containing the seed ordinals: the coset
+        closure of `_grow` over them, in ascending order."""
+        return mask_of(_grow(0, mask_members(seed), self.mult, self.order)[0])
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order}, degree={self.degree})"
 
 
-def _grow(elements: list, seen: set, gens: list, g: Perm, cap: int) -> None:
-    """Grow `elements`, the group H generated by `gens`, into the group
-    generated by gens and g, and append g to gens: Dimino's coset closure
-    (G. Butler, Fundamental Algorithms for Permutation Groups, LNCS 559,
-    1991).
+def _grow(ident, candidates, mul, cap: int, order: int = 0) -> tuple[list, list]:
+    """The elements of the group generated by `candidates` under the product
+    `mul` (`pmul` on permutations, `FiniteGroup.mult` on ordinals), and the
+    candidates kept as its generators: Dimino's coset closure (G. Butler,
+    Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).
 
-    The new elements come as whole right cosets H·r, each listed as soon as
-    its representative r is met, starting with H·g.  Every representative
-    is multiplied by every generator, and a product r·h outside the union
-    starts the next coset.  The union is a union of cosets of H, so one
-    probe of r·h decides all of H·(r·h); it holds 1 and is closed under
-    right multiplication by every generator (H·h = H for the old ones and
-    H·g is listed), so it is the group they generate.  Each new element is
-    one composition, and each representative costs one probe per
-    generator.  A coset is checked against the cap before it is listed, so
-    the closure raises exactly when the group it reaches exceeds `cap`.
+    The candidates are read in order, and one outside the group H closed so
+    far is kept and grows H into K = <H, g>.  The new elements come as whole
+    right cosets H·r, each listed as soon as its representative r is met,
+    starting with H·g.  Every representative is multiplied by every kept
+    generator, and a product r·h outside the union starts the next coset.
+    The union is a union of cosets of H, so one probe of r·h decides all of
+    H·(r·h); it holds 1 and is closed under right multiplication by every
+    generator (H·h = H for the old ones and H·g is listed), so it is K.  So
+    the closure costs one product per element, plus one probe per kept
+    generator and representative: at most |K| + |gens|·|K| products.  A
+    coset is checked against the cap before it is listed, so the closure
+    raises exactly when the group it reaches exceeds `cap`.  The scan stops
+    once the group has `order` elements.
     """
-    block = tuple(elements)
-    gens.append(g)
+    elements, seen, gens = [ident], {ident}, []
 
-    def adjoin(r: Perm) -> None:
+    def adjoin(block: tuple, r) -> None:
         if len(elements) + len(block) > cap:
             raise CapExceeded("group order", cap)
-        coset = list(map(pmul, block, repeat(r)))
+        coset = list(map(mul, block, repeat(r)))
         elements.extend(coset)
         seen.update(coset)
 
-    adjoin(g)
-    reps = [g]
-    for r in reps:  # breadth first: the loop reads what it appends
-        for h in gens:
-            b = pmul(r, h)
-            if b not in seen:
-                adjoin(b)
-                reps.append(b)
+    for g in candidates:
+        if len(elements) == order:
+            break
+        if g in seen:
+            continue
+        block = tuple(elements)
+        gens.append(g)
+        adjoin(block, g)
+        reps = [g]
+        for r in reps:  # breadth first: the loop reads what it appends
+            for h in gens:
+                b = mul(r, h)
+                if b not in seen:
+                    adjoin(block, b)
+                    reps.append(b)
+    return elements, gens
 
 
 def group_from_generators(degree: int, generators) -> FiniteGroup:
@@ -349,14 +347,10 @@ def group_from_generators(degree: int, generators) -> FiniteGroup:
     each) per step from H to K, and raises `CapExceeded` when the group
     would exceed the `group_order` cap.
     """
-    cap = current_caps().group_order
     checked = [_check_perm(degree, g) for g in generators]
-    ident = identity_perm(degree)
-    elements, seen, gens = [ident], {ident}, []
-    for g in checked:
-        if g not in seen:
-            _grow(elements, seen, gens, g, cap)
-    return FiniteGroup(seen, degree, gens)
+    elements, gens = _grow(identity_perm(degree), checked, pmul,
+                            current_caps().group_order)
+    return FiniteGroup(elements, degree, gens)
 
 
 class SConjugation:
@@ -463,17 +457,12 @@ class SConjugation:
                     queue.append((nxt, g))
                 else:
                     edges.append((r, h, got))
-        # Close C_G(S) over a list of Schreier elements, never over its
-        # members: with S trivial it is all of G.
-        order = self._order // len(reps)
-        ident = elements[0]
-        members, seen, gens = [ident], {ident}, []
-        for r, h, r2 in edges:
-            if len(members) == order:
-                break
-            s = pmul(pmul(elements[r], elements[h]), elements[inv[r2]])
-            if s not in seen:
-                _grow(members, seen, gens, s, self._order)
+        # Close C_G(S) over the Schreier elements, never over its members
+        # (with S trivial it is all of G), until it has |G| / |orbit| of them.
+        schreier = (pmul(pmul(elements[r], elements[h]), elements[inv[r2]])
+                    for r, h, r2 in edges)
+        members = _grow(elements[0], schreier, pmul, self._order,
+                        self._order // len(reps))[0]
         # the walk and the Schreier elements cover the group the generators
         # generate, which is all of G exactly when the orders agree
         if len(members) * len(reps) != self._order:
@@ -562,22 +551,17 @@ class Subgroup:
         return bool(self.mask >> ordinal & 1)
 
     def generators(self) -> tuple[int, ...]:
+        """The members, in ascending order, that each lie outside the group
+        generated by those before them; (0,) for the trivial subgroup.  One
+        closure (`_grow`) grows with each kept generator."""
         memo = self.group._memo.setdefault("gens", {})
         got = memo.get(self.mask)
         if got is None:
             G = self.group
-            gens: list[int] = []
-            mask = 1
-            for i in self.members():
-                if not mask >> i & 1:
-                    gens.append(i)
-                    mask = G.close_mask(mask_of(gens))
-                    if mask == self.mask:
-                        break
-            if mask != self.mask:
+            elements, gens = _grow(0, self.members(), G.mult, G.order, self.order)
+            if mask_of(elements) != self.mask:
                 raise InputError("mask is not multiplicatively closed")
-            got = tuple(gens) or (0,)
-            memo[self.mask] = got
+            got = memo[self.mask] = tuple(gens) or (0,)
         return got
 
     def _stabilizer(self, name: str, within: "Subgroup | None", fixes) -> "Subgroup":
@@ -633,11 +617,10 @@ def subgroups_below(H: Subgroup) -> list[Subgroup]:
     if got is None:
         cap = current_caps().subgroup_count
         members = H.members()
-        known: dict[int, tuple[int, ...]] = {1: (0,)}
+        known = {1}
         queue = [1]
         while queue:
             mask = queue.pop()
-            gens = known[mask]
             tried = mask
             for g in members:
                 if tried >> g & 1:
@@ -646,7 +629,7 @@ def subgroups_below(H: Subgroup) -> list[Subgroup]:
                 if new_mask not in known:
                     if len(known) >= cap:
                         raise CapExceeded("subgroup count", cap)
-                    known[new_mask] = gens + (g,) if mask != 1 else (g,)
+                    known.add(new_mask)
                     queue.append(new_mask)
                 # anything in the double coset H g H generates the same join
                 for a in mask_members(mask):

@@ -1,8 +1,10 @@
-"""Print the code lines of each `src/llab` module and their total.
+"""Print the code lines and the lines of each `src/llab` module, and their
+totals.
 
 A code line is a non-blank line that is neither a comment nor part of a
-docstring (the string that opens a module, class or function body).  Run
-from anywhere:
+docstring (the string that opens a module, class or function body).  Lines
+are counted as `wc -l` counts them, by newline characters.  Run from
+anywhere:
 
     python3 tests/src_lines.py
 """
@@ -39,12 +41,16 @@ def code_lines(source: str) -> int:
 
 
 def main(root: Path = SRC) -> int:
-    total = 0
+    """Print a row of code lines and lines per module, then their totals;
+    return the code-line total."""
+    total = lines = 0
     for path in sorted(root.glob("*.py")):
-        n = code_lines(path.read_text())
+        source = path.read_text()
+        n, m = code_lines(source), source.count("\n")
         total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        lines += m
+        print(f"{n:6d} {m:6d}  {path.name}")
+    print(f"{total:6d} {lines:6d}  total")
     return total
 
 

@@ -104,9 +104,8 @@ def reference_cut(delta):
     """G|Delta by brute force: each g with its own S_g, from conjugating S."""
     S = delta.S
     return frozenset(g for g in range(S.group.order)
-                     if Subgroup(S.group, mask_of(x for x in S.members()
-                                                  if S.group.conj(x, g) in S))
-                     in delta)
+                     if mask_of(x for x in S.members() if S.group.conj(x, g) in S)
+                     in delta.mask_set)
 
 
 def reference_coset_representatives(G, S):
@@ -147,6 +146,41 @@ def reference_closure(degree, generators, cap):
                     seen.add(b)
                     elements.append(b)
     return seen, gens
+
+
+def reference_close_mask(G, seed):
+    """`FiniteGroup.close_mask` as it stood: breadth first from 1, each new
+    element multiplied on the right by every seed member, |K|·|seed|
+    products for a closure K."""
+    gens = mask_members(seed)
+    mask = 1
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in gens:
+                k = G.mult(h, g)
+                if not mask >> k & 1:
+                    mask |= 1 << k
+                    nxt.append(k)
+        frontier = nxt
+    return mask
+
+
+def reference_generators(H):
+    """`Subgroup.generators` as it stood: each member outside the closure of
+    the ones kept so far is kept, and the kept ones are closed again from
+    scratch."""
+    gens, mask = [], 1
+    for i in H.members():
+        if not mask >> i & 1:
+            gens.append(i)
+            mask = reference_close_mask(H.group, mask_of(gens))
+            if mask == H.mask:
+                break
+    if mask != H.mask:
+        raise InputError("mask is not multiplicatively closed")
+    return tuple(gens) or (0,)
 
 
 def reference_restriction_cut(L, delta0):
@@ -387,7 +421,8 @@ def reference_is_closed_mask(G, mask):
 
 def reference_perm_subgroup(L, part):
     """`Locality.perm_subgroup`: a partial subgroup as an ambient Subgroup,
-    with the closure sweep that normalizer_in's argument made redundant."""
+    with the closure sweep that the argument in locality._stabilizer_in made
+    redundant."""
     mask = mask_of(part.members)
     if not reference_is_closed_mask(L.group, mask):
         raise PropertyViolation("partial subgroup is not an ambient subgroup",
@@ -1130,6 +1165,35 @@ class TestCosetClosure:
                     assert group_from_generators(degree, gens).order == order
             finally:
                 caps.override(None)
+
+
+class TestOrdinalClosure:
+    """`close_mask` and `Subgroup.generators` close by cosets over ordinals;
+    the breadth-first closure they replaced gives the same masks, and the
+    greedy scan that re-closed for each kept generator the same generators."""
+
+    @pytest.mark.parametrize("name,p", [("s5", 2), ("s6", 3), ("d16", 2)])
+    def test_every_join_of_the_lattice_walk(self, monkeypatch, name, p):
+        G = any_group(name)  # a fresh group: subgroups_below memoizes per group
+        S = sylow_p(G.top, p)
+        joins = []
+        close = FiniteGroup.close_mask
+
+        def recording(self, seed):
+            joins.append((seed, close(self, seed)))
+            return joins[-1][1]
+
+        monkeypatch.setattr(FiniteGroup, "close_mask", recording)
+        subgroups_below(S)
+        assert len(joins) >= len(subgroups_below(S)) - 1
+        for seed, got in joins:
+            assert got == reference_close_mask(G, seed)
+
+    @pytest.mark.parametrize("name,p", [*BUILTIN_PAIRS, ("s7", 7)])
+    def test_greedy_generators_of_every_sylow_subgroup(self, name, p):
+        G = any_group(name)
+        for H in subgroups_below(sylow_p(G.top, p)):
+            assert H.generators() == reference_generators(H)
 
 
 class TestCutClosure:

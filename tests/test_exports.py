@@ -70,7 +70,8 @@ def test_dead_helpers_are_gone():
                        (fusion.FusionSystem, ("is_weakly_closed", "is_strongly_closed",
                                               "trivial_on")),
                        (fusion.FHom, ("_mapping",)),
-                       (locality.Locality, ("sub",))):
+                       (locality.Locality, ("sub",)),
+                       (locality.ObjectSet, ("__contains__", "__iter__", "__len__"))):
         for name in names:
             assert not hasattr(cls, name), (cls, name)
     assert isinstance(inspect.getattr_static(fusion.FHom, "mapping"), functools.cached_property)

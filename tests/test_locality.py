@@ -321,9 +321,9 @@ class TestDomainKernel:
         refusals = [
             lambda: Locality(G, L.elements, L.S, delta, 2),
             lambda: locality_from_group(G, 2, delta),
-            lambda: locality_from_group(G, 2, list(delta)),
+            lambda: locality_from_group(G, 2, list(delta.members)),
             lambda: restrict(q, delta),
-            lambda: restrict(q, list(delta)),
+            lambda: restrict(q, list(delta.members)),
         ]
         for build in refusals:
             with pytest.raises(InputError, match="not invariant under the fusion"):
@@ -413,8 +413,9 @@ class TestNormalizersInside:
 
     def test_requires_subgroup_of_s(self, s4_all):
         A4 = next(P for P in subgroups_below(s4_all.group.top) if P.order == 12)
-        with pytest.raises(InputError):
-            normalizer_in(s4_all, A4)
+        for sweep in (normalizer_in, centralizer_in):
+            with pytest.raises(InputError, match=f"^{sweep.__name__} expects P <= S$"):
+                sweep(s4_all, A4)
 
     def test_guards_fire_on_a_carrier_missing_an_inverse(self):
         # unchecked carriers S + {g} with g of order 3: g normalizes V4 in S4

@@ -9,7 +9,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from llab.permgroup import (
     FiniteGroup, Subgroup,
@@ -22,7 +22,8 @@ from llab import cli, permgroup
 from llab.errors import InputError, CapExceeded, PropertyViolation
 from llab.locality import object_set
 from bench.workloads import generated_groups
-from test_derived_facts import (reference_coset_representatives, reference_cut,
+from test_derived_facts import (reference_close_mask, reference_coset_representatives,
+                                reference_cut, reference_generators,
                                 reference_is_closed_mask)
 from test_fusion import BUILTIN_PAIRS
 
@@ -165,6 +166,58 @@ def test_every_enumerated_mask_is_closed(s4):
 def test_generators_regenerate(s4):
     for H in subgroups_below(s4.top):
         assert s4.close_mask(mask_of(H.generators())) == H.mask
+
+
+@functools.cache
+def closure_group(name):
+    """A built-in group, else one from tests/frontier."""
+    path = DATA / f"{name}.json"
+    spec = json.loads((path if path.exists() else FRONTIER / f"{name}.json").read_text())
+    return group_from_generators(spec["degree"], spec["generators"])
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_close_mask_matches_the_breadth_first_closure(data):
+    G = closure_group(data.draw(st.sampled_from(["s4", "s5", "d16", "a6"])))
+    seed = mask_of(data.draw(st.lists(st.integers(0, G.order - 1), max_size=4)))
+    assert G.close_mask(seed) == reference_close_mask(G, seed)
+
+
+@pytest.mark.parametrize("cycles", [
+    # two transpositions: their product, of order 3, is missing
+    [(1, 0, 2, 3), (0, 2, 1, 3)],
+    # a 3-cycle first: the scan stops at the mask's size on <c>, not the mask
+    [(0, 2, 3, 1), (1, 0, 2, 3)],
+])
+def test_generators_of_a_mask_that_is_not_closed_raise(s4, cycles):
+    H = Subgroup(s4, 1 | mask_of(s4.index_of(c) for c in cycles))
+    for scan in (Subgroup.generators, reference_generators):
+        with pytest.raises(InputError, match="mask is not multiplicatively closed"):
+            scan(H)
+
+
+def test_a_join_costs_cosets_not_members_times_seeds(monkeypatch):
+    # <H, g> = S for H of index 2 in S6's Sylow 2-subgroup S, order 16
+    G = closure_group("s6")
+    S = sylow_p(G.top, 2)
+    H = next(K for K in subgroups_below(S) if K.order == 8)
+    g = next(x for x in S.members() if x not in H)
+    seed = H.mask | 1 << g
+    kept = len(permgroup._grow(0, mask_members(seed), G.mult, G.order)[1])
+    calls = []
+    mult = FiniteGroup.mult
+    monkeypatch.setattr(FiniteGroup, "mult",
+                        lambda self, i, j: calls.append(1) or mult(self, i, j))
+    assert G.close_mask(seed) == S.mask
+    cosets = len(calls)
+    calls.clear()
+    assert reference_close_mask(G, seed) == S.mask
+    # the breadth-first closure multiplies each of K by each seed member
+    assert len(calls) == S.order * (H.order + 1) == 144
+    # one product per element, one probe per kept generator and coset:
+    # 25 products here, 4 kept generators, a bound of 80
+    assert cosets <= S.order + kept * S.order
 
 
 # --- normalizer / centralizer ----------------------------------------------

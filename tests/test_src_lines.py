@@ -31,7 +31,16 @@ def test_code_lines_of_a_snippet():
 
 def test_total_is_the_sum_over_modules(capsys):
     total = main()
-    rows = capsys.readouterr().out.splitlines()
-    assert rows[-1].split() == [str(total), "total"]
-    assert sum(int(r.split()[0]) for r in rows[:-1]) == total
+    rows = [r.split() for r in capsys.readouterr().out.splitlines()]
+    assert rows[-1][0] == str(total) and rows[-1][2] == "total"
+    for column in (0, 1):
+        assert sum(int(r[column]) for r in rows[:-1]) == int(rows[-1][column])
     assert len(rows) - 1 == len(list(SRC.glob("*.py")))
+
+
+def test_lines_count_as_wc_does(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(SNIPPET)
+    (tmp_path / "b.py").write_text("x = 1")  # no final newline: wc -l reads 0
+    assert main(tmp_path) == 7
+    rows = [r.split() for r in capsys.readouterr().out.splitlines()]
+    assert rows == [["6", "16", "a.py"], ["1", "0", "b.py"], ["7", "16", "total"]]
