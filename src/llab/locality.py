@@ -404,32 +404,22 @@ def locality_from_group(G: FiniteGroup, p: int, delta) -> Locality:
 # -- normalizers, properness ----------------------------------------------------
 
 
-def _stabilizer_in(L: Locality, P: Subgroup, name: str, fixes) -> PartialSubgroup:
-    """The g in L with P <= S_g and fixes(table, P's mask, g), read off S's
-    conjugation table.
+def normalizer_in(L: Locality, P: Subgroup) -> PartialSubgroup:
+    """N_L(P) = {g : P <= S_g and P**g = P}, off S's table by its one sweep.
 
     For an object P this is a subgroup with every product in D: g, h in it
     give P <= S_(g, h), an object, so (g, h) is in D, and the checked carrier
     holds gh and g**-1, which normalize (or centralize) P; no pair sweep is
-    needed.
+    needed.  The same holds for `centralizer_in`.
     """
-    if not P.le(L.S):
-        raise InputError(f"{name} expects P <= S")
-    pm, table = P.mask, L._s_conj
-    return PartialSubgroup(L, frozenset(
-        g for g in L.elements if L.s_g_mask(g) & pm == pm and fixes(table, pm, g)))
-
-
-def normalizer_in(L: Locality, P: Subgroup) -> PartialSubgroup:
-    """N_L(P) = {g : P <= S_g and P**g = P}; a group when P is an object."""
-    return _stabilizer_in(L, P, "normalizer_in",
-                          lambda table, pm, g: table.conjugate_mask(pm, g) == pm)
+    return PartialSubgroup(L, frozenset(mask_members(
+        L._s_conj.stabilizer(P, L.elements, False, "normalizer_in"))))
 
 
 def centralizer_in(L: Locality, P: Subgroup) -> PartialSubgroup:
     """C_L(P) = {g in N_L(P) : x**g = x for all x in P}."""
-    return _stabilizer_in(L, P, "centralizer_in",
-                          lambda table, pm, g: table.centralizes(pm, g))
+    return PartialSubgroup(L, frozenset(mask_members(
+        L._s_conj.stabilizer(P, L.elements, True, "centralizer_in"))))
 
 
 def subgroup_in_locality(L: Locality, members) -> tuple[bool, tuple | None]:
@@ -484,7 +474,7 @@ def is_proper(L: Locality) -> ProperReport:
         if P.mask not in L.delta.mask_set:
             report.missing_cr.append(P)
     for P in L.delta.members:
-        # a subgroup for an object P, as argued in _stabilizer_in
+        # a subgroup for an object P, as argued in normalizer_in
         N = Subgroup(L.group, mask_of(normalizer_in(L, P).members))
         if not is_characteristic_p(N, L.p):
             report.bad_normalizers.append((P, N))

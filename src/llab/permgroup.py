@@ -361,7 +361,9 @@ class SConjugation:
     only on the coset C_G(S)·g: conjugation is a homomorphism, so c_g on S
     is fixed by g's label, the images of S's generators, and g, h have the
     same label exactly when h·g^-1 centralizes S.  The |S| row and S_g are
-    built once per label and kept per g.
+    built once per label and kept per g.  The rows give P**g for P <= S
+    (`conjugate_mask`) and the one normalizer and centralizer sweep
+    (`stabilizer`), inside S, inside a locality and in `is_characteristic_p`.
 
     The cosets are found by walking the orbit of S's generator tuple under
     G's generators (orbit-stabilizer; Seress, Permutation Group Algorithms,
@@ -490,10 +492,21 @@ class SConjugation:
                 out |= 1 << y
         return out
 
-    def centralizes(self, mask: int, g: int) -> bool:
-        """x**g == x for every x of the subgroup P <= S with this mask."""
-        return all(x == y for x, y in zip(self.members, self.images(g))
-                   if mask >> x & 1)
+    def stabilizer(self, P: "Subgroup", elements, pointwise: bool, name: str) -> int:
+        """The mask of the g in `elements` that fix P <= S setwise (N(P)) or,
+        when `pointwise`, elementwise (C(P)): P**g is generated by the x**g of
+        P's generators x, on g's row, so x**g in P for each x decides P**g = P
+        (the orders agree) and x**g == x that g centralizes P; either way
+        P <= S_g follows."""
+        pm = P.mask
+        if pm & self.mask != pm:
+            raise InputError(f"{name} expects P <= S")
+        # for each generator x of P, its place on a row (the members below it)
+        # and the mask that x**g must lie in: {x} pointwise, P setwise
+        want = [((self.mask & ((1 << x) - 1)).bit_count(), 1 << x if pointwise else pm)
+                for x in P.generators()]
+        return mask_of(g for g in elements
+                       if all(m >> self.images(g)[i] & 1 for i, m in want))
 
     def coset_representatives(self) -> tuple[int, ...]:
         """One g per coset C_G(S)·g, ascending: the walk's representatives."""
@@ -564,30 +577,25 @@ class Subgroup:
             got = memo[self.mask] = tuple(gens) or (0,)
         return got
 
-    def _stabilizer(self, name: str, within: "Subgroup | None", fixes) -> "Subgroup":
-        """The g in `within` (default: the whole group) with fixes(x, x^g) for
-        every generator x of self, memoized per (mask, scope)."""
+    def _stabilizer(self, name: str, S: "Subgroup", pointwise: bool) -> "Subgroup":
+        """The g in S that fix self setwise or pointwise, off S's conjugation
+        table (`SConjugation.stabilizer`), memoized per (mask, S)."""
         G = self.group
-        scope = within.mask if within is not None else (1 << G.order) - 1
         memo = G._memo.setdefault(name, {})
-        key = (self.mask, scope)
+        key = (self.mask, S.mask)
         got = memo.get(key)
         if got is None:
-            gens = self.generators()
-            got = 0
-            for g in mask_members(scope):
-                if all(fixes(x, G.conj(x, g)) for x in gens):
-                    got |= 1 << g
-            memo[key] = got
+            got = memo[key] = G.s_conjugation(S.mask).stabilizer(
+                self, S.members(), pointwise, name)
         return Subgroup(G, got)
 
-    def normalizer(self, within: "Subgroup | None" = None) -> "Subgroup":
-        """N(self) inside `within` (default: the whole group)."""
-        return self._stabilizer("normalizer", within, lambda x, y: self.mask >> y & 1)
+    def normalizer(self, S: "Subgroup") -> "Subgroup":
+        """N_S(self), for a subgroup S that holds self."""
+        return self._stabilizer("normalizer", S, False)
 
-    def centralizer(self, within: "Subgroup | None" = None) -> "Subgroup":
-        """C(self) inside `within` (default: the whole group)."""
-        return self._stabilizer("centralizer", within, lambda x, y: x == y)
+    def centralizer(self, S: "Subgroup") -> "Subgroup":
+        """C_S(self), for a subgroup S that holds self."""
+        return self._stabilizer("centralizer", S, True)
 
     def is_normal_in(self, other: "Subgroup") -> bool:
         if not self.le(other):
@@ -757,7 +765,7 @@ def p_prime_core(H: Subgroup, p: int) -> Subgroup:
 
 def is_characteristic_p(H: Subgroup, p: int) -> bool:
     """True when the centralizer of O_p(H) in H sits inside O_p(H)."""
-    # O_p(H) lies in the Sylow subgroup S, so x**g for x in O_p(H) is on
-    # g's row of S's table
+    # O_p(H) lies in the Sylow subgroup S, so C_H(O_p(H)) is read off S's table
     table, core = _sylow_core(H, p)
-    return all(core >> g & 1 for g in H.members() if table.centralizes(core, g))
+    P = Subgroup(H.group, core)
+    return table.stabilizer(P, H.members(), True, "is_characteristic_p") | core == core

@@ -63,6 +63,7 @@ from llab.permgroup import (
     FiniteGroup,
     Subgroup,
     group_from_generators,
+    is_characteristic_p,
     mask_members,
     mask_of,
     normal_subgroups,
@@ -495,6 +496,43 @@ def reference_absorb(L, steps, target):
     return cur
 
 
+def reference_stabilizer(P, scope, pointwise):
+    """`Subgroup.normalizer` / `centralizer` before S's table served them:
+    the g in the subgroup `scope` (any scope, the whole group too) with
+    x**g in P, or x**g == x, for every generator x of P, by `G.conj`."""
+    G = P.group
+    gens = P.generators()
+    out = 0
+    for g in scope.members():
+        images = [G.conj(x, g) for x in gens]
+        if (images == list(gens) if pointwise
+                else all(P.mask >> y & 1 for y in images)):
+            out |= 1 << g
+    return Subgroup(G, out)
+
+
+def reference_stabilizer_in(L, P, pointwise):
+    """`normalizer_in` / `centralizer_in` as `locality._stabilizer_in` made
+    them: the g in L with P <= S_g, then x**g in P, or x**g == x, for every
+    x in P, read off whole rows of S's table."""
+    if not P.le(L.S):
+        raise InputError(f"{'centralizer_in' if pointwise else 'normalizer_in'}"
+                         " expects P <= S")
+    pm, table = P.mask, L._s_conj
+    members = set()
+    for g in L.elements:
+        if L.s_g_mask(g) & pm != pm:
+            continue
+        if pointwise:
+            fixed = all(x == y for x, y in zip(table.members, table.images(g))
+                        if pm >> x & 1)
+        else:
+            fixed = table.conjugate_mask(pm, g) == pm
+        if fixed:
+            members.add(g)
+    return PartialSubgroup(L, frozenset(members))
+
+
 def reference_normalizer_in(L, P):
     """`normalizer_in` with its subgroup guard for an object P."""
     part = normalizer_in(L, P)
@@ -589,11 +627,9 @@ def centralizer_locality(L, V):
     LV = normalizer_locality(L, V)
     cs = V.centralizer(L.S)
     sigma = object_set(cs, L.fusion().centralizer_system(V).class_sets()["c"])
-    # V <= S lies in S's table whatever carrier LV reads its S_g from
-    table = L._s_conj
-    members = [g for g in LV.elements
-               if table.centralizes(V.mask, g)
-               and (LV.s_g_mask(g) & cs.mask) in sigma.mask_set]
+    # V <= N_S(V), the S of LV, so LV's table holds V's rows
+    members = [g for g in reference_stabilizer_in(LV, V, True).members
+               if (LV.s_g_mask(g) & cs.mask) in sigma.mask_set]
     return Locality(L.group, members, cs, sigma, L.p)
 
 
@@ -1011,6 +1047,67 @@ class TestDroppedGuardsHold:
             incomparable += sum(not U.le(V) and not V.le(U)
                                 for U, V in itertools.combinations(normals, 2))
         assert incomparable == 839
+
+
+# the built-in pairs and the benchmark's generated groups at their primes
+TABLE_PAIRS = [*BUILTIN_PAIRS, ("d16", 2), ("c5xc5", 5), ("s6", 3), ("s7", 7)]
+
+
+class TestOneStabilizerSweep:
+    """N(P) and C(P) inside S, inside a locality and in `is_characteristic_p`
+    read S's conjugation table at P's generators (`SConjugation.stabilizer`)."""
+
+    @pytest.mark.parametrize("name,p", TABLE_PAIRS)
+    def test_matches_the_conj_sweep(self, name, p):
+        G = any_group(name)
+        S = sylow_p(G.top, p)
+        table = G.s_conjugation(S.mask)
+        for P in subgroups_below(S):
+            for pointwise, sweep in ((False, P.normalizer), (True, P.centralizer)):
+                assert sweep(S).mask == reference_stabilizer(P, S, pointwise).mask
+                # over the whole group, so at g outside S too
+                assert (table.stabilizer(P, range(G.order), pointwise, "stabilizer")
+                        == reference_stabilizer(P, G.top, pointwise).mask)
+
+    def test_matches_the_s_g_sweep_on_a_partial_domain(self):
+        L = loc("s5", "q")
+        assert not L.full_domain
+        outside = 0
+        for P in subgroups_below(L.S):
+            assert (normalizer_in(L, P).members
+                    == reference_stabilizer_in(L, P, False).members)
+            assert (centralizer_in(L, P).members
+                    == reference_stabilizer_in(L, P, True).members)
+            outside += sum(L.s_g_mask(g) & P.mask != P.mask for g in L.elements)
+        # the sweep meets g with P not in S_g, which the dropped S_g test
+        # refused, and still agrees with it
+        assert outside > 0
+
+    def test_no_conj_call(self, monkeypatch):
+        G = builtin.__wrapped__("s5")  # a fresh group, with no stabilizer memo
+        S = sylow_p(G.top, 2)
+        subs = subgroups_below(S)
+        calls = []
+        real = FiniteGroup.conj
+
+        def counted(self, x, g):
+            calls.append((x, g))
+            return real(self, x, g)
+
+        monkeypatch.setattr(FiniteGroup, "conj", counted)
+        for P in subs:
+            P.normalizer(S)
+            P.centralizer(S)
+        assert calls == []
+        L = locality_from_group(G, 2, resolve_delta_spec(fusion_from_group(G, 2),
+                                                         "cr-closure"))
+        calls.clear()
+        for P in subs:
+            normalizer_in(L, P)
+            centralizer_in(L, P)
+        for P in L.delta.members:
+            is_characteristic_p(Subgroup(G, mask_of(normalizer_in(L, P).members)), 2)
+        assert calls == []
 
 
 class TestArguedTowerChecks:

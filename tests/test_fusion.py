@@ -208,7 +208,10 @@ class TestInterning:
         monkeypatch.setattr(fusion, "group_fusion", spy)
         fusion_from_group(group, p)
         [conjugators] = passed
-        assert len(conjugators) == group.order // S.centralizer().order
+        # C_G(S) by the G.conj sweep; a module-level import would be circular
+        from test_derived_facts import reference_stabilizer
+        centralizer = reference_stabilizer(S, group.top, True)
+        assert len(conjugators) == group.order // centralizer.order
         keys = _conj_keys(S, conjugators)
         assert len(keys) == len(set(keys))
         assert set(keys) == set(_conj_keys(S, range(group.order)))

@@ -1019,7 +1019,7 @@ class TestObjectFamilyShapes:
             C = reference_perm_subgroup(L, centralizer_in(L, P))
             core_amb = set(p_core(N, 2).members())
             assert (P.mask in cr) == (core_amb == set(P.members()))
-            assert (P.mask in c) == (C.mask == P.centralizer(within=P).mask)
+            assert (P.mask in c) == (C.mask == P.centralizer(P).mask)
             assert (P.mask in q) == (set(C.members()) <= core_amb)
 
 

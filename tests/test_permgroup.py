@@ -22,9 +22,10 @@ from llab import cli, permgroup
 from llab.errors import InputError, CapExceeded, PropertyViolation
 from llab.locality import object_set
 from bench.workloads import generated_groups
-from test_derived_facts import (reference_close_mask, reference_coset_representatives,
-                                reference_cut, reference_generators,
-                                reference_is_closed_mask)
+from test_derived_facts import (TABLE_PAIRS, reference_close_mask,
+                                reference_coset_representatives, reference_cut,
+                                reference_generators, reference_is_closed_mask,
+                                reference_stabilizer)
 from test_fusion import BUILTIN_PAIRS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
@@ -230,25 +231,33 @@ def v4_of(s4):
 def test_normalizer_centralizer_of_v4(s4):
     V4 = v4_of(s4)
     assert V4.order == 4
-    assert V4.normalizer().order == 24      # oracle: N_S4(V4) = S4
-    assert V4.centralizer().order == 4      # oracle: C_S4(V4) = V4
-    assert V4.centralizer().mask == V4.mask
+    assert V4.normalizer(s4.top).order == 24      # oracle: N_S4(V4) = S4
+    assert V4.centralizer(s4.top).order == 4      # oracle: C_S4(V4) = V4
+    assert V4.centralizer(s4.top).mask == V4.mask
 
 
 def test_normalizer_within(s4):
     V4 = v4_of(s4)
     S = sylow_p(s4.top, 2)
-    assert V4.normalizer(within=S).mask == S.mask
+    assert V4.normalizer(S).mask == S.mask
     E = Subgroup(s4, s4.close_mask(mask_of([s4.index_of((1, 0, 2, 3))])))
-    assert E.centralizer(within=S).order == 4
+    assert E.centralizer(S).order == 4
+
+
+def test_normalizer_requires_a_scope_holding_p(s4):
+    V4 = v4_of(s4)
+    C3 = Subgroup(s4, s4.close_mask(mask_of([s4.index_of((1, 2, 0, 3))])))
+    for name in ("normalizer", "centralizer"):
+        with pytest.raises(InputError, match=f"^{name} expects P <= S$"):
+            getattr(V4, name)(C3)
 
 
 def test_center():
     d8 = load("d8")
-    Z = d8.top.centralizer(within=d8.top)
+    Z = d8.top.centralizer(d8.top)
     assert Z.order == 2
     s3 = load("s3")
-    assert s3.top.centralizer(within=s3.top).order == 1
+    assert s3.top.centralizer(s3.top).order == 1
 
 
 # --- sylow and cores --------------------------------------------------------
@@ -388,10 +397,6 @@ def load_any(name):
     return load(name) if (DATA / f"{name}.json").exists() else bench_group(name)
 
 
-# the built-in pairs and the benchmark's generated groups at their primes
-TABLE_PAIRS = [*BUILTIN_PAIRS, ("d16", 2), ("c5xc5", 5), ("s6", 3), ("s7", 7)]
-
-
 @pytest.mark.parametrize("name,p", TABLE_PAIRS)
 def test_s_conjugation_table_matches_conj(name, p):
     G = load_any(name)
@@ -407,7 +412,8 @@ def test_s_conjugation_table_matches_conj(name, p):
                                        if y in S)
         first_of_row.setdefault(images, g)
     # one row per coset C_G(S)g; one g per coset, ascending, covering every row
-    assert len(table._rows) == len(first_of_row) == G.order // S.centralizer().order
+    assert len(table._rows) == len(first_of_row) == (
+        G.order // reference_stabilizer(S, G.top, True).order)
     reps = table.coset_representatives()
     assert list(reps) == sorted(set(reps)) and len(reps) == len(first_of_row)
     assert {table.images(r) for r in reps} == set(first_of_row)
@@ -419,11 +425,14 @@ def test_conjugate_mask_matches_subgroup_conjugate(name, p):
     S = sylow_p(G.top, p)
     table = G.s_conjugation(S.mask)
     for P in subgroups_below(S):
+        fixed = 0
         for g in range(G.order):
-            conj = mask_of(G.conj(x, g) for x in P.members())
-            assert table.conjugate_mask(P.mask, g) == conj
-            assert table.centralizes(P.mask, g) == all(
-                G.conj(x, g) == x for x in P.members())
+            conj = [G.conj(x, g) for x in P.members()]
+            assert table.conjugate_mask(P.mask, g) == mask_of(conj)
+            if conj == P.members():
+                fixed |= 1 << g
+        # the table's pointwise sweep, at P's generators, at every g
+        assert table.stabilizer(P, range(G.order), True, "centralizer") == fixed
 
 
 def test_s7_table_holds_one_row_per_coset_of_the_centralizer():
@@ -453,7 +462,7 @@ def test_walk_matches_the_labelling_sweep(name, p):
     labels = [G.conj_images(S.generators(), r) for r in reps]
     # exactly the sweep's labels, one per coset
     assert set(labels) == set(firsts) and len(labels) == len(firsts)
-    assert mask_of(table.centralizer()) == S.centralizer().mask
+    assert mask_of(table.centralizer()) == reference_stabilizer(S, G.top, True).mask
     # the walk read each coset's row off its parent's by the generators'
     # conjugation memo; each equals the row conjugated from permutations
     for r in reps:
