@@ -620,10 +620,9 @@ def lift_normal(L: Locality, Lplus: Locality, N: PartialSubgroup) -> PartialSubg
     if not is_partial_normal(L, N):
         raise InputError("lift needs a partial normal subgroup")
     # No guard that K = <N and its conjugates in Lplus> is partial normal
-    # is needed.  When it is, the closure's first round yields exactly K
-    # and stops.  Otherwise the closure is the least partial normal
-    # subgroup containing N, and the cut-back test below still decides
-    # whether the lift exists.
+    # is needed.  The normal closure is the least partial normal subgroup
+    # containing N, which is K when K is partial normal, and the cut-back
+    # test below still decides whether the lift exists.
     lifted = normal_closure(Lplus, N.members)
     if lifted.members & set(L.elements) != N.members:
         raise PropertyViolation(

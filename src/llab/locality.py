@@ -27,6 +27,7 @@ from .partial import (
     coset_partition,
     is_partial_normal,
     all_partial_normal_subgroups,
+    normal_closure,
     products,
 )
 from .permgroup import (
@@ -602,50 +603,47 @@ def theta_quotient(L: Locality):
 
 
 def o_p_locality(L: Locality) -> Subgroup:
-    """Largest subgroup of S normal in L: the first hit, largest first.
+    """Largest subgroup of S partial normal in L: the first hit, largest first.
 
-    Partial normality alone gives P**g = P whenever P <= S_g: for x in P the
-    word (g**-1, x, g) has S_w >= S_{g**-1}, because x in S_g normalizes
-    S_g, and S_{g**-1} is an object by (O1).  So x**g is defined and lies
-    in P, and P**g = P by counting: each candidate is a subset test against
-    memoized conjugate rows.  Products of partial normal subgroups are
-    partial normal (Chermak, Finite localities I, 2015): the first hit
-    contains every other.
+    Such a P is normal in L: for g with P <= S_g and x in P, x normalizes
+    S_g, so the word (g**-1, x, g) has S_w >= S_{g**-1}, an object by (O1).
+    So x**g is defined and lies in P, and P**g = P by counting.  S lies in
+    L, so P is normal in S too, and needs no test of its own.  Products of
+    partial normal subgroups are partial normal (Chermak, Finite localities
+    I, 2015): the first hit contains every other.
     """
     return next(P for P in subgroups_below(L.S)
-                if P.is_normal_in(L.S) and is_partial_normal(
-                    L, PartialSubgroup(L, frozenset(P.members()))))
+                if is_partial_normal(L, PartialSubgroup(L, frozenset(P.members()))))
 
 
-def _relative_core(L: Locality, N: PartialSubgroup, kind: str) -> PartialSubgroup:
+def _s_part(L: Locality, N: PartialSubgroup) -> frozenset:
+    """S cap N, for a partial normal N."""
     if not is_partial_normal(L, N):
         raise InputError("relative core needs a partial normal subgroup")
-    T = frozenset(x for x in L.S.members() if x in N.members)
-    fam = []
-    for K in all_partial_normal_subgroups(L):
-        if kind == "p":
-            if products(L, K.members, T) == N.members:
-                fam.append(K)
-        else:
-            if T <= K.members:
-                fam.append(K)
-    # N is in both families, so neither is empty: N is a partial subgroup
-    # holding T, so NT = N, and the lattice holds every partial normal.
-    # T lies in every member of the O^{p'} family, so in its intersection.
-    # The intersection of the O^p family is in the family again (Chermak,
-    # Finite localities II, arXiv 1505.08110).
-    inter = frozenset.intersection(*[K.members for K in fam])
-    return PartialSubgroup(L, inter)
+    return frozenset(x for x in L.S.members() if x in N.members)
 
 
 def o_p_of(L: Locality, N: PartialSubgroup) -> PartialSubgroup:
-    """Intersection of the partial normal K with K(S cap N) = N."""
-    return _relative_core(L, N, "p")
+    """Intersection of the partial normal K with K(S cap N) = N.
+
+    N is in the family, as a partial subgroup holding T = S cap N has
+    NT = N, and the lattice holds every partial normal.  The intersection
+    of the family is in it again (Chermak, Finite localities II, arXiv
+    1505.08110).
+    """
+    T = _s_part(L, N)
+    return PartialSubgroup(L, frozenset.intersection(*[
+        K.members for K in all_partial_normal_subgroups(L)
+        if products(L, K.members, T) == N.members]))
 
 
 def o_pprime_of(L: Locality, N: PartialSubgroup) -> PartialSubgroup:
-    """Intersection of the partial normal K containing S cap N."""
-    return _relative_core(L, N, "p'")
+    """Intersection of the partial normal K containing S cap N.
+
+    Partial normal subgroups are closed under intersection, so that
+    intersection is the least of them: the normal closure of S cap N.
+    """
+    return normal_closure(L, _s_part(L, N))
 
 
 def product_partial_normal(L: Locality, M: PartialSubgroup,

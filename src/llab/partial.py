@@ -58,10 +58,8 @@ class PartialGroup:
         self._index = {x: i for i, x in enumerate(self.elements)}
         # member sets of all_partial_normal_subgroups, filled on first use
         self._normal_lattice: tuple | None = None
-        # x -> the defined conjugates x**g over the carrier (_conjugate_row)
-        self._conjugate_rows: dict = {}
-        # member set -> is it a partial subgroup? (is_partial_normal)
-        self._partial_verdicts: dict = {}
+        # conjugacy classes with their inverse and product masks (_class_table)
+        self._classes = None
         # x -> the y with (x, y) in D (domain_row)
         self._domain_rows: dict = {}
 
@@ -693,119 +691,132 @@ def products(pg: PartialGroup, xs, ys) -> frozenset:
                      for y in pg.domain_row(x).intersection(ys))
 
 
-def _closure(pg: PartialGroup, xs, normal: bool) -> frozenset:
-    """Least set holding xs and 1 closed under inverses, under products of
-    pairs in D and, when normal, under the defined conjugates x**g.
+def generated_subgroup(pg: PartialGroup, xs) -> PartialSubgroup:
+    """Least partial subgroup containing xs: the least set holding xs and 1
+    closed under inverses and under products of pairs in D.
 
-    Closure under inverses and binary domain products makes a partial
-    subgroup: axiom (3) contracts any domain word to a fold of binary
-    products whose intermediate pairs stay in D.  Semi-naive rounds: each
-    fresh element's inverse, conjugate row and products with the current
-    set go into the next frontier, so a pair of old elements, tried in an
+    That set is a partial subgroup: axiom (3) contracts any domain word to a
+    fold of binary products whose intermediate pairs stay in D.  Semi-naive
+    rounds: each fresh element's inverse and products with the current set
+    go into the next frontier, so a pair of old elements, tried in an
     earlier round, is never tried again.
     """
     cur, fresh = set(), set(xs) | {pg.identity}
     while fresh:
         pg.member_mask(fresh)  # an element outside the carrier is an input error
         old, cur = cur, cur | fresh
-        new = {pg.inv(x) for x in fresh}
-        new |= products(pg, fresh, cur) | products(pg, old, fresh)
-        if normal:
-            new = new.union(*(_conjugate_row(pg, x) for x in fresh))
-        fresh = new - cur
-    return frozenset(cur)
+        new = {pg.inv(x) for x in fresh} | products(pg, fresh, cur)
+        fresh = (new | products(pg, old, fresh)) - cur
+    return PartialSubgroup(pg, frozenset(cur))
 
 
-def generated_subgroup(pg: PartialGroup, xs) -> PartialSubgroup:
-    """Least partial subgroup containing xs."""
-    return PartialSubgroup(pg, _closure(pg, xs, normal=False))
+class _Classes(NamedTuple):
+    """A carrier's conjugacy classes, each named by its least carrier index."""
+
+    of: list  # carrier index -> its class
+    inv: dict  # class -> mask of the classes its members' inverses lie in
+    prod: dict  # class a -> {class b: mask of the classes of D's products a*b}
 
 
-def _conjugate_row(pg: PartialGroup, x) -> frozenset:
-    """The defined conjugates x**g, g over the carrier, memoized on pg.
+def _class_table(pg: PartialGroup) -> _Classes:
+    """The carrier's conjugacy classes with their inverse and product masks,
+    built on first use and kept on the carrier.
 
-    Every normality test, closure, lift and lattice on a carrier reads
-    these rows, so each pair (x, g) is conjugated at most once per carrier.
+    The classes are the components of x -- x**g.  In a partial group y = x**g
+    gives x = y**(g**-1), so a set closed under the defined conjugates is a
+    union of classes, and a partial normal subgroup is the least union of
+    classes that holds its seed and 1 and is closed under the inverse and
+    product masks.  Every partial-normal question reads these masks.  One
+    pass builds them: n rows of n conjugations, one `conj` per (x, g), and
+    one product per pair of D, |D| <= n**2.  An inverse, conjugate or
+    product outside the carrier is an input error.
     """
-    row = pg._conjugate_rows.get(x)
-    if row is None:
-        row = frozenset(z for g in pg.elements if (z := pg.conj(x, g)) is not None)
-        pg._conjugate_rows[x] = row
-    return row
+    if pg._classes is None:
+        els, index = pg.elements, pg.index_of
+        of = list(range(len(els)))
+        for i, x in enumerate(els):
+            # x's class and its conjugates' classes merge into the least one
+            met = {of[i]} | {of[index(z)] for g in els if (z := pg.conj(x, g)) is not None}
+            if len(met) > 1:
+                of = [min(met) if c in met else c for c in of]
+        inv, prod = {}, {}
+        for i, x in enumerate(els):
+            a = of[i]
+            inv[a] = inv.get(a, 0) | 1 << of[index(pg.inv(x))]
+            row = prod.setdefault(a, {})
+            for y in pg.domain_row(x):
+                b = of[index(y)]
+                row[b] = row.get(b, 0) | 1 << of[index(pg.binary(x, y))]
+        pg._classes = _Classes(of, inv, prod)
+    return pg._classes
 
 
-def is_partial_normal(pg: PartialGroup, sub: PartialSubgroup) -> bool:
-    """True iff the members form a partial subgroup and every defined
-    conjugate of a member lands back in it.
+def _class_closure(t: _Classes, fresh: int, cur: int = 0) -> int:
+    """Least class set holding fresh and cur that is closed under inverses
+    and products; cur must be closed already.
 
-    The row test runs first; the pair sweep once per member set and
-    carrier, and never for a set `normal_closure` returned.
+    Semi-naive rounds: each fresh class's inverses and its products with the
+    current set (both ways round) go into the next frontier.
     """
-    members, verdicts = sub.members, pg._partial_verdicts
-    if not all(_conjugate_row(pg, x) <= members for x in members):
-        return False
-    if members not in verdicts:
-        verdicts[members] = generated_subgroup(pg, members).members == members
-    return verdicts[members]
+    while fresh:
+        cur |= fresh
+        new, held = 0, mask_members(cur)
+        for a in mask_members(fresh):
+            row, new = t.prod[a], new | t.inv[a]
+            for b in held:
+                new |= row.get(b, 0) | t.prod[b].get(a, 0)
+        fresh = new & ~cur
+    return cur
+
+
+def _members(pg: PartialGroup, t: _Classes, classes: int) -> frozenset:
+    """The members of a class set."""
+    return frozenset(x for x, c in zip(pg.elements, t.of) if classes >> c & 1)
 
 
 def normal_closure(pg: PartialGroup, xs) -> PartialSubgroup:
-    """Least partial normal subgroup containing xs: one closure whose
-    frontier takes in the fresh elements' conjugate rows too."""
-    members = _closure(pg, xs, normal=True)
-    pg._partial_verdicts[members] = True  # closed under both
-    return PartialSubgroup(pg, members)
+    """Least partial normal subgroup containing xs, closed on class masks."""
+    t = _class_table(pg)
+    seed = sum({1 << t.of[pg.index_of(x)] for x in (pg.identity, *xs)})
+    return PartialSubgroup(pg, _members(pg, t, _class_closure(t, seed)))
+
+
+def is_partial_normal(pg: PartialGroup, sub: PartialSubgroup) -> bool:
+    """True iff the members are their own normal closure."""
+    return normal_closure(pg, sub.members).members == sub.members
 
 
 def all_partial_normal_subgroups(pg: PartialGroup) -> list:
-    """All partial normal subgroups, largest first, deterministic order.
+    """All partial normal subgroups, largest first, deterministic order; capped.
 
-    A partial group's elements and domain are fixed at construction, so the
-    lattice is enumerated once per carrier and kept there as member
-    frozensets (a PartialSubgroup points back at the carrier and would make
-    a reference cycle); each call returns a fresh list.
+    A breadth-first join of classes: from the least partial normal subgroup,
+    each found one is joined with every class outside it.  Complete: below
+    a partial normal N, a join with a class of N stays in N and grows, so N
+    is reached one class at a time.  A partial group's elements and domain
+    are fixed at construction, so the lattice is enumerated once per
+    carrier and kept there as member frozensets (a PartialSubgroup points
+    back at the carrier and would make a reference cycle); each call
+    returns a fresh list.
     """
     if pg._normal_lattice is None:
-        pg._normal_lattice = _enumerate_partial_normals(pg)
-    return [PartialSubgroup(pg, m) for m in pg._normal_lattice]
-
-
-def _enumerate_partial_normals(pg: PartialGroup) -> tuple:
-    """Join-lattice search over normal closures of single elements; capped.
-
-    Complete: a partial normal N is the join of the atoms of its members,
-    and the search reaches every join of atoms one atom at a time."""
-    cap = _caps.current().partial_normal
-    if len(pg.elements) > cap:
-        raise CapExceeded("partial-normal enumeration", cap)
-    # One atom per conjugacy class.  y = x**g gives x = y**(g**-1) in a
-    # partial group, so x and y lie in each other's normal closure and the
-    # two have one normal closure: an element in the row of an earlier
-    # atom's seed adds no atom.
-    atoms, seen = {}, set()
-    for x in pg.elements:
-        if x == pg.identity or x in seen:
-            continue
-        seen |= _conjugate_row(pg, x)
-        atoms.setdefault(normal_closure(pg, [x]).members, None)
-    atom_sets = sorted(atoms, key=lambda m: (len(m), pg.member_mask(m)))
-
-    found = {frozenset({pg.identity})}
-    frontier = [frozenset({pg.identity})]
-    while frontier:
-        nxt = []
-        for base in frontier:
-            for a in atom_sets:
-                if a <= base:
-                    continue
-                joined = normal_closure(pg, base | a).members
-                if joined not in found:
-                    found.add(joined)
-                    nxt.append(joined)
+        cap = _caps.current().partial_normal
+        if len(pg.elements) > cap:
+            raise CapExceeded("partial-normal enumeration", cap)
+        t = _class_table(pg)
+        classes = sum(1 << c for c in set(t.of))
+        found = [_class_closure(t, 1 << t.of[pg.index_of(pg.identity)])]
+        seen = set(found)
+        for base in found:  # found grows as it is read: breadth first
+            for c in mask_members(classes & ~base):
+                joined = _class_closure(t, 1 << c, base)
+                if joined not in seen:
+                    seen.add(joined)
+                    found.append(joined)
                     if len(found) > cap:
                         raise CapExceeded("partial-normal enumeration", cap)
-        frontier = nxt
-    return tuple(sorted(found, key=lambda m: (-len(m), pg.member_mask(m))))
+        pg._normal_lattice = tuple(sorted((_members(pg, t, m) for m in found),
+                                          key=lambda m: (-len(m), pg.member_mask(m))))
+    return [PartialSubgroup(pg, m) for m in pg._normal_lattice]
 
 
 # -- cosets -------------------------------------------------------------------
@@ -820,7 +831,7 @@ def coset_partition(pg: PartialGroup, sub: PartialSubgroup) -> tuple:
 
     The whole carrier is partial normal, since every defined product and
     conjugate lies in it, and it is its own one maximal coset, as 1·g = g
-    for every g: that partition needs neither the row test nor the cosets.
+    for every g: that partition needs neither the class table nor the cosets.
     """
     carrier = frozenset(pg.elements)
     if sub.members == carrier:

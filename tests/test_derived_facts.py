@@ -375,7 +375,9 @@ def reference_block_group(L, N):
 
 
 def reference_relative_core(L, N, kind):
-    """`_relative_core` with its empty-family and O^{p'} guards."""
+    """Each relative core as an intersection over the lattice, with the
+    empty-family guard and the guard that the intersection stays in its
+    family."""
     if not is_partial_normal(L, N):
         raise AssertionError("relative core needs a partial normal subgroup")
     T = frozenset(x for x in L.S.members() if x in N.members)

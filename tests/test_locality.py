@@ -656,17 +656,17 @@ class TestQuotientLocality:
     def test_quotient_by_the_whole_carrier_sweeps_nothing(self, monkeypatch):
         # S5 at p = 7: S = 1, so Theta = O_7'(S5) is the whole carrier, a
         # partial normal subgroup that is its own one coset, and L/Theta is
-        # the trivial group: no conjugate row is swept, and its one block
+        # the trivial group: no class table is built, and its one block
         # makes one block product.
         G = builtin("s5")
         L = locality_from_group(G, 7, delta_of(G, 7, "cr-closure"))
-        rows, products, inside = [], [], []
-        real_row, real_mult = partial._conjugate_row, FiniteGroup.mult
+        tables, products, inside = [], [], []
+        real_table, real_mult = partial._class_table, FiniteGroup.mult
         real_quotient = locality.quotient_locality
 
-        def row(pg, x):
-            rows.append(x)
-            return real_row(pg, x)
+        def table(pg):
+            tables.append(pg)
+            return real_table(pg)
 
         def mult(self, i, j):
             if inside:
@@ -680,12 +680,12 @@ class TestQuotientLocality:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(partial, "_conjugate_row", row)
+        monkeypatch.setattr(partial, "_class_table", table)
         monkeypatch.setattr(FiniteGroup, "mult", mult)
         monkeypatch.setattr(locality, "quotient_locality", quotient)
         theta, quo = theta_quotient(L)
         assert theta.order == len(L.elements) == 120 and len(quo.elements) == 1
-        assert rows == []
+        assert tables == []
         # the only products are the block product 1*1 in L, and sigma's
         # check on S x S, 1*1 in L and in Q
         assert products == [(0, 0)] * 3

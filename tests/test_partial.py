@@ -15,7 +15,13 @@ from llab.checks import ExampleContext
 from llab.errors import CapExceeded, DomainError, InputError, PropertyViolation
 from llab.expansion import lift_normal
 from llab.fusion import fusion_from_group
-from llab.locality import Locality, locality_from_group, resolve_delta_spec
+from llab.locality import (
+    Locality,
+    locality_from_group,
+    o_p_of,
+    o_pprime_of,
+    resolve_delta_spec,
+)
 from llab.partial import (
     PartialSubgroup,
     PGHom,
@@ -37,7 +43,11 @@ from llab.permgroup import (
 from table_partial import GroupPartial, TablePartial
 from test_axiom_sweep import c2_table
 from test_axiom_sweep import z4_table as axiom_z4_table
-from test_derived_facts import reference_is_projection, reference_kernel
+from test_derived_facts import (
+    reference_is_projection,
+    reference_kernel,
+    reference_relative_core,
+)
 from test_expansion import example
 from test_fusion import BUILTIN_PAIRS
 
@@ -405,8 +415,10 @@ def reference_enumerate_partial_normals(pg):
         atoms.setdefault(reference_normal_closure(pg, [x]).members, None)
     atom_sets = sorted(atoms, key=lambda m: (len(m), pg.member_mask(m)))
 
-    found = {frozenset({pg.identity})}
-    frontier = [frozenset({pg.identity})]
+    # the least partial normal subgroup: {1} on a partial group, but a
+    # broken carrier may conjugate 1 out of it
+    bottom = reference_normal_closure(pg, []).members
+    found, frontier = {bottom}, [bottom]
     while frontier:
         nxt = []
         for base in frontier:
@@ -461,22 +473,36 @@ TABLE_CARRIERS = {
 }
 
 
+# What the class table raises on a broken carrier.  Its pass meets every
+# pair of D and every conjugate, so it refuses the carrier on every call;
+# the reference refuses only the calls whose closure reaches the fault.
+FAULT_ON_EVERY_CALL = {
+    "z4-escaping": (InputError, "4 is not an element of this partial group"),
+    "c2-contracted": (DomainError, "word of length 2 is not in the product "
+                      "domain; first failing prefix has length 2"),
+}
+
+
 class TestAgainstTheConjugationSweep:
-    """The memoized conjugate rows answer as the per-call sweep did."""
+    """The class table answers as the per-call conjugation sweep did."""
 
     @pytest.mark.parametrize("name", sorted(TABLE_CARRIERS))
     def test_table_carriers(self, name):
         pg = TABLE_CARRIERS[name]()
-        assert (outcome(lattice, pg)
-                == outcome(reference_enumerate_partial_normals, pg))
+        got = [outcome(lattice, pg)]
+        want = [outcome(reference_enumerate_partial_normals, pg)]
         els = pg.elements
         for r in range(len(els) + 1):
             for xs in itertools.combinations(els, r):
                 sub = PartialSubgroup(pg, frozenset(xs))
-                assert (outcome(is_partial_normal, pg, sub)
-                        == outcome(reference_is_partial_normal, pg, sub))
-                assert (outcome(normal_closure, pg, xs)
-                        == outcome(reference_normal_closure, pg, xs))
+                got += [outcome(is_partial_normal, pg, sub),
+                        outcome(normal_closure, pg, xs)]
+                want += [outcome(reference_is_partial_normal, pg, sub),
+                         outcome(reference_normal_closure, pg, xs)]
+        if name in FAULT_ON_EVERY_CALL:
+            assert set(got) == {FAULT_ON_EVERY_CALL[name]}
+        else:
+            assert got == want
 
     @pytest.mark.parametrize("name,p", BUILTIN_PAIRS)
     def test_every_example_carrier(self, name, p):
@@ -486,6 +512,10 @@ class TestAgainstTheConjugationSweep:
             for x in L.elements:
                 assert (normal_closure(L, [x]).members
                         == reference_normal_closure(L, [x]).members)
+            for N in all_partial_normal_subgroups(L):
+                assert (o_pprime_of(L, N).members
+                        == reference_relative_core(L, N, "p'").members)
+                assert o_p_of(L, N).members == reference_relative_core(L, N, "p").members
         L = ctx.base
         for P in subgroups_below(L.S):
             sub = PartialSubgroup(L, frozenset(P.members()))
@@ -526,8 +556,47 @@ class TestConjugateRowsAreMemoized:
         assert not calls
 
 
+class TestOnePassPerCarrier:
+    """Every partial-normal question on a carrier reads one class table."""
+
+    def test_each_pair_of_d_is_multiplied_once_per_carrier(self, monkeypatch):
+        ctx = ExampleContext(builtin("s5"), 2)
+        # fresh copies, so no table is built yet
+        L, Lp = (Locality(K.group, K.elements, K.S, K.delta, K.p)
+                 for K in (ctx.base, ctx.growth.locality))
+        pairs, sweeps = Counter(), Counter()
+        binary, sweep = Locality.binary, partial.generated_subgroup
+
+        def counted_binary(pg, x, y):
+            pairs[pg, x, y] += 1
+            return binary(pg, x, y)
+
+        def counted_sweep(pg, xs):
+            sweeps[pg] += 1
+            return sweep(pg, xs)
+
+        monkeypatch.setattr(Locality, "binary", counted_binary)
+        monkeypatch.setattr(partial, "generated_subgroup", counted_sweep)
+        verdicts = []
+        for N in all_partial_normal_subgroups(L):
+            lift_normal(L, Lp, N)
+        for K in (L, Lp):
+            subs = [PartialSubgroup(K, frozenset(P.members()))
+                    for P in subgroups_below(K.S)]
+            subs += all_partial_normal_subgroups(K)
+            subs += [normal_closure(K, [x]) for x in K.elements]
+            verdicts += [is_partial_normal(K, sub) for sub in subs]
+        monkeypatch.undo()
+        assert verdicts.count(True) and verdicts.count(False)
+        # one pass over D per carrier, and nothing multiplied after it
+        assert pairs == Counter((K, x, y) for K in (L, Lp)
+                                for x in K.elements for y in K.domain_row(x))
+        assert not sweeps
+
+
 class TestPartialVerdictsAreMemoized:
-    """`is_partial_normal` sweeps a member set's pairs once per carrier."""
+    """`is_partial_normal` reads the carrier's kept class table, so no
+    member set's pairs are swept, once or again."""
 
     def count_sweeps(self, monkeypatch):
         calls = Counter()
@@ -544,15 +613,16 @@ class TestPartialVerdictsAreMemoized:
     def test_each_member_set_is_swept_at_most_once(self, monkeypatch):
         L = ExampleContext(builtin("s5"), 2).base
         e = frozenset({L.identity})
-        rows = {partial._conjugate_row(L, x) for x in L.elements}
+        of = partial._class_table(L).of
+        classes = {frozenset(x for x, c in zip(L.elements, of) if c == a)
+                   for a in set(of)}
         sets = ([frozenset(P.members()) for P in subgroups_below(L.S)]
-                + list(rows) + [row | e for row in rows])
+                + list(classes) + [cls | e for cls in classes])
         calls = self.count_sweeps(monkeypatch)
         first = [is_partial_normal(L, PartialSubgroup(L, m)) for m in sets]
         assert [is_partial_normal(L, PartialSubgroup(L, m)) for m in sets] == first
         assert first.count(True) and first.count(False)
-        assert calls and max(calls.values()) == 1
-        assert len(calls) <= len(set(sets))
+        assert not calls
 
     def test_a_normal_closure_is_not_swept_again(self, monkeypatch):
         L = ExampleContext(builtin("s5"), 2).base
@@ -596,8 +666,7 @@ class TestOnePairKernel:
             lift_normal(L, Lp, N)
         monkeypatch.undo()
         assert len(normals) == 4
-        # the trivial subgroup is not a closure: lift_normal sweeps it once
-        assert sweeps == {"is_partial_normal": 1} and not walks[2]
+        assert not sweeps and not walks[2]
 
     def test_partial_domain_lattice_walks_no_pair(self, monkeypatch):
         G = builtin("s5")

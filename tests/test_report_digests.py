@@ -55,7 +55,7 @@ def test_every_frontier_run_parses_and_loads_its_group():
     #   python3 tests/report_digests.py --stdin < tests/frontier/runs.txt
     lines = (report_digests.ROOT / "tests" / "frontier" / "runs.txt").read_text().splitlines()
     runs = [shlex.split(line) for line in lines if line.strip()]
-    assert len(runs) == 27
+    assert len(runs) == 33
     parser = cli.build_parser()
     for run in runs:
         args = parser.parse_args(run)
