@@ -196,7 +196,7 @@ def cmd_expand(args) -> tuple[list, dict, int]:
     Lp = fe.locality
 
     oracle = locality_from_group(G, args.p, target)
-    iso = check_unique_iso(Lp, oracle, base=L)
+    iso = check_unique_iso(Lp, oracle)
 
     lines = [
         f"growth {args.delta!r} -> {args.delta_plus!r}: {len(fe.steps)} steps",

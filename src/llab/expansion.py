@@ -36,7 +36,6 @@ from .locality import (
 from .partial import (
     PGHom,
     PartialSubgroup,
-    generated_subgroup,
     is_partial_normal,
     normal_closure,
 )
@@ -632,15 +631,17 @@ def lift_normal(L: Locality, Lplus: Locality, N: PartialSubgroup) -> PartialSubg
     return lifted
 
 
-def check_unique_iso(Lplus: Locality, Ltilde: Locality, base: Locality | None = None):
+def check_unique_iso(Lplus: Locality, Ltilde: Locality):
     """Identity-anchored isomorphism between two growths, or None.
 
     Carriers here are realized inside one ambient group, so an
     isomorphism fixing a shared base exists exactly when element sets
     and object families coincide; the map is then the identity on
-    ordinals.  The target must be a Locality.  With `base` given, the base
-    must generate both carriers, which pins the isomorphism down as the
-    only one restricting to the identity.
+    ordinals.  The target must be a Locality.  It is the only isomorphism
+    restricting to the identity on the base L of a growth Lplus =
+    `full_expand(L, ...)`: as argued there, L generates Lplus, which cuts
+    back to L, and an isomorphism that is the identity on a generating set
+    is the identity, as it respects the products that form the rest.
     """
     if not isinstance(Ltilde, Locality):
         raise InputError("an isomorphism check needs a Locality target")
@@ -648,15 +649,6 @@ def check_unique_iso(Lplus: Locality, Ltilde: Locality, base: Locality | None = 
             or Ltilde.group is not Lplus.group or Ltilde.S.mask != Lplus.S.mask
             or Ltilde.delta.mask_set != Lplus.delta.mask_set):
         return None
-    if base is not None:
-        try:
-            _check_extension_pair(base, Lplus)
-            _check_extension_pair(base, Ltilde)
-        except InputError:
-            return None
-        gen = generated_subgroup(Lplus, base.elements)
-        if gen.members != frozenset(Lplus.elements):
-            return None
     # A Locality's in_domain is a function of its group, S.mask, Delta and
     # carrier (S_w from the group and S, tested against Delta), and its
     # product folds the group's multiplication.  All four were compared

@@ -404,9 +404,9 @@ class FusionSystem:
         # as phi does, T1.  So the maps fixing T1*T2 generate F.  subs runs
         # largest first, so the first normal subgroup contains every other:
         # its join with one is normal and no larger.  The trivial subgroup
-        # is always normal.
-        return next(T for T in self.subs
-                    if T.is_normal_in(self.S) and self.is_normal_in_system(T))
+        # is always normal.  is_normal_in_system opens with N_S(T) = S, so T
+        # needs no separate test of normality in S.
+        return next(T for T in self.subs if self.is_normal_in_system(T))
 
     # -- classification ------------------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import InputError, PropertyViolation
+from .errors import DomainError, InputError, PropertyViolation
 from .fusion import FusionMap, FusionSystem, conjugation_fusion, group_fusion
 from .partial import (
     PartialGroup,
@@ -269,19 +269,23 @@ class Locality(PartialGroup):
         """Product of a domain word, read off its one walk.
 
         S_u contains S_w for every prefix u of w, and Delta is closed under
-        overgroups, so w in D puts every prefix in D.  A word outside D
-        falls back to the prefix-by-prefix fold, whose DomainError names
-        the first failing prefix.  On a full-domain carrier no image of S_w
-        is read, so the product is the ambient fold alone.
+        overgroups, so w in D puts every prefix in D, and the first prefix
+        outside D ends at a letter outside the carrier or at the first walk
+        state outside D: DomainError(word, k) names that prefix's length k.
+        On a full-domain carrier no image of S_w is read, so the product of
+        a word over the carrier is the ambient fold alone.
         """
         word = tuple(word)
-        if self._carrier.issuperset(word):
-            if self.full_domain:
-                return self.group.word(word)
-            state = self.walk(word)
-            if self.walk_in_domain(state):
-                return state[1]
-        return PartialGroup.product(self, word)
+        if self.full_domain and self._carrier.issuperset(word):
+            return self.group.word(word)
+        state = self.walk_start()
+        for k, g in enumerate(word, 1):
+            if g not in self._carrier:
+                raise DomainError(word, k)
+            state = self.walk_step(state, g)
+            if not self.walk_in_domain(state):
+                raise DomainError(word, k)
+        return state[1]
 
     def _invariant_core_mask(self) -> int:
         """Largest subgroup of S stable under conjugation by every element.
@@ -629,12 +633,13 @@ def o_p_of(L: Locality, N: PartialSubgroup) -> PartialSubgroup:
     N is in the family, as a partial subgroup holding T = S cap N has
     NT = N, and the lattice holds every partial normal.  The intersection
     of the family is in it again (Chermak, Finite localities II, arXiv
-    1505.08110).
+    1505.08110).  Only the K inside N are multiplied: 1 is in T and (k, 1)
+    is in D, so K lies in KT, and KT = N puts K inside N.
     """
     T = _s_part(L, N)
     return PartialSubgroup(L, frozenset.intersection(*[
         K.members for K in all_partial_normal_subgroups(L)
-        if products(L, K.members, T) == N.members]))
+        if K.members <= N.members and products(L, K.members, T) == N.members]))
 
 
 def o_pprime_of(L: Locality, N: PartialSubgroup) -> PartialSubgroup:

@@ -44,10 +44,17 @@ __all__ = [
 
 
 class PartialGroup:
-    """Base carrier. Subclasses fill elements/identity/inv/in_domain/binary.
+    """Carrier state shared by every partial group: the canonical element
+    tuple, the identity, and the memos that live as long as the carrier.
 
-    A subclass with a cheaper summary of a word than the word itself
-    replaces the four `walk_*` hooks.
+    A subclass fills in `elements` and `identity` before calling
+    `__init__`, and provides the word protocol the sweeps read: `inv`,
+    `in_domain`, `binary`, `domain_row`, `conj`, `product` and the walker
+    hooks `walk_start`, `walk_step`, `walk_in_domain` and `walk_product`.
+    A walker state summarizes a word's prefix; states are hashable, and
+    equal states have equal futures, so the axiom sweep interns them.
+    Letters are carrier elements, and `walk_product` is asked only of
+    states that `walk_in_domain` accepts.
     """
 
     elements: tuple = ()
@@ -60,52 +67,8 @@ class PartialGroup:
         self._normal_lattice: tuple | None = None
         # conjugacy classes with their inverse and product masks (_class_table)
         self._classes = None
-        # x -> the y with (x, y) in D (domain_row)
+        # domain rows, kept by the subclass's `domain_row`
         self._domain_rows: dict = {}
-
-    def inv(self, x):
-        raise NotImplementedError
-
-    def in_domain(self, word) -> bool:
-        """Decide membership of a word (tuple of element keys) in D."""
-        raise NotImplementedError
-
-    def binary(self, x, y):
-        """Product of the domain word (x, y)."""
-        raise NotImplementedError
-
-    def domain_row(self, x) -> frozenset:
-        """The y with (x, y) in D, memoized; every pair sweep reads these."""
-        row = self._domain_rows.get(x)
-        if row is None:
-            row = self._domain_rows[x] = frozenset(
-                y for y in self.elements if self.in_domain((x, y)))
-        return row
-
-    # -- word walker ---------------------------------------------------------
-    #
-    # Every bounded word sweep extends words one letter at a time and keeps a
-    # state per prefix.  Letters are carrier elements; `walk_product` is
-    # asked only of states that `walk_in_domain` accepts.  States are
-    # hashable, and equal states have equal futures: the axiom sweep interns
-    # them.  Here the state is the word itself, answered by `in_domain` and
-    # `product`.
-
-    def walk_start(self):
-        """State of the empty word."""
-        return ()
-
-    def walk_step(self, state, x):
-        """State of the word extended by the letter x."""
-        return state + (x,)
-
-    def walk_in_domain(self, state) -> bool:
-        """Is the walked word in D?"""
-        return self.in_domain(state)
-
-    def walk_product(self, state):
-        """Product of a walked domain word."""
-        return self.product(state)
 
     def walk(self, word):
         """State of a word, walked from the start state."""
@@ -133,8 +96,6 @@ class PartialGroup:
                         yield u, st
             frontier = nxt
 
-    # -- derived operations ------------------------------------------------
-
     def index_of(self, x) -> int:
         try:
             return self._index[x]
@@ -146,35 +107,6 @@ class PartialGroup:
         for x in xs:
             m |= 1 << self.index_of(x)
         return m
-
-    def product(self, word):
-        """Left fold of the partial product over a domain word.
-
-        Raises DomainError naming the first failing prefix when the word is
-        not in D.  The fold is valid for domain words: axiom (3) lets any
-        prefix be contracted to its product.
-        """
-        word = tuple(word)
-        if not word:
-            return self.identity
-        for k in range(1, len(word) + 1):
-            if not self.in_domain(word[:k]):
-                raise DomainError(word, k)
-        acc = word[0]
-        for x in word[1:]:
-            acc = self.binary(acc, x)
-        return acc
-
-    def conj(self, x, g):
-        """x**g = g**-1 * x * g, or None when that word is not in D.
-
-        One domain test on the whole word; axiom (3) then lets the word be
-        folded pair by pair.
-        """
-        gi = self.inv(g)
-        if not self.in_domain((gi, x, g)):
-            return None
-        return self.binary(self.binary(gi, x), g)
 
 
 # -- axiom checking ----------------------------------------------------------

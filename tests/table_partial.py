@@ -3,7 +3,9 @@
 Tests build tables to feed deliberately corrupted or scrambled products to
 the axiom checker and to isomorphism tests, view a finite group as a
 partial group with every word in its domain, and build localities that
-skip the construction checks, to show what those checks catch.
+skip the construction checks, to show what those checks catch.  The
+generic word protocol these carriers share (domain rows, the word walker,
+the prefix fold and conjugation) lives here, on `GroupPartial`.
 """
 
 from llab.errors import DomainError
@@ -12,7 +14,13 @@ from llab.partial import PartialGroup
 
 
 class GroupPartial(PartialGroup):
-    """A finite group viewed as a partial group with D = all words."""
+    """A finite group viewed as a partial group with D = all words.
+
+    It is also the base of the test carriers: the word protocol below is
+    written over `inv`, `in_domain` and `binary` alone, so a carrier that
+    replaces those three (`TablePartial`) inherits the rest.  `Locality`,
+    the one carrier of `llab`, provides every method itself.
+    """
 
     full_domain = True
 
@@ -31,8 +39,64 @@ class GroupPartial(PartialGroup):
     def binary(self, x, y):
         return self.group.mult(x, y)
 
+    def domain_row(self, x) -> frozenset:
+        """The y with (x, y) in D, memoized; every pair sweep reads these."""
+        row = self._domain_rows.get(x)
+        if row is None:
+            row = self._domain_rows[x] = frozenset(
+                y for y in self.elements if self.in_domain((x, y)))
+        return row
+
+    # The walker state is the word itself, answered by `in_domain` and
+    # `product`.
+
+    def walk_start(self):
+        return ()
+
+    def walk_step(self, state, x):
+        return state + (x,)
+
+    def walk_in_domain(self, state) -> bool:
+        return self.in_domain(state)
+
+    def walk_product(self, state):
+        return self.product(state)
+
+    def product(self, word):
+        return fold(self, word)
+
+    def conj(self, x, g):
+        """x**g = g**-1 * x * g, or None when that word is not in D.
+
+        One domain test on the whole word; axiom (3) then lets the word be
+        folded pair by pair.
+        """
+        gi = self.inv(g)
+        if not self.in_domain((gi, x, g)):
+            return None
+        return self.binary(self.binary(gi, x), g)
+
     def __repr__(self):
-        return f"GroupPartial(order={self.group.order})"
+        return f"{type(self).__name__}(order={len(self.elements)})"
+
+
+def fold(pg, word):
+    """Left fold of the partial product over a domain word, on any carrier.
+
+    Raises DomainError naming the first failing prefix when the word is
+    not in D.  The fold is valid for domain words: axiom (3) lets any
+    prefix be contracted to its product.
+    """
+    word = tuple(word)
+    if not word:
+        return pg.identity
+    for k in range(1, len(word) + 1):
+        if not pg.in_domain(word[:k]):
+            raise DomainError(word, k)
+    acc = word[0]
+    for x in word[1:]:
+        acc = pg.binary(acc, x)
+    return acc
 
 
 class UncheckedLocality(Locality):
@@ -42,7 +106,7 @@ class UncheckedLocality(Locality):
         pass
 
 
-class TablePartial(PartialGroup):
+class TablePartial(GroupPartial):
     """Explicit finite product table.
 
     `products` maps length-2 word tuples to results; D is the closure of
@@ -50,13 +114,15 @@ class TablePartial(PartialGroup):
     membership decided by `domain` when given explicitly.
     """
 
+    full_domain = False
+
     def __init__(self, elements, identity, inverses, products, domain=None):
         self.elements = tuple(elements)
         self.identity = identity
         self._inv = dict(inverses)
         self._products = dict(products)
         self._domain = None if domain is None else {tuple(w) for w in domain}
-        super().__init__()
+        PartialGroup.__init__(self)
 
     def inv(self, x):
         return self._inv[x]

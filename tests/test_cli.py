@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from llab import caps, checks, cli
+from llab import caps, checks, cli, expansion, partial
 from llab.errors import PropertyViolation
 from llab.locality import Locality
 from llab.permgroup import FiniteGroup
@@ -152,7 +152,18 @@ class TestExpand:
         assert payload["iso_to_oracle"] is False
         assert len(payload["steps"]) == 3
 
-    def test_s4_growth_matches_direct_construction(self, capsys, tmp_path):
+    def test_s4_growth_matches_direct_construction(self, capsys, tmp_path, monkeypatch):
+        # the identification reads full_expand's argument: no carrier is
+        # regenerated from the base
+        calls = []
+        sweep = partial.generated_subgroup
+
+        def counted(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        for mod in (partial, expansion, cli):
+            monkeypatch.setattr(mod, "generated_subgroup", counted, raising=False)
         target = tmp_path / "s4.json"
         code, out, _ = run_cli(
             capsys, "expand", "--group", group_arg("s4"), "--p", "2",
@@ -162,6 +173,7 @@ class TestExpand:
         assert "5 steps" in out
         assert "identified with the direct construction" in out
         assert json.loads(target.read_text())["iso_to_oracle"] is True
+        assert calls == []
 
     def test_same_family_is_a_noop(self, capsys):
         code, out, _ = run_cli(

@@ -67,6 +67,7 @@ from table_partial import TablePartial, UncheckedLocality
 from test_fusion import BUILTIN_PAIRS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
+FRONTIER = Path(__file__).resolve().parent / "frontier"
 
 
 @lru_cache(maxsize=None)
@@ -622,14 +623,13 @@ class TestFullGrowth:
         assert len(direct.elements) == 120
         assert not is_proper(direct).ok
         assert check_unique_iso(fe.locality, direct) is None
-        assert check_unique_iso(fe.locality, direct, base=fe.base) is None
 
     def test_s4_growth_equals_direct_build(self):
         fe = s4_full()
         assert [s.trace["r_order"] for s in fe.steps] == [4, 4, 2, 2, 1]
         _, F = setup("s4")
         direct = locality_from_group(fe.base.group, 2, resolve_delta_spec(F, "s"))
-        iso = check_unique_iso(fe.locality, direct, base=fe.base)
+        iso = check_unique_iso(fe.locality, direct)
         assert iso is not None
         assert iso.verify()[0]
         assert set(iso.target.elements) == set(fe.locality.elements)
@@ -857,7 +857,7 @@ class TestUniqueIso:
             raise AssertionError("swept a Locality target")
 
         monkeypatch.setattr(expansion.PGHom, "verify", sweep)
-        iso = check_unique_iso(fe.locality, direct, base=fe.base)
+        iso = check_unique_iso(fe.locality, direct)
         assert iso is not None and iso.target is direct
 
     def test_positive_case_is_the_identity(self):
@@ -1188,6 +1188,19 @@ class TestGrowthKeepsByConstruction:
             classes = [approx_class(step, g) for g in step.base.elements[:12]]
             reference_threading_checks(
                 step, list(itertools.product(classes[:4], repeat=2)))
+        reference_chain_checks(L, fe.locality)
+
+    def test_frontier_s6_growth_is_generated_by_its_base(self):
+        # full_expand's argument, on which check_unique_iso rests: the base
+        # generates the growth.  `llab expand` on S6 at p = 2 (cr-closure to
+        # F^s) adjoins elements over partial-domain bases, as A6's does above
+        spec = json.loads((FRONTIER / "s6.json").read_text())
+        G = group_from_generators(spec["degree"], spec["generators"])
+        F = fusion_from_group(G, 2)
+        L = locality_from_group(G, 2, resolve_delta_spec(F, "cr-closure"))
+        fe = full_expand(L, resolve_delta_spec(F, "s"))
+        assert len(fe.locality.elements) > len(L.elements)
+        assert any(step.created for step in fe.steps)
         reference_chain_checks(L, fe.locality)
 
     def test_threading_through_fresh_classes(self):

@@ -111,6 +111,14 @@ def test_dead_helpers_are_gone():
     assert not hasattr(permgroup, "all_subgroups")
     assert not hasattr(llab, "all_subgroups")
     assert not hasattr(partial.PGHom(L, L, {x: x for x in L.elements}), "_verified")
+    # Locality is the one carrier in src/: the generic word protocol lives
+    # on the test carriers, and growths are identified by full_expand's
+    # argument, not by regenerating them from the base
+    for name in ("inv", "in_domain", "binary", "domain_row", "walk_start", "walk_step",
+                 "walk_in_domain", "walk_product", "product", "conj"):
+        assert name not in vars(partial.PartialGroup), name
+        assert name in vars(locality.Locality), name
+    assert "base" not in inspect.signature(expansion.check_unique_iso).parameters
 
 
 # errors < caps < permgroup < {fusion, partial} < locality < expansion < checks < cli

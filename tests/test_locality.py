@@ -32,7 +32,6 @@ from llab.locality import (
     theta_quotient,
 )
 from llab.partial import (
-    PartialGroup,
     PartialSubgroup,
     PGHom,
     check_axioms,
@@ -53,7 +52,7 @@ from llab.permgroup import (
     sylow_p,
 )
 from bench.workloads import generated_groups
-from table_partial import UncheckedLocality
+from table_partial import UncheckedLocality, fold
 from test_derived_facts import (
     centralizer_locality,
     domain_words,
@@ -373,22 +372,30 @@ class TestDomainKernel:
                 L.s_word_mask((inside, bad))
 
     def test_product_names_the_same_failing_prefix(self):
+        # the partial-domain scan, and the full-domain branch on D8 over the
+        # single object S (8 of S4's 24 elements)
         G = builtin("s5")
         L = locality_from_group(G, 2, delta_of(G, 2, "q"))
-        outside = next(g for g in range(G.order) if g not in L._index)
-        words = [w for w in itertools.product(L.elements[::5], repeat=3)
-                 if not L.in_domain(w)]
-        words += [(outside,), (L.elements[3], outside), (1, 2, -1)]
-        assert len(words) > 10
-        for w in words:
-            with pytest.raises(DomainError) as whole:
-                L.product(w)
-            with pytest.raises(DomainError) as prefixes:
-                PartialGroup.product(L, w)
-            assert whole.value.prefix_len == prefixes.value.prefix_len, w
-        for w in itertools.product(L.elements[::9], repeat=3):
-            if L.in_domain(w):
-                assert L.product(w) == PartialGroup.product(L, w)
+        H = builtin("s4")
+        d8_top = locality_from_group(H, 2, [sylow_p(H.top, 2)])
+        assert not L.full_domain and d8_top.full_domain
+        for K, stride in ((L, 5), (d8_top, 1)):
+            outside = next(g for g in range(K.group.order) if g not in K._index)
+            inside = K.elements[3]
+            words = [w for w in itertools.product(K.elements[::stride], repeat=3)
+                     if not K.in_domain(w)]
+            assert bool(words) == (not K.full_domain)
+            words += [(outside,), (inside, outside), (outside, inside),
+                      (inside, inside, outside), (1, 2, -1), (inside, -1), (-1,)]
+            for w in words:
+                with pytest.raises(DomainError) as whole:
+                    K.product(w)
+                with pytest.raises(DomainError) as prefixes:
+                    fold(K, w)
+                assert whole.value.prefix_len == prefixes.value.prefix_len, w
+            for w in [(), *itertools.product(K.elements[::stride + 4], repeat=3)]:
+                if K.in_domain(w):
+                    assert K.product(w) == fold(K, w)
 
 
 class TestNormalizersInside:
@@ -931,7 +938,7 @@ class TestClosuresOnPartialDomain:
                     continue
                 w = (L.inv(g), x, g)
                 if L.in_domain(w):
-                    assert got == PartialGroup.product(L, w)
+                    assert got == fold(L, w)
                     counts["defined"] += 1
                 else:
                     assert got is None
