@@ -37,7 +37,7 @@ from .permgroup import (
     is_characteristic_p,
     mask_members,
     mask_of,
-    p_prime_core,
+    perm_order,
     subgroups_below,
     sylow_p,
 )
@@ -252,18 +252,22 @@ class Locality(PartialGroup):
         return row
 
     def conj(self, x, g):
-        """x**g from one walk of (g**-1, x, g): its domain test and product.
+        """x**g when (g**-1, x, g) is in D, decided from S_g; else None.
 
-        None when a letter is outside the carrier or the word is outside D;
-        a full-domain carrier conjugates in the ambient group.
+        None when x or g is outside the carrier.  The word's walk reaches
+        S_g after g**-1 and a = (S_g & S_x)**x after x, and its last step
+        carries a & S_g by c_g, an F-map on S_g.  Delta is F-closed (checked
+        in _validate), so the word is in D iff a & S_g is an object, and
+        only a defined conjugate is multiplied.  A full-domain carrier
+        conjugates in the ambient group.
         """
-        gi = self.group.inv(g)
-        if not self._carrier.issuperset((gi, x, g)):
+        if x not in self._carrier or g not in self._carrier:
             return None
-        if self.full_domain:
-            return self.group.conj(x, g)
-        state = self.walk((gi, x, g))
-        return state[1] if self.walk_in_domain(state) else None
+        if not self.full_domain:
+            s_g = self.s_g_mask(g)
+            if self._step_mask(x, s_g) & s_g not in self.delta.mask_set:
+                return None
+        return self.group.conj(x, g)
 
     def product(self, word):
         """Product of a domain word, read off its one walk.
@@ -573,8 +577,7 @@ def theta_quotient(L: Locality):
     if L._theta_quotient is not None:
         members, quotient = L._theta_quotient
         return PartialSubgroup(L, members), L if quotient is None else quotient
-    F = L.fusion()
-    cs = F.class_sets()
+    cs = L.fusion().class_sets()
     cr_masks = {P.mask for P in cs["cr"]}
     q_masks = {P.mask for P in cs["q"]}
     if not cr_masks <= L.delta.mask_set:
@@ -582,10 +585,19 @@ def theta_quotient(L: Locality):
     if not L.delta.mask_set <= q_masks:
         raise InputError("theta quotient needs Delta inside F^q")
 
+    # Theta is the union of the O_p'(C_L(P)), P in Delta, and each is the
+    # set of p'-elements of C_L(P), a group as P is an object (normalizer_in).
+    # Take Q = P**g (g in L) fully centralized.  Delta <= F^q, so C_F(Q) is
+    # the trivial system on C_S(Q), a Sylow p-subgroup of C_L(Q) whose
+    # fusion C_L(Q) realizes; by Frobenius's normal p-complement theorem
+    # C_L(Q) has a normal p-complement, which is its set of p'-elements.
+    # c_g carries C_L(P) isomorphically onto C_L(Q), so the same holds for
+    # C_L(P).  A C_L(P) of order prime to p is taken without reading orders.
     members = {L.identity}
     for P in L.delta.members:
-        C = Subgroup(L.group, mask_of(centralizer_in(L, P).members))
-        members.update(p_prime_core(C, L.p).members())
+        C = centralizer_in(L, P).members
+        members.update(C if len(C) % L.p else
+                       (x for x in C if perm_order(L.group.elements[x]) % L.p))
     # Theta is partial normal as Delta is F-closed (Chermak, Finite localities
     # I, 2015; Henke, Trans. AMS 371 (2019)); coset_partition checks it.
     theta = PartialSubgroup(L, frozenset(members))
@@ -653,15 +665,16 @@ def o_pprime_of(L: Locality, N: PartialSubgroup) -> PartialSubgroup:
 
 def product_partial_normal(L: Locality, M: PartialSubgroup,
                            N: PartialSubgroup) -> PartialSubgroup:
-    """MN through defined pairwise products.
+    """MN, the normal closure of M and N together, read off the class table.
 
-    For partial normal M and N of a locality, MN is a partial subgroup and
-    partial normal (Chermak, Finite localities I, 2015), so it is not
-    tested again.
+    For partial normal M and N of a locality, MN is partial normal (Chermak,
+    Finite localities I, 2015).  It holds M and N, as (m, 1) and (1, n) are
+    in D, and every partial normal subgroup holding both is closed under
+    D's products, so holds MN: MN is the least of them.
     """
     if not is_partial_normal(L, M) or not is_partial_normal(L, N):
         raise InputError("product needs partial normal inputs")
-    return PartialSubgroup(L, products(L, M.members, N.members))
+    return normal_closure(L, M.members | N.members)
 
 
 # -- CLI-facing object-set vocabulary -------------------------------------------------

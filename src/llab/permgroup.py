@@ -137,6 +137,9 @@ class _Inverses(dict):
         self._elements, self._index = elements, index
 
     def __missing__(self, i: int) -> int:
+        # a negative i would index from the end and store a wrong entry
+        if not 0 <= i < len(self._elements):
+            raise InputError(f"{i!r} is not an element ordinal of this group")
         j = self[i] = self._index[pinv(self._elements[i])]
         self[j] = i
         return j
@@ -260,9 +263,7 @@ class FiniteGroup:
 
     def is_p_element(self, i: int, p: int) -> bool:
         n = perm_order(self.elements[i])
-        while n % p == 0:
-            n //= p
-        return n == 1
+        return _p_part(n, p) == n
 
     def index_of(self, perm: Perm) -> int:
         try:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llab import caps, expansion, locality
+from llab import caps, expansion, locality, partial
 from llab.checks import ExampleContext
 from llab.errors import CapExceeded, InputError, PropertyViolation
 from llab.expansion import check_seed, elementary_expand, expand_quotient, lift_normal
@@ -74,7 +74,8 @@ from llab.permgroup import (
     sylow_p,
 )
 from table_partial import UncheckedLocality
-from test_expansion import a6_growth, builtin, example, growths, loc, setup, swap_type
+from test_expansion import (a6_growth, builtin, example, frontier_growth, growths, loc,
+                            setup, swap_type)
 from test_fusion import BUILTIN_PAIRS, any_group
 
 
@@ -662,12 +663,38 @@ def reference_centralizer_locality(L, V):
 
 
 def reference_product_partial_normal(L, M, N):
-    """`product_partial_normal` with its partial-normality guard."""
-    out = product_partial_normal(L, M, N)
+    """`product_partial_normal` as the pair sweep: the D-products of M x N,
+    with its guards on the inputs and on the product's partial normality."""
+    if not is_partial_normal(L, M) or not is_partial_normal(L, N):
+        raise InputError("product needs partial normal inputs")
+    out = PartialSubgroup(L, products(L, M.members, N.members))
     if not is_partial_normal(L, out):
         raise PropertyViolation("product of partial normals is not partial normal",
                                 witness=out)
     return out
+
+
+def check_products(L, normals):
+    """`product_partial_normal` against the pair sweep on every ordered pair
+    of partial normal subgroups, with no `products` call of its own."""
+    calls = []
+    sweep = partial.products
+
+    def counted(pg, xs, ys):
+        calls.append(pg)
+        return sweep(pg, xs, ys)
+
+    for module in (partial, locality):
+        module.products = counted
+    try:
+        got = [product_partial_normal(L, M, N).members
+               for M, N in itertools.product(normals, repeat=2)]
+    finally:
+        for module in (partial, locality):
+            module.products = sweep
+    assert not calls
+    assert got == [reference_product_partial_normal(L, M, N).members
+                   for M, N in itertools.product(normals, repeat=2)]
 
 
 def reference_restriction_proper(L, cut):
@@ -960,9 +987,7 @@ def check_carrier(L):
             assert [Q.elements[lq.rho.mapping[min(c)]] for c in blocks] == (
                 reference_quotient_blocks(L, blocks))
             assert reference_kernel(lq.rho).members == N.members
-    for M, N in itertools.combinations(normals, 2):
-        assert reference_product_partial_normal(L, M, N).members in {
-            K.members for K in normals}
+    check_products(L, normals)
     return normals
 
 
@@ -1049,6 +1074,26 @@ class TestDroppedGuardsHold:
             incomparable += sum(not U.le(V) and not V.le(U)
                                 for U, V in itertools.combinations(normals, 2))
         assert incomparable == 839
+
+
+class TestProductIsOneNormalClosure:
+    """MN of partial normal M and N is read off the class table as their
+    normal closure, and equals the D-products of M x N."""
+
+    @pytest.mark.parametrize("name,p", [(g, p) for g in ("a4", "a5", "c6", "d8", "s3",
+                                                         "s4", "s5") for p in (2, 3, 5)])
+    def test_builtin_bases_and_growths(self, name, p):
+        ctx = example(name, p)
+        for L in (ctx.base, ctx.growth.locality):
+            check_products(L, all_partial_normal_subgroups(L))
+
+    @pytest.mark.parametrize("name,p", [("a6", 2), ("s6", 2), ("m11", 3)])
+    def test_frontier_bases_and_growths(self, name, p):
+        fe = frontier_growth(name, p)
+        for L in (fe.base, fe.locality):
+            normals = all_partial_normal_subgroups(L)
+            assert len(normals) > 1
+            check_products(L, normals)
 
 
 # the built-in pairs and the benchmark's generated groups at their primes

@@ -1148,14 +1148,21 @@ def growths(ctx):
 
 
 @lru_cache(maxsize=None)
+def frontier_growth(name, p):
+    """The growth `llab expand` makes on a tests/frontier group at p: its
+    cr-closure locality expanded to F^s."""
+    spec = json.loads((FRONTIER / f"{name}.json").read_text())
+    G = group_from_generators(spec["degree"], spec["generators"])
+    F = fusion_from_group(G, p)
+    L = locality_from_group(G, p, resolve_delta_spec(F, "cr-closure"))
+    return full_expand(L, resolve_delta_spec(F, "s"))
+
+
 def a6_growth():
     """A6 = <(0 1 2), (1 2 3 4 5)> at p = 2: its 40-element cr-closure
     locality grows to 104 elements on partial-domain bases, adjoining fresh
     elements."""
-    G = group_from_generators(6, [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]])
-    F = fusion_from_group(G, 2)
-    L = locality_from_group(G, 2, resolve_delta_spec(F, "cr-closure"))
-    return full_expand(L, resolve_delta_spec(F, "s"))
+    return frontier_growth("a6", 2)
 
 
 class TestGrowthKeepsByConstruction:
@@ -1194,11 +1201,8 @@ class TestGrowthKeepsByConstruction:
         # full_expand's argument, on which check_unique_iso rests: the base
         # generates the growth.  `llab expand` on S6 at p = 2 (cr-closure to
         # F^s) adjoins elements over partial-domain bases, as A6's does above
-        spec = json.loads((FRONTIER / "s6.json").read_text())
-        G = group_from_generators(spec["degree"], spec["generators"])
-        F = fusion_from_group(G, 2)
-        L = locality_from_group(G, 2, resolve_delta_spec(F, "cr-closure"))
-        fe = full_expand(L, resolve_delta_spec(F, "s"))
+        fe = frontier_growth("s6", 2)
+        L = fe.base
         assert len(fe.locality.elements) > len(L.elements)
         assert any(step.created for step in fe.steps)
         reference_chain_checks(L, fe.locality)

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import re
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from llab import checks, locality, partial
+from llab import checks, locality, partial, permgroup
 from llab.checks import ExampleContext, run_tags
 from llab.errors import DomainError, InputError, PropertyViolation
 from llab.fusion import FusionSystem, fusion_from_group
@@ -47,7 +48,9 @@ from llab.permgroup import (
     mask_members,
     mask_of,
     p_core,
+    p_prime_core,
     perm_order,
+    pinv,
     subgroups_below,
     sylow_p,
 )
@@ -65,9 +68,11 @@ from test_derived_facts import (
     reference_quotient_blocks,
     reference_quotient_locality,
 )
+from test_expansion import frontier_growth
 from test_fusion import BUILTIN_PAIRS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
+FRONTIER = Path(__file__).resolve().parent / "frontier"
 
 
 def builtin(name):
@@ -97,6 +102,20 @@ def c6_top():
     G = builtin("c6")
     S = sylow_p(G.top, 2)
     return locality_from_group(G, 2, [S])
+
+
+def cr_pairs():
+    """(group file, p): every built-in group at p = 2, 3 and 5, and every
+    tests/frontier group at each prime tests/frontier/runs.txt runs it at."""
+    out = [(path, p) for path in sorted(DATA.glob("*.json")) for p in (2, 3, 5)]
+    runs = (FRONTIER / "runs.txt").read_text()
+    for name, p in re.findall(r"--group tests/frontier/(\w+)\.json --p (\d+)", runs):
+        if (FRONTIER / f"{name}.json", int(p)) not in out:
+            out.append((FRONTIER / f"{name}.json", int(p)))
+    return out
+
+
+CR_PAIRS = cr_pairs()
 
 
 class TestFromGroup:
@@ -627,6 +646,40 @@ class TestThetaQuotient:
         assert results[0][1] is results[1][1] and results[0][0] == results[1][0]
         assert quotients == [results[0][0]]
 
+    @pytest.mark.parametrize("path,p", CR_PAIRS, ids=lambda v: str(getattr(v, "stem", v)))
+    def test_theta_is_the_p_prime_elements_of_object_centralizers(
+            self, monkeypatch, path, p):
+        spec = json.loads(path.read_text())
+        G = group_from_generators(spec["degree"], spec["generators"])
+        L = locality_from_group(G, p, resolve_delta_spec(fusion_from_group(G, p),
+                                                         "cr-closure"))
+        cents = [centralizer_in(L, P).members for P in L.delta.members]
+        lattices = []
+        below = permgroup.subgroups_below
+
+        def spy(H):
+            lattices.append((H.group, H.mask))
+            return below(H)
+
+        monkeypatch.setattr(permgroup, "subgroups_below", spy)
+        try:
+            theta = theta_quotient(L)[0].members
+        except InputError as exc:
+            # a partial-domain L with Theta > 1 has no quotient yet (a7/2)
+            assert str(exc) == "quotient realization needs a full-domain locality"
+            theta = None
+        monkeypatch.undo()
+        # p_prime_core reads the lattice of each centralizer that is not a
+        # p'-group through this name
+        assert not {m for H, m in lattices if H is G} & {mask_of(C) for C in cents}
+        cores = [set(p_prime_core(Subgroup(G, mask_of(C)), p).members()) for C in cents]
+        for C, core in zip(cents, cores):
+            assert core == {x for x in C if perm_order(G.elements[x]) % p}
+        if theta is not None:
+            assert theta == {L.identity}.union(*cores)
+        else:
+            assert (path.stem, p) == ("a7", 2)
+
 
 class TestQuotientLocality:
     def test_s4_mod_core(self, s4_all):
@@ -914,6 +967,50 @@ class TestPartialNormalLattice:
             gc.enable()
 
 
+def conj_carriers():
+    """s5/2 on F^q; D8 over its one object, full domain on 8 of S4's 24
+    elements; and the frontier's a6/2, s6/2 and PSL(2,7)/2 bases and
+    growths, which have partial domains."""
+    G = builtin("s5")
+    yield locality_from_group(G, 2, delta_of(G, 2, "q"))
+    G = builtin("s4")
+    d8_top = locality_from_group(G, 2, [sylow_p(G.top, 2)])
+    assert d8_top.full_domain and len(d8_top.elements) < G.order
+    yield d8_top
+    for name in ("a6", "s6", "psl27"):
+        fe = frontier_growth(name, 2)
+        yield from (fe.base, fe.locality)
+
+
+def check_conj(L):
+    """`Locality.conj` against the fold of (g**-1, x, g) where the walker puts
+    it in D, and None elsewhere."""
+    G = L.group
+    carrier = set(L.elements)
+    # every ambient ordinal on the small groups; on the frontier ones the
+    # carrier and one ordinal outside it; and two that are no ordinal
+    letters = (range(G.order) if G.order <= 120 else
+               [*L.elements, next(g for g in range(G.order) if g not in carrier)])
+    counts = {"outside": 0, "defined": 0, "undefined": 0}
+    for g, x in itertools.product([*letters, -1, G.order], repeat=2):
+        got = L.conj(x, g)
+        if not {x, g} <= carrier:
+            assert got is None
+            counts["outside"] += 1
+            continue
+        w = (L.inv(g), x, g)
+        if L.in_domain(w):
+            assert got == fold(L, w)
+            counts["defined"] += 1
+        else:
+            assert got is None
+            counts["undefined"] += 1
+    assert counts["outside"] and counts["defined"]
+    assert bool(counts["undefined"]) == (not L.full_domain)
+    # no out-of-range ordinal entered the inverse table
+    assert all(G.inv(g) == G.index_of(pinv(G.elements[g])) for g in G._inv)
+
+
 class TestClosuresOnPartialDomain:
     @pytest.fixture(scope="class")
     def s5_q(self):
@@ -922,29 +1019,9 @@ class TestClosuresOnPartialDomain:
         assert not L.full_domain
         return L
 
-    def test_conj_matches_the_product_fold(self, s5_q):
-        # D8 over the single object S: full domain on 8 of S4's 24 elements
-        G = builtin("s4")
-        d8_top = locality_from_group(G, 2, [sylow_p(G.top, 2)])
-        assert d8_top.full_domain and len(d8_top.elements) < G.order
-        for L in (s5_q, d8_top):
-            carrier = set(L.elements)
-            counts = {"outside": 0, "defined": 0, "undefined": 0}
-            for g, x in itertools.product(range(L.group.order), repeat=2):
-                got = L.conj(x, g)
-                if not {x, g} <= carrier:
-                    assert got is None
-                    counts["outside"] += 1
-                    continue
-                w = (L.inv(g), x, g)
-                if L.in_domain(w):
-                    assert got == fold(L, w)
-                    counts["defined"] += 1
-                else:
-                    assert got is None
-                    counts["undefined"] += 1
-            assert counts["outside"] and counts["defined"]
-            assert bool(counts["undefined"]) == (not L.full_domain)
+    def test_conj_matches_the_product_fold(self):
+        for L in conj_carriers():
+            check_conj(L)
 
     def test_generated_subgroup_matches_naive_fixpoint(self, s5_q):
         def naive(xs):  # re-tests every pair in every round

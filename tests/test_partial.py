@@ -48,7 +48,7 @@ from test_derived_facts import (
     reference_kernel,
     reference_relative_core,
 )
-from test_expansion import example
+from test_expansion import example, frontier_growth
 from test_fusion import BUILTIN_PAIRS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
@@ -592,6 +592,32 @@ class TestOnePassPerCarrier:
         assert pairs == Counter((K, x, y) for K in (L, Lp)
                                 for x in K.elements for y in K.domain_row(x))
         assert not sweeps
+
+
+    def test_table_walks_no_word_and_conjugates_each_defined_pair_once(
+            self, monkeypatch):
+        base = frontier_growth("s6", 2).base
+        # a fresh copy, so no class table is built yet
+        L = Locality(base.group, base.elements, base.S, base.delta, base.p)
+        steps, conjs = Counter(), Counter()
+        walk_step, conj = Locality.walk_step, FiniteGroup.conj
+
+        def counted_step(pg, state, g):
+            steps[g] += 1
+            return walk_step(pg, state, g)
+
+        def counted_conj(G, x, g):
+            conjs[x, g] += 1
+            return conj(G, x, g)
+
+        monkeypatch.setattr(Locality, "walk_step", counted_step)
+        monkeypatch.setattr(FiniteGroup, "conj", counted_conj)
+        partial._class_table(L)
+        monkeypatch.undo()
+        assert not L.full_domain and not steps
+        # (x, g) is defined when the walker puts (g**-1, x, g) in D
+        assert conjs == Counter((x, g) for x, g in itertools.product(L.elements, repeat=2)
+                                if L.in_domain((L.inv(g), x, g)))
 
 
 class TestPartialVerdictsAreMemoized:

@@ -599,6 +599,21 @@ def test_inverses_on_demand_are_the_inverses(path):
     assert len(G._inv) == G.order
 
 
+def test_an_ordinal_outside_the_group_has_no_inverse():
+    # a negative ordinal once indexed the element list from its end and
+    # stored its wrong inverse over the true entry of the last element
+    spec = json.loads((DATA / "s5.json").read_text())
+    G = group_from_generators(spec["degree"], spec["generators"])
+    last = G.order - 1
+    for bad in (-1, -G.order, G.order, G.order + 1):
+        with pytest.raises(InputError, match="not an element ordinal"):
+            G.inv(bad)
+        with pytest.raises(InputError, match="not an element ordinal"):
+            G.conj(1, bad)
+    assert G.inv(last) == G._index[pinv(G.elements[last])]
+    assert set(G._inv) == {last, G.inv(last)}
+
+
 def test_sylow_scan_runs_once_per_subgroup_and_prime(monkeypatch):
     G = load("s5")
     calls = []
