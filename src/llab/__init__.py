@@ -12,10 +12,8 @@ from .permgroup import (
     Subgroup,
     group_from_generators,
     subgroups_below,
-    normal_subgroups,
     sylow_p,
     p_core,
-    p_prime_core,
     is_characteristic_p,
 )
 

@@ -35,6 +35,7 @@ from .permgroup import (
     Subgroup,
     group_from_generators,
     is_characteristic_p,
+    is_prime,
     mask_members,
     mask_of,
     perm_order,
@@ -125,6 +126,10 @@ class Locality(PartialGroup):
                  p: int):
         if S.group is not group or delta.S.mask != S.mask:
             raise InputError("S and Delta must live in the ambient group")
+        if not is_prime(p):
+            raise InputError(f"p = {p} is not prime")
+        if not S.is_p_group(p):
+            raise InputError(f"S is not a {p}-group")
         self.group = group
         self.S = S
         self.delta = delta
@@ -139,6 +144,10 @@ class Locality(PartialGroup):
         self._carrier = frozenset(self.elements)
         # S's conjugation table, shared by every locality on (group, S)
         self._s_conj = group.s_conjugation(S.mask)
+        # the carrier by S_g: mask -> its members, each block in carrier order
+        self._blocks: dict[int, list] = {}
+        for g in self.elements:
+            self._blocks.setdefault(self._s_conj.s_g(g), []).append(g)
         # (g, mask of a subgroup of S) -> (mask & S_g)**g; see walk_step
         self._step_memo: dict[tuple, int] = {}
         self._fusion_cache: FusionSystem | None = None
@@ -232,12 +241,13 @@ class Locality(PartialGroup):
         return self.full_domain or self.walk_in_domain(self.walk(word))
 
     def domain_row(self, x) -> frozenset:
-        """The y with (x, y) in D, read off S_(x**-1) and S_y.
+        """The y with (x, y) in D, read off S_(x**-1) and the S_g blocks.
 
         c_x carries S_(x, y) onto S_(x**-1) & S_y and c_(x**-1) carries it
         back, and Delta is F-closed (checked in _validate before its pair
-        sweep), so (x, y) is in D iff that intersection is an object.  Rows
-        are kept by S_(x**-1), so there is at most one per distinct S_g.
+        sweep), so (x, y) is in D iff that intersection is an object: one
+        test per block of S_y.  Rows are kept by S_(x**-1), so there is at
+        most one per distinct S_g.
         """
         if x not in self._index:
             return frozenset()
@@ -247,27 +257,26 @@ class Locality(PartialGroup):
         row = self._domain_rows.get(key)
         if row is None:
             row = self._domain_rows[key] = frozenset(
-                y for y in self.elements
-                if (key & self.s_g_mask(y)) in self.delta.mask_set)
+                y for a, block in self._blocks.items()
+                if key & a in self.delta.mask_set for y in block)
         return row
 
-    def conj(self, x, g):
-        """x**g when (g**-1, x, g) is in D, decided from S_g; else None.
+    def conjugates(self, x) -> list:
+        """x**g for every g of the carrier with (g**-1, x, g) in D.
 
-        None when x or g is outside the carrier.  The word's walk reaches
-        S_g after g**-1 and a = (S_g & S_x)**x after x, and its last step
-        carries a & S_g by c_g, an F-map on S_g.  Delta is F-closed (checked
-        in _validate), so the word is in D iff a & S_g is an object, and
-        only a defined conjugate is multiplied.  A full-domain carrier
-        conjugates in the ambient group.
+        The word's walk reaches S_g after g**-1 and a = (S_g & S_x)**x after
+        x, and its last step carries a & S_g by c_g, an F-map on S_g.  Delta
+        is F-closed (checked in _validate), so the word is in D iff a & S_g
+        is an object: one test per block of elements with one S_g, and only
+        the defined conjugates are multiplied.  On a full-domain carrier
+        every block passes.
         """
-        if x not in self._carrier or g not in self._carrier:
-            return None
-        if not self.full_domain:
-            s_g = self.s_g_mask(g)
-            if self._step_mask(x, s_g) & s_g not in self.delta.mask_set:
-                return None
-        return self.group.conj(x, g)
+        if x not in self._carrier:
+            raise InputError(f"{x!r} is not an element of this partial group")
+        masks, conj = self.delta.mask_set, self.group.conj
+        return [conj(x, g) for a, block in self._blocks.items()
+                if self.full_domain or self._step_mask(x, a) & a in masks
+                for g in block]
 
     def product(self, word):
         """Product of a domain word, read off its one walk.
@@ -364,13 +373,12 @@ class Locality(PartialGroup):
           proper subgroup of a p-group is properly contained in its
           normalizer, so some y in N_Q(S) outside S is a p-element with
           S_y = S.
-        The witness is the first such x in carrier order.
+        N_L(S) is the block of S_g = S, in carrier order, so the witness is
+        the first such x in carrier order.
         """
         G = self.group
-        for x in self.elements:
-            if x in self.S or not G.is_p_element(x, self.p):
-                continue
-            if self.s_g_mask(x) == self.S.mask:
+        for x in self._blocks[self.S.mask]:
+            if x not in self.S and G.is_p_element(x, self.p):
                 raise PropertyViolation(
                     "S is not a maximal p-subgroup of the carrier", witness=x
                 )
@@ -645,13 +653,14 @@ def o_p_of(L: Locality, N: PartialSubgroup) -> PartialSubgroup:
     N is in the family, as a partial subgroup holding T = S cap N has
     NT = N, and the lattice holds every partial normal.  The intersection
     of the family is in it again (Chermak, Finite localities II, arXiv
-    1505.08110).  Only the K inside N are multiplied: 1 is in T and (k, 1)
-    is in D, so K lies in KT, and KT = N puts K inside N.
+    1505.08110), so it is the member of least order, inside every other:
+    the first hit from the small end of the lattice.  Only the K inside N
+    are multiplied: 1 is in T and (k, 1) is in D, so K lies in KT, and
+    KT = N puts K inside N.
     """
     T = _s_part(L, N)
-    return PartialSubgroup(L, frozenset.intersection(*[
-        K.members for K in all_partial_normal_subgroups(L)
-        if K.members <= N.members and products(L, K.members, T) == N.members]))
+    return next(K for K in reversed(all_partial_normal_subgroups(L))
+                if K.members <= N.members and products(L, K.members, T) == N.members)
 
 
 def o_pprime_of(L: Locality, N: PartialSubgroup) -> PartialSubgroup:

@@ -49,8 +49,9 @@ class PartialGroup:
 
     A subclass fills in `elements` and `identity` before calling
     `__init__`, and provides the word protocol the sweeps read: `inv`,
-    `in_domain`, `binary`, `domain_row`, `conj`, `product` and the walker
-    hooks `walk_start`, `walk_step`, `walk_in_domain` and `walk_product`.
+    `in_domain`, `binary`, `domain_row`, `conjugates`, `product` and the
+    walker hooks `walk_start`, `walk_step`, `walk_in_domain` and
+    `walk_product`.
     A walker state summarizes a word's prefix; states are hashable, and
     equal states have equal futures, so the axiom sweep interns them.
     Letters are carrier elements, and `walk_product` is asked only of
@@ -659,16 +660,16 @@ def _class_table(pg: PartialGroup) -> _Classes:
     union of classes, and a partial normal subgroup is the least union of
     classes that holds its seed and 1 and is closed under the inverse and
     product masks.  Every partial-normal question reads these masks.  One
-    pass builds them: n rows of n conjugations, one `conj` per (x, g), and
-    one product per pair of D, |D| <= n**2.  An inverse, conjugate or
-    product outside the carrier is an input error.
+    pass builds them: one `conjugates` row per x, and one product per pair
+    of D, |D| <= n**2.  An inverse, conjugate or product outside the
+    carrier is an input error.
     """
     if pg._classes is None:
         els, index = pg.elements, pg.index_of
         of = list(range(len(els)))
         for i, x in enumerate(els):
             # x's class and its conjugates' classes merge into the least one
-            met = {of[i]} | {of[index(z)] for g in els if (z := pg.conj(x, g)) is not None}
+            met = {of[i]} | {of[index(z)] for z in pg.conjugates(x)}
             if len(met) > 1:
                 of = [min(met) if c in met else c for c in of]
         inv, prod = {}, {}

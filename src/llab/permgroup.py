@@ -598,12 +598,6 @@ class Subgroup:
         """C_S(self), for a subgroup S that holds self."""
         return self._stabilizer("centralizer", S, True)
 
-    def is_normal_in(self, other: "Subgroup") -> bool:
-        if not self.le(other):
-            return False
-        return all(self.mask >> self.group.conj(x, g) & 1
-                   for g in other.generators() for x in self.generators())
-
     def is_p_group(self, p: int) -> bool:
         return _p_part(self.order, p) == self.order
 
@@ -650,11 +644,6 @@ def subgroups_below(H: Subgroup) -> list[Subgroup]:
     return [Subgroup(G, m) for m in got]
 
 
-def normal_subgroups(H: Subgroup) -> list[Subgroup]:
-    """Every normal subgroup of H, canonically ordered."""
-    return [K for K in subgroups_below(H) if K.is_normal_in(H)]
-
-
 # primes -------------------------------------------------------------------
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -691,6 +680,8 @@ def is_prime(n: int) -> bool:
 # named constructions ------------------------------------------------------
 
 def _p_part(n: int, p: int) -> int:
+    if p < 2:  # p = 1 would divide n forever, and p = 0 not at all
+        raise InputError(f"p = {p} is not prime")
     out = 1
     while n % p == 0:
         n //= p
@@ -752,16 +743,6 @@ def _sylow_core(H: Subgroup, p: int) -> tuple[SConjugation, int]:
 def p_core(H: Subgroup, p: int) -> Subgroup:
     """O_p(H): the largest normal p-subgroup (intersection of Sylow conjugates)."""
     return Subgroup(H.group, _sylow_core(H, p)[1])
-
-
-def p_prime_core(H: Subgroup, p: int) -> Subgroup:
-    """O_{p'}(H): the largest normal subgroup of order prime to p."""
-    if math.gcd(H.order, p) == 1:  # H itself is a normal p'-subgroup
-        return H
-    # Largest first, and the trivial subgroup is always among them.  Every
-    # normal p'-subgroup K lies in the first, best: else best*K would be a
-    # larger normal subgroup, of order |best|*|K|/|best & K|, prime to p.
-    return next(K for K in normal_subgroups(H) if math.gcd(K.order, p) == 1)
 
 
 def is_characteristic_p(H: Subgroup, p: int) -> bool:

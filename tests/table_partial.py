@@ -5,7 +5,8 @@ the axiom checker and to isomorphism tests, view a finite group as a
 partial group with every word in its domain, and build localities that
 skip the construction checks, to show what those checks catch.  The
 generic word protocol these carriers share (domain rows, the word walker,
-the prefix fold and conjugation) lives here, on `GroupPartial`.
+the prefix fold and conjugation) lives here, on `GroupPartial`; the fold
+and the conjugate `conj` take any carrier, `Locality` included.
 """
 
 from llab.errors import DomainError
@@ -65,19 +66,26 @@ class GroupPartial(PartialGroup):
     def product(self, word):
         return fold(self, word)
 
-    def conj(self, x, g):
-        """x**g = g**-1 * x * g, or None when that word is not in D.
-
-        One domain test on the whole word; axiom (3) then lets the word be
-        folded pair by pair.
-        """
-        gi = self.inv(g)
-        if not self.in_domain((gi, x, g)):
-            return None
-        return self.binary(self.binary(gi, x), g)
+    def conjugates(self, x) -> list:
+        """Every defined x**g, by the reference `conj` over the carrier."""
+        return [z for g in self.elements if (z := conj(self, x, g)) is not None]
 
     def __repr__(self):
         return f"{type(self).__name__}(order={len(self.elements)})"
+
+
+def conj(pg, x, g):
+    """x**g = g**-1 * x * g, or None when that word is not in D, on any
+    carrier.
+
+    One domain test on the whole word; axiom (3) then lets the word be
+    folded pair by pair.  The reference for `Locality.conjugates`, which
+    decides the same word from S_g alone.
+    """
+    gi = pg.inv(g)
+    if not pg.in_domain((gi, x, g)):
+        return None
+    return pg.binary(pg.binary(gi, x), g)
 
 
 def fold(pg, word):

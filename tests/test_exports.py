@@ -115,10 +115,16 @@ def test_dead_helpers_are_gone():
     # on the test carriers, and growths are identified by full_expand's
     # argument, not by regenerating them from the base
     for name in ("inv", "in_domain", "binary", "domain_row", "walk_start", "walk_step",
-                 "walk_in_domain", "walk_product", "product", "conj"):
+                 "walk_in_domain", "walk_product", "product", "conjugates"):
         assert name not in vars(partial.PartialGroup), name
         assert name in vars(locality.Locality), name
     assert "base" not in inspect.signature(expansion.check_unique_iso).parameters
+    # conjugates come by S_g block; the one-pair conjugate is a test reference
+    assert not hasattr(locality.Locality, "conj")
+    # p'-cores and normal subgroups of ambient groups, which no command reads
+    for name in ("p_prime_core", "normal_subgroups"):
+        assert not hasattr(permgroup, name) and not hasattr(llab, name)
+    assert not hasattr(permgroup.Subgroup, "is_normal_in")
 
 
 # errors < caps < permgroup < {fusion, partial} < locality < expansion < checks < cli

@@ -48,22 +48,23 @@ from llab.permgroup import (
     mask_members,
     mask_of,
     p_core,
-    p_prime_core,
     perm_order,
     pinv,
     subgroups_below,
     sylow_p,
 )
 from bench.workloads import generated_groups
-from table_partial import UncheckedLocality, fold
+from table_partial import UncheckedLocality, conj, fold
 from test_derived_facts import (
     centralizer_locality,
     domain_words,
+    is_normal_in,
     normalizer_locality,
     reference_centralizer_in,
     reference_is_projection,
     reference_kernel,
     reference_normalizer_in,
+    reference_p_prime_core,
     reference_perm_subgroup,
     reference_quotient_blocks,
     reference_quotient_locality,
@@ -360,9 +361,9 @@ class TestDomainKernel:
                             lambda self, state: pulls.append(state) or pull_back(self, state))
         for w, m in want.items():
             assert L.in_domain(w) == (m in L.delta.mask_set), w
-            if len(w) == 2:
-                assert L.conj(w[0], w[1]) == (
-                    G.conj(*w) if L.in_domain((G.inv(w[1]), *w)) else None)
+            if len(w) == 1:
+                assert sorted(L.conjugates(*w)) == sorted(
+                    G.conj(*w, g) for g in L.elements if L.in_domain((G.inv(g), *w, g)))
             if L.in_domain(w):
                 assert L.product(w) == G.word(w), w
         assert sum(1 for _ in L.walk_domain(2)) < len(want)
@@ -513,6 +514,21 @@ class TestCarrierGuards:
         U = UncheckedLocality(G, carrier, S, self.delta, 2)
         assert (x, y) == next((g, h) for g, h in itertools.product(carrier, repeat=2)
                               if U.in_domain((g, h)) and G.mult(g, h) not in carrier)
+
+    def test_p_must_be_a_prime_of_s(self):
+        # on the s4/2 cr-closure locality's own carrier, S and Delta; p = 4
+        # and p = 0 come first, so code that loops on p = 1 fails before it
+        G = self.G
+        L = locality_from_group(G, 2, delta_of(G, 2, "cr-closure"))
+        for p, message in ((4, "p = 4 is not prime"), (0, "p = 0 is not prime"),
+                           (3, "S is not a 3-group"), (1, "p = 1 is not prime")):
+            with pytest.raises(InputError, match=f"^{message}$"):
+                Locality(G, L.elements, L.S, L.delta, p)
+        for p in (0, 1):
+            for ask in (lambda: G.is_p_element(1, p), lambda: L.S.is_p_group(p)):
+                with pytest.raises(InputError, match=f"^p = {p} is not prime$"):
+                    ask()
+        assert Locality(G, L.elements, L.S, L.delta, 2).elements == L.elements
 
     @pytest.mark.parametrize("extra", [24, 99, -1, 1.5, "a"])
     def test_a_member_that_is_no_ambient_ordinal_is_refused(self, s4_all, extra):
@@ -669,10 +685,11 @@ class TestThetaQuotient:
             assert str(exc) == "quotient realization needs a full-domain locality"
             theta = None
         monkeypatch.undo()
-        # p_prime_core reads the lattice of each centralizer that is not a
-        # p'-group through this name
+        # the p'-core of a centralizer that is not a p'-group is read off
+        # its lattice of subgroups: theta_quotient reads none of them
         assert not {m for H, m in lattices if H is G} & {mask_of(C) for C in cents}
-        cores = [set(p_prime_core(Subgroup(G, mask_of(C)), p).members()) for C in cents]
+        cores = [set(reference_p_prime_core(Subgroup(G, mask_of(C)), p).members())
+                 for C in cents]
         for C, core in zip(cents, cores):
             assert core == {x for x in C if perm_order(G.elements[x]) % p}
         if theta is not None:
@@ -854,7 +871,7 @@ class TestNormalizerLocalities:
 
 def reference_is_normal_in_locality(L, P):
     """P normal in S, partial normal in L, and P**g = P whenever P <= S_g."""
-    if not P.is_normal_in(L.S) or not is_partial_normal(
+    if not is_normal_in(P, L.S) or not is_partial_normal(
             L, PartialSubgroup(L, frozenset(P.members()))):
         return False
     pm = P.mask
@@ -919,7 +936,7 @@ class TestCores:
             for L in [ctx.cr_locality, *ctx.proper_localities]:
                 for P in subgroups_below(L.S):
                     assert reference_is_normal_in_locality(L, P) == (
-                        P.is_normal_in(L.S)
+                        is_normal_in(P, L.S)
                         and is_partial_normal(L, PartialSubgroup(L, frozenset(P.members())))), (name, p, P)
                     decided += 1
                 assert o_p_locality(L).mask == reference_o_p_locality(L).mask
@@ -983,30 +1000,24 @@ def conj_carriers():
 
 
 def check_conj(L):
-    """`Locality.conj` against the fold of (g**-1, x, g) where the walker puts
-    it in D, and None elsewhere."""
+    """`Locality.conjugates` against the reference `conj`, the fold of
+    (g**-1, x, g) where the walker puts it in D, over every g of the carrier;
+    an x outside the carrier is refused."""
     G = L.group
     carrier = set(L.elements)
-    # every ambient ordinal on the small groups; on the frontier ones the
-    # carrier and one ordinal outside it; and two that are no ordinal
-    letters = (range(G.order) if G.order <= 120 else
-               [*L.elements, next(g for g in range(G.order) if g not in carrier)])
-    counts = {"outside": 0, "defined": 0, "undefined": 0}
-    for g, x in itertools.product([*letters, -1, G.order], repeat=2):
-        got = L.conj(x, g)
-        if not {x, g} <= carrier:
-            assert got is None
-            counts["outside"] += 1
-            continue
-        w = (L.inv(g), x, g)
-        if L.in_domain(w):
-            assert got == fold(L, w)
-            counts["defined"] += 1
-        else:
-            assert got is None
-            counts["undefined"] += 1
-    assert counts["outside"] and counts["defined"]
-    assert bool(counts["undefined"]) == (not L.full_domain)
+    defined = 0
+    for x in L.elements:
+        got = L.conjugates(x)
+        assert sorted(got) == sorted(
+            z for g in L.elements if (z := conj(L, x, g)) is not None), x
+        defined += len(got)
+    assert defined and (defined < len(carrier) ** 2) == (not L.full_domain)
+    # every ambient ordinal outside the carrier on the small groups, one on
+    # the frontier ones, and two that are no ordinal
+    outside = [g for g in range(G.order) if g not in carrier]
+    for x in [*(outside if G.order <= 120 else outside[:1]), -1, G.order]:
+        with pytest.raises(InputError, match="not an element"):
+            L.conjugates(x)
     # no out-of-range ordinal entered the inverse table
     assert all(G.inv(g) == G.index_of(pinv(G.elements[g])) for g in G._inv)
 
@@ -1206,7 +1217,7 @@ class TestSMaximality:
         G = (group_from_generators(4, [[1, 2, 3, 0]]) if name == "c4"
              else builtin("d8"))
         S = next(P for P in subgroups_below(G.top)
-                 if P.order == 2 and P.is_normal_in(G.top))
+                 if P.order == 2 and is_normal_in(P, G.top))
         delta = object_set(S, [S])
         with pytest.raises(PropertyViolation,
                            match="S is not a maximal p-subgroup") as exc:

@@ -37,13 +37,13 @@ from llab.permgroup import (
     group_from_generators,
     mask_members,
     mask_of,
-    normal_subgroups,
     subgroups_below,
 )
-from table_partial import GroupPartial, TablePartial
+from table_partial import GroupPartial, TablePartial, conj
 from test_axiom_sweep import c2_table
 from test_axiom_sweep import z4_table as axiom_z4_table
 from test_derived_facts import (
+    normal_subgroups,
     reference_is_projection,
     reference_kernel,
     reference_relative_core,
@@ -380,7 +380,7 @@ def reference_conjugates_outside(pg, members):
     """
     for g in pg.elements:
         for x in members:
-            z = pg.conj(x, g)
+            z = conj(pg, x, g)
             if z is not None and z not in members:
                 yield z
 
@@ -523,17 +523,17 @@ class TestAgainstTheConjugationSweep:
 
 
 class TestConjugateRowsAreMemoized:
-    """Each (element, conjugator) pair of a carrier is conjugated once."""
+    """Each element of a carrier has its conjugates formed once."""
 
     def count_conj(self, monkeypatch):
         calls = Counter()
-        conj = Locality.conj
+        conjugates = Locality.conjugates
 
-        def counted(L, x, g):
-            calls[L, x, g] += 1
-            return conj(L, x, g)
+        def counted(L, x):
+            calls[L, x] += 1
+            return conjugates(L, x)
 
-        monkeypatch.setattr(Locality, "conj", counted)
+        monkeypatch.setattr(Locality, "conjugates", counted)
         return calls
 
     def test_lattice_and_lifts_conjugate_each_pair_once(self, monkeypatch):
@@ -545,7 +545,7 @@ class TestConjugateRowsAreMemoized:
             for N in normals:
                 lift_normal(L, Lp, N)
         assert calls and max(calls.values()) == 1
-        assert {carrier for carrier, _, _ in calls} <= {L, Lp}
+        assert {carrier for carrier, _ in calls} <= {L, Lp}
 
     def test_repeated_normality_test_makes_no_conj_call(self, monkeypatch):
         L = ExampleContext(builtin("s5"), 2).base
@@ -618,6 +618,23 @@ class TestOnePassPerCarrier:
         # (x, g) is defined when the walker puts (g**-1, x, g) in D
         assert conjs == Counter((x, g) for x, g in itertools.product(L.elements, repeat=2)
                                 if L.in_domain((L.inv(g), x, g)))
+
+    def test_table_tests_each_s_g_block_once_per_element(self, monkeypatch):
+        # the s6/2 base has 80 elements and 3 distinct S_g: the table asks
+        # whether (g**-1, x, g) is in D once per (x, S_g), not per (x, g)
+        base = frontier_growth("s6", 2).base
+        L = Locality(base.group, base.elements, base.S, base.delta, base.p)
+        tests, step = Counter(), Locality._step_mask
+
+        def counted_step(pg, g, cur):
+            tests[g] += 1
+            return step(pg, g, cur)
+
+        monkeypatch.setattr(Locality, "_step_mask", counted_step)
+        partial._class_table(L)
+        monkeypatch.undo()
+        assert len(L.elements) == 80 and len(L._blocks) == 3
+        assert set(tests) == set(L.elements) and max(tests.values()) <= 3
 
 
 class TestPartialVerdictsAreMemoized:

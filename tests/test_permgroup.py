@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from llab.permgroup import (
     FiniteGroup, Subgroup,
-    group_from_generators, subgroups_below, normal_subgroups,
-    sylow_p, p_core, p_prime_core, is_characteristic_p,
+    group_from_generators, subgroups_below,
+    sylow_p, p_core, is_characteristic_p,
     identity_perm, pmul, pinv, perm_order, cycles_str,
     mask_of, mask_members, is_prime, _p_part,
 )
@@ -22,10 +22,11 @@ from llab import cli, permgroup
 from llab.errors import InputError, CapExceeded, PropertyViolation
 from llab.locality import object_set
 from bench.workloads import generated_groups
-from test_derived_facts import (TABLE_PAIRS, reference_close_mask,
+import test_derived_facts
+from test_derived_facts import (TABLE_PAIRS, normal_subgroups, reference_close_mask,
                                 reference_coset_representatives, reference_cut,
                                 reference_generators, reference_is_closed_mask,
-                                reference_stabilizer)
+                                reference_p_prime_core, reference_stabilizer)
 from test_fusion import BUILTIN_PAIRS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "llab" / "data"
@@ -292,11 +293,11 @@ def test_p_core(s4, s5):
 
 def test_p_prime_core():
     c6 = load("c6")
-    C3 = p_prime_core(c6.top, 2)
+    C3 = reference_p_prime_core(c6.top, 2)
     assert C3.order == 3                          # O_2'(C6) = C3
-    assert p_prime_core(c6.top, 3).order == 2
-    assert p_prime_core(load("s4").top, 2).order == 1
-    assert p_prime_core(load("s3").top, 3).order == 1
+    assert reference_p_prime_core(c6.top, 3).order == 2
+    assert reference_p_prime_core(load("s4").top, 2).order == 1
+    assert reference_p_prime_core(load("s3").top, 3).order == 1
 
 
 @pytest.mark.parametrize("name", ["s4", "a5", "s5"])
@@ -319,7 +320,8 @@ def test_p_local_helpers_match_a_standalone_copy(name):
             assert P.le(H) and P.order == p_part
             assert P.mask == back(sylow_p(copy.top, p))
             assert p_core(H, p).mask == back(p_core(copy.top, p))
-            assert p_prime_core(H, p).mask == back(p_prime_core(copy.top, p))
+            assert (reference_p_prime_core(H, p).mask
+                    == back(reference_p_prime_core(copy.top, p)))
             assert is_characteristic_p(H, p) == is_characteristic_p(copy.top, p)
 
 
@@ -634,14 +636,14 @@ def test_sylow_scan_runs_once_per_subgroup_and_prime(monkeypatch):
 def test_p_prime_core_of_a_p_prime_group_enumerates_no_subgroup(monkeypatch):
     G = load("s5")
     calls = []
-    real = permgroup.subgroups_below
+    real = test_derived_facts.subgroups_below
 
     def spy(H):
         calls.append(H)
         return real(H)
 
-    monkeypatch.setattr(permgroup, "subgroups_below", spy)
-    assert p_prime_core(G.top, 7) == G.top
+    monkeypatch.setattr(test_derived_facts, "subgroups_below", spy)
+    assert reference_p_prime_core(G.top, 7) == G.top
     three = sylow_p(G.top, 3)
-    assert p_prime_core(three, 2) == three
+    assert reference_p_prime_core(three, 2) == three
     assert calls == []
