@@ -152,14 +152,18 @@ def check_axioms(pg: PartialGroup, max_len: int = 4) -> AxiomReport:
     escaped and failed products as masks.  Every test is a row mask: the
     prefix, suffix, contracted-pair and escape tests and the contractions
     of segments ending before the last letter are exact mask operations;
-    the contractions of segments [i:k] with i >= 1, the w**-1 * w walk and
-    the inverse-word test are list lookups over the row's letters, which
-    may flag a letter that passes but never pass one that fails.  Only
-    flagged letters are visited word by word, and the violations, their
-    order and the MAX_VIOLATIONS cap are those of the word-by-word sweep: the
-    domain and contracted-pair tests on every word, then the contraction
-    and inverse tests on every word with a product, each pass in
-    `itertools.product` order.
+    the contractions of segments [i:k] with i >= 1, w**-1 * w and the
+    inverse-word test are list lookups over the row's letters, which may
+    flag a letter that passes but never pass one that fails.  w**-1 * w is
+    decided per group of states, not per word: for w = (d0,) + tail + (x,)
+    its end state depends only on the state u after (x**-1,) + tail**-1 +
+    (d0**-1, d0) and on (tail, x), so the d0 are grouped by u, tail + x is
+    walked once per group, and a table per length masks by (tail, x) the
+    d0 that fail.  Only flagged letters are visited word by word, and the
+    violations, their order and the MAX_VIOLATIONS cap are those of the
+    word-by-word sweep: the domain and contracted-pair tests on every word,
+    then the contraction and inverse tests on every word with a product,
+    each pass in `itertools.product` order.
     """
     if max_len < 2:
         raise InputError("axiom check needs max_len >= 2")
@@ -434,27 +438,95 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
         if inv_of[i] < 0:
             inv_bad |= 1 << i
 
+    def walk_on(s, letters):
+        """The state id reached from state id s by the letters."""
+        for y in letters:
+            s = nx[y] if (nx := rows[s]) is not None else step(s, y)
+        return s
+
     def verdict(st):
-        if not indom[st]:
-            return "w**-1 * w not in domain"
-        try:
-            if pg.walk_product(states[st]) != identity:
-                return "w**-1 * w is not the identity"
-        except DomainError:
-            return "w**-1 * w fold left the domain"
-        return None
+        """The axiom (4) detail of the end state st of w**-1 * w, or None."""
+        got = verdicts[st]
+        if got is _NONE:
+            if not indom[st]:
+                got = "w**-1 * w not in domain"
+            else:
+                try:
+                    ok = pg.walk_product(states[st]) == identity
+                    got = None if ok else "w**-1 * w is not the identity"
+                except DomainError:
+                    got = "w**-1 * w fold left the domain"
+            verdicts[st] = got
+        return got
+
+    # Axiom (4) by sandwich groups.  Write w = (d0,) + tail + (x,), so that
+    # w**-1 * w = (x**-1,) + tail**-1 + (d0**-1, d0) + tail + (x,).  The
+    # state t of (x**-1,) + tail**-1 is interned, a word one letter shorter
+    # than w, and equal states have equal futures, so the end state depends
+    # only on (u, tail, x), with u the state reached from t by d0**-1 and
+    # d0.  So the letters d0 split once per t into groups by u, tail + x is
+    # walked once per group, and end_fails[tail * n + x] masks the d0 whose
+    # end state fails.  A d0 whose state after d0**-1 lies outside D joins
+    # no group, so nothing is stepped from there; it is masked, and the
+    # recorder decides a live word through it by its own walk.
+    sandwich = {}  # state id t -> ([(u, mask of its d0)], mask of the d0 in no group)
+
+    def groups(t):
+        got = sandwich.get(t)
+        if got is None:
+            by_u, out, nt = {}, 0, rows[t]
+            for d0, a0 in enumerate(inv_of):
+                if a0 < 0:
+                    continue  # its rows are flagged whole
+                a = nt[a0]
+                if indom[a]:
+                    u = nx[d0] if (nx := rows[a]) is not None else step(a, d0)
+                    by_u[u] = by_u.get(u, 0) | 1 << d0
+                else:
+                    out |= 1 << d0
+            got = sandwich[t] = (list(by_u.items()), out)
+        return got
+
+    def end_fail_table(k):
+        """Level k >= 2, indexed tail * n + x: end_fails, masking the d0 to
+        walk word by word, and inv_idx, the index row of the product of
+        (x**-1,) + tail**-1; and rinv[tail], the number of tail**-1 (-1
+        where a letter of the tail has no inverse in the carrier)."""
+        span, tsid, trows = pw[k - 2], sid[k - 1], vrows[k - 1]
+        need = [0] * span  # the letters x live after some (d0,) + tail
+        for p, live in enumerate(pmask[k - 1]):
+            need[p % span] |= live
+        end_fails, inv_idx, rinv = [0] * (span * n), [None] * (span * n), [-1] * span
+        for tail, xs in enumerate(need):
+            tl = digits(k - 2, tail)
+            invs = [inv_of[y] for y in tl]
+            if -1 in invs:
+                continue
+            rinv[tail] = r = sum(a * pw[i] for i, a in enumerate(invs))
+            for x in mask_members(xs & ~inv_bad):
+                q, i = inv_of[x] * span + r, tail * n + x
+                inv_idx[i] = trows[q].idx
+                grp, fails = groups(tsid[q])
+                for u, dm in grp:
+                    if verdict(walk_on(u, (*tl, x))):
+                        fails |= dm
+                end_fails[i] = fails
+        return end_fails, inv_idx, rinv
 
     # Axioms (3) and (4) on every word with a product, in the order the
     # products were formed.  Each prefix row first flags, in bulk, every
     # letter that may fail a test: the contractions of segments that end
     # before the last letter, and of the whole word, are exact masks
-    # (4-tuples below); the segments [i:k] with i >= 1 (7-tuples), w**-1 * w
-    # and the inverse word are list lookups over the row's letters, which
-    # may flag a letter that passes but never pass one that fails.  Only
-    # flagged letters are then decided and recorded word by word.
+    # (4-tuples below); the segments [i:k] with i >= 1 (7-tuples), the
+    # end_fails table and the inverse word are list lookups over the row's
+    # letters, which may flag a letter that passes but never pass one that
+    # fails.  Only flagged letters are then decided and recorded word by
+    # word.
     for k in range(1, max_len + 1):
         wsid, wpm, wrows = sid[k - 1], pmask[k - 1], vrows[k - 1]
         span = pw[k - 2] if k > 1 else 0
+        if k > 1:
+            end_fails, inv_idx, rinv = end_fail_table(k)
         for p, live in enumerate(wpm):
             if not live:
                 continue
@@ -463,6 +535,9 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
             escape = live & vr.escape
             rest = live ^ escape
             flag = escape
+            # the letters of rest, shared by the letter-wise tests below
+            # whenever their masks are rest itself
+            rest_xs = mask_members(rest)
             entries = []
             for i in range(k):
                 for j in range(i + 2, k + 1):
@@ -479,7 +554,8 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
                                         vrows[i][head], spm, srow))
                         flag |= ms & srow.escape
                         cont, base, sidx = pidx[i + 1], head * n, srow.idx
-                        for x in [x for x in mask_members(ms & ~srow.escape)
+                        ms &= ~srow.escape
+                        for x in [x for x in (rest_xs if ms == rest else mask_members(ms))
                                   if cont[base + sidx[x]] != vidx[x]]:
                             flag |= 1 << x
                         continue
@@ -505,50 +581,45 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
                     if leave | change:
                         entries.append((i, j, leave, change))
                         flag |= leave | change
-            # w**-1 is (x**-1,) + inv_pre: for k >= 2 its first k - 1 letters
-            # are the word numbered ws[x] below, whose state starts the walk
-            # on through a0 = inv_pre[-1] and w; for k = 1 it is one letter
-            d = digits(k - 1, p)
-            inv_pre = [inv_of[y] for y in reversed(d)]
-            xs = ws = fin = ()
-            if -1 in inv_pre:
-                flag |= rest
+            # w**-1 * w: for k >= 2, one lookup in end_fails per letter, and the
+            # inverse word's product, that of (x**-1,) + tail**-1 + (d0**-1,),
+            # against the inverse of the product; for k = 1, w**-1 * w is
+            # (x**-1, x), walked from the state of x**-1
+            if k == 1:
+                inv_ok = True
             else:
-                flag |= rest & inv_bad
-                xs = mask_members(rest & ~inv_bad)
-            if xs:
+                d0, tail = divmod(p, span)
+                r, a0 = rinv[tail], inv_of[d0]
+                inv_ok = r >= 0 and a0 >= 0  # the prefix's letters have inverses
+            if inv_ok:
+                ok = rest & ~inv_bad
+                flag |= rest ^ ok
+                xs = rest_xs if ok == rest else mask_members(ok)
                 if k == 1:
-                    sts, mid = [sid[1][inv_of[x]] for x in xs], ()
+                    hits = [x for x in xs if verdict(walk_on(sid[1][inv_of[x]], (x,)))]
                 else:
-                    r = 0
-                    for y in inv_pre[:-1]:
-                        r = r * n + y
-                    a0 = inv_pre[-1]
-                    ws = [inv_of[x] * span + r for x in xs]
-                    sts, mid = [wsid[w] for w in ws], (a0, *d)
-                for y in mid:
-                    sts = [nx[y] if (nx := rows[s]) is not None else step(s, y)
-                           for s in sts]
-                fin = [nx[x] if (nx := rows[s]) is not None else step(s, x)
-                       for s, x in zip(sts, xs)]
-                for f in [f for f in fin if verdicts[f] is _NONE]:
-                    if verdicts[f] is _NONE:
-                        verdicts[f] = verdict(f)
-                fin = [verdicts[f] for f in fin]
-                for x in [x for x, detail in zip(xs, fin) if detail]:
+                    row_fails = end_fails[tail * n:tail * n + n]
+                    row_inv = inv_idx[tail * n:tail * n + n]
+                    hits = [x for x in xs if row_fails[x] >> d0 & 1
+                            or row_inv[x][a0] != inv_of[vidx[x]]]
+                for x in hits:
                     flag |= 1 << x
-                # the inverse word's product against the inverse of the
-                # product (for k = 1 both are x**-1)
-                if k > 1:
-                    for x in [x for x, w in zip(xs, ws)
-                              if wrows[w].idx[a0] != inv_of[vidx[x]]]:
-                        flag |= 1 << x
+            else:
+                flag |= rest
             if not flag or len(bad) >= MAX_VIOLATIONS:
                 continue
+            d = digits(k - 1, p)
             pre = tuple(els[y] for y in d)
             pre_error = next((inv_error[y] for y in reversed(d) if y in inv_error),
                              None)
-            ends = dict(zip(xs, fin))  # letter -> its w**-1 * w verdict
+            # letter -> its w**-1 * w verdict, walked word by word from the
+            # state of w**-1 minus its last letter
+            ends = {}
+            if inv_ok:
+                mid = (a0, *d) if k > 1 else ()
+                for x in mask_members(flag & rest & ~inv_bad):
+                    start = wsid[inv_of[x] * span + r] if k > 1 else sid[1][inv_of[x]]
+                    ends[x] = verdict(walk_on(start, (*mid, x)))
             for x in mask_members(flag):
                 b = 1 << x
                 word = pre + (els[x],)
@@ -580,12 +651,12 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
                     continue
                 if ends[x]:
                     record("4", word, ends[x])
-                w, a0 = (0, inv_of[x]) if k == 1 else (inv_of[x] * span + r, a0)
-                if wpm[w] >> a0 & 1:
+                w, last = (0, inv_of[x]) if k == 1 else (inv_of[x] * span + r, a0)
+                if wpm[w] >> last & 1:
                     vi = vidx[x]
                     if vi in inv_error:
                         record("4", word, f"inversion failed: {inv_error[vi]}")
-                    elif wrows[w].vals[a0] != inverse[vi]:
+                    elif wrows[w].vals[last] != inverse[vi]:
                         record("4", word, "product of inverse word is not the inverse")
 
     for x in els:

@@ -1,6 +1,7 @@
 """The row-kernel axiom sweep against the word-by-word sweep it replaced."""
 
 import itertools
+import sys
 import time
 from collections import Counter
 
@@ -20,7 +21,7 @@ from llab.partial import (
     check_axioms,
 )
 from llab.permgroup import FiniteGroup
-from table_partial import GroupPartial, TablePartial
+from table_partial import GroupPartial, TablePartial, UncheckedLocality
 from test_locality import builtin, delta_of, not_f_closed_locality
 
 
@@ -406,6 +407,85 @@ class TestNotFClosedThreeLetters:
         assert not got.ok
 
 
+class WrongEnd(UncheckedLocality):
+    """The s5/2 F^q locality with a wrong product at one walker state.
+
+    w**-1 * w ends at the start state (S, 1) exactly when w is a word over
+    S, and there the walker reads a product other than 1.  `product`, which
+    the word-by-word sweep folds, reads the same walker, so both sweeps see
+    the one fault.  The states are the locality's, so they collapse: many
+    words share one.  `broken`, a pair of D, gets no product: `binary`
+    raises on it.
+    """
+
+    def __init__(self, L, broken=None):
+        super().__init__(L.group, L.elements, L.S, L.delta, 2)
+        self._broken = broken
+
+    def walk_product(self, state):
+        if state == self.walk_start():
+            return next(g for g in self.S.members() if g != self.identity)
+        return super().walk_product(state)
+
+    def product(self, word):
+        super().product(word)  # DomainError off D
+        return self.walk_product(self.walk(word))
+
+    def binary(self, x, y):
+        if (x, y) == self._broken:
+            raise DomainError((x, y), 2)
+        return super().binary(x, y)
+
+
+def sandwich_groups(pg, tail, x):
+    """The d0 for the words (d0,) + tail + (x,), grouped by the walker state
+    after (x**-1,) + tail**-1 + (d0**-1, d0); a d0 whose state after d0**-1
+    lies outside D is in no group."""
+    t = pg.walk((pg.inv(x),) + tuple(pg.inv(y) for y in reversed(tail)))
+    groups = {}
+    for d0 in pg.elements:
+        a = pg.walk_step(t, pg.inv(d0))
+        if pg.walk_in_domain(a):
+            groups.setdefault(pg.walk_step(a, d0), []).append(d0)
+    return list(groups.values())
+
+
+class TestSandwichGroups:
+    """Negative controls for deciding w**-1 * w once per group of states."""
+
+    def test_collapsed_states_fail_w_inverse_w_on_live_words(self):
+        pg = WrongEnd(q_locality("s5"))
+        got = assert_same_report(pg, 3)
+        failed = [v.word for v in got.violations
+                  if v.detail == "w**-1 * w is not the identity"]
+        # every word over S fails, each letter with its inverse in the
+        # carrier: 8 and 64 of lengths 1 and 2, then length 3 up to the cap
+        assert len(failed) == len(got.violations) == MAX_VIOLATIONS
+        assert Counter(len(w) for w in failed) == {1: 8, 2: 64, 3: 128}
+        S = set(pg.S.members())
+        assert all(set(w) <= S for w in failed)
+        assert all(pg.inv(g) in pg._index for w in failed for g in w)
+
+    def test_group_mixing_live_and_non_live_letters(self):
+        L = q_locality("s5")
+        e, a, b = L.S.members()[:3]
+        x = b
+        pg = WrongEnd(L, broken=(a, b))
+        # for the tail (b,) and the last letter x, every d0 in S reaches one
+        # state u; (a, b, x) is in D but has no product, so of that group
+        # only the other letters are live
+        group = next(g for g in sandwich_groups(pg, (b,), x) if a in g)
+        assert set(pg.S.members()) <= set(group)
+        assert pg.in_domain((a, b, x)) and pg.in_domain((e, b, x))
+        got = assert_same_report(pg, 3)
+        failed = {v.word for v in got.violations
+                  if v.detail == "w**-1 * w is not the identity"}
+        assert (e, b, x) in failed
+        assert (a, b, x) not in failed
+        assert any(v.word == (a, b) and v.detail.startswith("binary product failed")
+                   for v in got.violations)
+
+
 @st.composite
 def corrupted_tables(draw):
     """Z/4 or the partial C2 above with one product, one domain entry or one
@@ -541,6 +621,29 @@ class TestSweepWork:
         assert calls["walk_step"] <= 8_064
         assert calls["binary"] <= 1_600
         assert calls["mult"] <= 9_664
+
+    def test_w_inverse_w_is_decided_per_sandwich_group(self):
+        # every end state of w**-1 * w is read through the sweep's `verdict`:
+        # once per (group, tail, x) at lengths 2 and 3, and once per letter at
+        # length 1, since no letter is flagged on this carrier.  A walk per
+        # word would read 56 + 1 600 + 40 448 end states, one per word with a
+        # product.
+        L = q_locality("s5")
+        calls = Counter()
+
+        def count(frame, event, _arg):
+            code = frame.f_code
+            if event == "call" and code.co_name == "verdict" and (
+                    code.co_filename == _check_axioms_bounded.__code__.co_filename):
+                calls["verdict"] += 1
+
+        sys.setprofile(count)
+        try:
+            rep = _check_axioms_bounded(L, 3)
+        finally:
+            sys.setprofile(None)
+        assert rep.ok
+        assert 56 < calls["verdict"] <= 1_928
 
     def test_huge_max_len_is_refused_at_once(self):
         L = q_locality("s5")

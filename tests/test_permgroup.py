@@ -355,16 +355,21 @@ def test_mask_members_reads_every_bit(bits):
 
 def reference_sylow_p(H, p):
     """`sylow_p` as it was before the first-hit scan: each round takes the
-    first eligible member of the whole normalizer N_H(P)."""
+    first eligible member of the whole normalizer N_H(P).
+
+    N_H(P) is its own sweep over H, by `G.conj` at P's generators, so the
+    reference shares no code with S's conjugation table (which would build
+    a whole row of H for each g when H is large)."""
     if not is_prime(p):
         raise InputError(f"p = {p} is not prime")
     G = H.group
     target = _p_part(H.order, p)
     P = G.trivial
     while P.order < target:
-        N = P.normalizer(H)
+        gens = P.generators()
+        N = [g for g in H.members() if all(P.mask >> G.conj(x, g) & 1 for x in gens)]
         grown = False
-        for g in N.members():
+        for g in N:
             if g not in P and G.is_p_element(g, p):
                 P = Subgroup(G, G.close_mask(P.mask | 1 << g))
                 grown = True
