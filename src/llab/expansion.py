@@ -364,7 +364,9 @@ def elementary_expand(L: Locality, R: Subgroup) -> ElementaryExpansion:
             )
     # With S_f = S_w, (O1) puts S_w in Delta+, so w = (x**-1, h, y) is in
     # D(grown) with product f, and c_f is c_(x**-1), c_h, c_y in turn, a
-    # composite of restrictions of F-maps: grown's fusion system is F.
+    # composite of restrictions of F-maps: grown's fusion system is F, and
+    # it is handed on.  For L a restriction of G whose objects hold F^cr, F
+    # is F_S(G) itself, handed on by Alperin's theorem (`locality_from_group`).
     # N_grown(R) = N_L(R): a fresh f normalizing R has R <= S_f = U, so
     # U = R = V and w = (1, h, 1), the identity being chosen at R; S_w is
     # S_h, an object, so w would be in D.

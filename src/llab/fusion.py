@@ -86,9 +86,10 @@ def _conj_keys(S: Subgroup, conjugators) -> tuple:
     and conjugation is an injective homomorphism on it.
     """
     table = S.group.s_conjugation(S.mask)
-    s_mask = S.mask
+    # a set, not S's mask: a shift of the mask costs its whole length
+    s_set = frozenset(table.members)
     return tuple(dict.fromkeys(
-        (table.s_g(g), tuple(y for y in table.images(g) if s_mask >> y & 1))
+        (table.s_g(g), tuple(y for y in table.images(g) if y in s_set))
         for g in conjugators
     ))
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DomainError, InputError, PropertyViolation
-from .fusion import FusionMap, FusionSystem, conjugation_fusion, group_fusion
+from .fusion import (FusionMap, FusionSystem, conjugation_fusion, fusion_from_group,
+                     group_fusion)
 from .partial import (
     PartialGroup,
     PartialSubgroup,
@@ -388,10 +389,14 @@ class Locality(PartialGroup):
     def fusion(self) -> FusionSystem:
         """The fusion system on S generated by conjugation by carrier elements.
 
-        A full-domain carrier is a group under G's products, a subgroup
-        H >= S, so its system is F_S(H) and is read as restrictions
-        (group_fusion).  Otherwise it is closed by composition: c_g then c_h
-        on a non-object P need not be one c_f with f in the carrier.
+        A construction that proves the system hands it on: F_S(G) for a
+        partial-domain restriction of G whose objects hold F^cr
+        (`locality_from_group`, by Alperin's theorem), L's system for a
+        growth step (`elementary_expand`).  Otherwise a full-domain carrier
+        is a group under G's products, a subgroup H >= S, so its system is
+        F_S(H) and is read as restrictions (group_fusion).  Any other
+        carrier is closed by composition: c_g then c_h on a non-object P
+        need not be one c_f with f in the carrier.
         """
         if self._fusion_cache is None:
             build = group_fusion if self.full_domain else conjugation_fusion
@@ -411,11 +416,24 @@ def locality_from_group(G: FiniteGroup, p: int, delta) -> Locality:
 
     (O2) for F(L) is (O2) for F(G): P <= S_g with P an object puts g in L.
     The carrier is its whole cut, so `Locality` skips its closure sweep.
+
+    When Delta holds F^cr for F = F_S(G), L takes F as its system, by
+    Alperin's fusion theorem (Alperin 1967, in Goldschmidt's form): F is
+    saturated, so it is generated by the Aut_G(Q), Q in F^cr.  Each such Q
+    is an object, so N_G(Q) lies in the cut, which is L, and F <= F(L);
+    every c_g with g in L is a map of F, so F(L) <= F.  A full-domain L
+    takes no system here: it is a group H >= S, and `fusion` reads F_S(H)
+    off its own members, which costs less than F's pass over G's cosets.
     """
     S = sylow_p(G.top, p)
     if not isinstance(delta, ObjectSet):
         delta = object_set(S, delta)
-    return Locality(G, delta.cut, S, delta, p)
+    L = Locality(G, delta.cut, S, delta, p)
+    if not L.full_domain:
+        F = fusion_from_group(G, p)
+        if all(P.mask in delta.mask_set for P in F.class_sets()["cr"]):
+            L._fusion_cache = F
+    return L
 
 
 # -- normalizers, properness ----------------------------------------------------

@@ -406,6 +406,20 @@ class TestNotFClosedThreeLetters:
         assert got.violations == want.violations
         assert not got.ok
 
+    def test_second_pass_matches_the_reference_at_two_letters(self):
+        # at length 3 the 200-record cap fills with first-pass records;
+        # at length 2 the second pass records the products that escape
+        L = not_f_closed_locality()
+        got = _check_axioms_bounded(L, 2)
+        want = reference_check_axioms_bounded(L, 2)
+        assert (got.ok, got.checked_words) == (want.ok, want.checked_words)
+        assert got.violations == want.violations
+        assert Counter((len(v.word), v.detail) for v in got.violations) == {
+            (1, "length-1 word not in domain"): 8,
+            (2, "prefix missing from domain"): 32,
+            (2, "product escapes the carrier"): 32,
+        }
+
 
 class WrongEnd(UncheckedLocality):
     """The s5/2 F^q locality with a wrong product at one walker state.

@@ -23,7 +23,7 @@ from llab.fusion import (
     fusion_from_group,
     quotient_fusion_check,
 )
-from llab.locality import locality_from_group, resolve_delta_spec
+from llab.locality import is_proper, locality_from_group, resolve_delta_spec
 from llab.permgroup import (
     Subgroup,
     group_from_generators,
@@ -298,13 +298,37 @@ class TestRestrictionTables:
         assert (restricted._closed.size, closed._closed.size) == (23, 28)
         assert closed.same_homs(fusion_from_group(group, 2))
 
-    def test_partial_domain_locality_closes_by_composition(self, monkeypatch):
+    def test_partial_domain_locality_takes_the_group_system(self, monkeypatch):
+        # F^q holds F^cr, so by Alperin's theorem L's system is F_S(G),
+        # handed on with no closure
         group = builtin("s5")
         F = fusion_from_group(group, 2)
         L = locality_from_group(group, 2, resolve_delta_spec(F, "q"))
         assert not L.full_domain
         seen = close_callers(monkeypatch)
-        assert L.fusion().same_homs(F)
+        assert L.fusion()._closed is F._closed
+        assert seen == []
+        assert conjugation_fusion(L.S, L.elements).same_homs(L.fusion())
+
+    def test_locality_without_f_cr_closes_by_composition(self, monkeypatch):
+        # Delta: the overgroups of the transposition class of <(4 5)>, of
+        # orders 8, 4, 2, 2; the order-4 member <(2 3)(4 5), (2 4)(3 5)> of
+        # F^cr is missing, so F(L) is smaller than F_S(S5) and is closed here
+        group = builtin("s5")
+        F = fusion_from_group(group, 2)
+        T = next(P for P in F.subs if P.gens_str() == "(4 5)")
+        delta = [Q for Q in F.subs
+                 if any(V.mask & Q.mask == V.mask for V in F.conjugates(T))]
+        assert [Q.order for Q in delta] == [8, 4, 2, 2]
+        assert not {P.mask for P in F.class_sets()["cr"]} <= {Q.mask for Q in delta}
+        L = locality_from_group(group, 2, delta)
+        assert (len(L.elements), L.full_domain) == (40, False)
+        seen = close_callers(monkeypatch)
+        FL = L.fusion()
+        assert (FL._closed.size, F._closed.size) == (20, 28)
+        assert not FL.same_homs(F)
+        assert is_proper(L).summary() == "not proper: 2 normalizers not characteristic p"
+        assert L.fusion() is FL
         assert seen == ["partial-domain fusion"]
 
     def test_close_runs_only_for_generated_systems(self, monkeypatch, tmp_path):
@@ -317,7 +341,7 @@ class TestRestrictionTables:
         assert seen == []
         assert run_quietly("verify", "--group", s5, "--p", "2") == 0
         assert seen
-        assert set(seen) <= {"is_cr_generated", "partial-domain fusion"}
+        assert set(seen) == {"is_cr_generated"}
 
 
 class TestConjugatesAndClosureProperties:
