@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
+from operator import itemgetter
 
 from .caps import current as current_caps
 from .errors import InputError, CapExceeded, PropertyViolation
@@ -31,9 +32,12 @@ def identity_perm(degree: int) -> Perm:
 
 
 def pmul(a: Perm, b: Perm) -> Perm:
-    """Apply a, then b."""
-    # a C-level loop; itemgetter(*a) would return a scalar on degree 1
-    return tuple(map(b.__getitem__, a))
+    """Apply a, then b: the one composition of permutations (see also
+    `_conj_images`, which composes many x with one g)."""
+    # itemgetter(*a)(b) is (b[a[0]], b[a[1]], ...) in one C call; with one
+    # index it would return the bare b[a[0]] and with none raise, so degrees
+    # 0 and 1, whose only permutation is the identity, return b
+    return itemgetter(*a)(b) if len(a) > 1 else b
 
 
 def pinv(a: Perm) -> Perm:
@@ -89,13 +93,25 @@ _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 def mask_members(mask: int) -> list[int]:
-    """The set bits of mask, ascending, a byte at a time off a table.
+    """The set bits of mask, ascending.
 
-    One Python step per byte and per member, where peeling the lowest bit
-    costs three big-int operations per member: faster on the masks the
-    workloads pass, slower only on long sparse ones (a few members in a
-    mask of thousands of bits).
+    A dense mask is read a byte at a time off a table: one Python step per
+    byte and per member, where peeling the lowest bit costs three big-int
+    operations per member.  A sparse one, under one member per 32 bits, is
+    scanned with `str.find` over its binary digits read from the low end:
+    one C-level search per member instead of a step per byte.  A find costs
+    about two table steps and the digit string a fraction of one per byte,
+    so the two cross between 1 member in 25 bits and 1 in 40 on masks of
+    720 to 20 160 bits; short masks stay on the table.
     """
+    if mask.bit_count() * 32 < mask.bit_length():
+        digits = bin(mask)[:1:-1]  # bit i at position i, no "0b"
+        out = []
+        i = digits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = digits.find("1", i + 1)
+        return out
     out = []
     base = 0
     for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
@@ -116,10 +132,14 @@ def mask_of(ordinals) -> int:
 # the group ----------------------------------------------------------------
 
 def _conj_images(elements, inv, index, xs, g: int) -> tuple[int, ...]:
+    """The ordinal of x^g for each ordinal x in xs: the getter of g^-1 is
+    built once, and each x^g = (g^-1·x)·g is then two C calls (see `pmul`)."""
     gp, gi = elements[g], elements[inv[g]]
+    if len(gp) < 2:  # degree <= 1: the getter would return a scalar
+        return tuple(index[pmul(pmul(gi, elements[x]), gp)] for x in xs)
+    pre = itemgetter(*gi)  # x -> g^-1·x
     # (g^-1 x g)[i] = g[x[g^-1[i]]]
-    return tuple(index[tuple(map(gp.__getitem__, map(elements[x].__getitem__, gi)))]
-                 for x in xs)
+    return tuple(index[itemgetter(*pre(elements[x]))(gp)] for x in xs)
 
 
 _MUL_CACHE_MAX_ORDER = 1024
@@ -175,7 +195,8 @@ class FiniteGroup:
     def mult(self, i: int, j: int) -> int:
         """i·j by ordinal.  Up to order 1024 through i's Cayley row, built
         the first time i is asked for with one lookup per entry along the
-        generator tree (see `_tree`); above that by one composition."""
+        generator tree (see `_tree`); above that by one `pmul`, a C-level
+        getter call, and one index lookup."""
         if self.order <= _MUL_CACHE_MAX_ORDER:
             row = self._mul_rows.get(i)
             if row is None:
@@ -262,8 +283,23 @@ class FiniteGroup:
         return out
 
     def is_p_element(self, i: int, p: int) -> bool:
-        n = perm_order(self.elements[i])
-        return _p_part(n, p) == n
+        """Whether i's order is a power of p: every cycle length is one, so
+        the walk stops at the first cycle whose length is not."""
+        if p < 2:  # _p_part's refusal, also for the identity, which has no cycle
+            raise InputError(f"p = {p} is not prime")
+        a = self.elements[i]
+        seen = bytearray(len(a))
+        for start, image in enumerate(a):
+            if seen[start] or image == start:
+                continue
+            n, j = 0, start
+            while not seen[j]:
+                seen[j] = 1
+                j = a[j]
+                n += 1
+            if _p_part(n, p) != n:
+                return False
+        return True
 
     def index_of(self, perm: Perm) -> int:
         try:
@@ -376,14 +412,17 @@ class SConjugation:
     time until the group reaches that order.  Labels and rows are read
     through the group's memo x -> x^h per generator h, shared by all its
     tables: each element met in a row is conjugated by each generator from
-    permutations at most once.  So the walk costs, once per (G, S), at most
-    |gens G| compositions per element conjugate to a member of S, plus one
-    per coset for its representative and two per Schreier element.
-    `coset` then lists a whole coset and fills in its members' rows; any
-    other g is labelled on its own, |gens S| compositions, and a new
-    label's row costs |S|.  The table keeps the group's element tuples,
-    generator ordinals and memo, not the group, so the group's memo holds
-    no cycle through it.
+    permutations at most once.  Every composition is one C-level getter
+    call (`pmul`), and a conjugate x^h is two: h^-1·x by the getter of h^-1
+    that the memo keeps, then ·h.  So the walk costs, once per (G, S), at
+    most |gens G| conjugates per element conjugate to a member of S, plus
+    one composition per coset for its representative and two per Schreier
+    element.  `coset` then lists a whole coset, one composition per member,
+    and fills in its members' rows; any other g is labelled on its own,
+    |gens S| conjugates, and a new label's row costs |S| (`_conj_images`
+    builds g^-1's getter once per call).  The table keeps the group's
+    element tuples, generator ordinals and memo, not the group, so the
+    group's memo holds no cycle through it.
     """
 
     __slots__ = ("mask", "members", "_gens", "_group_gens", "_order", "_arith",
@@ -396,10 +435,17 @@ class SConjugation:
         self._gens = Subgroup(group, mask).generators()
         self._group_gens = group.generators
         self._order = group.order
-        self._arith = (group.elements, group._inv, group._index)
-        # x -> x^h per generator h, shared by every table of the group
-        self._by_gen = group._memo.setdefault(
-            "conj_by_gen", tuple({} for _ in group.generators))
+        elements, inv = group.elements, group._inv
+        self._arith = (elements, inv, group._index)
+        # per generator h, shared by every table of the group: the memo
+        # x -> x^h, h, and the getter x -> h^-1·x that fills the memo (the
+        # identity on degrees 0 and 1, whose getter would return a scalar)
+        self._by_gen = group._memo.get("conj_by_gen")
+        if self._by_gen is None:
+            self._by_gen = group._memo["conj_by_gen"] = tuple(
+                ({}, elements[h], itemgetter(*elements[inv[h]])
+                 if group.degree > 1 else tuple)
+                for h in group.generators)
         # label -> (row, S_g), one entry per coset C_G(S)·g seen so far
         self._rows: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
         self._images: dict[int, tuple[int, ...]] = {}
@@ -433,12 +479,13 @@ class SConjugation:
     def _conj_by(self, xs: tuple[int, ...], k: int) -> tuple[int, ...]:
         """x^h for each x in xs and the k-th group generator h, through the
         group's memo: each x is conjugated by h from permutations once."""
-        memo, h = self._by_gen[k], self._group_gens[k]
+        memo, hp, pre = self._by_gen[k]
+        elements, _, index = self._arith
         out = []
         for x in xs:
             y = memo.get(x)
             if y is None:
-                y = memo[x] = _conj_images(*self._arith, (x,), h)[0]
+                y = memo[x] = index[pmul(pre(elements[x]), hp)]
             out.append(y)
         return tuple(out)
 
@@ -527,9 +574,8 @@ class SConjugation:
         if got is None:
             elements, _, index = self._arith
             gp = elements[g]
-            got = self._cosets[g] = tuple(
-                index[tuple(map(gp.__getitem__, elements[c]))]
-                for c in self.centralizer())
+            got = self._cosets[g] = tuple(index[pmul(elements[c], gp)]
+                                          for c in self.centralizer())
             row, s_g = self.images(g), self.s_g(g)
             self._images.update(dict.fromkeys(got, row))
             self._s_g.update(dict.fromkeys(got, s_g))

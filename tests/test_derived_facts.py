@@ -67,7 +67,6 @@ from llab.permgroup import (
     mask_members,
     mask_of,
     p_core,
-    pmul,
     subgroups_below,
     sylow_p,
 )
@@ -118,11 +117,16 @@ def reference_coset_representatives(G, S):
     return firsts
 
 
+def compose(a, b):
+    """Apply a, then b: the product written out, independent of `pmul`."""
+    return tuple(b[i] for i in a)
+
+
 def reference_row(G, i):
     """`FiniteGroup.mult`'s Cayley row of i as it was built: i·b for every
     element b, one composition and one tuple hash per entry."""
     a = G.elements[i]
-    return tuple(G._index[pmul(a, b)] for b in G.elements)
+    return tuple(G._index[compose(a, b)] for b in G.elements)
 
 
 def reference_closure(degree, generators, cap):
@@ -139,7 +143,7 @@ def reference_closure(degree, generators, cap):
         gens.append(g)
         for i, a in enumerate(elements):
             for h in gens if i >= old else (g,):
-                b = pmul(a, h)
+                b = compose(a, h)
                 if b not in seen:
                     if len(seen) >= cap:
                         raise CapExceeded("group order", cap)
@@ -1284,7 +1288,7 @@ def generator_lists(draw, max_degree=7):
         elif kind == "repeat":
             extra = draw(st.sampled_from(gens))
         else:
-            extra = pmul(draw(st.sampled_from(gens)), draw(st.sampled_from(gens)))
+            extra = compose(draw(st.sampled_from(gens)), draw(st.sampled_from(gens)))
         gens.insert(draw(st.integers(0, len(gens))), extra)
     return degree, gens
 

@@ -23,7 +23,8 @@ from llab.errors import InputError, CapExceeded, PropertyViolation
 from llab.locality import object_set
 from bench.workloads import generated_groups
 import test_derived_facts
-from test_derived_facts import (TABLE_PAIRS, normal_subgroups, reference_close_mask,
+from test_derived_facts import (TABLE_PAIRS, compose, normal_subgroups,
+                                reference_close_mask,
                                 reference_coset_representatives, reference_cut,
                                 reference_generators, reference_is_closed_mask,
                                 reference_p_prime_core, reference_stabilizer)
@@ -86,6 +87,12 @@ def test_product_on_degrees_one_and_two():
     assert pmul((1, 0), (0, 1)) == (1, 0)
     assert group_from_generators(1, [[0]]).elements == ((0,),)
     assert group_from_generators(2, [[1, 0]]).elements == ((0, 1), (1, 0))
+    # a degree-1 group that keeps the identity as a generator conjugates by
+    # it in the walk, where a one-index getter would return a scalar
+    G = FiniteGroup([(0,)], 1, [(0,)])
+    table = G.s_conjugation(1)
+    assert table.coset_representatives() == table.centralizer() == (0,)
+    assert G.conj_images((0, 0), 0) == (0, 0) and table.coset(0) == (0,)
 
 
 def test_cycle_notation():
@@ -515,13 +522,14 @@ def test_s7_walk_labels_one_g_per_coset(monkeypatch):
     for g in range(G.order):
         table.images(g)
     # the walk conjugates single elements, each by each generator of G at
-    # most once: S's 6 elements of order 7 are conjugate in G to the 720
-    # 7-cycles, so every label and row holds only those and 1.  No row is
-    # conjugated whole from permutations, where composing labels and rows
-    # took 1440 labels and a row of 7 per coset.
+    # most once, into the group's memo x -> x^h: S's 6 elements of order 7
+    # are conjugate in G to the 720 7-cycles, so every label and row holds
+    # only those and 1.  No g is labelled and no row conjugated whole from
+    # permutations, where composing labels and rows took 1440 labels and a
+    # row of 7 per coset.
     assert len(table._gens) == 1 and len(G.generators) == 2
-    assert sizes.count(1) == len(sizes) <= 721 * len(G.generators)
-    assert 7 not in sizes
+    assert [len(memo) for memo, _, _ in G._memo["conj_by_gen"]] == [721, 721]
+    assert sizes == []
 
 
 def test_walk_refuses_generators_that_do_not_generate_the_group():
@@ -652,3 +660,98 @@ def test_p_prime_core_of_a_p_prime_group_enumerates_no_subgroup(monkeypatch):
     three = sylow_p(G.top, 3)
     assert reference_p_prime_core(three, 2) == three
     assert calls == []
+
+
+# --- the permutation kernels against independent arithmetic ----------------
+
+def invert(a):
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
+
+
+def peel(mask):
+    """The set bits of mask, ascending, by peeling the lowest one."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+@functools.cache
+def kernel_group(degree):
+    """One group per degree 1-9: S_d up to S7 (the one above the Cayley row
+    cache), then AGammaL(1,8) on 8 points and PSL(2,8) on 9."""
+    if degree <= 2:
+        return group_from_generators(degree, [list(range(degree))[::-1]])
+    return closure_group({8: "agl18", 9: "psl28"}.get(degree, f"s{degree}"))
+
+
+class TestKernels:
+    """`pmul`, `_conj_images` and the products built on them, against
+    `compose` on the permutations themselves."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_products_and_conjugates(self, data):
+        degree = data.draw(st.integers(1, 9))
+        perm = st.permutations(range(degree)).map(tuple)
+        a, b = data.draw(perm), data.draw(perm)
+        assert pmul(a, b) == compose(a, b)
+        G = kernel_group(degree)
+        assert G.degree == degree
+        ordinal = st.integers(0, G.order - 1)
+        xs = data.draw(st.lists(ordinal, max_size=5))
+        g = data.draw(ordinal)
+        gp = G.elements[g]
+
+        def conj(x):
+            return G.index_of(compose(compose(invert(gp), G.elements[x]), gp))
+
+        assert G.conj_images(xs, g) == tuple(map(conj, xs))
+        # S: a cyclic subgroup or a Sylow subgroup, in a table of its own
+        if data.draw(st.booleans()):
+            S = Subgroup(G, G.close_mask(1 | 1 << data.draw(ordinal)))
+        else:
+            S = sylow_p(G.top, data.draw(st.sampled_from([2, 3, 5, 7])))
+        table = permgroup.SConjugation(G, S.mask)
+        assert table.images(g) == tuple(map(conj, S.members()))
+        central = [c for c in range(G.order)
+                   if all(compose(G.elements[x], G.elements[c])
+                          == compose(G.elements[c], G.elements[x]) for x in S.members())]
+        assert table.coset(g) == tuple(G.index_of(compose(G.elements[c], gp))
+                                       for c in central)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_products_above_the_row_cache(self, data):
+        G = kernel_group(7)
+        assert G.order > permgroup._MUL_CACHE_MAX_ORDER
+        i, j = (data.draw(st.integers(0, G.order - 1)) for _ in range(2))
+        assert G.mult(i, j) == G.index_of(compose(G.elements[i], G.elements[j]))
+        assert G._mul_rows == {}
+
+    def test_p_elements_of_s7(self):
+        G = kernel_group(7)
+        orders = [perm_order(a) for a in G.elements]
+        for p in (2, 3, 5, 7):
+            assert ([G.is_p_element(i, p) for i in range(G.order)]
+                    == [_p_part(n, p) == n for n in orders])
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.one_of(
+        # sparse: a few members in masks as wide as A8's 20 160 ordinals
+        st.sets(st.integers(0, 20159), max_size=70),
+        # dense: most of a mask as wide as S5's ordinals
+        st.sets(st.integers(0, 119), min_size=40),
+        st.just(set())))
+    def test_mask_members(self, bits):
+        mask = mask_of(bits)
+        assert mask_members(mask) == peel(mask) == sorted(bits)
+
+    def test_mask_members_at_the_sparse_threshold(self):
+        # 2 members: 64 bits read off the byte table, 65 by str.find; then
+        # neighbouring members in a sparse mask, one high bit, a full mask
+        for mask in (1 | 1 << 63, 1 | 1 << 64, 0b111 | 0b11 << 20000, 1 << 20159,
+                     (1 << 120) - 1, 0):
+            assert mask_members(mask) == peel(mask)
