@@ -21,6 +21,7 @@ from .errors import CapExceeded, InputError, PropertyViolation
 from .expansion import check_unique_iso, full_expand
 from .fusion import fusion_from_group
 from .locality import (
+    DELTA_SPECS,
     is_proper,
     locality_from_group,
     resolve_delta_spec,
@@ -28,9 +29,6 @@ from .locality import (
 )
 from .partial import check_axioms
 from .permgroup import group_from_generators, is_prime
-
-DELTA_SPECS = ("cr-closure", "c", "q", "s", "all-nontrivial", "all")
-
 
 class _Parser(argparse.ArgumentParser):
     # usage problems are input errors, not the cap-exceeded exit code

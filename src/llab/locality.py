@@ -63,6 +63,7 @@ __all__ = [
     "o_pprime_of",
     "product_partial_normal",
     "resolve_delta_spec",
+    "DELTA_SPECS",
 ]
 
 
@@ -158,7 +159,8 @@ class Locality(PartialGroup):
         # theta_quotient's (Theta's members, L/Theta or None for L itself),
         # kept the same way; no reference back to L, so no cycle through it
         self._theta_quotient: tuple | None = None
-        self.full_domain = self._invariant_core_mask() in delta.mask_set
+        # every word is in D iff O_p(L) is an object (`SConjugation.core`)
+        self.full_domain = self._s_conj.core(self.elements) in delta.mask_set
         self._validate()
 
     # -- S_g / S_w ----------------------------------------------------------
@@ -301,25 +303,6 @@ class Locality(PartialGroup):
                 raise DomainError(word, k)
         return state[1]
 
-    def _invariant_core_mask(self) -> int:
-        """Largest subgroup of S stable under conjugation by every element.
-
-        The locality has full word domain exactly when this core is an
-        object: S_w shrinks to the core along long mixing words and never
-        below it, and Delta is closed under overgroups.
-        """
-        table = self._s_conj
-        rows = [table.images(g) for g in self.elements]
-        cur = self.S.mask
-        while True:
-            nxt = 0
-            for i, x in enumerate(table.members):
-                if cur >> x & 1 and all(cur >> row[i] & 1 for row in rows):
-                    nxt |= 1 << x
-            if nxt == cur:
-                return cur
-            cur = nxt
-
     # -- construction-time checks ---------------------------------------------
 
     def _validate(self):
@@ -353,7 +336,7 @@ class Locality(PartialGroup):
         # A carrier that is its whole cut is closed: (g, h) in D has
         # S_(g, h) <= S_gh, S_(g, h) is an object and Delta is closed under
         # overgroups, so gh lies in the cut.  On a full-domain carrier
-        # S_(g, h) holds the invariant core, an object, so this holds there too.
+        # S_(g, h) holds O_p(L), an object, so this holds there too.
         if self._carrier != cut and not products(
                 self, self.elements, self._carrier) <= self._carrier:
             raise PropertyViolation("domain product escapes the carrier", witness=next(
@@ -584,8 +567,8 @@ def quotient_locality(L: Locality, N: PartialSubgroup) -> LocalityQuotient:
     lbar = Locality(Q, range(Q.order), s_bar, delta_bar, L.p)
     # rho is a homomorphism without a sweep.  L has full domain, so it is a
     # group, and Q's product is the block product: rho(xy) = rho(x)rho(y).
-    # The core O of L's S-conjugation is an object normal in L, and rho(O)
-    # is normal in Q and in Delta_bar, so lbar has full domain too.
+    # O_p(L) is an object normal in L, and its image is normal in Q and in
+    # Delta_bar, so lbar has full domain too.
     rho = PGHom(L, lbar, send)
     sigma = FusionMap(L.fusion(), lbar.fusion(),
                       {s: send[s] for s in L.S.members()})
@@ -645,17 +628,9 @@ def theta_quotient(L: Locality):
 
 
 def o_p_locality(L: Locality) -> Subgroup:
-    """Largest subgroup of S partial normal in L: the first hit, largest first.
-
-    Such a P is normal in L: for g with P <= S_g and x in P, x normalizes
-    S_g, so the word (g**-1, x, g) has S_w >= S_{g**-1}, an object by (O1).
-    So x**g is defined and lies in P, and P**g = P by counting.  S lies in
-    L, so P is normal in S too, and needs no test of its own.  Products of
-    partial normal subgroups are partial normal (Chermak, Finite localities
-    I, 2015): the first hit contains every other.
-    """
-    return next(P for P in subgroups_below(L.S)
-                if is_partial_normal(L, PartialSubgroup(L, frozenset(P.members()))))
+    """O_p(L), the largest subgroup of S partial normal in L: the core of S
+    under the carrier, off S's conjugation table (`SConjugation.core`)."""
+    return Subgroup(L.group, L._s_conj.core(L.elements))
 
 
 def _s_part(L: Locality, N: PartialSubgroup) -> frozenset:
@@ -705,6 +680,10 @@ def product_partial_normal(L: Locality, M: PartialSubgroup,
 
 
 # -- CLI-facing object-set vocabulary -------------------------------------------------
+
+
+# the names resolve_delta_spec takes, in the order the CLI lists them
+DELTA_SPECS = ("cr-closure", "c", "q", "s", "all-nontrivial", "all")
 
 
 def resolve_delta_spec(F: FusionSystem, spec: str) -> list:

@@ -134,10 +134,10 @@ def mask_of(ordinals) -> int:
 def _conj_images(elements, inv, index, xs, g: int) -> tuple[int, ...]:
     """The ordinal of x^g for each ordinal x in xs: the getter of g^-1 is
     built once, and each x^g = (g^-1·x)·g is then two C calls (see `pmul`)."""
-    gp, gi = elements[g], elements[inv[g]]
-    if len(gp) < 2:  # degree <= 1: the getter would return a scalar
-        return tuple(index[pmul(pmul(gi, elements[x]), gp)] for x in xs)
-    pre = itemgetter(*gi)  # x -> g^-1·x
+    gp = elements[g]
+    if len(gp) < 2:  # degree <= 1: g is the identity (a getter would return a scalar)
+        return tuple(xs)
+    pre = itemgetter(*elements[inv[g]])  # x -> g^-1·x
     # (g^-1 x g)[i] = g[x[g^-1[i]]]
     return tuple(index[itemgetter(*pre(elements[x]))(gp)] for x in xs)
 
@@ -400,7 +400,8 @@ class SConjugation:
     same label exactly when h·g^-1 centralizes S.  The |S| row and S_g are
     built once per label and kept per g.  The rows give P**g for P <= S
     (`conjugate_mask`) and the one normalizer and centralizer sweep
-    (`stabilizer`), inside S, inside a locality and in `is_characteristic_p`.
+    (`stabilizer`), inside S, inside a locality and in `is_characteristic_p`,
+    and the one O_p fixpoint (`core`), of a group and of a locality.
 
     The cosets are found by walking the orbit of S's generator tuple under
     G's generators (orbit-stabilizer; Seress, Permutation Group Algorithms,
@@ -556,6 +557,42 @@ class SConjugation:
         return mask_of(g for g in elements
                        if all(m >> self.images(g)[i] & 1 for i, m in want))
 
+    def core(self, elements) -> int:
+        """The mask of the largest T <= S with x**g in T for every x in T
+        and every g in `elements`: O_p(H) of a group H and O_p(L) of a
+        locality L on S, and L's full-domain test.
+
+        A fixpoint over the elements' distinct rows, one shared row object
+        per coset C_G(S)·g: each pass keeps the x of the current set whose
+        images on every row stay in it.  Every stable set lies in every
+        pass, and the subgroup a stable set generates is stable, so the
+        fixpoint is the largest stable set, and a subgroup.
+        - A group H >= S with S Sylow in H (`_sylow_core`): T is a normal
+          p-subgroup of H, so T <= O_p(H); O_p(H) lies in S and is stable
+          under H, so O_p(H) <= T.
+        - A locality L (`Locality.__init__`): T is partial normal, as every
+          word over T <= S is in D and each defined conjugate of a member
+          of T stays in T.  A partial normal R <= S lies in T: take f in L
+          and P = S_f.  For r in R cap N_S(P) the word (f**-1, r, f) has
+          S_w >= P**f = S_(f**-1), an object, so r**f is defined, lies in
+          R <= S, and r is in P.  By Dedekind N_RP(P) = P·N_R(P) = P, which
+          in the p-group RP forces RP = P, so R <= S_f and R**f lies in R.
+          So T is O_p(L).  Every S_w holds T, and for each x outside T
+          some letters carry x out of S; those letters, then their
+          inverses, over every such x, make a word with S_w = T.  Delta is
+          closed under overgroups, so L has full domain iff T is an object.
+        """
+        rows = {id(row): row for row in map(self.images, elements)}.values()
+        cur = self.mask
+        while True:
+            nxt = 0
+            for i, x in enumerate(self.members):
+                if cur >> x & 1 and all(cur >> row[i] & 1 for row in rows):
+                    nxt |= 1 << x
+            if nxt == cur:
+                return cur
+            cur = nxt
+
     def coset_representatives(self) -> tuple[int, ...]:
         """One g per coset C_G(S)·g, ascending: the walk's representatives."""
         if self._reps is None:
@@ -671,6 +708,7 @@ def subgroups_below(H: Subgroup) -> list[Subgroup]:
         while queue:
             mask = queue.pop()
             tried = mask
+            below = mask_members(mask)
             for g in members:
                 if tried >> g & 1:
                     continue
@@ -681,9 +719,9 @@ def subgroups_below(H: Subgroup) -> list[Subgroup]:
                     known.add(new_mask)
                     queue.append(new_mask)
                 # anything in the double coset H g H generates the same join
-                for a in mask_members(mask):
+                for a in below:
                     xa = G.mult(a, g)
-                    for b in mask_members(mask):
+                    for b in below:
                         tried |= 1 << G.mult(xa, b)
         got = tuple(sorted(known, key=lambda m: (-m.bit_count(), m)))
         memo[H.mask] = got
@@ -752,13 +790,13 @@ def sylow_p(H: Subgroup, p: int) -> Subgroup:
     while P.order < target:
         # The first member of H, in ordinal order, that lies outside P, is a
         # p-element and normalizes P: the first eligible member of
-        # P.normalizer(H), found without sweeping the rest of H.  Both guards
-        # stay because H is caller input; neither fires on a true subgroup H:
-        # - a p-subgroup P that is not Sylow in H has p | [N_H(P) : P], so a
-        #   Sylow p-subgroup of N_H(P) containing P holds a p-element
-        #   outside P, and the scan finds one;
-        # - P is normal in P<g> and P<g>/P is a cyclic p-group, so P<g> is a
-        #   p-group.
+        # P.normalizer(H), found without sweeping the rest of H.  P is normal
+        # in P<g> and P<g>/P is cyclic, generated by the image of the
+        # p-element g, so P<g> is a p-group on every input.  The guard stays
+        # because H is caller input, and does not fire on a true subgroup H:
+        # a p-subgroup P that is not Sylow in H has p | [N_H(P) : P], so a
+        # Sylow p-subgroup of N_H(P) containing P holds a p-element outside
+        # P, and the scan finds one.
         gens = P.generators()
         for g in members:
             if (not P.mask >> g & 1 and G.is_p_element(g, p)
@@ -767,27 +805,19 @@ def sylow_p(H: Subgroup, p: int) -> Subgroup:
                 break
         else:
             raise PropertyViolation("Sylow growth stalled below the p-part", P)
-        if not P.is_p_group(p):
-            raise PropertyViolation("Sylow growth left the p-world", P)
     memo[(H.mask, p)] = P.mask
     return P
 
 
 def _sylow_core(H: Subgroup, p: int) -> tuple[SConjugation, int]:
     """The conjugation table of a Sylow p-subgroup S of H, and the mask of
-    O_p(H): the intersection of the S**g, g in H, read off that table."""
-    S = sylow_p(H, p)
-    table = H.group.s_conjugation(S.mask)
-    mask = S.mask
-    for g in H.members():
-        if mask == 1:
-            break
-        mask &= table.conjugate_mask(S.mask, g)
-    return table, mask
+    O_p(H), the core of S under H (`SConjugation.core`)."""
+    table = H.group.s_conjugation(sylow_p(H, p).mask)
+    return table, table.core(H.members())
 
 
 def p_core(H: Subgroup, p: int) -> Subgroup:
-    """O_p(H): the largest normal p-subgroup (intersection of Sylow conjugates)."""
+    """O_p(H): the largest normal p-subgroup, the core of a Sylow p-subgroup."""
     return Subgroup(H.group, _sylow_core(H, p)[1])
 
 

@@ -222,8 +222,9 @@ def reference_find_o_p(F):
     return top
 
 
-def reference_p_core(H, p):
-    """`p_core` intersecting the Sylow conjugates built through `G.conj`."""
+def reference_group_core(H, p):
+    """`p_core` as the intersection of the Sylow conjugates S**h, h in H,
+    built through `G.conj`."""
     S = sylow_p(H, p)
     mask = S.mask
     for g in H.members():
@@ -472,6 +473,22 @@ def reference_o_p_locality(L):
             raise PropertyViolation("normal-in-L subgroups of S lack a unique maximum",
                                     witness=(top, P))
     return top
+
+
+def reference_invariant_core(table, elements):
+    """`Locality._invariant_core_mask`: the largest subset of S stable under
+    conjugation by each of `elements`, one fixpoint over every element's
+    row of S's conjugation table."""
+    rows = [table.images(g) for g in elements]
+    cur = table.mask
+    while True:
+        nxt = 0
+        for i, x in enumerate(table.members):
+            if cur >> x & 1 and all(cur >> row[i] & 1 for row in rows):
+                nxt |= 1 << x
+        if nxt == cur:
+            return cur
+        cur = nxt
 
 
 def reference_theta(L):
@@ -976,7 +993,9 @@ def check_carrier(L):
     check_fusion(L.fusion())
     check_domain(L)
     check_subgroup_test(L)
-    assert reference_o_p_locality(L).mask == o_p_locality(L).mask
+    core = reference_invariant_core(L._s_conj, L.elements)
+    assert L.full_domain == (core in L.delta.mask_set)
+    assert reference_o_p_locality(L).mask == o_p_locality(L).mask == core
     cs = L.fusion().class_sets()
     cr_masks = {P.mask for P in cs["cr"]}
     if cr_masks <= L.delta.mask_set <= {P.mask for P in cs["q"]}:
@@ -988,7 +1007,9 @@ def check_carrier(L):
     for P in L.delta.members:
         for part in (reference_normalizer_in(L, P), reference_centralizer_in(L, P)):
             H = reference_perm_subgroup(L, part)
-            assert reference_p_core(H, L.p).mask == p_core(H, L.p).mask
+            table = H.group.s_conjugation(sylow_p(H, L.p).mask)
+            assert (reference_group_core(H, L.p).mask == p_core(H, L.p).mask
+                    == reference_invariant_core(table, H.members()))
             assert math.gcd(reference_p_prime_core(H, L.p).order, L.p) == 1
     normals = all_partial_normal_subgroups(L)
     for N in normals:
@@ -1078,6 +1099,19 @@ class TestDroppedGuardsHold:
         assert all(check_subgroup_test(L) > 0 for L in carriers)
         for L in carriers:
             check_carrier(L)
+
+    @pytest.mark.parametrize("spec", ["q", "all-nontrivial"])
+    def test_partial_domain_bases(self, spec):
+        # on S5 at 2 both carriers are the 56 elements with S_g nontrivial,
+        # and their core is 1, which neither family holds, so neither
+        # carrier has full domain
+        G, F = setup("s5")
+        L = locality_from_group(G, 2, resolve_delta_spec(F, spec))
+        core = o_p_locality(L)
+        assert L._classes is None  # the core builds no class table
+        assert (len(L.elements), core.order) == (56, 1)
+        assert core.mask not in L.delta.mask_set and not L.full_domain
+        check_carrier(L)
 
     def test_join_closure_on_systems_a_caller_builds(self):
         # the argument for join-closure holds in every system, not only in

@@ -80,9 +80,6 @@ LEDGER = {
             ARGUED + "a p-subgroup P that is not Sylow in a group H has"
             " p | [N_H(P) : P], so a Sylow p-subgroup of N_H(P) containing P"
             " holds a p-element outside P, which the scan finds",
-        "Sylow growth left the p-world":
-            ARGUED + "P is normal in P<g> and P<g>/P is a cyclic p-group,"
-            " so P<g> is a p-group",
     },
 }
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from llab import checks, locality, partial, permgroup
+from llab import checks, cli, locality, partial, permgroup
 from llab.checks import ExampleContext, run_tags
 from llab.errors import DomainError, InputError, PropertyViolation
 from llab.fusion import FusionSystem, fusion_from_group
@@ -1122,10 +1122,12 @@ class TestDeltaSpecs:
     def test_s4_vocabulary(self):
         G = builtin("s4")
         F = fusion_from_group(G, 2)
-        sizes = {spec: len(resolve_delta_spec(F, spec))
-                 for spec in ("cr-closure", "c", "q", "s", "all-nontrivial", "all")}
+        sizes = {spec: len(resolve_delta_spec(F, spec)) for spec in locality.DELTA_SPECS}
         assert sizes == {"cr-closure": 2, "c": 4, "q": 9, "s": 10,
                          "all-nontrivial": 9, "all": 10}
+
+    def test_the_cli_offers_the_same_names(self):
+        assert cli.DELTA_SPECS is locality.DELTA_SPECS
 
     def test_unknown_spec(self):
         G = builtin("s4")
