@@ -27,6 +27,7 @@ from .locality import (
     Locality,
     LocalityQuotient,
     ObjectSet,
+    ProperReport,
     is_proper,
     normalizer_in,
     object_set,
@@ -291,9 +292,11 @@ def elementary_expand(L: Locality, R: Subgroup) -> ElementaryExpansion:
     report must pass, and the conjugation records of the fresh elements are
     checked against their triple words.  From the records the grown
     locality takes L's fusion system object, keeps the normalizer of R and
-    restricts back to L, as argued below.  When L is proper and R
-    subcentric it is proper (Chermak 2013; Henke 2019); the trace reports
-    its properness, which is not checked.
+    restricts back to L, as argued below.  When L is proper and N_L(R) has
+    characteristic p, the grown locality takes L's verdict and is proper by
+    the argument below (Chermak 2013; Henke 2019), with no sweep over its
+    objects; from any other base its properness is computed in full.  The
+    trace reports it.
     """
     if R.group is not L.group or not R.le(L.S):
         raise InputError("seed subgroup must lie inside S")
@@ -373,6 +376,17 @@ def elementary_expand(L: Locality, R: Subgroup) -> ElementaryExpansion:
     # The cut of grown to Delta is L: a fresh f has S_f = U, a conjugate of
     # R, which is not in the F-closed Delta.
     grown._fusion_cache = F
+    # Properness is handed on when L is proper and N_L(R) has characteristic p.
+    # (PL1) F is handed on, and L proper puts F^cr inside Delta <= Delta+.
+    # (PL2) at an old object P: a fresh f has S_f = U, a conjugate of R, so
+    # P <= S_f would make U an object, and U is not in the F-closed Delta; no
+    # fresh element normalizes P, and N_grown(P) = N_L(P).  At a new object
+    # V, a conjugate of R: N_grown(R) = N_L(R) as above, and for a witness y
+    # of V, R <= S_y with R an object of grown, so c_y carries N_grown(R)
+    # isomorphically onto N_grown(V) (Chermak, Part I); characteristic p is
+    # an isomorphism invariant.  Any other base gets the full computation.
+    if is_proper(L).ok and is_characteristic_p(seed.M, L.p):
+        grown._proper_report = ProperReport(ok=True)
     grown_proper = is_proper(grown).ok
 
     trace = {
@@ -507,11 +521,8 @@ def _thread_value(exp: ElementaryExpansion, form) -> int:
     for a, b in zip(form, form[1:]):
         mids.append(G.mult(a.y, G.inv(b.x)))
         mids.append(b.h)
-    acc = mids[0]
-    for m in mids[1:]:
-        acc = G.mult(acc, m)
     return seed.fold(
-        PhiTriple(form[0].x, acc, form[-1].y, form[0].u_mask, form[-1].v_mask)
+        PhiTriple(form[0].x, G.word(mids), form[-1].y, form[0].u_mask, form[-1].v_mask)
     )
 
 

@@ -56,10 +56,7 @@ class FHom:
 
     @property
     def image_mask(self) -> int:
-        m = 0
-        for i in self.images:
-            m |= 1 << i
-        return m
+        return mask_of(self.images)
 
     @cached_property
     def mapping(self) -> dict:  # built once per map; callers only read it
@@ -558,10 +555,7 @@ class FusionMap:
         return sum(1 << x for x, y in self.mapping.items() if y == 0)
 
     def push_mask(self, mask: int) -> int:
-        out = 0
-        for x in mask_members(mask):
-            out |= 1 << self.mapping[x]
-        return out
+        return mask_of(self.mapping[x] for x in mask_members(mask))
 
     def push_hom(self, h: FHom) -> FHom | None:
         """Induced map on images; None when it is not well defined."""

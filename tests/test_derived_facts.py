@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 from llab import caps, expansion, locality, partial
 from llab.checks import ExampleContext
 from llab.errors import CapExceeded, InputError, PropertyViolation
-from llab.expansion import check_seed, elementary_expand, expand_quotient, lift_normal
+from llab.expansion import (check_seed, elementary_expand, expand_quotient, full_expand,
+                            lift_normal)
 from llab.fusion import (
     FHom,
     FusionSystem,
@@ -774,11 +775,37 @@ def reference_check_seed(L, R):
     return report
 
 
+def reference_is_proper(L):
+    """`is_proper` in full, neither reading nor keeping the report kept on L:
+    the verdict, the masks of F^cr missing from Delta (PL1), and the mask
+    pairs (P, N_L(P)) whose normalizer is not of characteristic p (PL2)."""
+    missing = [P.mask for P in L.fusion().class_sets()["cr"]
+               if P.mask not in L.delta.mask_set]
+    bad = []
+    for P in L.delta.members:
+        N = Subgroup(L.group, mask_of(normalizer_in(L, P).members))
+        if not is_characteristic_p(N, L.p):
+            bad.append((P.mask, N.mask))
+    return not missing and not bad, missing, bad
+
+
+def check_proper(L):
+    """`is_proper(L)` against `reference_is_proper`; returns the verdict."""
+    report = is_proper(L)
+    ok, missing, bad = reference_is_proper(L)
+    assert report.ok == ok
+    assert [P.mask for P in report.missing_cr] == missing
+    assert [(P.mask, N.mask) for P, N in report.bad_normalizers] == bad
+    return ok
+
+
 def reference_step_proper(step):
-    """The properness guard of `elementary_expand`, on one step."""
+    """The properness guard of `elementary_expand`, on one step, with the
+    step's report, which a proper base hands on, checked in full."""
     L, R = step.base, step.seed.R
-    if (L.fusion().classify(R).subcentric and is_proper(L).ok
-            and not is_proper(step.locality).ok):
+    ok = check_proper(step.locality)
+    assert step.trace["checks"]["proper"] == ok
+    if L.fusion().classify(R).subcentric and is_proper(L).ok and not ok:
         raise PropertyViolation("properness lost during growth", witness=R.mask)
 
 
@@ -1100,6 +1127,12 @@ class TestDroppedGuardsHold:
         for L in carriers:
             check_carrier(L)
 
+    @pytest.mark.parametrize("name,p", [("s6", 2), ("m11", 2)])
+    def test_frontier_growths(self, name, p):
+        fe = frontier_growth(name, p)
+        assert len(fe.steps) > 1 and any(step.created for step in fe.steps)
+        check_growth(fe.base, fe.steps, fe.locality)
+
     @pytest.mark.parametrize("spec", ["q", "all-nontrivial"])
     def test_partial_domain_bases(self, spec):
         # on S5 at 2 both carriers are the 56 elements with S_g nontrivial,
@@ -1128,6 +1161,60 @@ class TestDroppedGuardsHold:
             incomparable += sum(not U.le(V) and not V.le(U)
                                 for U, V in itertools.combinations(normals, 2))
         assert incomparable == 839
+
+
+class TestProperHandedOn:
+    """A growth step takes a proper base's verdict by the argument in
+    `elementary_expand`; from any other base it computes properness in full."""
+
+    @staticmethod
+    def fresh_base(name, p, spec):
+        G = builtin(name)
+        return locality_from_group(G, p, resolve_delta_spec(fusion_from_group(G, p), spec))
+
+    @staticmethod
+    def sweeps(monkeypatch):
+        # the objects whose normalizer `is_proper` sweeps
+        swept = []
+
+        def counted(L, P):
+            swept.append((id(L), P.mask))
+            return normalizer_in(L, P)
+        monkeypatch.setattr(locality, "normalizer_in", counted)
+        return swept
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_non_proper_bases_keep_the_full_computation(self, monkeypatch, forced):
+        # forced: N_L(R) passes, so only the base's verdict stops the hand-on
+        if forced:
+            monkeypatch.setattr(expansion, "is_characteristic_p", lambda M, p: True)
+        steps = 0
+        for name, p in [("c6", 2), ("c6", 3), ("s5", 3)]:
+            for spec in ["cr-closure", "c", "q", "all-nontrivial"]:
+                L = self.fresh_base(name, p, spec)
+                assert not check_proper(L)
+                step = elementary_expand(L, Subgroup(L.group, 1))
+                if step.seed is None:  # the trivial subgroup is already an object
+                    continue
+                assert not check_proper(step.locality)
+                assert step.trace["checks"]["proper"] is False
+                steps += 1
+        assert steps == 10
+
+    @pytest.mark.parametrize("name,char_p", [("s5", True), ("d8", True), ("s5", False)])
+    def test_steps_sweep_no_object_unless_n_l_r_fails(self, monkeypatch, name, char_p):
+        L = self.fresh_base(name, 2, "cr-closure")
+        swept = self.sweeps(monkeypatch)
+        if not char_p:
+            # no built-in or frontier seed has a proper base whose N_L(R) is
+            # not of characteristic p, so that verdict is forced to fail
+            monkeypatch.setattr(expansion, "is_characteristic_p", lambda M, p: False)
+        fe = full_expand(L, resolve_delta_spec(L.fusion(), "s"))
+        assert len(fe.steps) > 1
+        full = [L] if char_p else [L, *(step.locality for step in fe.steps)]
+        assert sorted(swept) == sorted((id(K), P.mask) for K in full for P in K.delta.members)
+        for step in fe.steps:
+            assert step.trace["checks"]["proper"] and check_proper(step.locality)
 
 
 class TestProductIsOneNormalClosure:

@@ -64,6 +64,7 @@ from test_derived_facts import (
     reference_is_projection,
     reference_kernel,
     reference_normalizer_in,
+    reference_o_p_locality,
     reference_p_prime_core,
     reference_perm_subgroup,
     reference_quotient_blocks,
@@ -878,13 +879,6 @@ def reference_is_normal_in_locality(L, P):
     G = L.group
     return all(L.s_g_mask(g) & pm != pm or mask_of(G.conj(x, g) for x in P.members()) == pm
                for g in L.elements)
-
-
-def reference_o_p_locality(L):
-    """O_p(L) by the descending scan with the subgroup-level conjugate test."""
-    winners = [P for P in subgroups_below(L.S) if reference_is_normal_in_locality(L, P)]
-    assert all(P.le(winners[0]) for P in winners)
-    return winners[0]
 
 
 class TestCores:
