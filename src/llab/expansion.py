@@ -141,12 +141,16 @@ def build_y_sets(L: Locality, R: Subgroup) -> dict:
     """Witness sets Y_V = {y in L : R**y = V and N_S(V) pulls back along y}.
 
     Keyed by conjugate mask.  Once the strict-overgroup condition holds
-    every set is guaranteed nonempty, so an empty one raises.
+    every set is guaranteed nonempty, so an empty one raises.  Only the y
+    with R <= S_y are conjugated: R**y lies in S iff R <= S_y, and the
+    sets are read only at conjugates V <= S.
     """
     table = L.group.s_conjugation(L.S.mask)
+    r = R.mask
     carried: dict[int, list[int]] = {}
     for y in L.elements:
-        carried.setdefault(table.conjugate_mask(R.mask, y), []).append(y)
+        if r & table.s_g(y) == r:
+            carried.setdefault(table.conjugate_mask(r, y), []).append(y)
     out = {}
     for V in L.fusion().conjugates(R):
         ns = V.normalizer(L.S).mask

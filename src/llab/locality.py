@@ -34,12 +34,14 @@ from .partial import (
 from .permgroup import (
     FiniteGroup,
     Subgroup,
+    _grow,
     group_from_generators,
     is_characteristic_p,
     is_prime,
     mask_members,
     mask_of,
     perm_order,
+    pmul,
     subgroups_below,
     sylow_p,
 )
@@ -159,6 +161,8 @@ class Locality(PartialGroup):
         # theta_quotient's (Theta's members, L/Theta or None for L itself),
         # kept the same way; no reference back to L, so no cycle through it
         self._theta_quotient: tuple | None = None
+        # automorphisms()'s permutations, built on first use
+        self._automorphisms: tuple | None = None
         # every word is in D iff O_p(L) is an object (`SConjugation.core`)
         self.full_domain = self._s_conj.core(self.elements) in delta.mask_set
         self._validate()
@@ -302,6 +306,41 @@ class Locality(PartialGroup):
             if not self.walk_in_domain(state):
                 raise DomainError(word, k)
         return state[1]
+
+    def automorphisms(self) -> tuple:
+        """Generators of N_L(S), the block of S_g = S, as permutations of
+        carrier indices: i -> the index of elements[i]**f.
+
+        Conjugation by f in N_L(S) is an automorphism of the partial group L
+        (Chermak, Fusion systems and localities, Acta Math. 211 (2013)):
+        - f normalizes S, so S_(w**f) = (S_w)**f for every word w, a letter
+          at a time, and c_f is a map of F(L) on S, under which Delta is
+          closed (checked in _validate): w**f is in D iff w is;
+        - products and inverses are ambient: (w**f) multiplies to
+          (product of w)**f, and (x**f)**-1 = (x**-1)**f;
+        - x**f lies in L: (f**-1, x, f) has S_w = (S_x)**f, an object, so
+          it is in D and its product lies in the checked carrier.
+        So a word and its conjugate agree on every domain, product, escape
+        and inverse test, and the sweeps read one representative per orbit.
+        Only an exact `Locality` offers them, after `_validate`: a subclass
+        that skips or changes a check gets none, and is swept whole.  The
+        generators come from one coset closure of the block over its
+        permutations (see `_grow`), and each is conjugated through
+        permutation images, so no Cayley row is built; generators that fix
+        every element are dropped.
+        """
+        if type(self) is not Locality:
+            return ()
+        if self._automorphisms is None:
+            G, index = self.group, self._index
+            block = [G.elements[g] for g in self._blocks[self.S.mask]]
+            gens = _grow(G.elements[0], block, pmul, len(block), len(block))[1]
+            fixed = tuple(range(len(self.elements)))
+            perms = (tuple(map(index.__getitem__,
+                               G.conj_images(self.elements, G.index_of(f))))
+                     for f in gens)
+            self._automorphisms = tuple(pi for pi in perms if pi != fixed)
+        return self._automorphisms
 
     # -- construction-time checks ---------------------------------------------
 

@@ -51,7 +51,8 @@ class PartialGroup:
     `__init__`, and provides the word protocol the sweeps read: `inv`,
     `in_domain`, `binary`, `domain_row`, `conjugates`, `product` and the
     walker hooks `walk_start`, `walk_step`, `walk_in_domain` and
-    `walk_product`.
+    `walk_product`.  It may also hand out automorphisms (`automorphisms`),
+    so that the sweeps read one representative per orbit.
     A walker state summarizes a word's prefix; states are hashable, and
     equal states have equal futures, so the axiom sweep interns them.
     Letters are carrier elements, and `walk_product` is asked only of
@@ -70,6 +71,14 @@ class PartialGroup:
         self._classes = None
         # domain rows, kept by the subclass's `domain_row`
         self._domain_rows: dict = {}
+
+    def automorphisms(self) -> tuple:
+        """Generators of a group of automorphisms of the partial group, as
+        permutations of carrier indices, each the conjugation x -> x**f by
+        an element f for which every x**f is defined: the axiom sweep reads
+        the orbits of words, the class table those of elements.  None here,
+        so every element is read; `Locality` gives N_L(S)'s."""
+        return ()
 
     def walk(self, word):
         """State of a word, walked from the start state."""
@@ -163,7 +172,11 @@ def check_axioms(pg: PartialGroup, max_len: int = 4) -> AxiomReport:
     violations, their order and the MAX_VIOLATIONS cap are those of the
     word-by-word sweep: the domain and contracted-pair tests on every word,
     then the contraction and inverse tests on every word with a product,
-    each pass in `itertools.product` order.
+    each pass in `itertools.product` order.  On a carrier with
+    automorphisms (`automorphisms`, N_L(S) on a `Locality`) both passes
+    read one prefix of length max_len - 1 per orbit, and a sweep that
+    records a violation runs again on the trivial group, so the report is
+    the same.
     """
     if max_len < 2:
         raise InputError("axiom check needs max_len >= 2")
@@ -254,6 +267,37 @@ def _cap_words(n: int, max_len: int, what: str) -> None:
             raise CapExceeded(what, limit)
 
 
+def _orbit_reps(perms, size: int) -> list:
+    """rep[i], the least point of i's orbit in range(size) under the group
+    the permutations generate: one breadth-first walk per orbit, from its
+    least point, so |perms| lookups per point.  Points are started in
+    ascending order, so a point k > i with rep[k] == k is not yet reached."""
+    rep = list(range(size))
+    for i in range(size):
+        if rep[i] == i:
+            orbit = [i]
+            for j in orbit:  # breadth first: the loop reads what it appends
+                for g in perms:
+                    k = g[j]
+                    if k > i and rep[k] == k:
+                        rep[k] = i
+                        orbit.append(k)
+    return rep
+
+
+def _word_perms(perms, n: int, m: int) -> list:
+    """Each permutation of the n letters acting letterwise on the words of
+    length m >= 1, numbered in base n with the first letter most
+    significant: n**m entries per permutation."""
+    out = []
+    for g in perms:
+        w = list(g)
+        for _ in range(m - 1):
+            w = [a * n + b for a in w for b in g]
+        out.append(w)
+    return out
+
+
 _NONE = object()  # no value: no product, no inverse, or no verdict decided yet
 
 
@@ -270,10 +314,29 @@ class _ValueRow(NamedTuple):
     short: int  # products in the carrier whose 1-letter word is outside D
 
 
-def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
+def _check_axioms_bounded(pg: PartialGroup, max_len: int, gens=None) -> AxiomReport:
+    """The bounded sweep of `check_axioms`, reading one top-level prefix
+    per orbit of the group that `gens` generates (the carrier's
+    `automorphisms` when None; pass () for the trivial group)."""
     els = pg.elements
     n = len(els)
     _cap_words(n, max_len, "axiom word enumeration")
+    if gens is None:
+        gens = pg.automorphisms()
+    # The top-level prefixes, the words of length max_len - 1, are read one
+    # per orbit: an automorphism carries each word and every test on it to
+    # its image's, and the words that extend a prefix by a letter onto
+    # those that extend the prefix's image.  A clean sweep of the
+    # representatives is a clean sweep of all words; one that records a
+    # violation sweeps again on the trivial group, so the report is the
+    # whole sweep's.  The shorter levels stay whole, as the contractions
+    # and inverse words index them, and a skipped prefix's state gets its
+    # row when another test reads it (`dom_of`, `groups`): at max_len 2
+    # the letters' rows are the pair table's.
+    top_reps = range(n ** (max_len - 1))
+    if gens:
+        orbit = _orbit_reps(_word_perms(gens, n, max_len - 1), len(top_reps))
+        top_reps = [p for p, r in enumerate(orbit) if p == r]
     index = pg._index
     identity = pg.identity
     bad = []
@@ -309,6 +372,12 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
         rows[i] = nx
         doms[i] = sum(1 << x for x, t in enumerate(nx) if indom[t])
         return nx
+
+    def dom_of(i):
+        """doms[i], building the row of a state the first pass skipped."""
+        if rows[i] is None:
+            build_row(i)
+        return doms[i]
 
     def step(i, x):
         key = i * n + x
@@ -347,7 +416,7 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
     table = [None] * n + [no_row, no_row]
 
     def pair_row(i):
-        a, pairs = els[i], doms[sid[1][i]]
+        a, pairs = els[i], dom_of(sid[1][i])
         vals, idx = [_NONE] * n, [none] * n
         ok = fail = escape = short = 0
         why = {}
@@ -381,8 +450,10 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
     for k in range(2, max_len + 1):
         top = k == max_len
         up_sid, up_pidx, suf_sid, span = sid[k - 1], pidx[k - 1], sid[k - 2], pw[k - 2]
-        level_pm, nsid, npidx = [], [], []
-        for p, s in enumerate(up_sid):
+        # at the top level only the representatives get their pmask entry
+        level_pm, nsid, npidx = [None] * len(up_sid), [], []
+        for p in top_reps if top else range(len(up_sid)):
+            s = up_sid[p]
             nx = rows[s] or build_row(s)
             dom, pm, vr = doms[s], 0, None
             if dom:
@@ -406,7 +477,7 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
                             record("3", word, "contracted prefix pair leaves domain")
                         elif fail & b:
                             record("3", word, vr.why[x])
-            level_pm.append(pm)
+            level_pm[p] = pm
             if not top:
                 nsid.extend(nx)
                 if not pm:
@@ -419,6 +490,11 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
         if not top:
             sid.append(nsid)
             pidx.append(npidx)
+
+    def top_pm(p):
+        """pmask of a top-level prefix p that the first pass skipped."""
+        v, s = pidx[max_len - 1][p], sid[max_len - 1][p]
+        return 0 if v == none else dom_of(s) & (table[v] or pair_row(v)).ok
 
     # the value row of every word shorter than max_len, level by level
     vrows = [[first_row]] + [[table[v] or pair_row(v) for v in level]
@@ -474,7 +550,7 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
     def groups(t):
         got = sandwich.get(t)
         if got is None:
-            by_u, out, nt = {}, 0, rows[t]
+            by_u, out, nt = {}, 0, rows[t] or build_row(t)
             for d0, a0 in enumerate(inv_of):
                 if a0 < 0:
                     continue  # its rows are flagged whole
@@ -495,7 +571,8 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
         span, tsid, trows = pw[k - 2], sid[k - 1], vrows[k - 1]
         need = [0] * span  # the letters x live after some (d0,) + tail
         for p, live in enumerate(pmask[k - 1]):
-            need[p % span] |= live
+            if live:
+                need[p % span] |= live
         end_fails, inv_idx, rinv = [0] * (span * n), [None] * (span * n), [-1] * span
         for tail, xs in enumerate(need):
             tl = digits(k - 2, tail)
@@ -652,7 +729,7 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
                 if ends[x]:
                     record("4", word, ends[x])
                 w, last = (0, inv_of[x]) if k == 1 else (inv_of[x] * span + r, a0)
-                if wpm[w] >> last & 1:
+                if (top_pm(w) if wpm[w] is None else wpm[w]) >> last & 1:
                     vi = vidx[x]
                     if vi in inv_error:
                         record("4", word, f"inversion failed: {inv_error[vi]}")
@@ -666,6 +743,8 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int) -> AxiomReport:
         except Exception as exc:
             record("4", (x,), f"inversion failed: {exc}")
 
+    if bad and gens:
+        return _check_axioms_bounded(pg, max_len, ())
     return AxiomReport(ok=not bad, checked_words=sum(pw[1:]), violations=bad)
 
 
@@ -730,22 +809,33 @@ def _class_table(pg: PartialGroup) -> _Classes:
     gives x = y**(g**-1), so a set closed under the defined conjugates is a
     union of classes, and a partial normal subgroup is the least union of
     classes that holds its seed and 1 and is closed under the inverse and
-    product masks.  Every partial-normal question reads these masks.  One
-    pass builds them: one `conjugates` row per x, and one product per pair
-    of D, |D| <= n**2.  An inverse, conjugate or product outside the
-    carrier is an input error.
+    product masks.  Every partial-normal question reads these masks.
+
+    One pass builds them over one representative x per orbit of the
+    carrier's automorphisms (`automorphisms`; an orbit of N_L(S) on a
+    locality): one `conjugates` row and one `domain_row` per orbit, and one
+    product per pair of D with a representative on the left.  For an
+    automorphism f the classes are unions of orbits, as x**f is a defined
+    conjugate of x, so the representative's row merges its orbit; and f
+    carries the conjugates, inverse and products of x onto those of x**f:
+    (x**f)**(g**f) = (x**g)**f and (x**f, y**f) -> (xy)**f.  So the other
+    members of an orbit add no class, no inverse and no product mask.
+    With no automorphisms every x is its own representative.  An inverse,
+    conjugate or product outside the carrier is an input error.
     """
     if pg._classes is None:
         els, index = pg.elements, pg.index_of
         of = list(range(len(els)))
-        for i, x in enumerate(els):
+        orbit = _orbit_reps(pg.automorphisms(), len(els))
+        reps = [i for i, r in enumerate(orbit) if i == r]
+        for i in reps:
             # x's class and its conjugates' classes merge into the least one
-            met = {of[i]} | {of[index(z)] for z in pg.conjugates(x)}
+            met = {of[i]} | {of[index(z)] for z in pg.conjugates(els[i])}
             if len(met) > 1:
                 of = [min(met) if c in met else c for c in of]
         inv, prod = {}, {}
-        for i, x in enumerate(els):
-            a = of[i]
+        for i in reps:
+            x, a = els[i], of[i]
             inv[a] = inv.get(a, 0) | 1 << of[index(pg.inv(x))]
             row = prod.setdefault(a, {})
             for y in pg.domain_row(x):

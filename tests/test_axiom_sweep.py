@@ -1,5 +1,6 @@
 """The row-kernel axiom sweep against the word-by-word sweep it replaced."""
 
+import inspect
 import itertools
 import sys
 import time
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llab import partial
 from llab.errors import CapExceeded, DomainError
 from llab.locality import Locality, locality_from_group
 from llab.partial import (
@@ -18,10 +20,13 @@ from llab.partial import (
     _cap_words,
     _check_axioms_bounded,
     _check_axioms_table,
+    _orbit_reps,
     check_axioms,
 )
-from llab.permgroup import FiniteGroup
+from llab.permgroup import FiniteGroup, mask_members
 from table_partial import GroupPartial, TablePartial, UncheckedLocality
+from test_derived_facts import orbit_representatives
+from test_expansion import frontier_growth
 from test_locality import builtin, delta_of, not_f_closed_locality
 
 
@@ -665,3 +670,162 @@ class TestSweepWork:
         with pytest.raises(CapExceeded):
             check_axioms(L, max_len=10**6)
         assert time.perf_counter() - t0 < 1.0
+
+
+def fresh(L):
+    """A copy of a locality with none of its memos filled."""
+    return Locality(L.group, L.elements, L.S, L.delta, L.p)
+
+
+def orbit_carrier(name):
+    """The partial-domain carriers the orbit sweep is compared on: the
+    s5/2 F^q locality and the cr-closure localities of a6/2 and s6/2."""
+    if name == "s5":
+        return fresh(q_locality("s5"))
+    return fresh(frontier_growth(name, 2).base)
+
+
+def decided_rows(pg, max_len, gens=None):
+    """The sweep's report, and by length k the rows of its second pass with
+    a product: each such row lists its letters once, by `mask_members` on
+    the line below."""
+    lines, first = inspect.getsourcelines(_check_axioms_bounded)
+    line = first + next(i for i, text in enumerate(lines)
+                        if "rest_xs = mask_members(rest)" in text)
+    code, rows = _check_axioms_bounded.__code__, Counter()
+
+    def count(frame, event, _arg):
+        if event == "call" and frame.f_code is mask_members.__code__:
+            up = frame.f_back
+            if up.f_code is code and up.f_lineno == line:
+                rows[up.f_locals["k"]] += 1
+
+    sys.setprofile(count)
+    try:
+        rep = _check_axioms_bounded(pg, max_len, gens)
+    finally:
+        sys.setprofile(None)
+    return rep, rows
+
+
+class TwistedZ5(TablePartial):
+    """Z/5 whose products on the orbit of (1, 2) under x -> 2x are 0, so that
+    x -> 2x is still an automorphism of the table.  The walker reads the
+    true sums, so the only faults are those of the inverse words: (1, 2)
+    has product 0, its inverse word (3, 4) has 2."""
+
+    def __init__(self):
+        els = tuple(range(5))
+        products = {(x, y): (x + y) % 5 for x in els for y in els}
+        for k in range(4):
+            t = pow(2, k, 5)
+            products[t, 2 * t % 5] = 0
+        super().__init__(els, 0, {x: -x % 5 for x in els}, products)
+
+    def product(self, word):
+        return sum(word) % 5
+
+
+class TestOrbitSweep:
+    """The sweep reads one top-level prefix per N_L(S)-orbit on an exact
+    `Locality`, and every prefix on any other carrier."""
+
+    @pytest.mark.parametrize("name", ["s5", "a6", "s6"])
+    def test_generators_give_the_orbits_of_n_l_s(self, name, monkeypatch):
+        L = orbit_carrier(name)
+        calls = Counter()
+        mult = FiniteGroup.mult
+
+        def counted(G, i, j):
+            calls["mult"] += 1
+            return mult(G, i, j)
+
+        monkeypatch.setattr(FiniteGroup, "mult", counted)
+        gens = L.automorphisms()
+        monkeypatch.undo()
+        assert gens and not calls  # built from permutations, not Cayley rows
+        reps = {L.elements[i] for i, r in enumerate(_orbit_reps(gens, len(L.elements)))
+                if i == r}
+        assert reps == orbit_representatives(L)
+
+    @pytest.mark.parametrize("name,max_len", [("s5", 2), ("s5", 3), ("a6", 2),
+                                              ("a6", 3), ("s6", 2), ("s6", 3)])
+    def test_orbit_sweep_matches_the_whole_sweeps(self, name, max_len):
+        L = orbit_carrier(name)
+        assert not L.full_domain
+        got = _check_axioms_bounded(L, max_len)
+        assert got.ok and got.checked_words == sum(
+            len(L.elements)**k for k in range(1, max_len + 1))
+        assert got == _check_axioms_bounded(fresh(L), max_len, ())
+        if (name, max_len) != ("s6", 3):  # 518 480 words, 5 s word by word
+            assert got == reference_check_axioms_bounded(fresh(L), max_len)
+
+    def test_s5_decides_264_top_rows_not_1600(self):
+        L = q_locality("s5")
+        got, rows = decided_rows(fresh(L), 3)
+        whole, all_rows = decided_rows(fresh(L), 3, ())
+        assert got == whole and got.ok
+        # |N_L(S)| = 8; the levels below the top stay whole
+        assert rows == {1: 1, 2: 56, 3: 264}
+        assert all_rows == {1: 1, 2: 56, 3: 1_600}
+
+    def test_unchecked_carriers_get_no_generators(self):
+        L = q_locality("s5")
+        carriers = [UncheckedLocality(L.group, L.elements, L.S, L.delta, 2), WrongEnd(L),
+                    not_f_closed_locality(), GroupPartial(builtin("s3")), z4_table()]
+        assert L.automorphisms()
+        for pg in carriers:
+            assert pg.automorphisms() == ()
+            assert_same_report(pg, 2)
+
+    @pytest.mark.parametrize("max_len", [2, 3])
+    def test_inverse_words_at_skipped_prefixes(self, max_len):
+        # x -> 2x has the orbits {0} and {1, 2, 3, 4}, so only the prefixes
+        # led by 0 or 1 are read; a faulty word read there, such as (1, 2),
+        # has its inverse word (3, 4) under a skipped prefix, whose row and
+        # pair-table entries the sweep builds when it asks for them
+        pg, tau = TwistedZ5(), (0, 2, 4, 1, 3)
+        assert all(pg.binary(tau[x], tau[y]) == tau[pg.binary(x, y)]
+                   and pg.inv(tau[x]) == tau[pg.inv(x)] for x in range(5) for y in range(5))
+        want = reference_check_axioms_bounded(pg, max_len)
+        assert _check_axioms_bounded(pg, max_len, (tau,)) == want
+        assert not want.ok
+        if max_len == 2:
+            assert {v.detail for v in want.violations} == {
+                "product of inverse word is not the inverse"}
+            assert len(want.violations) == 8
+
+    def test_a_violation_reruns_the_sweep_on_the_trivial_group(self, monkeypatch):
+        # WrongEnd's fault on an exact Locality, which keeps its generators:
+        # the orbit sweep records a violation and hands the report to the
+        # sweep on the trivial group, so words, order and cap are the whole
+        # sweep's
+        L = fresh(q_locality("s5"))
+        wrong = next(g for g in L.S.members() if g != L.identity)
+        walk_product, product = Locality.walk_product, Locality.product
+
+        def broken(pg, state):
+            return wrong if state == pg.walk_start() else walk_product(pg, state)
+
+        def broken_product(pg, word):
+            product(pg, word)  # DomainError off D
+            return broken(pg, pg.walk(word))
+
+        monkeypatch.setattr(Locality, "walk_product", broken)
+        monkeypatch.setattr(Locality, "product", broken_product)
+        sweep, calls = partial._check_axioms_bounded, []
+
+        def spy(pg, max_len, gens=None):
+            calls.append(gens)
+            return sweep(pg, max_len, gens)
+
+        monkeypatch.setattr(partial, "_check_axioms_bounded", spy)
+        assert L.automorphisms()
+        for max_len in (2, 3):
+            calls.clear()
+            got = sweep(L, max_len)
+            assert calls == [()]
+            assert len(got.violations) == (72 if max_len == 2 else MAX_VIOLATIONS)
+            assert got == sweep(L, max_len, ())
+        assert got.violations == _check_axioms_bounded(WrongEnd(L), 3).violations
+        assert sweep(L, 2) == reference_check_axioms_bounded(L, 2)

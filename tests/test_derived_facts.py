@@ -901,6 +901,33 @@ def reference_centralizer_system(F, U):
     return reference_harvest(F, U.centralizer(F.S), keep)
 
 
+def reference_class_table(pg):
+    """The class table as it was before N_L(S)'s orbits: one `conjugates`
+    row per x and one product per pair of D."""
+    els, index = pg.elements, pg.index_of
+    of = list(range(len(els)))
+    for i, x in enumerate(els):
+        met = {of[i]} | {of[index(z)] for z in pg.conjugates(x)}
+        if len(met) > 1:
+            of = [min(met) if c in met else c for c in of]
+    inv, prod = {}, {}
+    for i, x in enumerate(els):
+        a = of[i]
+        inv[a] = inv.get(a, 0) | 1 << of[index(pg.inv(x))]
+        row = prod.setdefault(a, {})
+        for y in pg.domain_row(x):
+            b = of[index(y)]
+            row[b] = row.get(b, 0) | 1 << of[index(pg.binary(x, y))]
+    return partial._Classes(of, inv, prod)
+
+
+def orbit_representatives(L):
+    """The least element of each N_L(S)-orbit on the carrier, by
+    conjugating every element by every member of the block of S_g = S."""
+    N = [f for f in L.elements if L.s_g_mask(f) == L.S.mask]
+    return {x for x in L.elements if x == min(L.group.conj(x, f) for f in N)}
+
+
 # -- running them ---------------------------------------------------------------
 
 
@@ -1006,8 +1033,35 @@ def check_subgroup_test(L):
     return sum(not ok for ok, _ in got)
 
 
+# the reference sweep decides each word on its own: above this many words
+# only the trivial-group sweep is compared with the orbit sweep (the s5/2
+# F^q and a6/2 carriers meet the reference at length 3 in
+# `tests/test_axiom_sweep.py::TestOrbitSweep`)
+REFERENCE_SWEEP_WORDS = 20_000
+
+
+def check_orbit_passes(L):
+    """The class table and the bounded axiom sweep, which read one element
+    or prefix per N_L(S)-orbit, against the passes over every element:
+    the table of `reference_class_table`, and at lengths 2 and 3 under the
+    word cap the sweep on the trivial group and, up to
+    REFERENCE_SWEEP_WORDS, the word-by-word sweep."""
+    from test_axiom_sweep import reference_check_axioms_bounded  # an import cycle
+    assert partial._class_table(L) == reference_class_table(L)
+    n = len(L.elements)
+    for max_len in (2, 3):
+        words = sum(n**k for k in range(1, max_len + 1))
+        if words > caps.current().axiom_words:
+            break
+        got = partial._check_axioms_bounded(L, max_len)
+        assert got.ok and got == partial._check_axioms_bounded(L, max_len, ())
+        if words <= REFERENCE_SWEEP_WORDS:
+            assert got == reference_check_axioms_bounded(L, max_len)
+
+
 def check_carrier(L):
     """Every reference on one carrier; returns its partial normal subgroups."""
+    check_orbit_passes(L)
     # the cut against brute force, and the closure sweep that _validate
     # skips on a carrier that is its whole cut
     assert reference_cut(L.delta) == L.delta.cut
@@ -1235,6 +1289,21 @@ class TestProductIsOneNormalClosure:
             normals = all_partial_normal_subgroups(L)
             assert len(normals) > 1
             check_products(L, normals)
+
+
+class TestOrbitClassTable:
+    """The class table read on N_L(S)-orbit representatives against the
+    table over every element, on fresh copies of every carrier of the
+    frontier growths."""
+
+    @pytest.mark.parametrize("name,p", [("a6", 2), ("s6", 2), ("m11", 2), ("m11", 3)])
+    def test_frontier_bases_and_growths(self, name, p):
+        fe = frontier_growth(name, p)
+        carriers = [fe.base, *(step.locality for step in fe.steps), fe.locality]
+        for K in {id(K): K for K in carriers}.values():
+            L = Locality(K.group, K.elements, K.S, K.delta, K.p)
+            assert L.automorphisms()
+            assert partial._class_table(L) == reference_class_table(L)
 
 
 # the built-in pairs and the benchmark's generated groups at their primes

@@ -44,6 +44,7 @@ from test_axiom_sweep import c2_table
 from test_axiom_sweep import z4_table as axiom_z4_table
 from test_derived_facts import (
     normal_subgroups,
+    orbit_representatives,
     reference_is_projection,
     reference_kernel,
     reference_relative_core,
@@ -588,9 +589,12 @@ class TestOnePassPerCarrier:
             verdicts += [is_partial_normal(K, sub) for sub in subs]
         monkeypatch.undo()
         assert verdicts.count(True) and verdicts.count(False)
-        # one pass over D per carrier, and nothing multiplied after it
-        assert pairs == Counter((K, x, y) for K in (L, Lp)
-                                for x in K.elements for y in K.domain_row(x))
+        # one pass over D per carrier, and nothing multiplied after it: each
+        # pair at most once, with an N_L(S)-orbit representative on the left
+        assert max(pairs.values()) == 1
+        assert set(pairs) <= {(K, x, y) for K in (L, Lp) for x in orbit_representatives(K)
+                              for y in K.domain_row(x)}
+        assert {K for K, _, _ in pairs} == {L, Lp}
         assert not sweeps
 
 
@@ -614,27 +618,33 @@ class TestOnePassPerCarrier:
         monkeypatch.setattr(FiniteGroup, "conj", counted_conj)
         partial._class_table(L)
         monkeypatch.undo()
-        assert not L.full_domain and not steps
-        # (x, g) is defined when the walker puts (g**-1, x, g) in D
-        assert conjs == Counter((x, g) for x, g in itertools.product(L.elements, repeat=2)
-                                if L.in_domain((L.inv(g), x, g)))
+        assert not L.full_domain and not steps and conjs
+        # (x, g) is defined when the walker puts (g**-1, x, g) in D; each is
+        # conjugated at most once, with x an N_L(S)-orbit representative
+        assert max(conjs.values()) == 1
+        reps = orbit_representatives(L)
+        assert len(reps) < len(L.elements)
+        assert all(x in reps and L.in_domain((L.inv(g), x, g)) for x, g in conjs)
 
     def test_table_tests_each_s_g_block_once_per_element(self, monkeypatch):
         # the s6/2 base has 80 elements and 3 distinct S_g: the table asks
-        # whether (g**-1, x, g) is in D once per (x, S_g), not per (x, g)
+        # whether (g**-1, x, g) is in D at most once per (x, S_g), not per
+        # (x, g), and only for an N_L(S)-orbit representative x
         base = frontier_growth("s6", 2).base
         L = Locality(base.group, base.elements, base.S, base.delta, base.p)
         tests, step = Counter(), Locality._step_mask
 
         def counted_step(pg, g, cur):
-            tests[g] += 1
+            tests[g, cur] += 1
             return step(pg, g, cur)
 
         monkeypatch.setattr(Locality, "_step_mask", counted_step)
         partial._class_table(L)
         monkeypatch.undo()
         assert len(L.elements) == 80 and len(L._blocks) == 3
-        assert set(tests) == set(L.elements) and max(tests.values()) <= 3
+        assert tests and max(tests.values()) == 1
+        assert {x for x, _ in tests} <= orbit_representatives(L)
+        assert {cur for _, cur in tests} <= set(L._blocks)
 
 
 class TestPartialVerdictsAreMemoized:

@@ -51,11 +51,11 @@ def test_in_process_digest_equals_the_subprocess_one():
 
 
 def test_every_frontier_run_parses_and_loads_its_group():
-    # the runs themselves take about 40 s in process, so they are not run here:
+    # the runs themselves take about 6 s in process, so they are not run here:
     #   python3 tests/report_digests.py --stdin < tests/frontier/runs.txt
     lines = (report_digests.ROOT / "tests" / "frontier" / "runs.txt").read_text().splitlines()
     runs = [shlex.split(line) for line in lines if line.strip()]
-    assert len(runs) == 49
+    assert len(runs) == 53
     parser = cli.build_parser()
     for run in runs:
         args = parser.parse_args(run)
