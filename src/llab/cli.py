@@ -3,8 +3,9 @@ families, and run the verification suites, from group files on disk.
 
 Output goes to stdout as aligned text; --json additionally writes a
 machine report with sorted keys, so identical inputs give identical bytes.
-Exit codes: 0 success, 1 bad input, 2 cap exceeded, 3 a guaranteed
-property failed (or a verify tag did).
+Exit codes: 0 success, 1 bad input or a report that cannot be written
+(--json or stdout), 2 cap exceeded, 3 a guaranteed property failed (or a
+verify tag did).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -305,7 +307,7 @@ def main(argv=None) -> int:
         if exc.witness is not None:
             print(f"witness: {exc.witness!r}", file=sys.stderr)
         return 3
-    print("\n".join(lines))
+    stdout_error = _write_stdout("\n".join(lines) + "\n")
     if args.json:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         try:
@@ -313,7 +315,31 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot write report {args.json!r}: {exc}", file=sys.stderr)
             return 1
+    if stdout_error is not None:
+        print(f"error: cannot write to stdout: {stdout_error}", file=sys.stderr)
+        return 1
     return code
+
+
+def _write_stdout(text: str) -> OSError | None:
+    """Write and flush stdout; the error of one that cannot be written (a
+    closed pipe, a full disk), after which its descriptor is pointed at
+    os.devnull, as the `signal` module's docs advise for SIGPIPE, so the
+    interpreter's flush at exit has nothing left to fail on.  A stream
+    without a descriptor is left as it is."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # no descriptor
+            return exc
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return exc
+    return None
 
 
 if __name__ == "__main__":

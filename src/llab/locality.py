@@ -154,6 +154,8 @@ class Locality(PartialGroup):
             self._blocks.setdefault(self._s_conj.s_g(g), []).append(g)
         # (g, mask of a subgroup of S) -> (mask & S_g)**g; see walk_step
         self._step_memo: dict[tuple, int] = {}
+        # image cur -> (mask of the letters in D, images by letter); see walk_row
+        self._image_rows: dict[int, tuple[int, list]] = {}
         self._fusion_cache: FusionSystem | None = None
         # is_proper's report; declared here so every instance keeps one
         # attribute layout (a slot added later made unrelated jobs slower)
@@ -198,6 +200,31 @@ class Locality(PartialGroup):
     def walk_step(self, state, g):
         cur, prod = state
         return (self._step_mask(g, cur), self.group.mult(prod, g))
+
+    def walk_row(self, state, successors=True):
+        """(mask of the carrier indices whose successor is in D, the
+        successors in carrier order, or None when not `successors`).
+
+        The image step (cur & S_g)**g is a function of (cur, g) alone, and
+        `walk_in_domain` reads only the image, so a row's images and the
+        mask of its letters in D depend on cur alone: they are built once
+        per image, a subgroup of S, in `_image_rows`, and a row then costs
+        one pass over p's Cayley row for its products (`mult_row`).  The
+        mask needs no full-domain shortcut: every S_w holds O_p(L), and so
+        does its image, as the carrier's conjugation keeps O_p(L), so on a
+        full-domain carrier every image is an object.
+        """
+        cur, prod = state
+        got = self._image_rows.get(cur)
+        if got is None:
+            images = [self._step_mask(g, cur) for g in self.elements]
+            masks = self.delta.mask_set
+            dom = sum(1 << x for x, m in enumerate(images) if m in masks)
+            got = self._image_rows[cur] = (dom, images)
+        dom, images = got
+        if not successors:
+            return dom, None
+        return dom, list(zip(images, self.group.mult_row(prod, self.elements)))
 
     def _pull_back(self, state) -> int:
         """S_w from its image: conjugate by the inverse of the product.
@@ -461,6 +488,14 @@ def locality_from_group(G: FiniteGroup, p: int, delta) -> Locality:
 # -- normalizers, properness ----------------------------------------------------
 
 
+def _above(L: Locality, P: Subgroup) -> list:
+    """The members of the S_g blocks with P <= S_g: P**g = P needs P <= S_g,
+    so N_L(P) and C_L(P) lie there, and a stabilizer is a mask, so the
+    blocks' order does not matter."""
+    pm = P.mask
+    return [g for m, block in L._blocks.items() if m & pm == pm for g in block]
+
+
 def normalizer_in(L: Locality, P: Subgroup) -> PartialSubgroup:
     """N_L(P) = {g : P <= S_g and P**g = P}, off S's table by its one sweep.
 
@@ -470,13 +505,13 @@ def normalizer_in(L: Locality, P: Subgroup) -> PartialSubgroup:
     needed.  The same holds for `centralizer_in`.
     """
     return PartialSubgroup(L, frozenset(mask_members(
-        L._s_conj.stabilizer(P, L.elements, False, "normalizer_in"))))
+        L._s_conj.stabilizer(P, _above(L, P), False, "normalizer_in"))))
 
 
 def centralizer_in(L: Locality, P: Subgroup) -> PartialSubgroup:
     """C_L(P) = {g in N_L(P) : x**g = x for all x in P}."""
     return PartialSubgroup(L, frozenset(mask_members(
-        L._s_conj.stabilizer(P, L.elements, True, "centralizer_in"))))
+        L._s_conj.stabilizer(P, _above(L, P), True, "centralizer_in"))))
 
 
 def subgroup_in_locality(L: Locality, members) -> tuple[bool, tuple | None]:

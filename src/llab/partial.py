@@ -50,13 +50,17 @@ class PartialGroup:
     A subclass fills in `elements` and `identity` before calling
     `__init__`, and provides the word protocol the sweeps read: `inv`,
     `in_domain`, `binary`, `domain_row`, `conjugates`, `product` and the
-    walker hooks `walk_start`, `walk_step`, `walk_in_domain` and
-    `walk_product`.  It may also hand out automorphisms (`automorphisms`),
-    so that the sweeps read one representative per orbit.
+    walker hooks `walk_start`, `walk_step`, `walk_row`, `walk_in_domain`
+    and `walk_product`.  It may also hand out automorphisms
+    (`automorphisms`), so that the sweeps read one representative per orbit.
     A walker state summarizes a word's prefix; states are hashable, and
     equal states have equal futures, so the axiom sweep interns them.
     Letters are carrier elements, and `walk_product` is asked only of
-    states that `walk_in_domain` accepts.
+    states that `walk_in_domain` accepts.  `walk_row(state, successors)`
+    steps a state by every letter at once: it returns the mask of the
+    carrier indices whose `walk_step` successor `walk_in_domain` accepts,
+    and, when `successors`, those successors in carrier order (else None);
+    the axiom sweep steps only through it.
     """
 
     elements: tuple = ()
@@ -152,8 +156,9 @@ def check_axioms(pg: PartialGroup, max_len: int = 4) -> AxiomReport:
     associativity is compared a row of z at a time.
 
     Other carriers are swept with their word walker a prefix row at a time.
-    Each distinct walker state is stepped once per letter into a row: its
-    successor states and the mask of letters that stay in D.  Every one of
+    Each distinct walker state gets at most one row from the carrier's
+    `walk_row`, its successor states by letter, and one mask of the letters
+    that stay in D, which a top-level prefix reads alone.  Every one of
     the n + ... + n**max_len words is still decided, none skipped under a
     prefix outside D, because each word is a bit of its prefix's row and
     every prefix of length < max_len has a row.  Products come from one
@@ -331,8 +336,8 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int, gens=None) -> AxiomRep
     # violation sweeps again on the trivial group, so the report is the
     # whole sweep's.  The shorter levels stay whole, as the contractions
     # and inverse words index them, and a skipped prefix's state gets its
-    # row when another test reads it (`dom_of`, `groups`): at max_len 2
-    # the letters' rows are the pair table's.
+    # mask or row when another test reads it (`dom_of`, `groups`): at
+    # max_len 2 the letters' masks are the pair table's.
     top_reps = range(n ** (max_len - 1))
     if gens:
         orbit = _orbit_reps(_word_perms(gens, n, max_len - 1), len(top_reps))
@@ -348,12 +353,14 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int, gens=None) -> AxiomRep
     if not pg.in_domain(()):
         record("1", (), "empty word not in domain")
 
-    # Walker states are interned.  A state that prefixes a word shorter than
-    # max_len gets a row: its successor ids by letter, and in `doms` the
-    # mask of letters whose successor is in D.  The w**-1 * w walks step
-    # row-less states through `memo`, keyed by (state id, letter), and
-    # `verdicts` holds each end state's axiom (4) detail once decided.
-    ids, states, indom, rows, doms, verdicts, memo = {}, [], [], [], [], [], {}
+    # Walker states are interned, and every step reads a row of the
+    # carrier's `walk_row`.  A state that prefixes a word shorter than
+    # max_len, and any state a w**-1 * w walk steps from, gets its row: its
+    # successor ids by letter.  `doms` holds the mask of letters whose
+    # successor is in D, read without the successors where only the mask is
+    # asked for (a top-level prefix), and `verdicts` each end state's axiom
+    # (4) detail once decided.
+    ids, states, indom, rows, doms, verdicts = {}, [], [], [], [], []
 
     def intern(st):
         i = ids.get(st)
@@ -362,29 +369,21 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int, gens=None) -> AxiomRep
             states.append(st)
             indom.append(pg.walk_in_domain(st))
             rows.append(None)
-            doms.append(0)
+            doms.append(None)
             verdicts.append(_NONE)
         return i
 
     def build_row(i):
-        st = states[i]
-        nx = [intern(pg.walk_step(st, x)) for x in els]
-        rows[i] = nx
-        doms[i] = sum(1 << x for x, t in enumerate(nx) if indom[t])
-        return nx
+        doms[i], succ = pg.walk_row(states[i])
+        rows[i] = list(map(intern, succ))
+        return rows[i]
 
     def dom_of(i):
-        """doms[i], building the row of a state the first pass skipped."""
-        if rows[i] is None:
-            build_row(i)
-        return doms[i]
-
-    def step(i, x):
-        key = i * n + x
-        t = memo.get(key)
-        if t is None:
-            t = memo[key] = intern(pg.walk_step(states[i], els[x]))
-        return t
+        """doms[i], read off the carrier's row mask when not yet known."""
+        d = doms[i]
+        if d is None:
+            d = doms[i] = pg.walk_row(states[i], False)[0]
+        return d
 
     # The words of length m < max_len are numbered in base n, first letter
     # most significant, which is itertools.product order.  For each level m
@@ -454,8 +453,9 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int, gens=None) -> AxiomRep
         level_pm, nsid, npidx = [None] * len(up_sid), [], []
         for p in top_reps if top else range(len(up_sid)):
             s = up_sid[p]
-            nx = rows[s] or build_row(s)
-            dom, pm, vr = doms[s], 0, None
+            if not top:
+                nx = rows[s] or build_row(s)
+            dom, pm, vr = dom_of(s), 0, None
             if dom:
                 bad_pre = 0 if indom[s] else dom
                 bad_suf = dom & ~doms[suf_sid[p % span]]
@@ -517,7 +517,7 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int, gens=None) -> AxiomRep
     def walk_on(s, letters):
         """The state id reached from state id s by the letters."""
         for y in letters:
-            s = nx[y] if (nx := rows[s]) is not None else step(s, y)
+            s = (rows[s] or build_row(s))[y]
         return s
 
     def verdict(st):
@@ -556,7 +556,7 @@ def _check_axioms_bounded(pg: PartialGroup, max_len: int, gens=None) -> AxiomRep
                     continue  # its rows are flagged whole
                 a = nt[a0]
                 if indom[a]:
-                    u = nx[d0] if (nx := rows[a]) is not None else step(a, d0)
+                    u = (rows[a] or build_row(a))[d0]
                     by_u[u] = by_u.get(u, 0) | 1 << d0
                 else:
                     out |= 1 << d0

@@ -60,6 +60,13 @@ class GroupPartial(PartialGroup):
     def walk_in_domain(self, state) -> bool:
         return self.in_domain(state)
 
+    def walk_row(self, state, successors=True):
+        """A `walk_step` per letter, and the mask of the letters whose
+        successor `walk_in_domain` accepts."""
+        row = [self.walk_step(state, x) for x in self.elements]
+        dom = sum(1 << i for i, st in enumerate(row) if self.walk_in_domain(st))
+        return dom, row if successors else None
+
     def walk_product(self, state):
         return self.product(state)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from llab import partial
 from llab.errors import CapExceeded, DomainError
-from llab.locality import Locality, locality_from_group
+from llab.locality import Locality, locality_from_group, object_set
 from llab.partial import (
     MAX_VIOLATIONS,
     AxiomReport,
@@ -23,9 +23,9 @@ from llab.partial import (
     _orbit_reps,
     check_axioms,
 )
-from llab.permgroup import FiniteGroup, mask_members
+from llab.permgroup import FiniteGroup, mask_members, sylow_p
 from table_partial import GroupPartial, TablePartial, UncheckedLocality
-from test_derived_facts import orbit_representatives
+from test_derived_facts import check_walker_rows, orbit_representatives
 from test_expansion import frontier_growth
 from test_locality import builtin, delta_of, not_f_closed_locality
 
@@ -388,24 +388,39 @@ class TestBulkRowTests:
         assert not {(1, 1, 1), (1, 3, 3)} & {v.word for v in got.violations}
 
 
+def count_walker(monkeypatch):
+    """Counters of what the sweep asks a `Locality`'s walker for: by state,
+    its rows with successors and its mask-only rows, and by (state, letter)
+    its single steps."""
+    rows, masks, steps = Counter(), Counter(), Counter()
+    walk_row, walk_step = Locality.walk_row, Locality.walk_step
+
+    def counted_row(self, state, successors=True):
+        (rows if successors else masks)[state] += 1
+        return walk_row(self, state, successors)
+
+    def counted_step(self, state, g):
+        steps[state, g] += 1
+        return walk_step(self, state, g)
+
+    monkeypatch.setattr(Locality, "walk_row", counted_row)
+    monkeypatch.setattr(Locality, "walk_step", counted_step)
+    return rows, masks, steps
+
+
 class TestNotFClosedThreeLetters:
     def test_states_repeat_and_rows_are_shared(self, monkeypatch):
         L = not_f_closed_locality()
-        calls = Counter()
-        step = Locality.walk_step
-
-        def counted(self, state, g):
-            calls[state, g] += 1
-            return step(self, state, g)
-
-        monkeypatch.setattr(Locality, "walk_step", counted)
+        rows, masks, steps = count_walker(monkeypatch)
         got = _check_axioms_bounded(L, 3)
         monkeypatch.undo()
         n = len(L.elements)
-        assert max(calls.values()) == 1
+        # each interned state gets at most one row and one mask, and no
+        # letter is stepped alone
+        assert max(rows.values()) == 1 and max(masks.values()) == 1
+        assert not steps
         # the 1 + n + n**2 prefixes of length < 3 share a few states
-        stepped = {state for state, _ in calls}
-        assert len(stepped) * 8 < 1 + n + n * n
+        assert len(rows) * 8 < 1 + n + n * n
         want = reference_check_axioms_bounded(L, 3)
         assert (got.ok, got.checked_words) == (want.ok, want.checked_words)
         assert got.violations == want.violations
@@ -609,26 +624,24 @@ class TestTablePath:
 
 class TestSweepWork:
     def test_each_state_steps_each_letter_once(self, monkeypatch):
-        # the word-by-word walk made 345 512 steps on this carrier
+        # the word-by-word walk made 345 512 steps on this carrier, and the
+        # sweep that stepped a (state, letter) pair at a time 8 064, 56 for
+        # each of 144 states; a row steps a state by every letter at once
         L = q_locality("s5")
-        calls = Counter()
-        step = Locality.walk_step
-
-        def counted(self, state, g):
-            calls[state, g] += 1
-            return step(self, state, g)
-
-        monkeypatch.setattr(Locality, "walk_step", counted)
+        rows, masks, steps = count_walker(monkeypatch)
         rep = _check_axioms_bounded(L, 3)
+        monkeypatch.undo()
         assert rep.ok and rep.checked_words == 178_808
-        assert max(calls.values()) == 1
-        assert sum(calls.values()) < 9_000
+        assert max(rows.values()) == 1 and max(masks.values()) == 1
+        assert not steps
+        assert len(rows) <= 144
 
     def test_clean_sweep_stays_within_the_readme_counts(self, monkeypatch):
         L = q_locality("s5")
+        rows, _, steps = count_walker(monkeypatch)
         calls = Counter()
-        for cls, name in [(Locality, "walk_step"), (Locality, "binary"),
-                          (FiniteGroup, "mult")]:
+        for cls, name in [(Locality, "binary"), (FiniteGroup, "mult"),
+                          (FiniteGroup, "mult_row")]:
             def counted(self, *args, _f=getattr(cls, name), _name=name):
                 calls[_name] += 1
                 return _f(self, *args)
@@ -637,9 +650,12 @@ class TestSweepWork:
         rep = _check_axioms_bounded(L, 3)
         monkeypatch.undo()
         assert rep.ok
-        assert calls["walk_step"] <= 8_064
+        assert sum(rows.values()) <= 80 and not steps
         assert calls["binary"] <= 1_600
-        assert calls["mult"] <= 9_664
+        # the row products come off the Cayley rows, one `mult_row` per row;
+        # every `mult` is a pair-table product
+        assert calls["mult_row"] <= 80
+        assert calls["mult"] <= 1_600
 
     def test_w_inverse_w_is_decided_per_sandwich_group(self):
         # every end state of w**-1 * w is read through the sweep's `verdict`:
@@ -664,12 +680,14 @@ class TestSweepWork:
         assert rep.ok
         assert 56 < calls["verdict"] <= 1_928
 
-    def test_huge_max_len_is_refused_at_once(self):
+    def test_huge_max_len_is_refused_at_once(self, monkeypatch):
         L = q_locality("s5")
+        rows, masks, steps = count_walker(monkeypatch)
         t0 = time.perf_counter()
         with pytest.raises(CapExceeded):
             check_axioms(L, max_len=10**6)
         assert time.perf_counter() - t0 < 1.0
+        assert not rows and not masks and not steps  # before any row is built
 
 
 def fresh(L):
@@ -829,3 +847,43 @@ class TestOrbitSweep:
             assert got == sweep(L, max_len, ())
         assert got.violations == _check_axioms_bounded(WrongEnd(L), 3).violations
         assert sweep(L, 2) == reference_check_axioms_bounded(L, 2)
+
+
+def one_element_locality():
+    """The locality {1} on S3 at p = 5, whose S is trivial: a row of one
+    letter."""
+    G = builtin("s3")
+    S = sylow_p(G.top, 5)
+    return Locality(G, [0], S, object_set(S, [S]), 5)
+
+
+def walker_carrier(name):
+    """A fresh carrier by name: s5/2 F^q copies that skip the checks (or
+    break the inverse word), the one-element locality, and the orbit
+    sweep's exact carriers."""
+    if name == "not-f-closed":
+        return not_f_closed_locality()
+    if name == "one-element":
+        return one_element_locality()
+    if name in ("unchecked", "wrong-end"):
+        L = q_locality("s5")
+        return (UncheckedLocality(L.group, L.elements, L.S, L.delta, 2)
+                if name == "unchecked" else WrongEnd(L))
+    return orbit_carrier(name)
+
+
+class TestWalkerRows:
+    """`Locality.walk_row`, the one row hook the sweep steps by, against a
+    `walk_step` per letter, and the sweep that reads it against the
+    word-by-word and trivial-group sweeps, on carriers `check_carrier`
+    does not build."""
+
+    @pytest.mark.parametrize("name", ["not-f-closed", "unchecked", "wrong-end",
+                                      "one-element", "s5", "a6", "s6"])
+    def test_rows_match_the_single_steps(self, name):
+        L = walker_carrier(name)
+        assert check_walker_rows(L) > 1 or len(L.elements) == 1
+        assert (_check_axioms_bounded(L, 2)
+                == reference_check_axioms_bounded(walker_carrier(name), 2))
+        assert (_check_axioms_bounded(L, 3)
+                == _check_axioms_bounded(walker_carrier(name), 3, ()))

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import os
 import time
 from pathlib import Path
 
@@ -293,6 +294,45 @@ class TestExitCodes:
         assert err.startswith("error: cannot write report ")
         assert "Traceback" not in err
         assert not target.exists()
+
+    @pytest.mark.parametrize("error", [BrokenPipeError(32, "Broken pipe"),
+                                       OSError(28, "No space left on device")])
+    def test_unwritable_stdout_still_writes_the_report(self, capsys, monkeypatch,
+                                                       tmp_path, error):
+        # `llab classify ... | head -1` and `llab classify ... > /dev/full`
+        class Unwritable:
+            def write(self, text):
+                raise error
+
+            def flush(self):
+                pass
+
+        target = tmp_path / "report.json"
+        argv = ["classify", "--group", group_arg("s3"), "--p", "3"]
+        monkeypatch.setattr("sys.stdout", Unwritable())
+        code = cli.main([*argv, "--json", str(target)])
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: cannot write to stdout: {error}\n"
+        # the report is the one a writable stdout gets
+        again = tmp_path / "again.json"
+        assert run_cli(capsys, *argv, "--json", str(again))[0] == 0
+        assert target.read_bytes() == again.read_bytes()
+
+    def test_a_closed_pipe_leaves_nothing_to_fail_at_exit(self, capsys, monkeypatch):
+        # stdout on a pipe whose reader is gone: the unwritten text stays in
+        # the stream's buffer, and closing the stream, as the interpreter
+        # does at exit, flushes it into os.devnull
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stream = open(write_end, "w")
+        monkeypatch.setattr("sys.stdout", stream)
+        code = cli.main(["classify", "--group", group_arg("s4"), "--p", "2"])
+        monkeypatch.undo()
+        stream.close()
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cannot write to stdout: ")
 
     def test_cap_exceeded(self, capsys, monkeypatch):
         monkeypatch.setenv("LLAB_CAPS", "group_order=10")

@@ -1021,6 +1021,37 @@ def check_domain(L):
     return outside
 
 
+def check_walker_rows(L):
+    """`walk_row` against a `walk_step` per letter and `walk_in_domain` on
+    each successor, at every state reached by a word of length <= 2: the
+    mask without the successors, asked for first, then the successors with
+    it; returns the number of states checked."""
+    level, seen = [L.walk_start()], set()
+    for _ in range(3):
+        nxt = []
+        for st in level:
+            if st in seen:
+                continue
+            seen.add(st)
+            want = [L.walk_step(st, g) for g in L.elements]
+            mask = sum(1 << i for i, t in enumerate(want) if L.walk_in_domain(t))
+            assert L.walk_row(st, False) == (mask, None), st
+            assert L.walk_row(st) == (mask, want), st
+            nxt += want
+        level = nxt
+    return len(seen)
+
+
+def check_stabilizers(L):
+    """`normalizer_in` and `centralizer_in`, which sweep the S_g blocks
+    above P, against the stabilizer sweep over the whole carrier, at every
+    P <= S."""
+    for P in subgroups_below(L.S):
+        for pointwise, part in ((False, normalizer_in), (True, centralizer_in)):
+            whole = L._s_conj.stabilizer(P, L.elements, pointwise, "whole carrier")
+            assert part(L, P).members == frozenset(mask_members(whole)), (P, pointwise)
+
+
 def check_subgroup_test(L):
     """`subgroup_in_locality` against the pair walk on N_L(P) for every
     P <= S and on S with one more element and its inverse, at most 40
@@ -1073,6 +1104,8 @@ def check_carrier(L):
         assert L.fusion()._closed.key() == reference_group_fusion(L.S, L.elements)
     check_fusion(L.fusion())
     check_domain(L)
+    check_walker_rows(L)
+    check_stabilizers(L)
     check_subgroup_test(L)
     core = reference_invariant_core(L._s_conj, L.elements)
     assert L.full_domain == (core in L.delta.mask_set)

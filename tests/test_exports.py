@@ -115,7 +115,7 @@ def test_dead_helpers_are_gone():
     # on the test carriers, and growths are identified by full_expand's
     # argument, not by regenerating them from the base
     for name in ("inv", "in_domain", "binary", "domain_row", "walk_start", "walk_step",
-                 "walk_in_domain", "walk_product", "product", "conjugates"):
+                 "walk_row", "walk_in_domain", "walk_product", "product", "conjugates"):
         assert name not in vars(partial.PartialGroup), name
         assert name in vars(locality.Locality), name
     assert "base" not in inspect.signature(expansion.check_unique_iso).parameters

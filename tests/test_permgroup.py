@@ -721,6 +721,11 @@ class TestKernels:
                           == compose(G.elements[c], G.elements[x]) for x in S.members())]
         assert table.coset(g) == tuple(G.index_of(compose(G.elements[c], gp))
                                        for c in central)
+        # a row of products, of length 0, 1 or more, below and above the
+        # Cayley row cache
+        js = data.draw(st.lists(ordinal, max_size=5))
+        assert G.mult_row(g, js) == tuple(
+            G.index_of(compose(gp, G.elements[j])) for j in js)
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(st.data())
